@@ -515,11 +515,13 @@ class DeckVerification:
     worst_fiber_residual: float
     worst_quasi: float
     trials: int
+    trials_requested: int
 
     @property
     def passed(self) -> bool:
         return (
-            self.pairing_ok
+            self.trials >= self.trials_requested
+            and self.pairing_ok
             and (self.fiber_ok is None or self.fiber_ok)
             and (self.quasi_ok is None or self.quasi_ok)
         )
@@ -540,7 +542,9 @@ def verify_deck(
     (a) each formula maps every solution to the sigma-paired coordinate;
     (b) for complete maps, the image point satisfies the structural
     equations; (c) each formula is quasi-homogeneous for every free scaling
-    row.  Failures are reported, not raised.
+    row.  Failures are reported, not raised.  A fiber that cannot be tracked
+    in three attempts is dropped, and a check with fewer tracked fibers than
+    ``trial_count`` does not pass: zero fibers would otherwise pass vacuously.
     """
     present = [j for j, c in enumerate(deck.coords) if c is not None]
     if not present:
@@ -610,6 +614,7 @@ def verify_deck(
         worst_fiber_residual=worst_res,
         worst_quasi=worst_quasi,
         trials=len(fibers),
+        trials_requested=trial_count,
     )
 
 

@@ -6,9 +6,17 @@ reparametrized through a random unit complex gamma (tau = gamma t / (1 +
 Step control: accept a step when the corrector converges, double the step
 after three consecutive accepts, halve on rejection.
 
-Systems are compiled once into flat exponent/coefficient arrays so that
-residuals and Jacobians evaluate as a handful of vectorized numpy
-operations; this is what keeps fibers with dozens of paths tractable.
+Systems are compiled once into the unique monomials of F, dF/dx and dF/dp.
+Each monomial is a short row of flat indices ``var * (maxdeg + 1) + power``
+into a power table of all n+m variables, listing only its non-unit factors
+in increasing variable order and padded with an index of a constant 1.  Each
+block keeps, per term, a monomial index and a coefficient, summed per entry
+by ``np.add.reduceat``.  An evaluation fills the power table, multiplies the
+few factors of each monomial once, and gathers the monomials into the terms.
+Every product is the one a dense evaluation over all n+m factors per term
+computes, minus multiplications by an exact 1, so the values are
+bit-identical to it (tests/test_evaluator.py keeps that dense form as the
+reference).
 """
 
 from __future__ import annotations
@@ -16,12 +24,11 @@ from __future__ import annotations
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from . import expr
-from .expr import Polynomial, System
+from .expr import System
 
 _MAX_TOTAL_STEPS = 20_000
 
@@ -97,13 +104,14 @@ class FiberSample:
         )
 
     def min_pairwise_distance(self) -> float:
-        sols = self.solutions
-        if len(sols) < 2:
+        """Smallest max-norm distance between two solutions: one reduction
+        per solution over the solutions after it."""
+        if len(self.solutions) < 2:
             return np.inf
+        sols = np.array(self.solutions)
         return min(
-            float(np.abs(sols[i] - sols[j]).max())
-            for i in range(len(sols))
-            for j in range(i + 1, len(sols))
+            float(np.abs(sols[i + 1 :] - sols[i]).max(axis=1).min())
+            for i in range(len(sols) - 1)
         )
 
 
@@ -112,76 +120,85 @@ class FiberSample:
 # ---------------------------------------------------------------------------
 
 
-def _pack(polys: Sequence[Polynomial], nvars: int):
-    exps: list[tuple[int, ...]] = []
-    coeffs: list[complex] = []
-    offsets = [0]
-    for p in polys:
-        if p.is_zero:
-            exps.append((0,) * nvars)
-            coeffs.append(0.0)
-        else:
-            for e, c in p.terms:
-                exps.append(e)
+def _factor_key(exponent, stride: int) -> tuple[int, ...]:
+    """Flat power-table indices ``var * stride + power`` of the non-unit
+    factors of one monomial, in increasing variable order."""
+    return tuple(v * stride + k for v, k in enumerate(exponent) if k)
+
+
+class _Block:
+    """One output block (F, dF/dx or dF/dp): each term's monomial index and
+    coefficient, and the ``reduceat`` offset of each entry's first term."""
+
+    __slots__ = ("terms", "coeffs", "offsets", "shape", "factors")
+
+    def __init__(self, polys, monomials: dict, stride: int, shape):
+        terms: list[int] = []
+        coeffs: list[complex] = []
+        offsets: list[int] = []
+        for p in polys:
+            offsets.append(len(terms))
+            # A zero entry keeps one zero term so that every offset is valid.
+            for e, c in p.terms or (((0,) * p.nvars, 0.0),):
+                terms.append(monomials.setdefault(_factor_key(e, stride), len(monomials)))
                 coeffs.append(expr.coeff_to_complex(c))
-        offsets.append(len(exps))
-    return (
-        np.asarray(exps, dtype=np.int64),
-        np.asarray(coeffs, dtype=complex),
-        np.asarray(offsets[:-1], dtype=np.intp),
-    )
+        self.terms = np.asarray(terms, dtype=np.intp)
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.shape = shape
+        # Monomials are numbered in order of first use, so this block only
+        # reads the ones known so far.  Row u lists monomial u's non-unit
+        # factors; padding points at tab[0, 0], which is always 1.
+        keys = list(monomials)
+        width = max(map(len, keys), default=0) or 1
+        self.factors = np.zeros((len(keys), width), dtype=np.intp)
+        for u, key in enumerate(keys):
+            self.factors[u, : len(key)] = key
+
+    def __call__(self, mono: np.ndarray) -> np.ndarray:
+        vals = self.coeffs * mono[self.terms]
+        return np.add.reduceat(vals, self.offsets).reshape(self.shape)
 
 
 class CompiledSystem:
-    """Flattened evaluator for F, dF/dx and dF/dp of one system."""
+    """Evaluator for F, dF/dx and dF/dp of one system over its unique monomials."""
 
     def __init__(self, system: System):
-        self.system = system
-        self.n = system.n
-        self.m = system.m
-        self.nvars = system.n + system.m
-        n = self.n
-        self._fe, self._fc, self._fo = _pack(system.equations, self.nvars)
+        n, m = system.n, system.m
+        self.n, self.m, self.nvars = n, m, n + m
+        # Derivatives only lower exponents, so F holds the highest power.
+        self.maxdeg = max((max(e) for eq in system.equations for e, _ in eq.terms), default=0)
+        stride = self.maxdeg + 1
         jac = expr.jacobian(system)
-        self._je, self._jc, self._jo = _pack(
-            [jac[i][j] for i in range(n) for j in range(n)], self.nvars
-        )
         pj = expr.parameter_jacobian(system)
-        self._pe, self._pc, self._po = _pack(
-            [pj[i][j] for i in range(n) for j in range(self.m)], self.nvars
-        )
-        self.maxdeg = int(
-            max(self._fe.max(initial=0), self._je.max(initial=0), self._pe.max(initial=0))
-        )
-        self._gather = np.arange(self.nvars)
+        monomials: dict[tuple[int, ...], int] = {}
+        self._f = _Block(system.equations, monomials, stride, (n,))
+        self._jx = _Block([q for row in jac for q in row], monomials, stride, (n, n))
+        self._jp = _Block([q for row in pj for q in row], monomials, stride, (n, m))
 
-    def _powers(self, x, p) -> np.ndarray:
+    def _monomials(self, x, p, factors) -> np.ndarray:
         z = np.concatenate([np.asarray(x, complex), np.asarray(p, complex)])
         tab = np.empty((self.nvars, self.maxdeg + 1), dtype=complex)
         tab[:, 0] = 1.0
         for k in range(1, self.maxdeg + 1):
             tab[:, k] = tab[:, k - 1] * z
-        return tab
-
-    def _block(self, tab, e, c, o, shape):
-        vals = c * np.prod(tab[self._gather[None, :], e], axis=1)
-        return np.add.reduceat(vals, o).reshape(shape)
+        # numpy's elementwise complex multiply may round differently from its
+        # product reduction; the dense form reduced, and so does this.
+        return np.prod(tab.ravel()[factors], axis=1)
 
     def f_at(self, x, p) -> np.ndarray:
-        return self._block(self._powers(x, p), self._fe, self._fc, self._fo, (self.n,))
+        return self._f(self._monomials(x, p, self._f.factors))
 
     def jx_at(self, x, p) -> np.ndarray:
-        return self._block(self._powers(x, p), self._je, self._jc, self._jo, (self.n, self.n))
+        return self._jx(self._monomials(x, p, self._jx.factors))
 
     def jp_at(self, x, p) -> np.ndarray:
-        return self._block(self._powers(x, p), self._pe, self._pc, self._po, (self.n, self.m))
+        return self._jp(self._monomials(x, p, self._jp.factors))
 
     def f_and_jx(self, x, p):
-        tab = self._powers(x, p)
-        return (
-            self._block(tab, self._fe, self._fc, self._fo, (self.n,)),
-            self._block(tab, self._je, self._jc, self._jo, (self.n, self.n)),
-        )
+        # F was compiled first, so the dF/dx block's monomials include F's.
+        mono = self._monomials(x, p, self._jx.factors)
+        return self._f(mono), self._jx(mono)
 
 
 _COMPILED: "weakref.WeakKeyDictionary[System, CompiledSystem]" = weakref.WeakKeyDictionary()

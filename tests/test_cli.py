@@ -99,6 +99,32 @@ def test_verify_command_wrong_sign_fails(tmp_path):
     assert report["status"] == "failed"
 
 
+def test_verification_without_tracked_fibers_fails_stage(tmp_path, monkeypatch):
+    """Fault injection: every held-out fiber fails to track, so the
+    verification stage fails instead of passing with zero trials."""
+    from decksym import cli, tracker
+    from decksym.tracker import FiberTrackingError
+
+    def fail(*args, **kwargs):
+        raise FiberTrackingError("injected")
+
+    run_verification = cli.Pipeline.run_verification
+
+    def verification_without_fibers(self):
+        monkeypatch.setattr(tracker, "track_fiber", fail)
+        return run_verification(self)
+
+    monkeypatch.setattr(cli.Pipeline, "run_verification", verification_without_fibers)
+    report, code, _ = run_cli(
+        "analyze", "ex4_1", tmp_path, expected_degree=2, degree_bound=1,
+        parameter_dependent=True,
+    )
+    assert code == 1
+    assert report["status"] == "failed"
+    assert report["failed_stage"] == "verification"
+    assert [v["trials"] for v in report["verification"]] == [0]
+
+
 def test_interpolate_command_graded_ex41(tmp_path):
     report, code, _ = run_cli(
         "interpolate", "ex4_1", tmp_path, expected_degree=2, degree_bound=1,

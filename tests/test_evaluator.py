@@ -1,0 +1,160 @@
+"""The compiled evaluator against a dense reference and the symbolic polynomials.
+
+The compiled evaluator multiplies only the non-unit factors of each unique
+monomial.  The dense form it replaced multiplied every term over all n+m
+power-table factors; the extra factors are exact ones, so both must agree
+bit for bit.
+"""
+
+import gc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decksym import tracker
+from decksym.expr import (
+    Polynomial,
+    System,
+    coeff_to_complex,
+    jacobian,
+    parameter_jacobian,
+    parse_system,
+)
+from decksym.fixtures import FIXTURES, fixture_path
+
+
+def dense_pack(polys, nvars):
+    exps, coeffs, offsets = [], [], []
+    for q in polys:
+        offsets.append(len(exps))
+        for e, c in q.terms or (((0,) * nvars, 0.0),):
+            exps.append(e)
+            coeffs.append(coeff_to_complex(c))
+    return np.asarray(exps, dtype=np.intp), np.asarray(coeffs), offsets
+
+
+class DenseReference:
+    """Every term is the product of tab[v, e_v] over all n+m variables v."""
+
+    def __init__(self, system):
+        n, m = system.n, system.m
+        self.blocks = [
+            (dense_pack(polys, n + m), shape)
+            for polys, shape in (
+                (system.equations, (n,)),
+                ([q for row in jacobian(system) for q in row], (n, n)),
+                ([q for row in parameter_jacobian(system) for q in row], (n, m)),
+            )
+        ]
+
+    def __call__(self, x, p):
+        z = np.concatenate([np.asarray(x, complex), np.asarray(p, complex)])
+        maxdeg = max(int(e.max()) for (e, _, _), _ in self.blocks)
+        tab = np.empty((len(z), maxdeg + 1), dtype=complex)
+        tab[:, 0] = 1.0
+        for k in range(1, maxdeg + 1):
+            tab[:, k] = tab[:, k - 1] * z
+        gather = np.arange(len(z))[None, :]
+        return [
+            np.add.reduceat(c * np.prod(tab[gather, e], axis=1), o).reshape(shape)
+            for (e, c, o), shape in self.blocks
+        ]
+
+
+def assert_bit_equal(comp, dense, x, p):
+    f, jx, jp = dense(x, p)
+    f2, jx2 = comp.f_and_jx(x, p)
+    for got, want in (
+        (comp.f_at(x, p), f),
+        (comp.jx_at(x, p), jx),
+        (comp.jp_at(x, p), jp),
+        (f2, f),
+        (jx2, jx),
+    ):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def random_point(rng, k):
+    return rng.standard_normal(k) + 1j * rng.standard_normal(k)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_evaluation_bit_equal_to_dense(name):
+    system = parse_system(fixture_path(name).read_text())
+    comp = tracker.compiled(system)
+    dense = DenseReference(system)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        assert_bit_equal(comp, dense, random_point(rng, system.n), random_point(rng, system.m))
+
+
+NAMES = ("x0", "x1", "x2")
+PARAMS = ("p0", "p1")
+
+
+@st.composite
+def sparse_systems(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    nvars = n + m
+    exponent = st.tuples(*[st.integers(0, 6)] * nvars)
+    exact = st.tuples(
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    )
+    inexact = st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False)
+    equations = []
+    for _ in range(n):
+        if draw(st.booleans()) and draw(st.booleans()):
+            # constant equation: a zero row of dF/dx and dF/dp
+            value = (Fraction(draw(st.integers(1, 9))), Fraction(0))
+            equations.append(Polynomial.constant(nvars, value))
+            continue
+        terms = draw(st.lists(st.tuples(exponent, exact | inexact), min_size=1, max_size=5))
+        poly = Polynomial(nvars, terms)
+        equations.append(poly if not poly.is_zero else Polynomial.constant(nvars, 1.0))
+    return System(NAMES[:n], PARAMS[:m], tuple(equations))
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1))
+def test_compiled_matches_symbolic_on_random_sparse_systems(system, seed):
+    comp = tracker.CompiledSystem(system)
+    rng = np.random.default_rng(seed)
+    x, p = random_point(rng, system.n), random_point(rng, system.m)
+    assert_bit_equal(comp, DenseReference(system), x, p)
+
+    z = np.concatenate([x, p])
+    n, m = system.n, system.m
+
+    def close(got, poly):
+        want = poly.evaluate(z)
+        scale = sum(
+            abs(coeff_to_complex(c)) * float(np.prod(np.abs(z) ** np.asarray(e)))
+            for e, c in poly.terms
+        )
+        assert abs(got - want) <= 1e-12 * (1.0 + scale)
+
+    f = comp.f_at(x, p)
+    jx = comp.jx_at(x, p)
+    jp = comp.jp_at(x, p)
+    for i, eq in enumerate(system.equations):
+        close(f[i], eq)
+        for j in range(n):
+            close(jx[i, j], eq.differentiate(j))
+        for j in range(m):
+            close(jp[i, j], eq.differentiate(n + j))
+
+
+def test_compile_cache_drops_collected_systems():
+    text = "unknowns u, v; parameters q; equations u^3 - q; u*v - 1;"
+    system = parse_system(text)
+    tracker.compiled(system)
+    assert system in tracker._COMPILED
+    del system
+    gc.collect()
+    assert parse_system(text) not in tracker._COMPILED

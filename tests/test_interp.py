@@ -282,6 +282,27 @@ def test_verify_deck_fails_for_corrupted_formula(mono41):
     assert not report.pairing_ok
 
 
+def test_verify_deck_fails_when_no_fiber_tracks(mono41, monkeypatch):
+    """A wrong formula must not pass because every held-out fiber failed."""
+    from decksym import tracker
+    from decksym.interp import DeckMap
+    from decksym.tracker import FiberTrackingError
+
+    system, result, cfg, _ = mono41
+
+    def fail(*args, **kwargs):
+        raise FiberTrackingError("injected")
+
+    monkeypatch.setattr(tracker, "track_fiber", fail)
+    x_plus_one = RationalFunction.from_polynomial(
+        Polynomial.variable(2, 0) + Polynomial.constant(2, 1)
+    )
+    wrong = DeckMap((1, 0), [x_plus_one], 1)
+    report = verify_deck(system, wrong, result, 5, cfg, np.random.default_rng(0))
+    assert report.trials == 0
+    assert not report.passed
+
+
 def test_verify_deck_identity_map(mono42):
     system, result, cfg, rng = mono42
     from decksym.interp import DeckMap

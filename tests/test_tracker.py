@@ -129,6 +129,21 @@ def test_fiber_tracking_preserves_order_and_residuals():
     assert out.min_pairwise_distance() > 1e-6
 
 
+def test_min_pairwise_distance_matches_pairwise_definition():
+    rng = np.random.default_rng(5)
+    for d, n in ((2, 1), (7, 3), (40, 12)):
+        scale = 10.0 ** rng.uniform(-6, 6, size=(d, n))
+        sols = tuple((rng.standard_normal(n) + 1j * rng.standard_normal(n)) * s for s in scale)
+        fiber = FiberSample(np.zeros(1), sols)
+        expected = min(
+            float(np.abs(sols[i] - sols[j]).max())
+            for i in range(d)
+            for j in range(i + 1, d)
+        )
+        assert fiber.min_pairwise_distance() == expected
+    assert FiberSample(np.zeros(1), (np.ones(2),)).min_pairwise_distance() == np.inf
+
+
 def test_fiber_duplicate_solution_rejected():
     fiber = FiberSample(np.array([-2.5]), (np.array([2.0]), np.array([2.0])))
     with pytest.raises(FiberTrackingError, match="distinct"):

@@ -52,7 +52,7 @@ class RunConfig:
     parameter_dependent: bool = False
     graded: bool = False
     expected_degree: int | None = None
-    threads: int = 1
+    threads: int = 1  # no-op kept for compatibility; echoed as config.threads
     out_path: str | None = None
     tol_newton: float = 1e-10
     tol_path: float = 1e-8
@@ -71,7 +71,6 @@ class RunConfig:
         return MonodromyConfig(
             expected_degree=self.expected_degree,
             tracker=self.tracker_config(),
-            workers=self.threads,
         )
 
 
@@ -501,7 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--param-dependent", action="store_true")
         p.add_argument("--graded", action="store_true")
         p.add_argument("--expected-degree", type=int)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads", type=int, default=1,
+            help="no-op kept for compatibility (echoed in the report config)",
+        )
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--tol-newton", type=float, default=1e-10)
         p.add_argument("--tol-path", type=float, default=1e-8)

@@ -50,7 +50,6 @@ class MonodromyConfig:
     # must return to its starting points.
     verify_samples: bool = True
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -251,14 +250,7 @@ def run_monodromy(
                 cur = r.endpoint
             return cur
 
-        starts = list(fiber)
-        if cfg.workers > 1 and len(starts) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                endpoints = list(pool.map(run_loop, starts))
-        else:
-            endpoints = [run_loop(sol) for sol in starts]
+        endpoints = [run_loop(sol) for sol in fiber]
         failed = sum(1 for e in endpoints if e is None)
         failure_window.append(failed / len(endpoints))
         if len(failure_window) == 5 and all(f > 0.5 for f in failure_window):
@@ -382,9 +374,7 @@ def sample_orbit(
             target = _random_params(system.m, rng)
             gamma = tracker._draw_gamma(rng) if cfg.tracker.use_gamma_trick else 1.0 + 0.0j
             try:
-                candidate = tracker.track_fiber(
-                    system, orbit, target, cfg.tracker, gamma=gamma, workers=cfg.workers
-                )
+                candidate = tracker.track_fiber(system, orbit, target, cfg.tracker, gamma=gamma)
                 if cfg.verify_samples and not _roundtrip_ok(
                     system, orbit, candidate, gamma, cfg
                 ):
@@ -410,14 +400,7 @@ def _roundtrip_ok(
     arc exactly) and require every point to return to its start; a sheet jump
     on the way out lands somewhere else on the way back."""
     try:
-        back = tracker.track_fiber(
-            system,
-            sample,
-            orbit.params,
-            cfg.tracker,
-            gamma=1.0 / gamma,
-            workers=cfg.workers,
-        )
+        back = tracker.track_fiber(system, sample, orbit.params, cfg.tracker, gamma=1.0 / gamma)
     except FiberTrackingError:
         return False
     for got, want in zip(back.solutions, orbit.solutions):
@@ -457,9 +440,7 @@ def batch_fibers(
         for _attempt in range(3):
             target = _random_params(system.m, rng)
             try:
-                sample = tracker.track_fiber(
-                    system, result.base, target, cfg.tracker, rng=rng, workers=cfg.workers
-                )
+                sample = tracker.track_fiber(system, result.base, target, cfg.tracker, rng=rng)
                 break
             except FiberTrackingError:
                 continue

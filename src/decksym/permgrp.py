@@ -5,11 +5,24 @@ Composition is (p * q)(i) = p(q(i)).  The key operation is the centralizer of
 a transitive group in the full symmetric group: it is semiregular, so each of
 its elements is determined by the image of label 0 and can be reconstructed
 by propagating along a Schreier tree instead of enumerating the group.
+
+The group order comes from a stabilizer chain built by the deterministic
+incremental Schreier-Sims algorithm (Sims 1970; Seress, *Permutation Group
+Algorithms*, 2003, ch. 4): a base b_0, b_1, ..., per level the strong
+generators fixing b_0..b_{i-1}, and a transversal of the basic orbit of b_i
+under them.  Every Schreier generator of a level is sifted through the levels
+below it; a nonidentity residue becomes a new strong generator (and a new
+base point if it fixes every current one).  When all of them sift to the
+identity, |G| is the product of the basic-orbit lengths.  Each partial orbit
+lies inside the true basic orbit, so the running product is a lower bound on
+|G| and the computation stops as soon as it exceeds the caller's cap; no
+group element is ever enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -21,7 +34,7 @@ def identity(degree: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: Perm) -> Perm:
@@ -52,8 +65,6 @@ def order_of(p: Perm) -> int:
 
 
 def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
     return a * b // gcd(a, b)
 
 
@@ -123,24 +134,90 @@ def is_transitive(group: PermutationGroup) -> bool:
 
 
 def group_order_capped(group: PermutationGroup, cap: int) -> int | None:
-    """Order of the generated group by breadth-first closure; None above cap."""
+    """Exact order of the generated group if it is at most ``cap``, else None.
+
+    Deterministic incremental Schreier-Sims: see the module docstring.
+    """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     ident = identity(group.degree)
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in group.generators:
-                prod = compose(g, el)
-                if prod not in elements:
-                    elements.add(prod)
-                    if len(elements) > cap:
-                        return None
-                    nxt.append(prod)
-        frontier = nxt
-    return len(elements)
+    top = [g for g in group.generators if g != ident]
+    if not top:
+        return 1
+    base: list[int] = []
+    gens: list[list[Perm]] = []  # gens[i]: strong generators fixing base[:i]
+    orbits: list[list[int]] = []  # orbits[i]: basic orbit of base[i], in discovery order
+    trans: list[dict[int, tuple[Perm, Perm]]] = []  # trans[i][x] = (u, u^-1), u(base[i]) = x
+    done: list[set[tuple[int, int]]] = []  # (orbit point, generator index) already sifted
+
+    def new_level(g: Perm) -> None:
+        b = next(i for i, j in enumerate(g) if i != j)
+        base.append(b)
+        gens.append([])
+        orbits.append([b])
+        trans.append({b: (ident, ident)})
+        done.append(set())
+
+    def add_generator(level: int, g: Perm) -> None:
+        """Append g to gens[level] and extend that basic orbit and transversal."""
+        gens[level].append(g)
+        orbit, tr, old = orbits[level], trans[level], len(orbits[level])
+        k = 0
+        while k < len(orbit):
+            x = orbit[k]
+            u = tr[x][0]
+            for s in gens[level] if k >= old else (g,):
+                y = s[x]
+                if y not in tr:
+                    v = compose(s, u)
+                    tr[y] = (v, inverse(v))
+                    orbit.append(y)
+            k += 1
+
+    def sift(h: Perm, level: int) -> tuple[Perm, int]:
+        for k in range(level, len(base)):
+            pair = trans[k].get(h[base[k]])
+            if pair is None:
+                return h, k
+            h = compose(pair[1], h)
+        return h, len(base)
+
+    def order() -> int:
+        return prod(len(orbit) for orbit in orbits)
+
+    new_level(top[0])
+    for g in top:
+        add_generator(0, g)
+    if order() > cap:
+        return None
+    i = 0
+    while i >= 0:
+        residue = None
+        for x in orbits[i]:
+            u_x = trans[i][x][0]
+            for gi, s in enumerate(gens[i]):
+                if (x, gi) in done[i]:
+                    continue
+                done[i].add((x, gi))
+                h = compose(trans[i][s[x]][1], compose(s, u_x))
+                h, j = sift(h, i + 1)
+                if h != ident:
+                    residue = h, j
+                    break
+            if residue is not None:
+                break
+        if residue is None:
+            i -= 1
+            continue
+        h, j = residue
+        if j == len(base):
+            new_level(h)
+        for level in range(i + 1, j + 1):
+            add_generator(level, h)
+        if order() > cap:
+            return None
+        i = j
+    return order()
 
 
 def _schreier_tree(group: PermutationGroup) -> list[tuple[int, Perm] | None]:

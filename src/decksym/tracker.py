@@ -22,7 +22,6 @@ reference).
 from __future__ import annotations
 
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -390,7 +389,6 @@ def track_fiber(
     *,
     rng: np.random.Generator | None = None,
     gamma: complex | None = None,
-    workers: int = 1,
     min_separation: float = 1e-6,
 ) -> FiberSample:
     """Track every solution of a fiber to new parameters, preserving order.
@@ -405,14 +403,9 @@ def track_fiber(
     if gamma is None:
         gamma = _draw_gamma(rng) if cfg.use_gamma_trick else 1.0 + 0.0j
 
-    def run(sol):
-        return track_path(system, sol, fiber.params, p_to, cfg, gamma=gamma)
-
-    if workers > 1 and len(fiber.solutions) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, fiber.solutions))
-    else:
-        results = [run(sol) for sol in fiber.solutions]
+    results = [
+        track_path(system, sol, fiber.params, p_to, cfg, gamma=gamma) for sol in fiber.solutions
+    ]
 
     bad = [i for i, r in enumerate(results) if not r.success]
     if bad:

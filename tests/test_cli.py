@@ -160,6 +160,23 @@ def test_reports_deterministic(tmp_path):
     assert a == b
 
 
+def test_threads_flag_does_not_change_report(tmp_path):
+    """--threads is accepted for compatibility and echoed in the config;
+    paths are tracked in one thread either way."""
+    reports = []
+    for threads in (1, 2):
+        report, code, _ = run_cli(
+            "analyze", "ex4_1", tmp_path, name=f"t{threads}.json",
+            expected_degree=2, degree_bound=1, parameter_dependent=True, threads=threads,
+        )
+        assert code == 0
+        assert report["config"]["threads"] == threads
+        report = strip_timings(report)
+        report["config"] = {k: v for k, v in report["config"].items() if k != "threads"}
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]
+
+
 def test_cli_entry_point(tmp_path, capsys):
     code = main(
         [

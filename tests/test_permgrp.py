@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decksym.permgrp import (
     PermutationGroup,
@@ -75,14 +77,15 @@ def test_trivial_group_order():
 
 
 def test_order_exceeds_cap():
-    # S4 wr S8 on 32 labels has order (4!)^8 * 8! >> 1e6.
+    # S4 wr C8 on 32 labels: S4 on the first block of 4 (g1, g2) and an
+    # 8-cycle of the blocks (g3); order (4!)^8 * 8 = 880 602 513 408 >> 1e6.
     blocks = [list(range(4 * k, 4 * k + 4)) for k in range(8)]
     g1 = from_cycles([blocks[0][:2]], 32, one_based=False)
     g2 = from_cycles([blocks[0]], 32, one_based=False)
     g3 = from_cycles([[blocks[k][i] for k in range(8)] for i in range(4)], 32, one_based=False)
-    g4 = from_cycles([[0, 4]], 32, one_based=False)  # extra mixing
     group = PermutationGroup(32, (g1, g2, g3))
     assert group_order_capped(group, 10**6) is None
+    assert group_order_capped(group, 10**20) == 24**8 * 8
 
 
 def test_centralizer_wr23():
@@ -187,3 +190,93 @@ def test_describe_groups():
     s3 = sorted(set(itertools.permutations(range(3))))
     assert describe_group(list(s3)) == "S3"
     assert describe_group([(0, 1, 2)]) == "trivial"
+
+
+# --- property tests of the exact group layer against brute force ----------
+
+
+def closure_order(group):
+    """Reference order: breadth-first closure over all group elements."""
+    elements = {identity(group.degree)}
+    frontier = list(elements)
+    while frontier:
+        nxt = []
+        for el in frontier:
+            for g in group.generators:
+                p = compose(g, el)
+                if p not in elements:
+                    elements.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return len(elements)
+
+
+@st.composite
+def groups(draw, max_degree, min_degree=0, min_gens=0):
+    d = draw(st.integers(min_degree, max_degree))
+    perm = st.permutations(range(d)).map(tuple)
+    gens = draw(st.lists(perm, min_size=min_gens, max_size=3))
+    return PermutationGroup(d, tuple(gens))
+
+
+def transitive_groups(max_degree):
+    return groups(max_degree, min_degree=1, min_gens=1).filter(is_transitive)
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for k in range(len(part)):
+            yield part[:k] + [[first] + part[k]] + part[k + 1 :]
+        yield [[first]] + part
+
+
+def invariant_partitions(group):
+    """Every partition of the labels that each generator maps onto itself."""
+    out = []
+    for part in set_partitions(list(range(group.degree))):
+        blocks = {frozenset(b) for b in part}
+        if all(frozenset(g[v] for v in b) in blocks for g in group.generators for b in blocks):
+            out.append(tuple(sorted(blocks, key=sorted)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups(7))
+def test_order_matches_closure(group):
+    order = closure_order(group)
+    assert group_order_capped(group, order) == order
+    assert group_order_capped(group, order + 1) == order
+    assert group_order_capped(group, 1) == (1 if order == 1 else None)
+    if order > 1:
+        assert group_order_capped(group, order - 1) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(transitive_groups(6))
+def test_centralizer_matches_brute_force_property(group):
+    assert centralizer_in_symmetric(group) == brute_force_centralizer(group)
+
+
+@settings(max_examples=150, deadline=None)
+@given(transitive_groups(6))
+def test_block_systems_match_brute_force(group):
+    d = group.degree
+    invariant = invariant_partitions(group)
+    # for each alpha, the finest invariant partition with 0 and alpha in one
+    # block; it refines every other such partition
+    expected = []
+    for alpha in range(1, d):
+        through = [p for p in invariant if any({0, alpha} <= b for b in p)]
+        finest = max(through, key=len)
+        assert all(
+            all(any(b <= c for c in coarser) for b in finest) for coarser in through
+        )
+        if len(finest) not in (1, d) and finest not in expected:
+            expected.append(finest)
+    assert minimal_block_systems(group) == expected
+    nontrivial = [p for p in invariant if len(p) not in (1, d)]
+    assert (minimal_block_systems(group) == []) == (nontrivial == [])

@@ -40,7 +40,7 @@ from .monodromy import (
     sample_orbit,
     seed_from_linear_params,
 )
-from .numcore import SingularMatrixError, nullspace, rref, solve_square
+from .numcore import nullspace, rref
 from .permgrp import (
     PermutationGroup,
     centralizer_in_symmetric,
@@ -65,7 +65,6 @@ from .tracker import (
     newton_polish,
     track_fiber,
     track_path,
-    track_two_segment,
 )
 
 __version__ = "0.1.0"

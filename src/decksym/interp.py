@@ -3,10 +3,12 @@
 Per coordinate, the linear constraint  sum a_k m_k(x,p) - x'_j sum b_k m_k(x,p) = 0
 over paired orbit samples builds a Vandermonde-type matrix; its nullspace is
 row-reduced and a sparse representative is picked (entries below 1e-5 are
-truncated first).  The dense path uses all monomials up to the current
-degree; the graded path partitions monomials into multidegree classes under
-the detected scaling lattice and solves one small system per class, with the
-denominator class forced by the coordinate's own weights.
+truncated first).  One loop serves both paths: it partitions the monomials
+up to the current degree into multidegree classes under a scaling lattice and
+solves one small system per class, with the denominator class forced by the
+coordinate's own weights.  The graded path passes the detected lattice; the
+dense path is the one-class case, the empty lattice, where every monomial up
+to the degree lands in the same class.
 
 Candidates are accepted only when they reproduce held-out samples that never
 entered the Vandermonde; accepted coefficients are snapped to nearby small
@@ -268,19 +270,6 @@ class SampleCache:
         return self.samples[:count]
 
 
-def _nontrivial_perms(mono: MonodromyResult, deck_perms: Sequence[Perm]) -> list[Perm]:
-    ident = permgrp.identity(mono.degree)
-    for p in deck_perms:
-        if len(p) != mono.degree:
-            raise ValueError("deck permutation degree does not match the fiber")
-    out = [tuple(p) for p in deck_perms if tuple(p) != ident]
-    for sigma in out:
-        for g in mono.permutations:
-            if permgrp.compose(sigma, g) != permgrp.compose(g, sigma):
-                raise ValueError("deck permutation does not centralize the monodromy group")
-    return sorted(set(out))
-
-
 def _holdout_count(fit: int) -> int:
     return max(3, math.ceil(0.1 * fit))
 
@@ -346,62 +335,6 @@ def _try_candidate(
     return rf, worst
 
 
-def interpolate_dense(
-    system: System,
-    mono: MonodromyResult,
-    deck_perms: Sequence[Perm],
-    degree_bound: int,
-    parameter_dependent: bool,
-    cfg: MonodromyConfig,
-    rng: np.random.Generator,
-    cache: SampleCache | None = None,
-    rank_tol: float = numcore.DEFAULT_RANK_TOL,
-    truncate_tol: float = TRUNCATE_TOL,
-) -> tuple[list[DeckMap], InterpolationStats]:
-    """Degree-by-degree dense interpolation of every deck permutation.
-
-    For each degree D up to the bound, draws 2t orbit samples (t monomials up
-    to degree D) plus a held-out tail, and fills in coordinates that admit a
-    validated representative.  Stops early once every coordinate is found.
-    """
-    perms = _nontrivial_perms(mono, deck_perms)
-    n, m = system.n, system.m
-    decks = [DeckMap(p, [None] * n, 0) for p in perms]
-    stats = InterpolationStats(parameter_dependent=parameter_dependent, graded=False)
-    if not perms:
-        return decks, stats
-    if cache is None:
-        cache = SampleCache(system, mono, perms, cfg, rng)
-
-    for degree in range(1, degree_bound + 1):
-        monos = monomials_up_to_degree(n, m, degree, parameter_dependent)
-        t = len(monos)
-        fit = 2 * t
-        samples = cache.ensure(fit + _holdout_count(fit))
-        arrays = _SampleArrays.build(samples, len(perms))
-        vn = eval_monomials(arrays.points, monos)
-        holdouts = [
-            arrays.pairs(k, len(samples) - fit, start=fit) for k in range(len(perms))
-        ]
-        for k, deck in enumerate(decks):
-            for j in range(n):
-                if deck.coords[j] is not None:
-                    continue
-                stats.subproblems += 1
-                stats.largest_vandermonde = max(stats.largest_vandermonde, fit)
-                got = _try_candidate(
-                    system, arrays, vn, vn, monos, monos, j, k, fit,
-                    holdouts[k], rank_tol, numcore.DEFAULT_PIVOT_TOL, truncate_tol,
-                )
-                if got is not None:
-                    deck.coords[j] = got[0]
-                    deck.degree_bound_used = degree
-                    deck.worst_validation = max(deck.worst_validation, got[1])
-        if all(d.complete for d in decks):
-            break
-    return decks, stats
-
-
 def monomial_classes(
     monos: Sequence[Exponent], lattice: scaling.ScalingLattice
 ) -> dict[scaling.Multidegree, list[Exponent]]:
@@ -418,7 +351,7 @@ def _class_sort_key(md: scaling.Multidegree):
     return (md.free, md.torsion)
 
 
-def interpolate_graded(
+def _interpolate(
     system: System,
     mono: MonodromyResult,
     deck_perms: Sequence[Perm],
@@ -427,18 +360,22 @@ def interpolate_graded(
     parameter_dependent: bool,
     cfg: MonodromyConfig,
     rng: np.random.Generator,
-    cache: SampleCache | None = None,
-    rank_tol: float = numcore.DEFAULT_RANK_TOL,
-    truncate_tol: float = TRUNCATE_TOL,
+    cache: SampleCache | None,
+    rank_tol: float,
+    truncate_tol: float,
 ) -> tuple[list[DeckMap], InterpolationStats]:
-    """Quasi-homogeneous interpolation over multidegree classes.
+    """Degree-by-degree interpolation of every deck permutation over the
+    multidegree classes of the lattice.
 
-    The numerator class determines the denominator class through the
-    coordinate's own weights; classes whose denominator multidegree has no
-    monomials are skipped.  Sample budget per degree is twice the largest
-    class size.
+    For each degree D up to the bound, the monomials up to degree D are
+    split into classes; the numerator class determines the denominator class
+    through the coordinate's own weights, and classes whose denominator
+    multidegree has no monomials are skipped.  The sample budget per degree
+    is twice the largest class size plus a held-out tail.  Coordinates that
+    admit a validated representative are filled in, and the loop stops
+    early once every coordinate is found.
     """
-    perms = _nontrivial_perms(mono, deck_perms)
+    perms = sorted(set(monodromy_mod.check_deck_perms(mono, deck_perms)))
     n, m = system.n, system.m
     decks = [DeckMap(p, [None] * n, 0) for p in perms]
     stats = InterpolationStats(parameter_dependent=parameter_dependent, graded=True)
@@ -498,6 +435,52 @@ def interpolate_graded(
                         deck.worst_validation = max(deck.worst_validation, got[1])
         if all(d.complete for d in decks):
             break
+    return decks, stats
+
+
+def interpolate_graded(
+    system: System,
+    mono: MonodromyResult,
+    deck_perms: Sequence[Perm],
+    lattice: scaling.ScalingLattice,
+    degree_bound: int,
+    parameter_dependent: bool,
+    cfg: MonodromyConfig,
+    rng: np.random.Generator,
+    cache: SampleCache | None = None,
+    rank_tol: float = numcore.DEFAULT_RANK_TOL,
+    truncate_tol: float = TRUNCATE_TOL,
+) -> tuple[list[DeckMap], InterpolationStats]:
+    """Quasi-homogeneous interpolation over the multidegree classes of the
+    lattice (see ``_interpolate``)."""
+    return _interpolate(
+        system, mono, deck_perms, lattice, degree_bound, parameter_dependent,
+        cfg, rng, cache, rank_tol, truncate_tol,
+    )
+
+
+def interpolate_dense(
+    system: System,
+    mono: MonodromyResult,
+    deck_perms: Sequence[Perm],
+    degree_bound: int,
+    parameter_dependent: bool,
+    cfg: MonodromyConfig,
+    rng: np.random.Generator,
+    cache: SampleCache | None = None,
+    rank_tol: float = numcore.DEFAULT_RANK_TOL,
+    truncate_tol: float = TRUNCATE_TOL,
+) -> tuple[list[DeckMap], InterpolationStats]:
+    """Dense interpolation: the graded loop over the empty lattice, where all
+    monomials up to each degree form one class of t monomials fitted on 2t
+    samples.  The stats report no grading."""
+    nvars = system.n + system.m
+    empty = scaling.ScalingLattice(nvars, scaling.IntMatrix(0, nvars, ()), ())
+    decks, stats = _interpolate(
+        system, mono, deck_perms, empty, degree_bound, parameter_dependent,
+        cfg, rng, cache, rank_tol, truncate_tol,
+    )
+    stats.graded, stats.class_count, stats.largest_class = False, 0, 0
     return decks, stats
 
 
@@ -634,18 +617,14 @@ def derive_deck_permutation(
     if not present:
         raise ValueError("no formulas supplied")
     images = []
-    sols = base.solutions
-    for i, sol in enumerate(sols):
+    partial_fiber = np.asarray(base.solutions)[:, present]
+    for i, sol in enumerate(base.solutions):
         pt = np.concatenate([sol, base.params])
         predicted = np.array([coords[j].evaluate(pt) for j in present])
-        dists = np.array(
-            [float(np.abs(predicted - np.asarray(s)[present]).max()) for s in sols]
-        )
-        order = np.argsort(dists)
-        best = int(order[0])
-        if dists[best] > 1e-6 * (1 + float(np.abs(predicted).max())):
+        best, d1, d2 = tracker.nearest(predicted, partial_fiber)
+        if d1 > 1e-6 * (1 + float(np.abs(predicted).max())):
             raise ValueError(f"formula image of solution {i} does not lie in the fiber")
-        if len(sols) > 1 and dists[int(order[1])] < 10 * dists[best]:
+        if d2 < 10 * d1:
             raise ValueError(
                 "formula image is ambiguous on the fiber; supply more coordinates"
             )

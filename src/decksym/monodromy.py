@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import permgrp, tracker
+from . import numcore, permgrp, tracker
 from .expr import System, coeff_to_complex
 from .permgrp import Perm
 from .tracker import FiberSample, FiberTrackingError, TrackerConfig
@@ -27,6 +27,7 @@ __all__ = [
     "MonodromyError",
     "MonodromyResult",
     "batch_fibers",
+    "check_deck_perms",
     "run_monodromy",
     "sample_orbit",
     "seed_from_linear_params",
@@ -95,7 +96,7 @@ def replay_loop(
             if not r.success:
                 return False
             cur = r.endpoint
-        best, d1, _ = _nearest(cur, sols)
+        best, d1, _ = tracker.nearest(cur, sols)
         if d1 > cfg.match_tol or best != record.permutation[i]:
             return False
     return True
@@ -103,13 +104,6 @@ def replay_loop(
 
 def _random_params(m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
-
-
-def _lstsq_nullspace(a: np.ndarray) -> np.ndarray:
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    tol = 1e-10 * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    return vh[rank:].conj().T
 
 
 def _group_signature(degree: int, perms: list[Perm]):
@@ -183,7 +177,7 @@ def seed_from_linear_params(
         # The least-squares solution is minimal-norm; add a generic element of
         # the nullspace so under-determined parameters (e.g. homogeneous
         # coefficient systems) come out generic rather than zero.
-        null = _lstsq_nullspace(a)
+        null = numcore.nullspace(a, 1e-10)
         if null.shape[1]:
             gen = rng if rng is not None else np.random.default_rng(0)
             coeffs = gen.standard_normal(null.shape[1]) + 1j * gen.standard_normal(
@@ -201,14 +195,6 @@ def seed_from_linear_params(
             continue
         return x, p
     raise MonodromyError(f"could not build a valid seed pair ({last})")
-
-
-def _nearest(point: np.ndarray, pool: Sequence[np.ndarray]) -> tuple[int, float, float]:
-    dists = [float(np.abs(point - q).max()) for q in pool]
-    order = np.argsort(dists)
-    best = int(order[0])
-    second = dists[int(order[1])] if len(dists) > 1 else math.inf
-    return best, dists[best], second
 
 
 def run_monodromy(
@@ -262,7 +248,7 @@ def run_monodromy(
         for i, endpoint in enumerate(endpoints):
             if endpoint is None:
                 continue
-            best, d1, d2 = _nearest(endpoint, fiber)
+            best, d1, d2 = tracker.nearest(endpoint, fiber)
             if d1 <= cfg.match_tol and d2 >= 100 * d1:
                 images[i] = best
             elif d1 >= 100 * cfg.match_tol:
@@ -271,7 +257,7 @@ def run_monodromy(
                 except tracker.NewtonError:
                     clean = False
                     continue
-                nb, nd, _ = _nearest(new, fiber)
+                nb, nd, _ = tracker.nearest(new, fiber)
                 if nd <= cfg.match_tol:
                     images[i] = nb
                 elif nd >= 100 * cfg.match_tol:
@@ -327,20 +313,21 @@ def run_monodromy(
     return MonodromyResult(base, perms, loops, loop_log)
 
 
-def _check_deck_perms(result: MonodromyResult, deck_perms: Sequence[Perm]) -> list[Perm]:
-    """Deck permutations must commute with the recorded monodromy; identity
-    elements carry no extra orbit point and are dropped."""
+def check_deck_perms(result: MonodromyResult, deck_perms: Sequence[Perm]) -> list[Perm]:
+    """Deck permutations must act on the fiber and commute with the recorded
+    monodromy; returns the non-identity ones in the given order (the identity
+    carries no extra orbit point)."""
     d = result.degree
     ident = permgrp.identity(d)
     out = []
-    for sigma in deck_perms:
+    for sigma in map(tuple, deck_perms):
         if len(sigma) != d:
-            raise ValueError("deck permutation degree mismatch")
+            raise ValueError("deck permutation degree does not match the fiber")
         for g in result.permutations:
             if permgrp.compose(sigma, g) != permgrp.compose(g, sigma):
-                raise ValueError("deck permutation does not centralize the monodromy")
+                raise ValueError("deck permutation does not centralize the monodromy group")
         if sigma != ident:
-            out.append(tuple(sigma))
+            out.append(sigma)
     return out
 
 
@@ -360,7 +347,7 @@ def sample_orbit(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    nontrivial = _check_deck_perms(result, deck_perms)
+    nontrivial = check_deck_perms(result, deck_perms)
     orbit_indices = [0] + [sigma[0] for sigma in nontrivial]
     if len(set(orbit_indices)) != len(orbit_indices):
         raise ValueError("deck permutations do not have distinct images of the base point")
@@ -432,7 +419,7 @@ def batch_fibers(
     """
     if d != result.degree:
         raise ValueError("d must equal the fiber size of the monodromy result")
-    _check_deck_perms(result, deck_perms)
+    check_deck_perms(result, deck_perms)
     r = max(1, math.ceil(2 * t / d)) if t > 0 else 1
     samples: list[FiberSample] = []
     for _ in range(r):

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: square solves, SVD nullspaces, tolerant RREF.
+"""Dense complex linear algebra: SVD nullspaces, ranks, tolerant RREF.
 
 Matrices are plain complex128 numpy arrays.  The nullspace is computed from
 the singular value decomposition because the matrices built downstream are
@@ -13,40 +13,6 @@ import scipy.linalg
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_PIVOT_TOL = 1e-8
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    """Square solve rejected; carries the estimated condition number."""
-
-    def __init__(self, condition: float):
-        super().__init__(f"matrix numerically singular (condition ~ {condition:.3e})")
-        self.condition = condition
-
-
-def solve_square(a: np.ndarray, b: np.ndarray, cond_limit: float = 1e14) -> np.ndarray:
-    """Solve A x = b by LU with one step of iterative refinement.
-
-    Raises SingularMatrixError when the pivot-ratio condition estimate
-    exceeds ``cond_limit``.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    dmax = diag.max() if diag.size else 0.0
-    dmin = diag.min() if diag.size else 0.0
-    if dmax == 0.0 or dmin == 0.0 or dmax / dmin > cond_limit:
-        raise SingularMatrixError(np.inf if dmin == 0.0 else dmax / dmin)
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    # One refinement pass keeps the residual near roundoff for mildly
-    # ill-conditioned systems (Vandermonde-type matrices show up here).
-    r = b - a @ x
-    x = x + scipy.linalg.lu_solve((lu, piv), r, check_finite=False)
-    return x
 
 
 def _svd_vals_vh(a: np.ndarray):

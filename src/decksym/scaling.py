@@ -17,15 +17,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .expr import Exponent, System, coeff_to_complex
-from . import tracker
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .monodromy import MonodromyResult
+from . import monodromy, tracker
 
 _INT64_GUARD = 2**31
 
@@ -482,23 +479,10 @@ def _enumerate_candidates(block: TorsionBlock, cap: int = 4096):
     return out, truncated
 
 
-def _match_index(point: np.ndarray, pool: Sequence[np.ndarray], tol: float, ratio: float):
-    """Index of the unique pool point within tol, requiring a distinctness
-    ratio against the runner-up; None when no reliable match exists."""
-    dists = np.array([float(np.abs(point - q).max()) for q in pool])
-    order = np.argsort(dists)
-    best = int(order[0])
-    if dists[best] > tol:
-        return None
-    if len(pool) > 1 and dists[int(order[1])] < ratio * max(dists[best], 1e-300):
-        return None
-    return best
-
-
 def commuting_discrete_scalings(
     lattice: ScalingLattice,
     system: System,
-    mono: "MonodromyResult",
+    mono: monodromy.MonodromyResult,
     deck_perms: Sequence[tuple[int, ...]],
     cfg: tracker.TrackerConfig,
     rng: np.random.Generator,
@@ -516,10 +500,7 @@ def commuting_discrete_scalings(
     undetermined (excluded, with a warning).
     """
     base = mono.base
-    x0 = np.asarray(base.solutions[0])
-    p0 = np.asarray(base.params)
-    n = system.n
-    nontrivial = [p for p in deck_perms if p != tuple(range(len(p)))]
+    nontrivial = monodromy.check_deck_perms(mono, deck_perms)
 
     outcomes: list[CandidateOutcome] = []
     passing: dict[int, list[tuple[int, ...]]] = {}
@@ -579,6 +560,15 @@ def _test_candidate(
 ) -> str:
     p0 = np.asarray(base.params)
     n = system.n
+
+    def match(point, pool, ratio: float):
+        """Index of the unique pool point within match_tol, at least ``ratio``
+        times closer than the runner-up; None when no reliable match exists."""
+        best, d1, d2 = tracker.nearest(point, pool)
+        if d1 > match_tol or d2 < ratio * max(d1, 1e-300):
+            return None
+        return best
+
     p_scaled = apply_scaling(u[n:], lam, p0)
     scaled_fiber = []
     for sol in base.solutions:
@@ -598,14 +588,14 @@ def _test_candidate(
             continue
         endpoints = [np.asarray(s) for s in end.solutions]
         # (a) the scaled base solution must lie in the tracked fiber
-        if _match_index(scaled_fiber[0], endpoints, match_tol, 1.0) is None:
+        if match(scaled_fiber[0], endpoints, 1.0) is None:
             return "failed_stability"
-        a = _match_index(endpoints[0], scaled_fiber, match_tol, 100.0)
+        a = match(endpoints[0], scaled_fiber, 100.0)
         if a is None:
             continue  # ambiguous: retry
         ok = True
         for sigma in deck_perms:
-            b = _match_index(endpoints[sigma[0]], scaled_fiber, match_tol, 100.0)
+            b = match(endpoints[sigma[0]], scaled_fiber, 100.0)
             if b is None:
                 ok = False
                 break

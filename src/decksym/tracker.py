@@ -22,7 +22,7 @@ reference).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,6 +112,17 @@ class FiberSample:
             float(np.abs(sols[i + 1 :] - sols[i]).max(axis=1).min())
             for i in range(len(sols) - 1)
         )
+
+
+def nearest(point, pool) -> tuple[int, float, float]:
+    """Match a point against a fiber: the index of the closest pool point in
+    the max norm, its distance, and the runner-up distance (inf for a
+    one-point pool).  Exact ties are broken by ``np.argsort``."""
+    dists = np.abs(np.asarray(pool) - point).max(axis=1)
+    order = np.argsort(dists)
+    best = int(order[0])
+    second = float(dists[order[1]]) if len(dists) > 1 else np.inf
+    return best, float(dists[best]), second
 
 
 # ---------------------------------------------------------------------------
@@ -357,28 +368,6 @@ def track_path(
     if res > cfg.path_tol:
         return PathResult("singular", None, steps, res)
     return PathResult("success", x, steps, res)
-
-
-def track_two_segment(
-    system: System,
-    x_start,
-    p0,
-    p1,
-    p2,
-    cfg: TrackerConfig,
-    *,
-    rng: np.random.Generator | None = None,
-    gammas: tuple[complex, complex] | None = None,
-) -> PathResult:
-    """Two chained segment homotopies p0 -> p1 -> p2; the intermediate fiber
-    point is used as-is."""
-    if gammas is None:
-        gammas = (_draw_gamma(rng), _draw_gamma(rng)) if cfg.use_gamma_trick else (1.0, 1.0)
-    first = track_path(system, x_start, p0, p1, cfg, gamma=gammas[0])
-    if not first.success:
-        return first
-    second = track_path(system, first.endpoint, p1, p2, cfg, gamma=gammas[1])
-    return replace(second, steps_taken=first.steps_taken + second.steps_taken)
 
 
 def track_fiber(

@@ -35,6 +35,13 @@ def test_analyze_ex41(tmp_path):
     coords = report["deck_maps"][0]["coordinates"]
     assert coords["x"] == "1/x"
     assert all(v["pairing_ok"] for v in report["verification"])
+    # dense interpolation runs the graded loop over the empty lattice; the
+    # report still shows no grading and no classes
+    block = report["interpolation"]
+    assert block["graded"] is False
+    assert block["class_count"] == 0
+    assert block["largest_class"] == 0
+    assert block["largest_vandermonde"] == 6
     assert out.exists()
     assert json.loads(out.read_text())["schema_version"] == 1
 

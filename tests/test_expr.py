@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decksym.expr import (
     ParseError,
@@ -206,6 +209,24 @@ def test_format_roundtrip():
         again = parse_expression(format_rational(rf, names), names)
         diff = rf.numerator * again.denominator - again.numerator * rf.denominator
         assert diff.is_zero, text
+
+
+@st.composite
+def exact_polynomials(draw, nvars=3):
+    small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    coeff = st.tuples(small, small | st.just(Fraction(0)))
+    exponent = st.tuples(*[st.integers(0, 3)] * nvars)
+    return Polynomial(nvars, draw(st.lists(st.tuples(exponent, coeff), max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_polynomials(), exact_polynomials().filter(lambda q: not q.is_zero))
+def test_format_parse_round_trip_property(num, den):
+    names = ["x", "y", "p"]
+    rf = RationalFunction(num, den)
+    again = parse_expression(format_rational(rf, names), names)
+    diff = rf.numerator * again.denominator - again.numerator * rf.denominator
+    assert diff.is_zero
 
 
 def test_constant_denominator_folds():

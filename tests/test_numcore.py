@@ -1,45 +1,6 @@
 import numpy as np
-import pytest
 
-from decksym.numcore import SingularMatrixError, nullspace, rank, rref, solve_square
-
-
-def test_solve_identity():
-    b = np.array([1 + 2j, -3.0, 0.5j])
-    assert np.allclose(solve_square(np.eye(3), b), b)
-
-
-def test_solve_diagonal():
-    a = np.diag([2.0, 4.0])
-    assert np.allclose(solve_square(a, np.array([2.0, 4.0])), [1.0, 1.0])
-
-
-def test_solve_recovers_known_solution():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    b = a @ x
-    got = solve_square(a, b)
-    assert np.abs(got - x).max() < 1e-10
-
-
-def test_solve_singular_raises_with_condition():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError) as err:
-        solve_square(a, np.array([1.0, 1.0]))
-    assert err.value.condition > 1e14
-
-
-def test_solve_residual_contract():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(2, 30))
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = solve_square(a, b)
-        lhs = np.linalg.norm(a @ x - b)
-        rhs = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
-        assert lhs <= rhs
+from decksym.numcore import nullspace, rank, rref
 
 
 def test_nullspace_zero_matrix():

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from decksym import scaling
 from decksym.expr import parse_system
 from decksym.scaling import (
     IntMatrix,
@@ -68,6 +73,46 @@ def test_snf_fallback_large_entries():
     a = IntMatrix.from_rows([[2**40, 3**25], [5**17, 7**13]])
     snf = smith_normal_form(a)
     assert snf.verify(a)
+
+
+def assert_snf_invariants(a, snf):
+    prod = snf.U.matmul(a).matmul(snf.V)
+    for i, row in enumerate(prod.data):
+        for j, x in enumerate(row):
+            assert x == (snf.diagonal_entry(i) if i == j else 0)
+    assert all(d > 0 for d in snf.diag)
+    for x, y in zip(snf.diag, snf.diag[1:]):
+        assert y % x == 0
+    assert abs(snf.U.det()) == 1 and abs(snf.V.det()) == 1
+
+
+def int_matrices(entries, min_side=1, max_side=6):
+    shape = st.tuples(st.integers(min_side, max_side), st.integers(min_side, max_side))
+    return shape.flatmap(
+        lambda rc: st.lists(
+            st.lists(entries, min_size=rc[1], max_size=rc[1]), min_size=rc[0], max_size=rc[0]
+        )
+    ).map(IntMatrix.from_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(st.integers(-9, 9) | st.integers(-1000, 1000)))
+def test_snf_invariants_property(a):
+    assert_snf_invariants(a, smith_normal_form(a))
+
+
+# Every entry above the int64 path's guard: the first reduction step leaves
+# the pivot in place and trips the guard, so the object-dtype path runs.
+BIG = st.integers(2**32, 2**40).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(int_matrices(BIG, min_side=2, max_side=4))
+def test_snf_big_int_fallback_property(a):
+    with mock.patch.object(scaling, "_snf_inplace", wraps=scaling._snf_inplace) as spy:
+        snf = smith_normal_form(a)
+    assert [c.kwargs["guard"] for c in spy.call_args_list] == [True, False]
+    assert_snf_invariants(a, snf)
 
 
 def test_exponent_matrix_ex41():

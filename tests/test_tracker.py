@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decksym.expr import parse_system
 from decksym.tracker import (
@@ -8,10 +12,10 @@ from decksym.tracker import (
     NewtonError,
     TrackerConfig,
     compiled,
+    nearest,
     newton_polish,
     track_fiber,
     track_path,
-    track_two_segment,
 )
 
 EX41 = parse_system("unknowns x; parameters p; equations x^2 + p*x + 1;")
@@ -144,25 +148,49 @@ def test_min_pairwise_distance_matches_pairwise_definition():
     assert FiberSample(np.zeros(1), (np.ones(2),)).min_pairwise_distance() == np.inf
 
 
+def nearest_by_loop(point, pool):
+    """Reference matcher: one max-norm distance per pool point."""
+    dists = [float(np.abs(point - q).max()) for q in pool]
+    order = np.argsort(dists)
+    best = int(order[0])
+    second = dists[int(order[1])] if len(dists) > 1 else math.inf
+    return best, dists[best], second
+
+
+@st.composite
+def matching_problems(draw):
+    dim = draw(st.integers(1, 40))
+    size = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    point = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    pool = []
+    for k in range(size):
+        if k and draw(st.integers(0, 3)) == 0:
+            pool.append(pool[draw(st.integers(0, k - 1))].copy())  # exact tie
+        else:
+            offset = 10.0 ** draw(st.floats(-12, 4))
+            pool.append(point + offset * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)))
+    return point, pool
+
+
+@settings(max_examples=300, deadline=None)
+@given(matching_problems())
+def test_nearest_matches_per_point_loop(problem):
+    point, pool = problem
+    expected = nearest_by_loop(point, pool)
+    assert nearest(point, pool) == expected
+    assert nearest(point, np.array(pool)) == expected
+
+
+def test_nearest_single_point_pool():
+    best, dist, second = nearest(np.array([1.0 + 1j]), [np.array([1.5 + 1j])])
+    assert (best, dist, second) == (0, 0.5, math.inf)
+
+
 def test_fiber_duplicate_solution_rejected():
     fiber = FiberSample(np.array([-2.5]), (np.array([2.0]), np.array([2.0])))
     with pytest.raises(FiberTrackingError, match="distinct"):
         track_fiber(EX41, fiber, np.array([1.0 + 1j]), CFG)
-
-
-def test_two_segment_identity():
-    r = track_two_segment(EX41, [2.0], [-2.5], [-2.5], [-2.5], CFG)
-    assert r.success
-    assert abs(r.endpoint[0] - 2.0) < 1e-9
-
-
-def test_two_segment_detour_lands_in_fiber():
-    rng = np.random.default_rng(13)
-    q = rng.standard_normal() + 1j * rng.standard_normal()
-    r = track_two_segment(EX41, [2.0], [-2.5], [q], [-2.5], CFG, rng=rng)
-    assert r.success
-    roots = quadratic_roots(-2.5)
-    assert min(abs(r.endpoint[0] - z) for z in roots) < 1e-7
 
 
 def test_segment_through_discriminant_fails():

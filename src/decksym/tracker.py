@@ -6,17 +6,26 @@ reparametrized through a random unit complex gamma (tau = gamma t / (1 +
 Step control: accept a step when the corrector converges, double the step
 after three consecutive accepts, halve on rejection.
 
-Systems are compiled once into the unique monomials of F, dF/dx and dF/dp.
-Each monomial is a short row of flat indices ``var * (maxdeg + 1) + power``
-into a power table of all n+m variables, listing only its non-unit factors
-in increasing variable order and padded with an index of a constant 1.  Each
-block keeps, per term, a monomial index and a coefficient, summed per entry
-by ``np.add.reduceat``.  An evaluation fills the power table, multiplies the
-few factors of each monomial once, and gathers the monomials into the terms.
-Every product is the one a dense evaluation over all n+m factors per term
-computes, minus multiplications by an exact 1, so the values are
-bit-identical to it (tests/test_evaluator.py keeps that dense form as the
-reference).
+Systems are compiled once into one factor table over the unique monomials
+of F, dF/dx and dF/dp.  Each monomial is a short row of flat indices
+``var * (maxdeg + 1) + power`` into a power table of all n+m variables,
+listing only its non-unit factors in increasing variable order and padded
+with an index of a constant 1.  Each block keeps, per term, a monomial index
+and a coefficient, summed per entry by ``np.add.reduceat``.  An evaluation
+fills the power table, multiplies the few factors of each monomial once, and
+gathers the monomials into the terms.  Every product is the one a dense
+evaluation over all n+m factors per term computes, minus multiplications by
+an exact 1, so the values are bit-identical to it (tests/test_evaluator.py
+keeps that dense form as the reference).
+
+The evaluator keeps the monomial vector of the last point, keyed by the
+exact bytes of (x, p), so the four evaluation methods at one point share one
+product: dF/dx and dF/dp in each RK4 stage, and the corrector's last F and
+dF/dx with the next step's first stage.  A rejected step leaves x and t
+unchanged, so its first stage is kept for the retry.  Dense solves call
+LAPACK's ``zgesv`` directly, the routine behind ``np.linalg.solve``, without
+that function's Python wrapper.  numpy and scipy may bundle different LAPACK
+builds; tests/test_tracker.py checks that both solve to the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zgesv
 
 from . import expr
 from .expr import System
@@ -61,11 +71,14 @@ class TrackerConfig:
     def __post_init__(self):
         if not (self.min_step <= self.initial_step <= self.max_step):
             raise ValueError("need min_step <= initial_step <= max_step")
-        for name in ("newton_tol", "path_tol", "min_step"):
+        for name in ("newton_tol", "path_tol", "min_step", "max_norm"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.step_expand <= 1 or not 0 < self.step_shrink < 1:
             raise ValueError("bad step control factors")
+        for name in ("max_newton_iters", "accept_streak"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -140,7 +153,7 @@ class _Block:
     """One output block (F, dF/dx or dF/dp): each term's monomial index and
     coefficient, and the ``reduceat`` offset of each entry's first term."""
 
-    __slots__ = ("terms", "coeffs", "offsets", "shape", "factors")
+    __slots__ = ("terms", "coeffs", "offsets", "shape")
 
     def __init__(self, polys, monomials: dict, stride: int, shape):
         terms: list[int] = []
@@ -156,14 +169,6 @@ class _Block:
         self.coeffs = np.asarray(coeffs, dtype=complex)
         self.offsets = np.asarray(offsets, dtype=np.intp)
         self.shape = shape
-        # Monomials are numbered in order of first use, so this block only
-        # reads the ones known so far.  Row u lists monomial u's non-unit
-        # factors; padding points at tab[0, 0], which is always 1.
-        keys = list(monomials)
-        width = max(map(len, keys), default=0) or 1
-        self.factors = np.zeros((len(keys), width), dtype=np.intp)
-        for u, key in enumerate(keys):
-            self.factors[u, : len(key)] = key
 
     def __call__(self, mono: np.ndarray) -> np.ndarray:
         vals = self.coeffs * mono[self.terms]
@@ -185,29 +190,43 @@ class CompiledSystem:
         self._f = _Block(system.equations, monomials, stride, (n,))
         self._jx = _Block([q for row in jac for q in row], monomials, stride, (n, n))
         self._jp = _Block([q for row in pj for q in row], monomials, stride, (n, m))
+        # Row u lists monomial u's non-unit factors; padding points at
+        # tab[0, 0], which is always 1.
+        width = max(map(len, monomials), default=0) or 1
+        self._factors = np.zeros((len(monomials), width), dtype=np.intp)
+        for u, key in enumerate(monomials):
+            self._factors[u, : len(key)] = key
+        self._key: bytes | None = None
+        self._mono: np.ndarray | None = None
 
-    def _monomials(self, x, p, factors) -> np.ndarray:
+    def _monomials(self, x, p) -> np.ndarray:
+        """The read-only vector of every unique monomial at z = (x, p),
+        recomputed only when z's bytes differ from the last call's."""
         z = np.concatenate([np.asarray(x, complex), np.asarray(p, complex)])
-        tab = np.empty((self.nvars, self.maxdeg + 1), dtype=complex)
-        tab[:, 0] = 1.0
-        for k in range(1, self.maxdeg + 1):
-            tab[:, k] = tab[:, k - 1] * z
-        # numpy's elementwise complex multiply may round differently from its
-        # product reduction; the dense form reduced, and so does this.
-        return np.prod(tab.ravel()[factors], axis=1)
+        key = z.tobytes()
+        if key != self._key:
+            tab = np.empty((self.nvars, self.maxdeg + 1), dtype=complex)
+            tab[:, 0] = 1.0
+            for k in range(1, self.maxdeg + 1):
+                tab[:, k] = tab[:, k - 1] * z
+            # numpy's elementwise complex multiply may round differently from
+            # its product reduction; the dense form reduced, and so does this.
+            mono = np.multiply.reduce(tab.ravel()[self._factors], axis=1)
+            mono.flags.writeable = False
+            self._key, self._mono = key, mono
+        return self._mono
 
     def f_at(self, x, p) -> np.ndarray:
-        return self._f(self._monomials(x, p, self._f.factors))
+        return self._f(self._monomials(x, p))
 
     def jx_at(self, x, p) -> np.ndarray:
-        return self._jx(self._monomials(x, p, self._jx.factors))
+        return self._jx(self._monomials(x, p))
 
     def jp_at(self, x, p) -> np.ndarray:
-        return self._jp(self._monomials(x, p, self._jp.factors))
+        return self._jp(self._monomials(x, p))
 
     def f_and_jx(self, x, p):
-        # F was compiled first, so the dF/dx block's monomials include F's.
-        mono = self._monomials(x, p, self._jx.factors)
+        mono = self._monomials(x, p)
         return self._f(mono), self._jx(mono)
 
 
@@ -227,6 +246,15 @@ def compiled(system: System) -> CompiledSystem:
 # ---------------------------------------------------------------------------
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for one complex right-hand side: the same
+    LAPACK ``zgesv`` call, and the same ``LinAlgError`` on a singular a."""
+    _, _, x, info = zgesv(a, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
+
+
 def _newton(comp, x, p, tol, max_iters, max_norm):
     """Returns (x, residual, converged, singular_flag, first_step_size)."""
     x = np.asarray(x, dtype=complex)
@@ -239,7 +267,7 @@ def _newton(comp, x, p, tol, max_iters, max_norm):
         if res <= tol:
             return x, res, True, False, first_step
         try:
-            dx = np.linalg.solve(jx, -f)
+            dx = _solve(jx, -f)
         except np.linalg.LinAlgError:
             return x, res, False, True, first_step
         if it == 0:
@@ -310,20 +338,22 @@ def track_path(
         p, rate = path_point(t)
         jx = comp.jx_at(xv, p)
         jp = comp.jp_at(xv, p)
-        return np.linalg.solve(jx, -(jp @ dp) * rate)
+        return _solve(jx, -(jp @ dp) * rate)
 
     t = 0.0
     h = min(cfg.initial_step, cfg.max_step)
     steps = 0
     streak = 0
     singular_seen = False
+    k1 = None  # the first stage at (x, t), kept across rejected steps
     while t < 1.0 - 1e-14:
         if steps >= _MAX_TOTAL_STEPS:
             return PathResult("step_underflow", None, steps, np.inf)
         h = min(h, 1.0 - t)
         accepted = False
         try:
-            k1 = tangent(x, t)
+            if k1 is None:
+                k1 = tangent(x, t)
             k2 = tangent(x + 0.5 * h * k1, t + 0.5 * h)
             k3 = tangent(x + 0.5 * h * k2, t + 0.5 * h)
             k4 = tangent(x + h * k3, t + h)
@@ -348,6 +378,7 @@ def track_path(
         if accepted:
             t += h
             x = x_new
+            k1 = None
             steps += 1
             streak += 1
             if streak >= cfg.accept_streak:

@@ -3,7 +3,9 @@
 The compiled evaluator multiplies only the non-unit factors of each unique
 monomial.  The dense form it replaced multiplied every term over all n+m
 power-table factors; the extra factors are exact ones, so both must agree
-bit for bit.
+bit for bit.  The evaluator also keeps the monomials of the last point it
+evaluated; no order of calls, in-place change of an input or write to a
+result may make any result differ from the reference.
 """
 
 import gc
@@ -82,6 +84,40 @@ def random_point(rng, k):
     return rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
 
+METHODS = ("f_at", "jx_at", "jp_at", "f_and_jx")
+
+
+def check_memo(comp, dense, rng):
+    """Interleave the four methods over points that share x or p, with
+    inputs mutated in place and results overwritten between calls; every
+    result must stay bit-equal to the dense reference."""
+    n, m = comp.n, comp.m
+    a = (random_point(rng, n), random_point(rng, m))
+    b = (random_point(rng, n), random_point(rng, m))
+    c = (a[0], b[1])
+    for x, p in (a, b, a, c, c, b, a):
+        f, jx, jp = dense(x, p)
+        want = {"f_at": (f,), "jx_at": (jx,), "jp_at": (jp,), "f_and_jx": (f, jx)}
+        for name in rng.permutation(METHODS):
+            got = getattr(comp, name)(x, p)
+            got = got if name == "f_and_jx" else (got,)
+            assert [(g.shape, g.tobytes()) for g in got] == [
+                (w.shape, w.tobytes()) for w in want[name]
+            ]
+        # Callers own what they get: overwriting it must not reach the memo.
+        for out in (*comp.f_and_jx(x, p), comp.jp_at(x, p)):
+            out[...] = np.nan
+        assert not comp._monomials(x, p).flags.writeable
+
+    # The same arrays, changed in place between two calls.
+    x, p = a[0].copy(), a[1].copy()
+    comp.f_and_jx(x, p)
+    x[-1] += 0.5
+    assert_bit_equal(comp, dense, x, p)
+    p[0] *= -2.0
+    assert_bit_equal(comp, dense, x, p)
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_evaluation_bit_equal_to_dense(name):
     system = parse_system(fixture_path(name).read_text())
@@ -90,6 +126,7 @@ def test_fixture_evaluation_bit_equal_to_dense(name):
     rng = np.random.default_rng(7)
     for _ in range(10):
         assert_bit_equal(comp, dense, random_point(rng, system.n), random_point(rng, system.m))
+    check_memo(comp, dense, rng)
 
 
 NAMES = ("x0", "x1", "x2")
@@ -148,6 +185,12 @@ def test_compiled_matches_symbolic_on_random_sparse_systems(system, seed):
             close(jx[i, j], eq.differentiate(j))
         for j in range(m):
             close(jp[i, j], eq.differentiate(n + j))
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1))
+def test_memo_bit_equal_to_dense_on_random_sparse_systems(system, seed):
+    check_memo(tracker.CompiledSystem(system), DenseReference(system), np.random.default_rng(seed))
 
 
 def test_compile_cache_drops_collected_systems():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decksym.expr import parse_system
+from decksym import tracker
+from decksym.expr import parse_seed_pair, parse_system
+from decksym.fixtures import fixture_path, seed_path
 from decksym.tracker import (
     FiberSample,
     FiberTrackingError,
@@ -214,3 +216,92 @@ def test_config_validation():
         TrackerConfig(min_step=0.5, initial_step=0.1)
     with pytest.raises(ValueError):
         TrackerConfig(step_shrink=1.5)
+    # No corrector iterations, a step doubling on every accept, no norm bound.
+    for bad in ({"max_newton_iters": 0}, {"accept_streak": 0}, {"max_norm": 0.0},
+                {"max_norm": -1.0}):
+        with pytest.raises(ValueError):
+            TrackerConfig(**bad)
+    TrackerConfig(max_newton_iters=1, accept_streak=1, max_norm=1e-3)
+
+
+def monomials_without_memo(self, x, p):
+    """The unique monomials at (x, p), recomputed on every call."""
+    z = np.concatenate([np.asarray(x, complex), np.asarray(p, complex)])
+    tab = np.empty((self.nvars, self.maxdeg + 1), dtype=complex)
+    tab[:, 0] = 1.0
+    for k in range(1, self.maxdeg + 1):
+        tab[:, k] = tab[:, k - 1] * z
+    return np.prod(tab.ravel()[self._factors], axis=1)
+
+
+def path_record(r):
+    return r.status, r.steps_taken, None if r.endpoint is None else r.endpoint.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cfg", (CFG, TrackerConfig(initial_step=0.25, max_step=0.25)), ids=("default", "coarse")
+)
+@pytest.mark.parametrize("name", ("p3p_quasihom", "triangular"))
+def test_tracking_without_memo_is_identical(name, cfg, monkeypatch):
+    system = parse_system(fixture_path(name).read_text())
+    x, p = parse_seed_pair(seed_path(name).read_text())
+    rng = np.random.default_rng(17)
+    targets = [rng.standard_normal(system.m) + 1j * rng.standard_normal(system.m)
+               for _ in range(4)]
+    gammas = [complex(np.exp(2j * np.pi * rng.random())) for _ in targets]
+    newton_calls = []
+    newton = tracker._newton
+    monkeypatch.setattr(
+        tracker, "_newton", lambda *a: newton_calls.append(1) or newton(*a)
+    )
+
+    def run():
+        newton_calls.clear()
+        paths = [track_path(system, x, p, q, cfg, gamma=g) for q, g in zip(targets, gammas)]
+        # Besides one start and one final run per successful path, every
+        # Newton run is one attempted step.
+        attempts = len(newton_calls) - 2 * len(paths)
+        fiber = track_fiber(system, FiberSample(p, (x,)), targets[0], cfg, gamma=gammas[0])
+        return [path_record(r) for r in paths], attempts, [s.tobytes() for s in fiber.solutions]
+
+    with_memo = run()
+    paths, attempts, _ = with_memo
+    assert all(status == "success" for status, _, _ in paths)
+    if cfg.initial_step == cfg.max_step:
+        assert attempts > sum(steps for _, steps, _ in paths)  # some steps were rejected
+    monkeypatch.setattr(tracker.CompiledSystem, "_monomials", monomials_without_memo)
+    assert run() == with_memo
+
+
+def test_solve_bit_equal_to_numpy():
+    rng = np.random.default_rng(23)
+    for n in range(1, 31):
+        for _ in range(10):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a *= 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert tracker._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+
+
+def test_solve_raises_on_exactly_singular_matrix():
+    with pytest.raises(np.linalg.LinAlgError):
+        tracker._solve(np.array([[1, 1], [2, 2]], dtype=complex), np.ones(2, dtype=complex))
+
+
+def test_singular_paths_end_as_with_numpy_solve(monkeypatch):
+    # dF/dx is singular everywhere, so the first tangent solve fails.
+    rank_one = parse_system("unknowns x, y; parameters p; equations x + y - p; 2*x + 2*y - 2*p;")
+    cases = [
+        (rank_one, [1.0, 0.0], [1.0], [2.0], CFG),
+        (EX41, [2.0], [-2.5], [-1.5], TrackerConfig(use_gamma_trick=False)),
+        (EX41, [2.0], [-2.5], [-1.5], CFG),
+    ]
+
+    def run():
+        return [path_record(track_path(s, x, a, b, cfg, gamma=0.6 + 0.8j))
+                for s, x, a, b, cfg in cases]
+
+    got = run()
+    assert got[0] == ("singular", 0, None)
+    monkeypatch.setattr(tracker, "_solve", np.linalg.solve)
+    assert run() == got

@@ -35,7 +35,6 @@ from .monodromy import (
     MonodromyConfig,
     MonodromyError,
     MonodromyResult,
-    batch_fibers,
     run_monodromy,
     sample_orbit,
     seed_from_linear_params,

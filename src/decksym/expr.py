@@ -135,18 +135,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(c) for _, c in self.terms)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
-
     def support(self) -> tuple[Exponent, ...]:
         return tuple(e for e, _ in self.terms)
-
-    def coefficients(self) -> np.ndarray:
-        return np.array([coeff_to_complex(c) for _, c in self.terms], dtype=complex)
 
     # -- ring operations ---------------------------------------------------
 
@@ -229,15 +219,6 @@ class Polynomial:
                 return False
         return True
 
-    def approx_equal(self, other: "Polynomial", tol: float = 1e-9) -> bool:
-        if self.nvars != other.nvars:
-            return False
-        keys = {e for e, _ in self.terms} | {e for e, _ in other.terms}
-        d1 = {e: coeff_to_complex(c) for e, c in self.terms}
-        d2 = {e: coeff_to_complex(c) for e, c in other.terms}
-        scale = max([abs(v) for v in d1.values()] + [abs(v) for v in d2.values()] + [1.0])
-        return all(abs(d1.get(e, 0) - d2.get(e, 0)) <= tol * scale for e in keys)
-
     def __hash__(self):
         if self._hash is None:
             self._hash = hash((self.nvars, tuple((e, coeff_to_complex(c)) for e, c in self.terms)))
@@ -278,9 +259,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         d = self.denominator
         return len(d.terms) == 1 and sum(d.terms[0][0]) == 0
-
-    def total_degree(self) -> int:
-        return max(self.numerator.total_degree(), self.denominator.total_degree())
 
     def evaluate(self, point: Sequence[complex]) -> complex:
         return self.numerator.evaluate(point) / self.denominator.evaluate(point)

@@ -29,7 +29,7 @@ from . import numcore, permgrp, scaling
 from .expr import Exponent, Polynomial, RationalFunction, System, monomials_up_to_degree
 from .monodromy import MonodromyConfig, MonodromyResult
 from .permgrp import Perm
-from .tracker import FiberSample, FiberTrackingError
+from .tracker import FiberSample
 from . import tracker
 
 TRUNCATE_TOL = 1e-5
@@ -219,7 +219,6 @@ def _validate(
     rf: RationalFunction,
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     j: int,
-    rtol: float = VALIDATE_RTOL,
 ) -> tuple[bool, float]:
     worst = 0.0
     for pt, img in pairs:
@@ -228,7 +227,7 @@ def _validate(
             return False, np.inf
         err = abs(rf.numerator.evaluate(pt) / den - img[j]) / (1.0 + abs(img[j]))
         worst = max(worst, err)
-        if not np.isfinite(err) or err > rtol:
+        if not np.isfinite(err) or err > VALIDATE_RTOL:
             return False, worst
     return True, worst
 
@@ -360,7 +359,6 @@ def _interpolate(
     parameter_dependent: bool,
     cfg: MonodromyConfig,
     rng: np.random.Generator,
-    cache: SampleCache | None,
     rank_tol: float,
     truncate_tol: float,
 ) -> tuple[list[DeckMap], InterpolationStats]:
@@ -381,8 +379,7 @@ def _interpolate(
     stats = InterpolationStats(parameter_dependent=parameter_dependent, graded=True)
     if not perms:
         return decks, stats
-    if cache is None:
-        cache = SampleCache(system, mono, perms, cfg, rng)
+    cache = SampleCache(system, mono, perms, cfg, rng)
 
     for degree in range(1, degree_bound + 1):
         monos = monomials_up_to_degree(n, m, degree, parameter_dependent)
@@ -447,7 +444,6 @@ def interpolate_graded(
     parameter_dependent: bool,
     cfg: MonodromyConfig,
     rng: np.random.Generator,
-    cache: SampleCache | None = None,
     rank_tol: float = numcore.DEFAULT_RANK_TOL,
     truncate_tol: float = TRUNCATE_TOL,
 ) -> tuple[list[DeckMap], InterpolationStats]:
@@ -455,7 +451,7 @@ def interpolate_graded(
     lattice (see ``_interpolate``)."""
     return _interpolate(
         system, mono, deck_perms, lattice, degree_bound, parameter_dependent,
-        cfg, rng, cache, rank_tol, truncate_tol,
+        cfg, rng, rank_tol, truncate_tol,
     )
 
 
@@ -467,7 +463,6 @@ def interpolate_dense(
     parameter_dependent: bool,
     cfg: MonodromyConfig,
     rng: np.random.Generator,
-    cache: SampleCache | None = None,
     rank_tol: float = numcore.DEFAULT_RANK_TOL,
     truncate_tol: float = TRUNCATE_TOL,
 ) -> tuple[list[DeckMap], InterpolationStats]:
@@ -478,7 +473,7 @@ def interpolate_dense(
     empty = scaling.ScalingLattice(nvars, scaling.IntMatrix(0, nvars, ()), ())
     decks, stats = _interpolate(
         system, mono, deck_perms, empty, degree_bound, parameter_dependent,
-        cfg, rng, cache, rank_tol, truncate_tol,
+        cfg, rng, rank_tol, truncate_tol,
     )
     stats.graded, stats.class_count, stats.largest_class = False, 0, 0
     return decks, stats
@@ -518,16 +513,16 @@ def verify_deck(
     cfg: MonodromyConfig,
     rng: np.random.Generator,
     lattice: scaling.ScalingLattice | None = None,
-    rtol: float = VALIDATE_RTOL,
 ) -> DeckVerification:
     """Check a deck map against freshly tracked fibers.
 
     (a) each formula maps every solution to the sigma-paired coordinate;
     (b) for complete maps, the image point satisfies the structural
     equations; (c) each formula is quasi-homogeneous for every free scaling
-    row.  Failures are reported, not raised.  A fiber that cannot be tracked
-    in three attempts is dropped, and a check with fewer tracked fibers than
-    ``trial_count`` does not pass: zero fibers would otherwise pass vacuously.
+    row.  Failures are reported, not raised.  A fiber that
+    ``tracker.sample_fiber`` cannot track in three attempts is dropped, and a
+    check with fewer tracked fibers than ``trial_count`` does not pass: zero
+    fibers would otherwise pass vacuously.
     """
     present = [j for j, c in enumerate(deck.coords) if c is not None]
     if not present:
@@ -540,20 +535,9 @@ def verify_deck(
     worst_res = 0.0
     fibers: list[FiberSample] = []
     for _ in range(trial_count):
-        for _attempt in range(3):
-            try:
-                fibers.append(
-                    tracker.track_fiber(
-                        system,
-                        mono.base,
-                        monodromy_mod._random_params(system.m, rng),
-                        cfg.tracker,
-                        rng=rng,
-                    )
-                )
-                break
-            except FiberTrackingError:
-                continue
+        got = tracker.sample_fiber(system, mono.base, cfg.tracker, rng, 3)
+        if got is not None:
+            fibers.append(got[0])
 
     for sample in fibers:
         for i, sol in enumerate(sample.solutions):
@@ -587,10 +571,10 @@ def verify_deck(
                     expected = lam ** row[j] * base_val
                     err = abs(scaled_val - expected) / (1.0 + abs(expected))
                     worst_quasi = max(worst_quasi, err)
-        quasi_ok = worst_quasi <= rtol
+        quasi_ok = worst_quasi <= VALIDATE_RTOL
 
     return DeckVerification(
-        pairing_ok=worst_pair <= rtol,
+        pairing_ok=worst_pair <= VALIDATE_RTOL,
         fiber_ok=(worst_res <= max(10 * cfg.tracker.path_tol, 1e-6)) if deck.complete else None,
         quasi_ok=quasi_ok,
         worst_pairing=worst_pair,

@@ -1,15 +1,21 @@
 """Monodromy solving: discover the fiber over a base point and the loop permutations.
 
 Loops are triangles p* -> q1 -> q2 -> p* through two fully random complex
-parameter points.  Endpoints are matched back to the known fiber by nearest
-neighbor with a strict distinctness ratio, so a mislabeled path fails the
-loop instead of corrupting the permutation record.  A loop contributes a
-permutation only once the known fiber did not grow during it.
+parameter points; ``_track_loop`` carries one solution around one, for
+``run_monodromy`` and for ``replay_loop``.  Endpoints are matched back to
+the known fiber by nearest neighbor within ``tracker.MATCH_TOL`` and with a
+strict distinctness ratio, so a mislabeled path fails the loop instead of
+corrupting the permutation record.  A loop contributes a permutation only
+once the known fiber did not grow during it.  The run stops after
+``_STALL_LIMIT`` loops without a new solution (or at the expected degree)
+and ``_PERM_STALL_LIMIT`` loops without group growth, or at ``_MAX_LOOPS``.
+
+Deck-orbit samples come from ``tracker.sample_fiber``, each checked by a
+round trip back to the base point.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -19,14 +25,13 @@ import numpy as np
 from . import numcore, permgrp, tracker
 from .expr import System, coeff_to_complex
 from .permgrp import Perm
-from .tracker import FiberSample, FiberTrackingError, TrackerConfig
+from .tracker import MATCH_TOL, FiberSample, FiberTrackingError, TrackerConfig
 
 __all__ = [
     "FiberSample",
     "MonodromyConfig",
     "MonodromyError",
     "MonodromyResult",
-    "batch_fibers",
     "check_deck_perms",
     "run_monodromy",
     "sample_orbit",
@@ -38,18 +43,15 @@ class MonodromyError(RuntimeError):
     pass
 
 
+_STALL_LIMIT = 10
+_PERM_STALL_LIMIT = 5
+_MAX_LOOPS = 400
+_SEED_RESIDUAL_TOL = 1e-10
+
+
 @dataclass
 class MonodromyConfig:
     expected_degree: int | None = None
-    stall_limit: int = 10
-    perm_stall_limit: int = 5
-    max_loops: int = 400
-    match_tol: float = 1e-6
-    # Round-trip check on orbit samples: sheet jumps inside a full tracked
-    # fiber surface as endpoint collisions, but an orbit tracks only a few
-    # sheets, so each sample is tracked back along an independent arc and
-    # must return to its starting points.
-    verify_samples: bool = True
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
 
 
@@ -79,6 +81,20 @@ class MonodromyResult:
         return permgrp.PermutationGroup(self.degree, tuple(self.permutations))
 
 
+def _track_loop(
+    system: System, sol, p0, q1, q2, gammas, cfg: TrackerConfig
+) -> np.ndarray | None:
+    """Carry one solution around the triangle p0 -> q1 -> q2 -> p0, one gamma
+    per segment; None when a path fails."""
+    cur = sol
+    for a, b, g in ((p0, q1, gammas[0]), (q1, q2, gammas[1]), (q2, p0, gammas[2])):
+        r = tracker.track_path(system, cur, a, b, cfg, gamma=g)
+        if not r.success:
+            return None
+        cur = r.endpoint
+    return cur
+
+
 def replay_loop(
     system: System, result: MonodromyResult, record: LoopRecord, cfg: MonodromyConfig
 ) -> bool:
@@ -86,24 +102,13 @@ def replay_loop(
     p0 = result.base.params
     sols = result.base.solutions
     for i, sol in enumerate(sols):
-        cur = sol
-        for a, b, g in (
-            (p0, record.q1, record.gammas[0]),
-            (record.q1, record.q2, record.gammas[1]),
-            (record.q2, p0, record.gammas[2]),
-        ):
-            r = tracker.track_path(system, cur, a, b, cfg.tracker, gamma=g)
-            if not r.success:
-                return False
-            cur = r.endpoint
-        best, d1, _ = tracker.nearest(cur, sols)
-        if d1 > cfg.match_tol or best != record.permutation[i]:
+        end = _track_loop(system, sol, p0, record.q1, record.q2, record.gammas, cfg.tracker)
+        if end is None:
+            return False
+        best, d1, _ = tracker.nearest(end, sols)
+        if d1 > MATCH_TOL or best != record.permutation[i]:
             return False
     return True
-
-
-def _random_params(m: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
 
 def _group_signature(degree: int, perms: list[Perm]):
@@ -135,7 +140,6 @@ def seed_from_linear_params(
     system: System,
     x_star="random",
     rng: np.random.Generator | None = None,
-    residual_tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampling oracle for systems affine-linear in the parameters.
 
@@ -185,7 +189,7 @@ def seed_from_linear_params(
             )
             p = p + null @ coeffs
         res = float(np.abs(comp.f_at(x, p)).max())
-        if res > residual_tol:
+        if res > _SEED_RESIDUAL_TOL:
             last = f"residual {res:.3e}"
             continue
         jx = comp.jx_at(x, p)
@@ -206,7 +210,7 @@ def run_monodromy(
     """Grow the fiber over the seed parameters and collect loop permutations.
 
     Terminates once the fiber is stable (expected degree reached, or
-    ``stall_limit`` loops without a new solution) and ``perm_stall_limit``
+    ``_STALL_LIMIT`` loops without a new solution) and ``_PERM_STALL_LIMIT``
     further loops produced no new permutation.
     """
     x0, p0 = np.asarray(seed[0], dtype=complex), np.asarray(seed[1], dtype=complex)
@@ -221,22 +225,12 @@ def run_monodromy(
     failure_window: deque[float] = deque(maxlen=5)
     tcfg = cfg.tracker
 
-    while loops < cfg.max_loops:
+    while loops < _MAX_LOOPS:
         loops += 1
-        q1 = _random_params(system.m, rng)
-        q2 = _random_params(system.m, rng)
-        gammas = [tracker._draw_gamma(rng) for _ in range(3)] if tcfg.use_gamma_trick else [1.0] * 3
-
-        def run_loop(sol):
-            cur = sol
-            for a, b, g in ((p0, q1, gammas[0]), (q1, q2, gammas[1]), (q2, p0, gammas[2])):
-                r = tracker.track_path(system, cur, a, b, tcfg, gamma=g)
-                if not r.success:
-                    return None
-                cur = r.endpoint
-            return cur
-
-        endpoints = [run_loop(sol) for sol in fiber]
+        q1 = tracker.random_params(system.m, rng)
+        q2 = tracker.random_params(system.m, rng)
+        gammas = [tracker._draw_gamma(rng) for _ in range(3)]
+        endpoints = [_track_loop(system, sol, p0, q1, q2, gammas, tcfg) for sol in fiber]
         failed = sum(1 for e in endpoints if e is None)
         failure_window.append(failed / len(endpoints))
         if len(failure_window) == 5 and all(f > 0.5 for f in failure_window):
@@ -249,18 +243,18 @@ def run_monodromy(
             if endpoint is None:
                 continue
             best, d1, d2 = tracker.nearest(endpoint, fiber)
-            if d1 <= cfg.match_tol and d2 >= 100 * d1:
+            if d1 <= MATCH_TOL and d2 >= 100 * d1:
                 images[i] = best
-            elif d1 >= 100 * cfg.match_tol:
+            elif d1 >= 100 * MATCH_TOL:
                 try:
                     new = tracker.newton_polish(system, endpoint, p0, tcfg.path_tol / 100)
                 except tracker.NewtonError:
                     clean = False
                     continue
                 nb, nd, _ = tracker.nearest(new, fiber)
-                if nd <= cfg.match_tol:
+                if nd <= MATCH_TOL:
                     images[i] = nb
-                elif nd >= 100 * cfg.match_tol:
+                elif nd >= 100 * MATCH_TOL:
                     fiber.append(new)
                 else:
                     clean = False
@@ -292,11 +286,11 @@ def run_monodromy(
 
         fiber_stable = (
             cfg.expected_degree is not None and len(fiber) >= cfg.expected_degree
-        ) or since_new_sol >= cfg.stall_limit
+        ) or since_new_sol >= _STALL_LIMIT
         if (
             fiber_stable
             and perms
-            and since_new_perm >= cfg.perm_stall_limit
+            and since_new_perm >= _PERM_STALL_LIMIT
             and permgrp.is_transitive(permgrp.PermutationGroup(len(fiber), tuple(perms)))
         ):
             break
@@ -308,7 +302,7 @@ def run_monodromy(
             f"found {len(fiber)} solutions, expected {cfg.expected_degree}"
         )
     base = FiberSample(p0, tuple(fiber))
-    if base.min_pairwise_distance() <= cfg.match_tol:
+    if base.min_pairwise_distance() <= MATCH_TOL:
         raise MonodromyError("fiber solutions are not well separated")
     return MonodromyResult(base, perms, loops, loop_log)
 
@@ -343,7 +337,8 @@ def sample_orbit(
 
     Each returned sample holds the orbit only, index-correspondent: pair
     (solutions[0], solutions[j]) realizes (x, Psi_j(x)) for the j-th
-    non-identity deck permutation.  Failed targets are redrawn up to 3 times.
+    non-identity deck permutation.  Each sample is drawn with up to 3 tries
+    of ``tracker.sample_fiber`` and must pass a round trip.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -354,87 +349,28 @@ def sample_orbit(
     orbit = FiberSample(
         result.base.params, tuple(result.base.solutions[i] for i in orbit_indices)
     )
+
+    def roundtrip(sample: FiberSample, gamma: complex) -> bool:
+        """Retrace the sample's arc backwards (gamma -> 1/gamma reverses the
+        same arc exactly) and require every point to return to its start.
+        Sheet jumps inside a full tracked fiber surface as endpoint
+        collisions, but an orbit tracks only a few sheets; a sheet jump on
+        the way out lands somewhere else on the way back."""
+        try:
+            back = tracker.track_fiber(
+                system, sample, orbit.params, cfg.tracker, gamma=1.0 / gamma
+            )
+        except FiberTrackingError:
+            return False
+        return not any(
+            float(np.abs(got - want).max()) > MATCH_TOL
+            for got, want in zip(back.solutions, orbit.solutions)
+        )
+
     samples: list[FiberSample] = []
     for _ in range(count):
-        sample = None
-        for _attempt in range(3):
-            target = _random_params(system.m, rng)
-            gamma = tracker._draw_gamma(rng) if cfg.tracker.use_gamma_trick else 1.0 + 0.0j
-            try:
-                candidate = tracker.track_fiber(system, orbit, target, cfg.tracker, gamma=gamma)
-                if cfg.verify_samples and not _roundtrip_ok(
-                    system, orbit, candidate, gamma, cfg
-                ):
-                    continue
-                sample = candidate
-                break
-            except FiberTrackingError:
-                continue
-        if sample is None:
+        got = tracker.sample_fiber(system, orbit, cfg.tracker, rng, 3, roundtrip)
+        if got is None:
             raise MonodromyError("orbit sampling failed after 3 retries")
-        samples.append(sample)
+        samples.append(got[0])
     return samples
-
-
-def _roundtrip_ok(
-    system: System,
-    orbit: FiberSample,
-    sample: FiberSample,
-    gamma: complex,
-    cfg: MonodromyConfig,
-) -> bool:
-    """Retrace the sample's arc backwards (gamma -> 1/gamma reverses the same
-    arc exactly) and require every point to return to its start; a sheet jump
-    on the way out lands somewhere else on the way back."""
-    try:
-        back = tracker.track_fiber(system, sample, orbit.params, cfg.tracker, gamma=1.0 / gamma)
-    except FiberTrackingError:
-        return False
-    for got, want in zip(back.solutions, orbit.solutions):
-        if float(np.abs(got - want).max()) > cfg.match_tol:
-            return False
-    return True
-
-
-@dataclass
-class BatchFibers:
-    samples: list[FiberSample]
-    note: str
-
-
-def batch_fibers(
-    system: System,
-    result: MonodromyResult,
-    deck_perms: Sequence[Perm],
-    t: int,
-    d: int,
-    cfg: MonodromyConfig,
-    rng: np.random.Generator,
-) -> BatchFibers:
-    """Track ceil(2t/d) full fibers instead of per-sample orbits.
-
-    Cheaper in tracked paths when d is large, but every solution of one
-    fiber shares the same parameters, which is known to produce extra
-    spurious nullspace rows downstream; the note records that caveat.
-    """
-    if d != result.degree:
-        raise ValueError("d must equal the fiber size of the monodromy result")
-    check_deck_perms(result, deck_perms)
-    r = max(1, math.ceil(2 * t / d)) if t > 0 else 1
-    samples: list[FiberSample] = []
-    for _ in range(r):
-        sample = None
-        for _attempt in range(3):
-            target = _random_params(system.m, rng)
-            try:
-                sample = tracker.track_fiber(system, result.base, target, cfg.tracker, rng=rng)
-                break
-            except FiberTrackingError:
-                continue
-        if sample is None:
-            raise MonodromyError("batched fiber tracking failed after 3 retries")
-        samples.append(sample)
-    return BatchFibers(
-        samples,
-        "batched fibers duplicate parameter values; expect extra spurious nullspace rows",
-    )

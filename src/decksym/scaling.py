@@ -486,7 +486,6 @@ def commuting_discrete_scalings(
     deck_perms: Sequence[tuple[int, ...]],
     cfg: tracker.TrackerConfig,
     rng: np.random.Generator,
-    match_tol: float = 1e-6,
 ) -> DiscreteScalingFilter:
     """Filter the torsion blocks down to scalings that preserve the tracked
     variety and commute with every deck permutation.
@@ -515,15 +514,10 @@ def commuting_discrete_scalings(
 
     def leg(attempt: int):
         while len(legs) <= attempt:
-            for _ in range(5):
-                p_mid = rng.standard_normal(system.m) + 1j * rng.standard_normal(system.m)
-                try:
-                    legs.append(tracker.track_fiber(system, base, p_mid, cfg, rng=rng))
-                    break
-                except tracker.FiberTrackingError:
-                    continue
-            else:
+            got = tracker.sample_fiber(system, base, cfg, rng, 5)
+            if got is None:
                 raise RuntimeError("could not track an intermediate fiber")
+            legs.append(got[0])
         return legs[attempt]
 
     for blk in lattice.torsion:
@@ -533,7 +527,7 @@ def commuting_discrete_scalings(
         truncated_any = truncated_any or truncated
         for u in candidates:
             outcome = _test_candidate(
-                system, lattice, base, u, lam, nontrivial, cfg, rng, match_tol, leg
+                system, lattice, base, u, lam, nontrivial, cfg, rng, leg
             )
             outcomes.append(CandidateOutcome(d, u, outcome))
             if outcome == "passed":
@@ -556,16 +550,17 @@ def commuting_discrete_scalings(
 
 
 def _test_candidate(
-    system, lattice, base, u, lam, deck_perms, cfg, rng, match_tol, leg
+    system, lattice, base, u, lam, deck_perms, cfg, rng, leg
 ) -> str:
     p0 = np.asarray(base.params)
     n = system.n
 
     def match(point, pool, ratio: float):
-        """Index of the unique pool point within match_tol, at least ``ratio``
-        times closer than the runner-up; None when no reliable match exists."""
+        """Index of the unique pool point within ``tracker.MATCH_TOL``, at
+        least ``ratio`` times closer than the runner-up; None when no
+        reliable match exists."""
         best, d1, d2 = tracker.nearest(point, pool)
-        if d1 > match_tol or d2 < ratio * max(d1, 1e-300):
+        if d1 > tracker.MATCH_TOL or d2 < ratio * max(d1, 1e-300):
             return None
         return best
 

@@ -1,10 +1,19 @@
 """Parameter-homotopy path tracking with an RK4 predictor and Newton corrector.
 
-Paths follow the segment homotopy p(t) = (1-t) p_from + t p_to, optionally
-reparametrized through a random unit complex gamma (tau = gamma t / (1 +
-(gamma - 1) t)) so the path avoids the discriminant with probability one.
-Step control: accept a step when the corrector converges, double the step
-after three consecutive accepts, halve on rejection.
+Paths follow the segment homotopy p(t) = (1-t) p_from + t p_to,
+reparametrized through a unit complex gamma (tau = gamma t / (1 + (gamma -
+1) t)); a random gamma makes the path avoid the discriminant with
+probability one, and gamma = 1 is the straight segment.  Step control:
+accept a step when the corrector converges, double the step after three
+consecutive accepts, halve on rejection.  Only the Newton and path
+tolerances are configurable (``TrackerConfig``); the step sizes and factors,
+the corrector's iteration count and the divergence bound are module
+constants.
+
+``sample_fiber`` is the one place that tracks a fiber to a fresh random
+target: it draws the target (``random_params``), then gamma, then tracks,
+and redraws both on a failed fiber or a rejected sample.  Fiber solutions
+count as distinct, and a point as matched, within ``MATCH_TOL``.
 
 Systems are compiled once into one factor table over the unique monomials
 of F, dF/dx and dF/dp.  Each monomial is a short row of flat indices
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import zgesv
@@ -40,6 +50,14 @@ from . import expr
 from .expr import System
 
 _MAX_TOTAL_STEPS = 20_000
+_MAX_NEWTON_ITERS = 4
+_INITIAL_STEP = 0.1
+_MIN_STEP = 1e-9
+_MAX_STEP = 0.25
+_STEP_EXPAND = 2.0
+_STEP_SHRINK = 0.5
+_ACCEPT_STREAK = 3
+_MAX_NORM = 1e8
 
 
 class TrackingError(RuntimeError):
@@ -57,28 +75,12 @@ class FiberTrackingError(TrackingError):
 @dataclass(frozen=True)
 class TrackerConfig:
     newton_tol: float = 1e-10
-    max_newton_iters: int = 4
-    initial_step: float = 0.1
-    min_step: float = 1e-9
-    max_step: float = 0.25
-    step_expand: float = 2.0
-    step_shrink: float = 0.5
     path_tol: float = 1e-8
-    use_gamma_trick: bool = True
-    max_norm: float = 1e8
-    accept_streak: int = 3
 
     def __post_init__(self):
-        if not (self.min_step <= self.initial_step <= self.max_step):
-            raise ValueError("need min_step <= initial_step <= max_step")
-        for name in ("newton_tol", "path_tol", "min_step", "max_norm"):
+        for name in ("newton_tol", "path_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.step_expand <= 1 or not 0 < self.step_shrink < 1:
-            raise ValueError("bad step control factors")
-        for name in ("max_newton_iters", "accept_streak"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -109,12 +111,6 @@ class FiberSample:
     def __len__(self) -> int:
         return len(self.solutions)
 
-    def max_residual(self, system: System) -> float:
-        comp = compiled(system)
-        return max(
-            float(np.abs(comp.f_at(s, self.params)).max()) for s in self.solutions
-        )
-
     def min_pairwise_distance(self) -> float:
         """Smallest max-norm distance between two solutions: one reduction
         per solution over the solutions after it."""
@@ -125,6 +121,11 @@ class FiberSample:
             float(np.abs(sols[i + 1 :] - sols[i]).max(axis=1).min())
             for i in range(len(sols) - 1)
         )
+
+
+# Max-norm distance within which two fiber solutions coincide: a fiber is
+# pairwise distinct, and a tracked point matches a known one, on this scale.
+MATCH_TOL = 1e-6
 
 
 def nearest(point, pool) -> tuple[int, float, float]:
@@ -302,6 +303,11 @@ def _draw_gamma(rng: np.random.Generator | None) -> complex:
     return complex(np.exp(2j * np.pi * rng.random()))
 
 
+def random_params(m: int, rng: np.random.Generator) -> np.ndarray:
+    """A random complex parameter point: real parts, then imaginary parts."""
+    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
 def track_path(
     system: System,
     x_start,
@@ -312,16 +318,20 @@ def track_path(
     rng: np.random.Generator | None = None,
     gamma: complex | None = None,
 ) -> PathResult:
-    """Continue one solution from p_from to p_to along the segment homotopy."""
+    """Continue one solution from p_from to p_to along the segment homotopy.
+
+    Without ``gamma``, one is drawn from ``rng``; without either, the path is
+    the straight segment (gamma = 1).
+    """
     comp = compiled(system)
     p_from = np.asarray(p_from, dtype=complex)
     p_to = np.asarray(p_to, dtype=complex)
     if gamma is None:
-        gamma = _draw_gamma(rng) if cfg.use_gamma_trick else 1.0 + 0.0j
+        gamma = _draw_gamma(rng)
     dp = p_to - p_from
 
     x, res, ok, _sing, _ = _newton(
-        comp, x_start, p_from, cfg.newton_tol * 10, cfg.max_newton_iters, cfg.max_norm
+        comp, x_start, p_from, cfg.newton_tol * 10, _MAX_NEWTON_ITERS, _MAX_NORM
     )
     if not ok:
         raise ValueError(
@@ -341,7 +351,7 @@ def track_path(
         return _solve(jx, -(jp @ dp) * rate)
 
     t = 0.0
-    h = min(cfg.initial_step, cfg.max_step)
+    h = _INITIAL_STEP
     steps = 0
     streak = 0
     singular_seen = False
@@ -361,7 +371,7 @@ def track_path(
             if np.all(np.isfinite(x_pred)):
                 p_next, _ = path_point(t + h)
                 x_new, res, ok, sing, first_step = _newton(
-                    comp, x_pred, p_next, cfg.newton_tol, cfg.max_newton_iters, cfg.max_norm
+                    comp, x_pred, p_next, cfg.newton_tol, _MAX_NEWTON_ITERS, _MAX_NORM
                 )
                 singular_seen = singular_seen or sing
                 # Guard against sheet jumps: the corrector must stay a small
@@ -381,20 +391,20 @@ def track_path(
             k1 = None
             steps += 1
             streak += 1
-            if streak >= cfg.accept_streak:
-                h = min(h * cfg.step_expand, cfg.max_step)
+            if streak >= _ACCEPT_STREAK:
+                h = min(h * _STEP_EXPAND, _MAX_STEP)
                 streak = 0
         else:
-            if float(np.abs(x).max()) > cfg.max_norm:
+            if float(np.abs(x).max()) > _MAX_NORM:
                 return PathResult("diverged", None, steps, np.inf)
             streak = 0
-            h *= cfg.step_shrink
-            if h < cfg.min_step:
+            h *= _STEP_SHRINK
+            if h < _MIN_STEP:
                 status = "singular" if singular_seen else "step_underflow"
                 return PathResult(status, None, steps, np.inf)
 
-    x, res, ok, sing, _ = _newton(comp, x, p_to, cfg.newton_tol, 12, cfg.max_norm)
-    if float(np.abs(x).max()) > cfg.max_norm or not np.isfinite(res):
+    x, res, ok, sing, _ = _newton(comp, x, p_to, cfg.newton_tol, 12, _MAX_NORM)
+    if float(np.abs(x).max()) > _MAX_NORM or not np.isfinite(res):
         return PathResult("diverged", None, steps, np.inf)
     if res > cfg.path_tol:
         return PathResult("singular", None, steps, res)
@@ -409,19 +419,19 @@ def track_fiber(
     *,
     rng: np.random.Generator | None = None,
     gamma: complex | None = None,
-    min_separation: float = 1e-6,
 ) -> FiberSample:
     """Track every solution of a fiber to new parameters, preserving order.
 
-    All paths share one homotopy (one gamma).  Any path failure, or an
-    endpoint collision within ``min_separation``, fails the whole fiber with
+    All paths share one homotopy (one gamma, drawn from ``rng`` after the
+    distinctness check when not given).  Any path failure, or an endpoint
+    collision within ``MATCH_TOL``, fails the whole fiber with
     FiberTrackingError.
     """
-    if fiber.min_pairwise_distance() <= min_separation:
+    if fiber.min_pairwise_distance() <= MATCH_TOL:
         raise FiberTrackingError("fiber solutions are not pairwise distinct")
     p_to = np.asarray(p_to, dtype=complex)
     if gamma is None:
-        gamma = _draw_gamma(rng) if cfg.use_gamma_trick else 1.0 + 0.0j
+        gamma = _draw_gamma(rng)
 
     results = [
         track_path(system, sol, fiber.params, p_to, cfg, gamma=gamma) for sol in fiber.solutions
@@ -433,6 +443,32 @@ def track_fiber(
             f"{len(bad)}/{len(results)} paths failed ({results[bad[0]].status})"
         )
     out = FiberSample(p_to, tuple(r.endpoint for r in results))
-    if out.min_pairwise_distance() <= min_separation:
+    if out.min_pairwise_distance() <= MATCH_TOL:
         raise FiberTrackingError("endpoint collision after tracking")
     return out
+
+
+def sample_fiber(
+    system: System,
+    fiber: FiberSample,
+    cfg: TrackerConfig,
+    rng: np.random.Generator,
+    attempts: int,
+    accept: Callable[[FiberSample, complex], bool] | None = None,
+) -> tuple[FiberSample, complex] | None:
+    """Track a fiber to a fresh random target.
+
+    Each attempt draws the target, then gamma, then tracks; a failed fiber,
+    or a sample that ``accept(sample, gamma)`` rejects, is redrawn.  Returns
+    the sample and its gamma, or None after ``attempts`` draws.
+    """
+    for _ in range(attempts):
+        target = random_params(system.m, rng)
+        gamma = _draw_gamma(rng)
+        try:
+            sample = track_fiber(system, fiber, target, cfg, gamma=gamma)
+        except FiberTrackingError:
+            continue
+        if accept is None or accept(sample, gamma):
+            return sample, gamma
+    return None

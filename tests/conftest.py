@@ -3,6 +3,7 @@ import pytest
 
 from decksym.expr import parse_system
 from decksym.monodromy import MonodromyConfig, run_monodromy, seed_from_linear_params
+from decksym.tracker import compiled
 
 EX41_TEXT = "unknowns x; parameters p; equations x^2 + p*x + 1;"
 EX42_TEXT = "unknowns x, y; parameters p; equations x^2 + x + p; x + y + p;"
@@ -30,6 +31,12 @@ def ex57_seed():
     x1 = -1j / np.sqrt(2)
     x = np.array([x1, r[0], (r[1] + r[2]) / (2 * x1), (r[1] - r[2]) / (2 * x1)])
     return x, p
+
+
+def max_residual(system, sample) -> float:
+    """Largest ||F||_inf over the solutions of a fiber sample."""
+    comp = compiled(system)
+    return max(float(np.abs(comp.f_at(s, sample.params)).max()) for s in sample.solutions)
 
 
 def run_fixture_monodromy(text, degree, seed_rng, x_star="random", seed_pair=None):

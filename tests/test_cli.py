@@ -132,6 +132,32 @@ def test_verification_without_tracked_fibers_fails_stage(tmp_path, monkeypatch):
     assert [v["trials"] for v in report["verification"]] == [0]
 
 
+def test_interpolation_without_tracked_orbits_fails_stage(tmp_path, monkeypatch):
+    """Fault injection: no deck orbit tracks after monodromy, so the
+    interpolation stage fails and the run exits with a stage failure."""
+    from decksym import cli, tracker
+    from decksym.tracker import FiberTrackingError
+
+    def fail(*args, **kwargs):
+        raise FiberTrackingError("injected")
+
+    run_interpolation = cli.Pipeline.run_interpolation
+
+    def interpolation_without_orbits(self):
+        monkeypatch.setattr(tracker, "track_fiber", fail)
+        return run_interpolation(self)
+
+    monkeypatch.setattr(cli.Pipeline, "run_interpolation", interpolation_without_orbits)
+    report, code, _ = run_cli(
+        "analyze", "ex4_1", tmp_path, expected_degree=2, degree_bound=1,
+        parameter_dependent=True,
+    )
+    assert code == 1
+    assert report["status"] == "failed"
+    assert report["failed_stage"] == "interpolation"
+    assert "orbit sampling failed" in report["error"]
+
+
 def test_interpolate_command_graded_ex41(tmp_path):
     report, code, _ = run_cli(
         "interpolate", "ex4_1", tmp_path, expected_degree=2, degree_bound=1,

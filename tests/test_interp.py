@@ -329,36 +329,6 @@ def test_derive_deck_permutation_ex42(mono42):
     assert coords[0] is not None and coords[1] is not None
 
 
-def test_batched_fibers_feed_the_vandermonde(mono_sextic):
-    # rd >= 2t batching: every solution of a full fiber contributes one
-    # constraint pair (x_i, x_{sigma(i)}), so r = ceil(2t/d) fibers suffice
-    from decksym.monodromy import batch_fibers
-
-    system, result, cfg, rng = mono_sextic
-    sigma = deck_perms_of(result)[0]
-    monos = monomials_up_to_degree(1, 4, 1, True)
-    t = len(monos)
-    batch = batch_fibers(system, result, [sigma], t, result.degree, cfg, rng)
-    pairs = []
-    for sample in batch.samples:
-        for i in range(len(sample.solutions)):
-            pairs.append(
-                (
-                    np.concatenate([sample.solutions[i], sample.params]),
-                    np.concatenate([sample.solutions[sigma[i]], sample.params]),
-                )
-            )
-    assert len(pairs) >= 2 * t
-    a = build_vandermonde(pairs[: 2 * t], 0, monos, monos)
-    reduced = rref(nullspace(a).T)
-    rep = get_representative(reduced, t)
-    assert rep is not None
-    rf = representative_to_rational(rep[0], rep[1], monos, monos, 5)
-    one_over_x = parse_expression("1/x", system.names)
-    pts = fiber_points(system, result, cfg, rng, count=10)
-    assert rf_equal_on_samples(rf, one_over_x, pts)
-
-
 def test_interpolation_commutation_guard(mono_sextic):
     system, result, cfg, rng = mono_sextic
     # a transposition of two labels in the same pair block does not commute

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import max_residual
+from decksym import tracker
 from decksym.expr import parse_system
 from decksym.monodromy import (
     MonodromyConfig,
     MonodromyError,
-    batch_fibers,
     replay_loop,
     run_monodromy,
     sample_orbit,
@@ -63,7 +64,7 @@ def test_monodromy_ex41_full_s2():
     group = result.group()
     assert is_transitive(group)
     assert group_order_capped(group, 100) == 2
-    assert result.base.max_residual(EX41) <= cfg.tracker.path_tol
+    assert max_residual(EX41, result.base) <= cfg.tracker.path_tol
 
 
 def test_monodromy_permutations_are_bijections_and_replayable():
@@ -102,7 +103,7 @@ def test_sample_orbit_identity_only():
     samples = sample_orbit(EX41, result, [identity(2)], 2, cfg, rng)
     for s in samples:
         assert len(s.solutions) == 1
-        assert s.max_residual(EX41) <= cfg.tracker.path_tol
+        assert max_residual(EX41, s) <= cfg.tracker.path_tol
 
 
 def test_sample_orbit_rejects_non_centralizing_perm():
@@ -121,20 +122,25 @@ def test_fiber_closure_under_permutations():
             assert min(float(np.abs(a - b).max()) for b in sols) < 1e-6
 
 
-def test_batch_fiber_counts():
-    result, cfg, rng = mono_ex41()
-    out = batch_fibers(EX41, result, [], 4, 2, cfg, rng)
-    assert len(out.samples) == 4
-    assert "spurious" in out.note
-    assert len(batch_fibers(EX41, result, [], 0, 2, cfg, rng).samples) == 1
-    with pytest.raises(ValueError):
-        batch_fibers(EX41, result, [], 4, 3, cfg, rng)
+def test_sample_orbit_fails_after_three_draws(monkeypatch):
+    """Fault injection: when no orbit tracks, sampling stops with an error
+    after three target and gamma draws."""
+    result, cfg, _ = mono_ex41()
+    calls = []
 
+    def fail(*args, **kwargs):
+        calls.append(1)
+        raise tracker.FiberTrackingError("injected")
 
-def test_batch_fiber_ceiling():
-    result, cfg, rng = mono_ex41()
-    out = batch_fibers(EX41, result, [], 3, 2, cfg, rng)
-    assert len(out.samples) == 3  # ceil(6/2)
+    monkeypatch.setattr(tracker, "track_fiber", fail)
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    with pytest.raises(MonodromyError, match="orbit sampling failed"):
+        sample_orbit(EX41, result, [(1, 0)], 2, cfg, rng)
+    assert len(calls) == 3
+    for _ in range(3):
+        twin.standard_normal(2)
+        twin.random()
+    assert rng.random() == twin.random()
 
 
 def test_deterministic_given_seed():

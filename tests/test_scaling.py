@@ -263,6 +263,30 @@ def test_sextic_flip_scaling_survives_filter(mono_sextic):
     assert all(c.status == "passed" for c in out.candidates)
 
 
+def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
+    """Fault injection: when no fiber tracks after monodromy, every candidate
+    that needs tracking is undetermined and no torsion block survives."""
+    from decksym import tracker
+
+    system, result, cfg, _ = mono_ex57
+    lat = detect_scalings(system)
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(1)
+        raise tracker.FiberTrackingError("injected")
+
+    monkeypatch.setattr(tracker, "track_fiber", fail)
+    out = commuting_discrete_scalings(
+        lat, system, result, _deck(result), cfg.tracker, np.random.default_rng(0)
+    )
+    assert out.candidates
+    assert {c.status for c in out.candidates} == {"undetermined"}
+    assert out.lattice.torsion == ()
+    # Three intermediate legs per candidate, five draws per leg.
+    assert len(calls) == 15 * len(out.candidates)
+
+
 def test_ex57_all_candidates_rejected(mono_ex57):
     system, result, cfg, rng = mono_ex57
     lat = detect_scalings(system)

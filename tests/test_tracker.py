@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import max_residual
 from decksym import tracker
 from decksym.expr import parse_seed_pair, parse_system
 from decksym.fixtures import fixture_path, seed_path
@@ -131,7 +132,7 @@ def test_fiber_tracking_preserves_order_and_residuals():
     target = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     out = track_fiber(SEXTIC, fiber, target, CFG, rng=rng)
     assert len(out) == 6
-    assert out.max_residual(SEXTIC) <= CFG.path_tol
+    assert max_residual(SEXTIC, out) <= CFG.path_tol
     assert out.min_pairwise_distance() > 1e-6
 
 
@@ -195,11 +196,33 @@ def test_fiber_duplicate_solution_rejected():
         track_fiber(EX41, fiber, np.array([1.0 + 1j]), CFG)
 
 
+def test_sample_fiber_draws_target_then_gamma():
+    # Reports at a fixed seed depend on this draw order: target, then gamma,
+    # for every attempt, a rejected one included.
+    fiber = FiberSample(np.array([-2.5]), (np.array([2.0]), np.array([0.5])))
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    seen = []
+
+    def accept(sample, gamma):
+        seen.append(gamma)
+        return len(seen) == 2
+
+    sample, gamma = tracker.sample_fiber(EX41, fiber, CFG, rng, 3, accept)
+    for _ in range(2):
+        target = twin.standard_normal(1) + 1j * twin.standard_normal(1)
+        expected_gamma = complex(np.exp(2j * np.pi * twin.random()))
+    assert gamma == seen[-1] == expected_gamma
+    assert sample.params.tobytes() == target.tobytes()
+    again = track_fiber(EX41, fiber, target, CFG, gamma=expected_gamma)
+    assert [s.tobytes() for s in sample.solutions] == [s.tobytes() for s in again.solutions]
+    assert rng.random() == twin.random()
+    assert tracker.sample_fiber(EX41, fiber, CFG, rng, 2, lambda s, g: False) is None
+
+
 def test_segment_through_discriminant_fails():
-    # without the gamma trick, the straight segment from p=-2.5 to p=-1.5
-    # passes through the double root at p=-2
-    cfg = TrackerConfig(use_gamma_trick=False)
-    r = track_path(EX41, [2.0], [-2.5], [-1.5], cfg)
+    # with gamma = 1, the straight segment from p=-2.5 to p=-1.5 passes
+    # through the double root at p=-2
+    r = track_path(EX41, [2.0], [-2.5], [-1.5], CFG, gamma=1.0)
     assert r.status in ("singular", "step_underflow")
     assert r.endpoint is None
 
@@ -212,16 +235,12 @@ def test_gamma_trick_avoids_discriminant():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrackerConfig(min_step=0.5, initial_step=0.1)
-    with pytest.raises(ValueError):
-        TrackerConfig(step_shrink=1.5)
-    # No corrector iterations, a step doubling on every accept, no norm bound.
-    for bad in ({"max_newton_iters": 0}, {"accept_streak": 0}, {"max_norm": 0.0},
-                {"max_norm": -1.0}):
+    # The tolerances come from the command line.
+    for bad in ({"newton_tol": 0.0}, {"newton_tol": -1e-10}, {"path_tol": 0.0},
+                {"path_tol": -1e-8}):
         with pytest.raises(ValueError):
             TrackerConfig(**bad)
-    TrackerConfig(max_newton_iters=1, accept_streak=1, max_norm=1e-3)
+    TrackerConfig(newton_tol=1e-14, path_tol=1e-3)
 
 
 def monomials_without_memo(self, x, p):
@@ -238,11 +257,12 @@ def path_record(r):
     return r.status, r.steps_taken, None if r.endpoint is None else r.endpoint.tobytes()
 
 
-@pytest.mark.parametrize(
-    "cfg", (CFG, TrackerConfig(initial_step=0.25, max_step=0.25)), ids=("default", "coarse")
-)
+@pytest.mark.parametrize("coarse", (False, True), ids=("default", "coarse"))
 @pytest.mark.parametrize("name", ("p3p_quasihom", "triangular"))
-def test_tracking_without_memo_is_identical(name, cfg, monkeypatch):
+def test_tracking_without_memo_is_identical(name, coarse, monkeypatch):
+    if coarse:
+        monkeypatch.setattr(tracker, "_INITIAL_STEP", 0.25)
+        monkeypatch.setattr(tracker, "_MAX_STEP", 0.25)
     system = parse_system(fixture_path(name).read_text())
     x, p = parse_seed_pair(seed_path(name).read_text())
     rng = np.random.default_rng(17)
@@ -257,17 +277,17 @@ def test_tracking_without_memo_is_identical(name, cfg, monkeypatch):
 
     def run():
         newton_calls.clear()
-        paths = [track_path(system, x, p, q, cfg, gamma=g) for q, g in zip(targets, gammas)]
+        paths = [track_path(system, x, p, q, CFG, gamma=g) for q, g in zip(targets, gammas)]
         # Besides one start and one final run per successful path, every
         # Newton run is one attempted step.
         attempts = len(newton_calls) - 2 * len(paths)
-        fiber = track_fiber(system, FiberSample(p, (x,)), targets[0], cfg, gamma=gammas[0])
+        fiber = track_fiber(system, FiberSample(p, (x,)), targets[0], CFG, gamma=gammas[0])
         return [path_record(r) for r in paths], attempts, [s.tobytes() for s in fiber.solutions]
 
     with_memo = run()
     paths, attempts, _ = with_memo
     assert all(status == "success" for status, _, _ in paths)
-    if cfg.initial_step == cfg.max_step:
+    if coarse:
         assert attempts > sum(steps for _, steps, _ in paths)  # some steps were rejected
     monkeypatch.setattr(tracker.CompiledSystem, "_monomials", monomials_without_memo)
     assert run() == with_memo
@@ -291,17 +311,19 @@ def test_solve_raises_on_exactly_singular_matrix():
 def test_singular_paths_end_as_with_numpy_solve(monkeypatch):
     # dF/dx is singular everywhere, so the first tangent solve fails.
     rank_one = parse_system("unknowns x, y; parameters p; equations x + y - p; 2*x + 2*y - 2*p;")
+    # gamma = 1 tracks the straight segment through the double root at p=-2.
     cases = [
-        (rank_one, [1.0, 0.0], [1.0], [2.0], CFG),
-        (EX41, [2.0], [-2.5], [-1.5], TrackerConfig(use_gamma_trick=False)),
-        (EX41, [2.0], [-2.5], [-1.5], CFG),
+        (rank_one, [1.0, 0.0], [1.0], [2.0], 0.6 + 0.8j),
+        (EX41, [2.0], [-2.5], [-1.5], 1.0),
+        (EX41, [2.0], [-2.5], [-1.5], 0.6 + 0.8j),
     ]
 
     def run():
-        return [path_record(track_path(s, x, a, b, cfg, gamma=0.6 + 0.8j))
-                for s, x, a, b, cfg in cases]
+        return [path_record(track_path(s, x, a, b, CFG, gamma=g)) for s, x, a, b, g in cases]
 
     got = run()
     assert got[0] == ("singular", 0, None)
+    assert got[1] == ("step_underflow", 21, None)
+    assert got[2][:2] == ("success", 7)
     monkeypatch.setattr(tracker, "_solve", np.linalg.solve)
     assert run() == got

@@ -11,7 +11,7 @@ once the known fiber did not grow during it.  The run stops after
 and ``_PERM_STALL_LIMIT`` loops without group growth, or at ``_MAX_LOOPS``.
 
 Deck-orbit samples come from ``tracker.sample_fiber``, each checked by a
-round trip back to the base point.
+round trip back to the base point (``tracker.retraces``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import numcore, permgrp, tracker
 from .expr import System, coeff_to_complex
 from .permgrp import Perm
-from .tracker import MATCH_TOL, FiberSample, FiberTrackingError, TrackerConfig
+from .tracker import MATCH_TOL, FiberSample, TrackerConfig
 
 __all__ = [
     "FiberSample",
@@ -33,6 +33,7 @@ __all__ = [
     "MonodromyError",
     "MonodromyResult",
     "check_deck_perms",
+    "deck_orbit",
     "run_monodromy",
     "sample_orbit",
     "seed_from_linear_params",
@@ -229,7 +230,7 @@ def run_monodromy(
         loops += 1
         q1 = tracker.random_params(system.m, rng)
         q2 = tracker.random_params(system.m, rng)
-        gammas = [tracker._draw_gamma(rng) for _ in range(3)]
+        gammas = [tracker.draw_gamma(rng) for _ in range(3)]
         endpoints = [_track_loop(system, sol, p0, q1, q2, gammas, tcfg) for sol in fiber]
         failed = sum(1 for e in endpoints if e is None)
         failure_window.append(failed / len(endpoints))
@@ -325,6 +326,20 @@ def check_deck_perms(result: MonodromyResult, deck_perms: Sequence[Perm]) -> lis
     return out
 
 
+def deck_orbit(
+    result: MonodromyResult, deck_perms: Sequence[Perm]
+) -> tuple[list[Perm], FiberSample]:
+    """The non-identity deck permutations (``check_deck_perms``) and the deck
+    orbit of the base solution over the base parameters: solution 0, then
+    solution sigma(0) for each of them, which must all be distinct."""
+    nontrivial = check_deck_perms(result, deck_perms)
+    indices = [0] + [sigma[0] for sigma in nontrivial]
+    if len(set(indices)) != len(indices):
+        raise ValueError("deck permutations do not have distinct images of the base point")
+    base = result.base
+    return nontrivial, FiberSample(base.params, tuple(base.solutions[i] for i in indices))
+
+
 def sample_orbit(
     system: System,
     result: MonodromyResult,
@@ -342,30 +357,10 @@ def sample_orbit(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    nontrivial = check_deck_perms(result, deck_perms)
-    orbit_indices = [0] + [sigma[0] for sigma in nontrivial]
-    if len(set(orbit_indices)) != len(orbit_indices):
-        raise ValueError("deck permutations do not have distinct images of the base point")
-    orbit = FiberSample(
-        result.base.params, tuple(result.base.solutions[i] for i in orbit_indices)
-    )
+    _, orbit = deck_orbit(result, deck_perms)
 
     def roundtrip(sample: FiberSample, gamma: complex) -> bool:
-        """Retrace the sample's arc backwards (gamma -> 1/gamma reverses the
-        same arc exactly) and require every point to return to its start.
-        Sheet jumps inside a full tracked fiber surface as endpoint
-        collisions, but an orbit tracks only a few sheets; a sheet jump on
-        the way out lands somewhere else on the way back."""
-        try:
-            back = tracker.track_fiber(
-                system, sample, orbit.params, cfg.tracker, gamma=1.0 / gamma
-            )
-        except FiberTrackingError:
-            return False
-        return not any(
-            float(np.abs(got - want).max()) > MATCH_TOL
-            for got, want in zip(back.solutions, orbit.solutions)
-        )
+        return tracker.retraces(system, orbit, sample, gamma, cfg.tracker)
 
     samples: list[FiberSample] = []
     for _ in range(count):

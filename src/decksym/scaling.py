@@ -6,7 +6,8 @@ free part (continuous scalings, one C* per row) and torsion blocks
 (candidate root-of-unity scalings mod each elementary divisor > 1).
 Discrete candidates are then filtered by a probability-one homotopy test:
 a candidate survives only if it maps the solution variety to itself and
-commutes with the deck permutations.
+commutes with the deck permutations.  The test tracks only the scaled deck
+orbit of one base solution, |G| paths per candidate rather than the fiber.
 
 All integer arithmetic is exact.  The SNF runs on int64 with an overflow
 guard and falls back to arbitrary-precision Python integers when entries
@@ -490,16 +491,22 @@ def commuting_discrete_scalings(
     """Filter the torsion blocks down to scalings that preserve the tracked
     variety and commute with every deck permutation.
 
-    For each candidate u and primitive d-th root of unity lam, the fiber is
-    tracked through a random intermediate parameter point to lam^u (.) p0.
-    Test (a): the scaled base solution must appear in the tracked fiber.
-    Test (b): for each deck permutation, the tracked image of the permuted
-    start must be the scaled image of the permuted match.  Tracking failures
-    retry with a fresh intermediate point, then mark the candidate
-    undetermined (excluded, with a warning).
+    The base fiber is tracked once to a random intermediate parameter point,
+    which keeps its labels.  For each candidate u and primitive d-th root of
+    unity lam, only the scaled deck orbit s(x_0), s(x_sigma(0)), ... is
+    tracked, backwards from lam^u (.) p0 to the intermediate point, with one
+    random gamma: |G| paths instead of the whole fiber.
+    Stability: every scaled orbit point must pass the start Newton over the
+    scaled parameters, and s(x_0) must land in the intermediate fiber, at
+    some index c.  Commutation: s(x_sigma(0)) must land at sigma(c) for every
+    deck permutation sigma.  A passing candidate must also retrace its arc
+    back to the scaled orbit (``tracker.retraces``), so a sheet jump cannot
+    pass it.  Tracking failures and ambiguous matches retry with the next
+    intermediate point; after three, the candidate is undetermined
+    (excluded, with a warning).
     """
     base = mono.base
-    nontrivial = monodromy.check_deck_perms(mono, deck_perms)
+    nontrivial, orbit = monodromy.deck_orbit(mono, deck_perms)
 
     outcomes: list[CandidateOutcome] = []
     passing: dict[int, list[tuple[int, ...]]] = {}
@@ -508,16 +515,17 @@ def commuting_discrete_scalings(
         blk.modulus > 1 and not _is_prime(blk.modulus) for blk in lattice.torsion
     )
 
-    # The first homotopy leg p0 -> p1 does not depend on the candidate, so one
-    # tracked intermediate fiber per retry round is shared by all of them.
-    legs: list["tracker.FiberSample"] = []
+    # The intermediate fibers do not depend on the candidate, so one tracked
+    # fiber per retry round is shared by all of them; None marks a round
+    # whose draws all failed, so later candidates skip it at once.
+    legs: list["tracker.FiberSample | None"] = []
 
     def leg(attempt: int):
         while len(legs) <= attempt:
             got = tracker.sample_fiber(system, base, cfg, rng, 5)
-            if got is None:
-                raise RuntimeError("could not track an intermediate fiber")
-            legs.append(got[0])
+            legs.append(None if got is None else got[0])
+        if legs[attempt] is None:
+            raise RuntimeError("could not track an intermediate fiber")
         return legs[attempt]
 
     for blk in lattice.torsion:
@@ -527,7 +535,7 @@ def commuting_discrete_scalings(
         truncated_any = truncated_any or truncated
         for u in candidates:
             outcome = _test_candidate(
-                system, lattice, base, u, lam, nontrivial, cfg, rng, leg
+                system, lattice, orbit, u, lam, nontrivial, cfg, rng, leg
             )
             outcomes.append(CandidateOutcome(d, u, outcome))
             if outcome == "passed":
@@ -550,53 +558,51 @@ def commuting_discrete_scalings(
 
 
 def _test_candidate(
-    system, lattice, base, u, lam, deck_perms, cfg, rng, leg
+    system, lattice, orbit, u, lam, deck_perms, cfg, rng, leg
 ) -> str:
-    p0 = np.asarray(base.params)
     n = system.n
-
-    def match(point, pool, ratio: float):
-        """Index of the unique pool point within ``tracker.MATCH_TOL``, at
-        least ``ratio`` times closer than the runner-up; None when no
-        reliable match exists."""
-        best, d1, d2 = tracker.nearest(point, pool)
-        if d1 > tracker.MATCH_TOL or d2 < ratio * max(d1, 1e-300):
-            return None
-        return best
-
+    p0 = orbit.params
     p_scaled = apply_scaling(u[n:], lam, p0)
-    scaled_fiber = []
-    for sol in base.solutions:
-        point = np.concatenate([np.asarray(sol), p0])
-        sp = apply_scaling(u, lam, point)
+    starts = []
+    for sol in orbit.solutions:
+        point = apply_scaling(u, lam, np.concatenate([sol, p0]))
         try:
-            sp = repatch_point(system, lattice, sp)
+            point = repatch_point(system, lattice, point)
         except ValueError:
             return "failed_stability"
-        scaled_fiber.append(sp[:n])
+        if not tracker.is_start_point(system, point[:n], p_scaled, cfg):
+            return "failed_stability"
+        starts.append(point[:n])
+    scaled = tracker.FiberSample(p_scaled, tuple(starts))
+
+    def match(point, pool):
+        """Index of the unique pool point within ``tracker.MATCH_TOL``, at
+        least 100 times closer than the runner-up; None when no reliable
+        match exists."""
+        best, d1, d2 = tracker.nearest(point, pool)
+        if d1 > tracker.MATCH_TOL or d2 < 100.0 * max(d1, 1e-300):
+            return None
+        return best
 
     for attempt in range(3):
         try:
             mid = leg(attempt)
-            end = tracker.track_fiber(system, mid, p_scaled, cfg, rng=rng)
-        except (tracker.FiberTrackingError, RuntimeError):
+        except RuntimeError:
             continue
-        endpoints = [np.asarray(s) for s in end.solutions]
-        # (a) the scaled base solution must lie in the tracked fiber
-        if match(scaled_fiber[0], endpoints, 1.0) is None:
-            return "failed_stability"
-        a = match(endpoints[0], scaled_fiber, 100.0)
-        if a is None:
+        gamma = tracker.draw_gamma(rng)
+        try:
+            back = tracker.track_fiber(system, scaled, mid.params, cfg, gamma=gamma)
+        except tracker.FiberTrackingError:
+            continue
+        if tracker.nearest(back.solutions[0], mid.solutions)[1] > tracker.MATCH_TOL:
+            return "failed_stability"  # s(x_0) left the tracked component
+        landed = [match(x, mid.solutions) for x in back.solutions]
+        if None in landed:
             continue  # ambiguous: retry
-        ok = True
-        for sigma in deck_perms:
-            b = match(endpoints[sigma[0]], scaled_fiber, 100.0)
-            if b is None:
-                ok = False
-                break
-            if b != sigma[a]:
-                return "failed_commutation"
-        if ok:
+        c = landed[0]
+        if any(b != sigma[c] for b, sigma in zip(landed[1:], deck_perms)):
+            return "failed_commutation"
+        if tracker.retraces(system, scaled, back, gamma, cfg):
             return "passed"
     return "undetermined"
 

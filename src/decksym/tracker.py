@@ -12,8 +12,9 @@ constants.
 
 ``sample_fiber`` is the one place that tracks a fiber to a fresh random
 target: it draws the target (``random_params``), then gamma, then tracks,
-and redraws both on a failed fiber or a rejected sample.  Fiber solutions
-count as distinct, and a point as matched, within ``MATCH_TOL``.
+and redraws both on a failed fiber or a rejected sample.  ``retraces`` is
+the one round-trip check: it tracks a sample back along its own arc.  Fiber
+solutions count as distinct, and a point as matched, within ``MATCH_TOL``.
 
 Systems are compiled once into one factor table over the unique monomials
 of F, dF/dx and dF/dp.  Each monomial is a short row of flat indices
@@ -297,7 +298,7 @@ def newton_polish(system: System, x, p, tol: float, max_iters: int = 30) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _draw_gamma(rng: np.random.Generator | None) -> complex:
+def draw_gamma(rng: np.random.Generator | None) -> complex:
     if rng is None:
         return 1.0 + 0.0j
     return complex(np.exp(2j * np.pi * rng.random()))
@@ -306,6 +307,20 @@ def _draw_gamma(rng: np.random.Generator | None) -> complex:
 def random_params(m: int, rng: np.random.Generator) -> np.ndarray:
     """A random complex parameter point: real parts, then imaginary parts."""
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
+def _start_newton(comp, x, p, cfg: TrackerConfig):
+    """The start check of a path: Newton to 10 x ``newton_tol`` within the
+    corrector's iteration count.  Returns (x, residual, converged)."""
+    x, res, ok, _sing, _ = _newton(
+        comp, x, p, cfg.newton_tol * 10, _MAX_NEWTON_ITERS, _MAX_NORM
+    )
+    return x, res, ok
+
+
+def is_start_point(system: System, x, p, cfg: TrackerConfig) -> bool:
+    """Whether ``track_path`` accepts x as a start point over p."""
+    return _start_newton(compiled(system), x, p, cfg)[2]
 
 
 def track_path(
@@ -327,12 +342,10 @@ def track_path(
     p_from = np.asarray(p_from, dtype=complex)
     p_to = np.asarray(p_to, dtype=complex)
     if gamma is None:
-        gamma = _draw_gamma(rng)
+        gamma = draw_gamma(rng)
     dp = p_to - p_from
 
-    x, res, ok, _sing, _ = _newton(
-        comp, x_start, p_from, cfg.newton_tol * 10, _MAX_NEWTON_ITERS, _MAX_NORM
-    )
+    x, res, ok = _start_newton(comp, x_start, p_from, cfg)
     if not ok:
         raise ValueError(
             f"start point does not satisfy the system (residual {res:.3e})"
@@ -431,7 +444,7 @@ def track_fiber(
         raise FiberTrackingError("fiber solutions are not pairwise distinct")
     p_to = np.asarray(p_to, dtype=complex)
     if gamma is None:
-        gamma = _draw_gamma(rng)
+        gamma = draw_gamma(rng)
 
     results = [
         track_path(system, sol, fiber.params, p_to, cfg, gamma=gamma) for sol in fiber.solutions
@@ -446,6 +459,31 @@ def track_fiber(
     if out.min_pairwise_distance() <= MATCH_TOL:
         raise FiberTrackingError("endpoint collision after tracking")
     return out
+
+
+def retraces(
+    system: System,
+    start: FiberSample,
+    sample: FiberSample,
+    gamma: complex,
+    cfg: TrackerConfig,
+) -> bool:
+    """Whether ``sample``, tracked from ``start`` with ``gamma``, retraces its
+    arc back to ``start``: gamma -> 1/gamma reverses the same arc exactly,
+    and every point must return within ``MATCH_TOL`` of its start.
+
+    Sheet jumps inside a full tracked fiber surface as endpoint collisions,
+    but a partial fiber (a deck orbit) tracks only a few sheets; a sheet
+    jump on the way out lands somewhere else on the way back.
+    """
+    try:
+        back = track_fiber(system, sample, start.params, cfg, gamma=1.0 / gamma)
+    except FiberTrackingError:
+        return False
+    return not any(
+        float(np.abs(got - want).max()) > MATCH_TOL
+        for got, want in zip(back.solutions, start.solutions)
+    )
 
 
 def sample_fiber(
@@ -464,7 +502,7 @@ def sample_fiber(
     """
     for _ in range(attempts):
         target = random_params(system.m, rng)
-        gamma = _draw_gamma(rng)
+        gamma = draw_gamma(rng)
         try:
             sample = track_fiber(system, fiber, target, cfg, gamma=gamma)
         except FiberTrackingError:

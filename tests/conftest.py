@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from decksym.expr import parse_system
 from decksym.monodromy import MonodromyConfig, run_monodromy, seed_from_linear_params
 from decksym.tracker import compiled
+
+# Selected in CI with --hypothesis-profile=ci: a fixed example stream, and a
+# failing example printed as a reproduction blob in the log.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 EX41_TEXT = "unknowns x; parameters p; equations x^2 + p*x + 1;"
 EX42_TEXT = "unknowns x, y; parameters p; equations x^2 + x + p; x + y + p;"

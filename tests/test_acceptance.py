@@ -268,6 +268,17 @@ def test_criterion_4_triangular(tmp_path):
 
 # -- 5 ----------------------------------------------------------------------
 
+# The discrete-scaling filter's decision on each of the 31 Z2 candidates, in
+# enumeration order (P passed, S failed_stability).  Tracking the whole fiber
+# to each scaled parameter point decides exactly so on P3P and five-point;
+# tracking only the scaled deck orbit must not change one label.
+QUASIHOM_FILTER_LABELS = "SPSSPSPPSPSSPSPSPSPPSPSSPSPPSPS"
+_LABEL = {"P": "passed", "S": "failed_stability"}
+
+
+def assert_filter_labels(filt, labels):
+    assert [c.status for c in filt.candidates] == [_LABEL[c] for c in labels]
+
 
 def test_criterion_5_p3p(p3p_state):
     state = p3p_state
@@ -275,6 +286,7 @@ def test_criterion_5_p3p(p3p_state):
     assert mono.degree == 8
     filt = state["filtered"]
     assert state["lattice"].free_rank == 7
+    assert_filter_labels(filt, QUASIHOM_FILTER_LABELS)
     assert [(b.modulus, b.rank) for b in filt.lattice.torsion] == [(2, 4)]
 
     decks, stats = interpolate_graded(
@@ -307,6 +319,7 @@ def test_criterion_6_fivepoint(fivepoint_state):
     assert mono.degree == 20
     filt = state["filtered"]
     assert state["lattice"].free_rank == 11
+    assert_filter_labels(filt, QUASIHOM_FILTER_LABELS)
     assert [(b.modulus, b.rank) for b in filt.lattice.torsion] == [(2, 4)]
 
     reference = parse_deck_formulas(deck_path("fivepoint_quasihom").read_text(), system)

@@ -283,8 +283,63 @@ def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
     assert out.candidates
     assert {c.status for c in out.candidates} == {"undetermined"}
     assert out.lattice.torsion == ()
-    # Three intermediate legs per candidate, five draws per leg.
-    assert len(calls) == 15 * len(out.candidates)
+    # Three intermediate legs, five draws each, for the first candidate; the
+    # later candidates skip the failed legs without drawing again.
+    assert len(out.candidates) > 1
+    assert len(calls) == 15
+
+
+def test_filter_path_budget(mono_sextic, monkeypatch):
+    """The filter tracks the intermediate fiber once (d paths), the scaled
+    deck orbit per candidate, and the orbit again to retrace a passing one."""
+    from decksym import tracker
+
+    system, result, cfg, _ = mono_sextic
+    deck = _deck(result)
+    real = tracker.track_path
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tracker, "track_path", counting)
+    out = commuting_discrete_scalings(
+        detect_scalings(system), system, result, deck, cfg.tracker, np.random.default_rng(1)
+    )
+    orbit = 1 + len(deck)
+    passed = sum(c.status == "passed" for c in out.candidates)
+    assert passed == len(out.candidates) == 1
+    assert orbit < result.degree
+    assert len(calls) == result.degree + orbit * len(out.candidates) + orbit * passed
+
+
+def test_sheet_jump_on_retrace_never_passes(mono_sextic, monkeypatch):
+    """Fault injection: the sextic flip passes, but when every retrace comes
+    back away from the scaled orbit (as after a sheet jump), it cannot."""
+    from decksym import tracker
+
+    system, result, cfg, _ = mono_sextic
+    real = tracker.track_fiber
+    legs, retraced = [], []
+
+    def jumpy(system, fiber, p_to, cfg, **kwargs):
+        out = real(system, fiber, p_to, cfg, **kwargs)
+        if np.array_equal(fiber.params, result.base.params):
+            legs.append(out.params)
+        elif any(np.array_equal(fiber.params, q) for q in legs):
+            retraced.append(1)
+            return tracker.FiberSample(out.params, tuple(s + 1e-3 for s in out.solutions))
+        return out
+
+    monkeypatch.setattr(tracker, "track_fiber", jumpy)
+    out = commuting_discrete_scalings(
+        detect_scalings(system), system, result, _deck(result), cfg.tracker,
+        np.random.default_rng(1),
+    )
+    assert [c.status for c in out.candidates] == ["undetermined"]
+    assert out.lattice.torsion == ()
+    assert len(legs) == len(retraced) == 3
 
 
 def test_ex57_all_candidates_rejected(mono_ex57):

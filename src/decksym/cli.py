@@ -192,6 +192,9 @@ class Pipeline:
         self.report["monodromy"] = {
             "degree": self.mono.degree,
             "loop_count": self.mono.loop_count,
+            "edges": self.mono.edges,
+            "paths_tracked": self.mono.paths_tracked,
+            "paths_failed": self.mono.paths_failed,
             "generators_cycles": [permgrp.cycles_string(g) for g in self.mono.permutations],
             "generators_images": [list(g) for g in self.mono.permutations],
         }
@@ -435,8 +438,9 @@ def render_text(report: dict) -> str:
     if "monodromy" in report:
         m = report["monodromy"]
         lines.append(
-            f"  fiber: {m['degree']} solutions after {m['loop_count']} loops; "
-            f"{len(m['generators_cycles'])} permutations"
+            f"  fiber: {m['degree']} solutions after {m['loop_count']} rounds "
+            f"({m['edges']} edges, {m['paths_tracked']} paths, {m['paths_failed']} failed); "
+            f"{len(m['generators_cycles'])} generators"
         )
     if "group" in report:
         g = report["group"]

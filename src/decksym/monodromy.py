@@ -1,14 +1,25 @@
-"""Monodromy solving: discover the fiber over a base point and the loop permutations.
+"""Monodromy solving over a homotopy graph: the fiber over a base point and
+generators of the monodromy group.
 
-Loops are triangles p* -> q1 -> q2 -> p* through two fully random complex
-parameter points; ``_track_loop`` carries one solution around one, for
-``run_monodromy`` and for ``replay_loop``.  Endpoints are matched back to
-the known fiber by nearest neighbor within ``tracker.MATCH_TOL`` and with a
-strict distinctness ratio, so a mislabeled path fails the loop instead of
-corrupting the permutation record.  A loop contributes a permutation only
-once the known fiber did not grow during it.  The run stops after
-``_STALL_LIMIT`` loops without a new solution (or at the expected degree)
-and ``_PERM_STALL_LIMIT`` loops without group growth, or at ``_MAX_LOOPS``.
+The nodes of the graph are the base parameters p0 and random complex
+parameter points, and each node keeps its own partial fiber.  An edge joins
+two nodes with one gamma and caches the correspondence of its tracked paths
+in both directions.  A solution is tracked along an edge only while the edge
+maps it nowhere; from the far end the same arc is tracked with 1/gamma, as
+in ``tracker.retraces``.  So each new edge costs at most d paths and closes
+a new cycle.  An endpoint matches a solution of the far fiber within
+``tracker.MATCH_TOL`` and 100 times closer than the runner-up, or is
+polished into a new solution there.  A failed or ambiguous path leaves its
+edge incomplete, and the other endpoint may complete it; two solutions
+landing on one break the edge.
+
+Each round adds one edge between two nodes not yet joined.  Once every pair
+is joined, a new random node enters with edges to nodes 0 and 1.  Generators
+are read from a breadth-first spanning tree over the complete edges between
+complete nodes: one cycle per non-tree edge, with no identity and no
+repeats.  The run stops after ``_STALL_LIMIT`` rounds without a new base
+solution (or at the expected degree) and ``_PERM_STALL_LIMIT`` rounds
+without group growth, or at ``_MAX_LOOPS`` rounds.
 
 Deck-orbit samples come from ``tracker.sample_fiber``, each checked by a
 round trip back to the base point (``tracker.retraces``).
@@ -56,23 +67,32 @@ class MonodromyConfig:
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
 
 
+Segment = tuple[np.ndarray, np.ndarray, complex]  # (from, to, gamma) of one tracked arc
+
+
 @dataclass(frozen=True)
 class LoopRecord:
-    """Replay data for one permutation-producing loop: the two waypoints and
-    the per-segment gamma factors."""
+    """One generator's cycle through the base point: its arcs in order, and
+    the permutation of the base fiber it induces (solution i ends at
+    ``permutation[i]``)."""
 
-    q1: np.ndarray
-    q2: np.ndarray
-    gammas: tuple[complex, complex, complex]
+    segments: tuple[Segment, ...]
     permutation: Perm
 
 
 @dataclass
 class MonodromyResult:
+    """The base fiber, the generators with their cycles (``loop_log``), and
+    the graph's counts: rounds (``loop_count``), edges, and paths tracked
+    and failed."""
+
     base: FiberSample
     permutations: list[Perm]
     loop_count: int
-    loop_log: list[LoopRecord] = field(default_factory=list)
+    loop_log: list[LoopRecord]
+    edges: int
+    paths_tracked: int
+    paths_failed: int
 
     @property
     def degree(self) -> int:
@@ -82,34 +102,161 @@ class MonodromyResult:
         return permgrp.PermutationGroup(self.degree, tuple(self.permutations))
 
 
-def _track_loop(
-    system: System, sol, p0, q1, q2, gammas, cfg: TrackerConfig
-) -> np.ndarray | None:
-    """Carry one solution around the triangle p0 -> q1 -> q2 -> p0, one gamma
-    per segment; None when a path fails."""
-    cur = sol
-    for a, b, g in ((p0, q1, gammas[0]), (q1, q2, gammas[1]), (q2, p0, gammas[2])):
-        r = tracker.track_path(system, cur, a, b, cfg, gamma=g)
+@dataclass
+class _Edge:
+    """Nodes a and b joined with one gamma.  ``maps[0]`` sends a solution
+    index at a to its index at b, ``maps[1]`` the reverse; ``tried`` holds
+    the (direction, solution) pairs already tracked."""
+
+    a: int
+    b: int
+    gamma: complex
+    maps: tuple[dict[int, int], dict[int, int]] = field(default_factory=lambda: ({}, {}))
+    tried: set[tuple[int, int]] = field(default_factory=set)
+    broken: bool = False
+
+    def ends(self, direction: int) -> tuple[int, int]:
+        return (self.b, self.a) if direction else (self.a, self.b)
+
+    def segment(self, direction: int, params) -> Segment:
+        """The arc from one end to the other; direction 1 runs the a -> b arc
+        backwards, with 1/gamma."""
+        src, dst = self.ends(direction)
+        return params[src], params[dst], (1.0 / self.gamma if direction else self.gamma)
+
+
+class _Graph:
+    """The homotopy graph: node parameters, node fibers and edges."""
+
+    def __init__(self, system: System, p0, x0, cfg: TrackerConfig):
+        self.system, self.cfg = system, cfg
+        self.params: list[np.ndarray] = [p0]
+        self.fibers: list[list[np.ndarray]] = [[x0]]
+        self.edges: list[_Edge] = []
+        self.tracked = 0
+        self.failed = 0
+
+    def grow(self, rng: np.random.Generator) -> None:
+        """Join the first pair of nodes (b, then a) with no edge, or add a
+        random node joined to nodes 0 and 1 once every pair has one."""
+        joined = {(e.a, e.b) for e in self.edges}
+        k = len(self.params)
+        pair = next(((a, b) for b in range(k) for a in range(b) if (a, b) not in joined), None)
+        if pair is not None:
+            self.edges.append(_Edge(*pair, tracker.draw_gamma(rng)))
+            return
+        self.params.append(tracker.random_params(self.system.m, rng))
+        self.fibers.append([])
+        for a in range(min(k, 2)):
+            self.edges.append(_Edge(a, k, tracker.draw_gamma(rng)))
+
+    def propagate(self) -> tuple[int, int]:
+        """Track every solution along every edge that maps it nowhere yet,
+        until no edge has one left to try; returns the paths tracked and
+        failed."""
+        tracked, failed = self.tracked, self.failed
+        progress = True
+        while progress:
+            progress = False
+            for e in self.edges:
+                for direction in (0, 1):
+                    src = e.ends(direction)[0]
+                    for i in range(len(self.fibers[src])):
+                        if e.broken:
+                            break
+                        if i not in e.maps[direction] and (direction, i) not in e.tried:
+                            self._track(e, direction, i)
+                            progress = True
+        return self.tracked - tracked, self.failed - failed
+
+    def _track(self, e: _Edge, direction: int, i: int) -> None:
+        src, dst = e.ends(direction)
+        p_from, p_to, gamma = e.segment(direction, self.params)
+        e.tried.add((direction, i))
+        self.tracked += 1
+        r = tracker.track_path(
+            self.system, self.fibers[src][i], p_from, p_to, self.cfg, gamma=gamma
+        )
         if not r.success:
+            self.failed += 1
+            return
+        j = self._locate(dst, r.endpoint)
+        if j is None:
+            return
+        back = e.maps[1 - direction]
+        if j in back:  # two solutions land on one: a sheet jump on this edge
+            e.broken = True
+        else:
+            e.maps[direction][i] = j
+            back[j] = i
+
+    def _locate(self, node: int, point) -> int | None:
+        """The index of ``point`` in the node's fiber, appending it when it
+        is new; None when the match is ambiguous or the polish fails."""
+        fiber = self.fibers[node]
+        if fiber:
+            best, d1, d2 = tracker.nearest(point, fiber)
+            if d1 <= MATCH_TOL and d2 >= 100 * d1:
+                return best
+            if d1 < 100 * MATCH_TOL:
+                return None
+        try:
+            new = tracker.newton_polish(
+                self.system, point, self.params[node], self.cfg.path_tol / 100
+            )
+        except tracker.NewtonError:
             return None
-        cur = r.endpoint
-    return cur
+        if fiber:
+            best, d1, _ = tracker.nearest(new, fiber)
+            if d1 <= MATCH_TOL:
+                return best
+            if d1 < 100 * MATCH_TOL:
+                return None
+        fiber.append(new)
+        return len(fiber) - 1
 
-
-def replay_loop(
-    system: System, result: MonodromyResult, record: LoopRecord, cfg: MonodromyConfig
-) -> bool:
-    """Re-track a recorded loop and check it reproduces the same matching."""
-    p0 = result.base.params
-    sols = result.base.solutions
-    for i, sol in enumerate(sols):
-        end = _track_loop(system, sol, p0, record.q1, record.q2, record.gammas, cfg.tracker)
-        if end is None:
-            return False
-        best, d1, _ = tracker.nearest(end, sols)
-        if d1 > MATCH_TOL or best != record.permutation[i]:
-            return False
-    return True
+    def cycles(self) -> list[LoopRecord]:
+        """One cycle per non-tree edge of a breadth-first spanning tree from
+        node 0 over the complete edges between complete nodes (as many
+        solutions as node 0), without the identity or repeats."""
+        d = len(self.fibers[0])
+        complete = [
+            e for e in self.edges
+            if not e.broken and len(e.maps[0]) == d == len(self.fibers[e.a]) == len(self.fibers[e.b])
+        ]
+        adjacent: dict[int, list[tuple[int, int]]] = {}
+        for k, e in enumerate(complete):
+            adjacent.setdefault(e.a, []).append((k, 0))
+            adjacent.setdefault(e.b, []).append((k, 1))
+        # label[v][i]: the index at node v of base solution i along the tree;
+        # path[v]: the tree's arcs from node 0 to node v.
+        label = {0: list(range(d))}
+        path: dict[int, tuple[Segment, ...]] = {0: ()}
+        tree: set[int] = set()
+        queue = deque([0])
+        while queue:
+            u = queue.popleft()
+            for k, direction in adjacent.get(u, ()):
+                e = complete[k]
+                v = e.ends(direction)[1]
+                if v not in label:
+                    label[v] = [e.maps[direction][j] for j in label[u]]
+                    path[v] = path[u] + (e.segment(direction, self.params),)
+                    tree.add(k)
+                    queue.append(v)
+        out: list[LoopRecord] = []
+        seen = {permgrp.identity(d)}
+        for k, e in enumerate(complete):
+            if k in tree or e.a not in label:
+                continue
+            at_base = {v: i for i, v in enumerate(label[e.b])}
+            perm = tuple(at_base[e.maps[0][j]] for j in label[e.a])
+            if perm in seen:
+                continue
+            seen.add(perm)
+            home = tuple((q, p, 1.0 / g) for p, q, g in reversed(path[e.b]))
+            out.append(LoopRecord(path[e.a] + (e.segment(0, self.params),) + home, perm))
+        return out
 
 
 def _group_signature(degree: int, perms: list[Perm]):
@@ -208,82 +355,50 @@ def run_monodromy(
     cfg: MonodromyConfig,
     rng: np.random.Generator,
 ) -> MonodromyResult:
-    """Grow the fiber over the seed parameters and collect loop permutations.
+    """Grow the homotopy graph round by round from the seed pair and read
+    the generators off its cycles.
 
-    Terminates once the fiber is stable (expected degree reached, or
-    ``_STALL_LIMIT`` loops without a new solution) and ``_PERM_STALL_LIMIT``
-    further loops produced no new permutation.
+    Terminates once the base fiber is stable (expected degree reached, or
+    ``_STALL_LIMIT`` rounds without a new solution) and ``_PERM_STALL_LIMIT``
+    further rounds did not grow the generated group.
     """
     x0, p0 = np.asarray(seed[0], dtype=complex), np.asarray(seed[1], dtype=complex)
     x0 = tracker.newton_polish(system, x0, p0, cfg.tracker.path_tol / 100)
-    fiber: list[np.ndarray] = [x0]
-    perms: list[Perm] = []
-    loop_log: list[LoopRecord] = []
-    loops = 0
+    graph = _Graph(system, p0, x0, cfg.tracker)
+    fiber = graph.fibers[0]
+    cycles: list[LoopRecord] = []
+    rounds = 0
     since_new_sol = 0
     since_new_perm = 0
     last_signature = None
     failure_window: deque[float] = deque(maxlen=5)
-    tcfg = cfg.tracker
 
-    while loops < _MAX_LOOPS:
-        loops += 1
-        q1 = tracker.random_params(system.m, rng)
-        q2 = tracker.random_params(system.m, rng)
-        gammas = [tracker.draw_gamma(rng) for _ in range(3)]
-        endpoints = [_track_loop(system, sol, p0, q1, q2, gammas, tcfg) for sol in fiber]
-        failed = sum(1 for e in endpoints if e is None)
-        failure_window.append(failed / len(endpoints))
-        if len(failure_window) == 5 and all(f > 0.5 for f in failure_window):
-            raise MonodromyError("persistent path failures during monodromy loops")
-
+    while rounds < _MAX_LOOPS:
+        rounds += 1
         start_count = len(fiber)
-        images: list[int | None] = [None] * start_count
-        clean = failed == 0
-        for i, endpoint in enumerate(endpoints):
-            if endpoint is None:
-                continue
-            best, d1, d2 = tracker.nearest(endpoint, fiber)
-            if d1 <= MATCH_TOL and d2 >= 100 * d1:
-                images[i] = best
-            elif d1 >= 100 * MATCH_TOL:
-                try:
-                    new = tracker.newton_polish(system, endpoint, p0, tcfg.path_tol / 100)
-                except tracker.NewtonError:
-                    clean = False
-                    continue
-                nb, nd, _ = tracker.nearest(new, fiber)
-                if nd <= MATCH_TOL:
-                    images[i] = nb
-                elif nd >= 100 * MATCH_TOL:
-                    fiber.append(new)
-                else:
-                    clean = False
-            else:
-                clean = False
+        graph.grow(rng)
+        tracked, failed = graph.propagate()
+        # A round that tracks nothing (an edge between two empty nodes)
+        # says nothing about the failure rate.
+        if tracked:
+            failure_window.append(failed / tracked)
+        if len(failure_window) == 5 and all(f > 0.5 for f in failure_window):
+            raise MonodromyError("persistent path failures in the homotopy graph")
 
         grew = len(fiber) > start_count
         since_new_sol = 0 if grew else since_new_sol + 1
+        cycles = graph.cycles()
+        perms = [c.permutation for c in cycles]
         if grew:
-            # Earlier permutations were relative to a partial fiber; only
-            # permutations recorded after the count stabilizes are total.
-            perms.clear()
-            loop_log.clear()
             since_new_perm = 0
             last_signature = None
-        else:
-            if clean and all(v is not None for v in images):
-                candidate = tuple(images)  # type: ignore[arg-type]
-                if permgrp.is_permutation(candidate) and candidate not in perms:
-                    perms.append(candidate)
-                    loop_log.append(LoopRecord(q1, q2, tuple(gammas), candidate))
-            if perms:
-                sig = _group_signature(len(fiber), perms)
-                if sig != last_signature:
-                    last_signature = sig
-                    since_new_perm = 0
-                else:
-                    since_new_perm += 1
+        elif perms:
+            sig = _group_signature(len(fiber), perms)
+            if sig != last_signature:
+                last_signature = sig
+                since_new_perm = 0
+            else:
+                since_new_perm += 1
 
         fiber_stable = (
             cfg.expected_degree is not None and len(fiber) >= cfg.expected_degree
@@ -305,7 +420,15 @@ def run_monodromy(
     base = FiberSample(p0, tuple(fiber))
     if base.min_pairwise_distance() <= MATCH_TOL:
         raise MonodromyError("fiber solutions are not well separated")
-    return MonodromyResult(base, perms, loops, loop_log)
+    return MonodromyResult(
+        base,
+        [c.permutation for c in cycles],
+        rounds,
+        cycles,
+        edges=len(graph.edges),
+        paths_tracked=graph.tracked,
+        paths_failed=graph.failed,
+    )
 
 
 def check_deck_perms(result: MonodromyResult, deck_perms: Sequence[Perm]) -> list[Perm]:

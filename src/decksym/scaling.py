@@ -498,7 +498,9 @@ def commuting_discrete_scalings(
     random gamma: |G| paths instead of the whole fiber.
     Stability: every scaled orbit point must pass the start Newton over the
     scaled parameters, and s(x_0) must land in the intermediate fiber, at
-    some index c.  Commutation: s(x_sigma(0)) must land at sigma(c) for every
+    some index c.  s(x_0) is tracked first, so a candidate that fails there
+    costs one path; scaled orbit points that coincide leave the candidate
+    undetermined.  Commutation: s(x_sigma(0)) must land at sigma(c) for every
     deck permutation sigma.  A passing candidate must also retrace its arc
     back to the scaled orbit (``tracker.retraces``), so a sheet jump cannot
     pass it.  Tracking failures and ambiguous matches retry with the next
@@ -574,6 +576,8 @@ def _test_candidate(
             return "failed_stability"
         starts.append(point[:n])
     scaled = tracker.FiberSample(p_scaled, tuple(starts))
+    if scaled.min_pairwise_distance() <= tracker.MATCH_TOL:
+        return "undetermined"
 
     def match(point, pool):
         """Index of the unique pool point within ``tracker.MATCH_TOL``, at
@@ -590,12 +594,19 @@ def _test_candidate(
         except RuntimeError:
             continue
         gamma = tracker.draw_gamma(rng)
-        try:
-            back = tracker.track_fiber(system, scaled, mid.params, cfg, gamma=gamma)
-        except tracker.FiberTrackingError:
-            continue
-        if tracker.nearest(back.solutions[0], mid.solutions)[1] > tracker.MATCH_TOL:
-            return "failed_stability"  # s(x_0) left the tracked component
+        # s(x_0) alone decides stability; the rest of the orbit is tracked
+        # only when it stays on the tracked component.
+        ends = []
+        for start in starts:
+            r = tracker.track_path(system, start, p_scaled, mid.params, cfg, gamma=gamma)
+            if not r.success:
+                break
+            if not ends and tracker.nearest(r.endpoint, mid.solutions)[1] > tracker.MATCH_TOL:
+                return "failed_stability"  # s(x_0) left the tracked component
+            ends.append(r.endpoint)
+        back = tracker.FiberSample(mid.params, tuple(ends))
+        if len(ends) < len(starts) or back.min_pairwise_distance() <= tracker.MATCH_TOL:
+            continue  # a failed path or an endpoint collision: retry
         landed = [match(x, mid.solutions) for x in back.solutions]
         if None in landed:
             continue  # ambiguous: retry

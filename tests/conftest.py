@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from decksym import tracker
 from decksym.expr import parse_system
 from decksym.monodromy import MonodromyConfig, run_monodromy, seed_from_linear_params
-from decksym.tracker import compiled
+from decksym.permgrp import inverse
+from decksym.tracker import MATCH_TOL, compiled
 
 # Selected in CI with --hypothesis-profile=ci: a fixed example stream, and a
 # failing example printed as a reproduction blob in the log.
@@ -42,6 +44,28 @@ def max_residual(system, sample) -> float:
     """Largest ||F||_inf over the solutions of a fiber sample."""
     comp = compiled(system)
     return max(float(np.abs(comp.f_at(s, sample.params)).max()) for s in sample.solutions)
+
+
+def assert_cycles_retrace(system, result, cfg):
+    """Retrace every recorded generator cycle backwards (segments in reverse
+    order, each with 1/gamma) from every base solution: each must come back
+    to its preimage under the cycle's permutation.  Re-tracking the arcs
+    forwards would repeat a sheet jump; backwards it lands elsewhere."""
+    sols = result.base.solutions
+    assert len(result.loop_log) == len(result.permutations)
+    for record, perm in zip(result.loop_log, result.permutations):
+        assert record.permutation == perm
+        back = inverse(perm)
+        for j, sol in enumerate(sols):
+            cur = sol
+            for p_from, p_to, gamma in reversed(record.segments):
+                r = tracker.track_path(system, cur, p_to, p_from, cfg.tracker, gamma=1.0 / gamma)
+                assert r.success, f"retrace failed ({r.status})"
+                cur = r.endpoint
+            best, dist, _ = tracker.nearest(cur, sols)
+            assert dist <= MATCH_TOL and best == back[j], (
+                f"cycle {perm} retraced solution {j} to {best} at {dist:.2e}, not {back[j]}"
+            )
 
 
 def run_fixture_monodromy(text, degree, seed_rng, x_star="random", seed_pair=None):

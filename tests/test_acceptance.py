@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import assert_cycles_retrace
 from decksym import scaling
 from decksym.cli import RunConfig, run
 from decksym.expr import (
@@ -32,7 +33,7 @@ from decksym.interp import (
     snap_rational,
     verify_deck,
 )
-from decksym.monodromy import MonodromyConfig, replay_loop, run_monodromy, sample_orbit
+from decksym.monodromy import MonodromyConfig, run_monodromy, sample_orbit
 from decksym.numcore import nullspace, rref
 from decksym.permgrp import (
     centralizer_in_symmetric,
@@ -425,8 +426,7 @@ def test_criterion_8b_monodromy_properties(p3p_state, sextic_state):
         system, mono, cfg = state["system"], state["mono"], state["cfg"]
         for perm in mono.permutations:
             assert is_permutation(perm)
-        for record in mono.loop_log:
-            assert replay_loop(system, mono, record, cfg)
+        assert_cycles_retrace(system, mono, cfg)
         cent = state["centralizer"]
         elems = set(cent)
         for sigma in cent:
@@ -438,7 +438,7 @@ def test_criterion_8b_monodromy_properties(p3p_state, sextic_state):
         group = mono.group()
         for part in minimal_block_systems(group):
             assert is_block_system(group, part)
-    announce(8, "permutations replay, centralizers commute and are group-closed")
+    announce(8, "generator cycles retrace backwards, centralizers commute and are group-closed")
 
 
 def test_criterion_8c_interpolated_formulas_validate(p3p_state, fivepoint_state):

@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from decksym.cli import RunConfig, main, run
+from decksym.cli import RunConfig, main, render_text, run
 from decksym.fixtures import deck_path, fixture_path, seed_path
 
 
@@ -51,6 +51,23 @@ def test_monodromy_command_only(tmp_path):
     assert code == 0
     assert "deck_maps" not in report
     assert report["group"]["order"] == 2
+
+
+def test_monodromy_counts_in_report_and_text(tmp_path):
+    """The monodromy block counts rounds, edges and paths; the text names them."""
+    report, code, _ = run_cli("monodromy", "sextic", tmp_path, expected_degree=6)
+    assert code == 0
+    m = report["monodromy"]
+    assert m["loop_count"] >= 1
+    # a round adds one edge, or a new node with two edges
+    assert m["loop_count"] <= m["edges"] <= 2 * m["loop_count"]
+    # an edge tracks each solution of its nodes at most once each way
+    assert 0 <= m["paths_failed"] < m["paths_tracked"] <= 2 * 6 * m["edges"]
+    assert (
+        f"6 solutions after {m['loop_count']} rounds ({m['edges']} edges, "
+        f"{m['paths_tracked']} paths, {m['paths_failed']} failed); "
+        f"{len(m['generators_images'])} generators"
+    ) in render_text(report)
 
 
 def test_scalings_command_ex57(tmp_path):

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import max_residual
+from conftest import EX57_TEXT, assert_cycles_retrace, ex57_seed, max_residual
 from decksym import tracker
 from decksym.expr import parse_system
 from decksym.monodromy import (
     MonodromyConfig,
     MonodromyError,
-    replay_loop,
     run_monodromy,
     sample_orbit,
     seed_from_linear_params,
@@ -34,6 +33,22 @@ def mono_ex41(seed=0):
     cfg = MonodromyConfig(expected_degree=2)
     pair = seed_from_linear_params(EX41, np.array([2.0 + 0j]), rng)
     return run_monodromy(EX41, pair, cfg, rng), cfg, rng
+
+
+def mono_sextic(monkeypatch=None, wrap=None):
+    """run_monodromy on the sextic at rng seed 3, with ``tracker.track_path``
+    optionally wrapped: wrap(real, *args, **kwargs) -> PathResult."""
+    if wrap is not None:
+        real = tracker.track_path
+        monkeypatch.setattr(
+            tracker, "track_path", lambda *args, **kwargs: wrap(real, *args, **kwargs)
+        )
+    rng = np.random.default_rng(3)
+    pair = seed_from_linear_params(SEXTIC, rng=rng)
+    return run_monodromy(SEXTIC, pair, MonodromyConfig(expected_degree=6), rng)
+
+
+FAILED = tracker.PathResult("singular", None, 0, np.inf)
 
 
 def test_seed_oracle_hand_computed():
@@ -72,15 +87,11 @@ def test_monodromy_permutations_are_bijections_and_replayable():
     for perm in result.permutations:
         assert is_permutation(perm)
     assert result.loop_log
-    for record in result.loop_log:
-        assert replay_loop(EX41, result, record, cfg)
+    assert_cycles_retrace(EX41, result, cfg)
 
 
 def test_monodromy_sextic_degree_and_group_order():
-    rng = np.random.default_rng(3)
-    pair = seed_from_linear_params(SEXTIC, rng=rng)
-    cfg = MonodromyConfig(expected_degree=6)
-    result = run_monodromy(SEXTIC, pair, cfg, rng)
+    result = mono_sextic()
     assert result.degree == 6
     assert group_order_capped(result.group(), 10**4) == 48
     cent = centralizer_in_symmetric(result.group())
@@ -141,6 +152,97 @@ def test_sample_orbit_fails_after_three_draws(monkeypatch):
         twin.standard_normal(2)
         twin.random()
     assert rng.random() == twin.random()
+
+
+def test_every_path_failing_raises_persistent_failure(monkeypatch):
+    """Fault injection: when no path tracks, the run stops with an error
+    after five rounds that tracked a path, instead of running every round."""
+    calls = []
+
+    def fail(real, *args, **kwargs):
+        calls.append(1)
+        return FAILED
+
+    with pytest.raises(MonodromyError, match="persistent path failures"):
+        mono_sextic(monkeypatch, fail)
+    assert len(calls) == 5  # one path in each of rounds 1, 2, 3, 5 and 8
+
+
+def test_failed_forward_path_is_completed_from_the_other_end(monkeypatch):
+    """Fault injection: the first path (the seed along the first edge) fails.
+    The edge is completed by tracking its arc backwards from the far node,
+    and the group is the same as without the failure."""
+    clean = mono_sextic()
+    calls = []
+
+    def fail_first(real, system, x, p_from, p_to, cfg, gamma=None, **kwargs):
+        r = FAILED if not calls else real(system, x, p_from, p_to, cfg, gamma=gamma, **kwargs)
+        calls.append((x, p_from, p_to, gamma, r))
+        return r
+
+    result = mono_sextic(monkeypatch, fail_first)
+    x0, p_from, p_to, gamma, _ = calls[0]
+    back = [
+        r for _, a, b, g, r in calls[1:]
+        if np.array_equal(a, p_to) and np.array_equal(b, p_from) and g == 1.0 / gamma
+    ]
+    assert any(r.success and np.abs(r.endpoint - x0).max() <= tracker.MATCH_TOL for r in back)
+    assert result.paths_failed >= 1
+    assert group_order_capped(result.group(), 10**4) == group_order_capped(clean.group(), 10**4) == 48
+
+
+def test_sheet_jump_onto_a_matched_solution_breaks_the_edge(monkeypatch):
+    """Fault injection: one path lands where an earlier path along the same
+    arc landed, as after a sheet jump.  The edge breaks, so no generator
+    crosses it: every cycle still retraces, and the group is unchanged."""
+    ends: dict = {}
+    jumped = []
+
+    def jump_once(real, system, x, p_from, p_to, cfg, gamma=None, **kwargs):
+        arc = (p_from.tobytes(), p_to.tobytes(), gamma)
+        earlier = ends.setdefault(arc, [])
+        if not jumped and len(earlier) == 3:
+            jumped.append(arc)
+            return earlier[0]
+        r = real(system, x, p_from, p_to, cfg, gamma=gamma, **kwargs)
+        if r.success:
+            earlier.append(r)
+        return r
+
+    result = mono_sextic(monkeypatch, jump_once)
+    monkeypatch.undo()
+    assert jumped
+    assert group_order_capped(result.group(), 10**4) == 48
+    assert_cycles_retrace(SEXTIC, result, MonodromyConfig(expected_degree=6))
+
+
+def test_no_solution_is_tracked_twice_along_one_edge(monkeypatch):
+    """Each (edge, direction, solution) is tracked at most once: no path
+    repeats its start point, its two end parameters and its gamma."""
+    seen = []
+
+    def record(real, system, x, p_from, p_to, cfg, gamma=None, **kwargs):
+        seen.append((x.tobytes(), p_from.tobytes(), p_to.tobytes(), gamma))
+        return real(system, x, p_from, p_to, cfg, gamma=gamma, **kwargs)
+
+    result = mono_sextic(monkeypatch, record)
+    assert len(seen) == result.paths_tracked
+    assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("seed", [33, 45])
+def test_generators_are_distinct_and_never_the_identity(seed):
+    """ex5_7 at two seeds where re-tracking every solution around fresh
+    triangles records the identity and, through a sheet jump, a group of
+    order 48; the true order is 6."""
+    system = parse_system(EX57_TEXT)
+    cfg = MonodromyConfig(expected_degree=6)
+    result = run_monodromy(system, ex57_seed(), cfg, np.random.default_rng(seed))
+    perms = result.permutations
+    assert perms and identity(6) not in perms
+    assert len(set(perms)) == len(perms)
+    assert group_order_capped(result.group(), 10**4) == 6
+    assert_cycles_retrace(system, result, cfg)
 
 
 def test_deterministic_given_seed():

@@ -314,6 +314,54 @@ def test_filter_path_budget(mono_sextic, monkeypatch):
     assert len(calls) == result.degree + orbit * len(out.candidates) + orbit * passed
 
 
+def test_coinciding_scaled_orbit_is_undetermined(mono_sextic, monkeypatch):
+    """Scaled orbit points that coincide decide nothing, before any path."""
+    from decksym import tracker
+
+    system, result, cfg, _ = mono_sextic
+    first = []
+
+    def collapse(system, lattice, point):
+        first.append(point)
+        return first[0]
+
+    monkeypatch.setattr(scaling, "repatch_point", collapse)
+    monkeypatch.setattr(tracker, "track_path", None)
+    out = commuting_discrete_scalings(
+        detect_scalings(system), system, result, _deck(result), cfg.tracker,
+        np.random.default_rng(1),
+    )
+    assert [c.status for c in out.candidates] == ["undetermined"]
+    assert len(first) == 2
+
+
+def test_stability_failure_costs_one_path(mono_ex57, monkeypatch):
+    """s(x_0) is tracked first: a candidate that leaves the tracked component
+    is decided after one path, not after the whole scaled orbit."""
+    from decksym import tracker
+
+    system, result, cfg, _ = mono_ex57
+    deck = _deck(result)
+    real = tracker.track_path
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tracker, "track_path", counting)
+    out = commuting_discrete_scalings(
+        detect_scalings(system), system, result, deck, cfg.tracker, np.random.default_rng(1)
+    )
+    statuses = [c.status for c in out.candidates]
+    assert statuses == ["failed_stability", "failed_stability", "failed_commutation"]
+    orbit = 1 + len(deck)
+    assert orbit == result.degree == 6
+    # the intermediate fiber, one path per stability failure, the whole
+    # orbit for the commutation failure
+    assert len(calls) == result.degree + 1 + 1 + orbit
+
+
 def test_sheet_jump_on_retrace_never_passes(mono_sextic, monkeypatch):
     """Fault injection: the sextic flip passes, but when every retrace comes
     back away from the scaled orbit (as after a sheet jump), it cannot."""

@@ -308,7 +308,6 @@ def _try_candidate(
     size: int,
     holdout: Sequence[tuple[np.ndarray, np.ndarray]],
     rank_tol: float,
-    pivot_tol: float,
     truncate_tol: float,
 ):
     imgs = arrays.images[k][:size, j]
@@ -319,7 +318,7 @@ def _try_candidate(
         return None
     if null.shape[1] == 0:
         return None
-    reduced = numcore.rref(null.T, pivot_tol)
+    reduced = numcore.rref(null.T)
     rep = get_representative(reduced, len(numer_monos), truncate_tol)
     if rep is None:
         return None
@@ -424,7 +423,7 @@ def _interpolate(
                     got = _try_candidate(
                         system, arrays, vn, vd, mon_n, mon_d, j, k,
                         len(mon_n) + len(mon_d), holdouts[k],
-                        rank_tol, numcore.DEFAULT_PIVOT_TOL, truncate_tol,
+                        rank_tol, truncate_tol,
                     )
                     if got is not None:
                         deck.coords[j] = got[0]
@@ -535,7 +534,7 @@ def verify_deck(
     worst_res = 0.0
     fibers: list[FiberSample] = []
     for _ in range(trial_count):
-        got = tracker.sample_fiber(system, mono.base, cfg.tracker, rng, 3)
+        got = tracker.sample_fiber(system, mono.base, cfg.tracker, rng)
         if got is not None:
             fibers.append(got[0])
 

@@ -17,9 +17,10 @@ Each round adds one edge between two nodes not yet joined.  Once every pair
 is joined, a new random node enters with edges to nodes 0 and 1.  Generators
 are read from a breadth-first spanning tree over the complete edges between
 complete nodes: one cycle per non-tree edge, with no identity and no
-repeats.  The run stops after ``_STALL_LIMIT`` rounds without a new base
-solution (or at the expected degree) and ``_PERM_STALL_LIMIT`` rounds
-without group growth, or at ``_MAX_LOOPS`` rounds.
+repeats.  The base fiber is stable at the expected degree when one is
+given, and otherwise after ``_STALL_LIMIT`` rounds without a new base
+solution.  The run stops once the fiber is stable and ``_PERM_STALL_LIMIT``
+rounds did not grow the group, or at ``_MAX_LOOPS`` rounds.
 
 Deck-orbit samples come from ``tracker.sample_fiber``, each checked by a
 round trip back to the base point (``tracker.retraces``).
@@ -358,9 +359,11 @@ def run_monodromy(
     """Grow the homotopy graph round by round from the seed pair and read
     the generators off its cycles.
 
-    Terminates once the base fiber is stable (expected degree reached, or
-    ``_STALL_LIMIT`` rounds without a new solution) and ``_PERM_STALL_LIMIT``
-    further rounds did not grow the generated group.
+    Terminates once the base fiber is stable (the expected degree reached
+    when one is given, else ``_STALL_LIMIT`` rounds without a new solution)
+    and ``_PERM_STALL_LIMIT`` further rounds did not grow the generated
+    group, or after ``_MAX_LOOPS`` rounds.  A fiber that never reaches the
+    expected degree fails only then.
     """
     x0, p0 = np.asarray(seed[0], dtype=complex), np.asarray(seed[1], dtype=complex)
     x0 = tracker.newton_polish(system, x0, p0, cfg.tracker.path_tol / 100)
@@ -400,9 +403,10 @@ def run_monodromy(
             else:
                 since_new_perm += 1
 
-        fiber_stable = (
-            cfg.expected_degree is not None and len(fiber) >= cfg.expected_degree
-        ) or since_new_sol >= _STALL_LIMIT
+        if cfg.expected_degree is None:
+            fiber_stable = since_new_sol >= _STALL_LIMIT
+        else:
+            fiber_stable = len(fiber) >= cfg.expected_degree
         if (
             fiber_stable
             and perms
@@ -487,7 +491,7 @@ def sample_orbit(
 
     samples: list[FiberSample] = []
     for _ in range(count):
-        got = tracker.sample_fiber(system, orbit, cfg.tracker, rng, 3, roundtrip)
+        got = tracker.sample_fiber(system, orbit, cfg.tracker, rng, roundtrip)
         if got is None:
             raise MonodromyError("orbit sampling failed after 3 retries")
         samples.append(got[0])

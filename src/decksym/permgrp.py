@@ -68,9 +68,9 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def cycles_string(p: Perm, one_based: bool = True) -> str:
-    """Cycle notation, e.g. '(1 4)(2 5)(3 6)'; identity renders as '()'."""
-    base = 1 if one_based else 0
+def cycles_string(p: Perm) -> str:
+    """One-based cycle notation, e.g. '(1 4)(2 5)(3 6)'; identity renders as
+    '()'."""
     seen = set()
     out = []
     for i in range(len(p)):
@@ -84,7 +84,7 @@ def cycles_string(p: Perm, one_based: bool = True) -> str:
             cyc.append(j)
             j = p[j]
         seen.add(i)
-        out.append("(" + " ".join(str(k + base) for k in cyc) + ")")
+        out.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
     return "".join(out) if out else "()"
 
 

@@ -7,7 +7,9 @@ free part (continuous scalings, one C* per row) and torsion blocks
 Discrete candidates are then filtered by a probability-one homotopy test:
 a candidate survives only if it maps the solution variety to itself and
 commutes with the deck permutations.  The test tracks only the scaled deck
-orbit of one base solution, |G| paths per candidate rather than the fiber.
+orbit of one base solution, straight back to the base parameters, and
+matches it against the labelled base fiber: |G| paths per candidate rather
+than the fiber, and no fiber tracked anywhere else.
 
 All integer arithmetic is exact.  The SNF runs on int64 with an overflow
 guard and falls back to arbitrary-precision Python integers when entries
@@ -17,6 +19,7 @@ grow; pivoting always picks the minimum-magnitude entry to limit growth.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +29,11 @@ from .expr import Exponent, System, coeff_to_complex
 from . import monodromy, tracker
 
 _INT64_GUARD = 2**31
+# Above this many Z_d-combinations of a torsion block, only its rows and
+# their pairwise sums are filter candidates.
+_ENUMERATION_CAP = 4096
+# Relative patch residual below which a scaled point needs no re-patching.
+_PATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -375,9 +383,7 @@ def pure_unknown_free_rows(system: System, lattice: ScalingLattice) -> list[tupl
     return [row for row in lattice.free.data if all(w == 0 for w in row[n:])]
 
 
-def repatch_point(
-    system: System, lattice: ScalingLattice, point: np.ndarray, tol: float = 1e-9
-) -> np.ndarray:
+def repatch_point(system: System, lattice: ScalingLattice, point: np.ndarray) -> np.ndarray:
     """Rescale a point along pure-unknown continuous scalings until the patch
     equations hold again.
 
@@ -392,7 +398,7 @@ def repatch_point(
     rows = pure_unknown_free_rows(system, lattice)
     for idx in system.patch_indices:
         eq = system.equations[idx]
-        if abs(eq.evaluate(z)) <= tol * (1 + float(np.abs(z).max())):
+        if abs(eq.evaluate(z)) <= _PATCH_TOL * (1 + float(np.abs(z).max())):
             continue
         fixed = None
         for row in rows:
@@ -442,15 +448,15 @@ class DiscreteScalingFilter:
     composite_modulus_note: bool = False
 
 
-def _enumerate_candidates(block: TorsionBlock, cap: int = 4096):
+def _enumerate_candidates(block: TorsionBlock):
     """All Z_d-combinations of the block rows (nonzero, deduplicated); above
-    the cap, only single rows and pairwise sums."""
+    ``_ENUMERATION_CAP``, only single rows and pairwise sums."""
     d = block.modulus
     rows = [list(r) for r in block.rows.data]
     r = len(rows)
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
-    truncated = d**r > cap
+    truncated = d**r > _ENUMERATION_CAP
 
     def push(vec):
         v = tuple(x % d for x in vec)
@@ -459,18 +465,8 @@ def _enumerate_candidates(block: TorsionBlock, cap: int = 4096):
             out.append(v)
 
     if not truncated:
-        coeffs = [0] * r
-
-        def rec(i):
-            if i == r:
-                push([sum(c * rows[k][j] for k, c in enumerate(coeffs)) for j in range(block.rows.cols)])
-                return
-            for c in range(d):
-                coeffs[i] = c
-                rec(i + 1)
-            coeffs[i] = 0
-
-        rec(0)
+        for coeffs in itertools.product(range(d), repeat=r):
+            push([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(block.rows.cols)])
     else:
         for row in rows:
             push(row)
@@ -491,21 +487,23 @@ def commuting_discrete_scalings(
     """Filter the torsion blocks down to scalings that preserve the tracked
     variety and commute with every deck permutation.
 
-    The base fiber is tracked once to a random intermediate parameter point,
-    which keeps its labels.  For each candidate u and primitive d-th root of
-    unity lam, only the scaled deck orbit s(x_0), s(x_sigma(0)), ... is
-    tracked, backwards from lam^u (.) p0 to the intermediate point, with one
-    random gamma: |G| paths instead of the whole fiber.
+    For each candidate u and primitive d-th root of unity lam, only the
+    scaled deck orbit s(x_0), s(x_sigma(0)), ... is tracked, from
+    lam^u (.) p0 straight back to p0 with one random gamma, and matched
+    against the base fiber, whose indices are the labels the deck
+    permutations act on: |G| paths instead of the whole fiber.  A candidate
+    with parameter part 0 mod d has lam^u (.) p0 == p0, so its arc is
+    constant and the test is plain membership in the base fiber.
     Stability: every scaled orbit point must pass the start Newton over the
-    scaled parameters, and s(x_0) must land in the intermediate fiber, at
-    some index c.  s(x_0) is tracked first, so a candidate that fails there
-    costs one path; scaled orbit points that coincide leave the candidate
+    scaled parameters, and s(x_0) must land in the base fiber, at some
+    index c.  s(x_0) is tracked first, so a candidate that fails there costs
+    one path; scaled orbit points that coincide leave the candidate
     undetermined.  Commutation: s(x_sigma(0)) must land at sigma(c) for every
     deck permutation sigma.  A passing candidate must also retrace its arc
     back to the scaled orbit (``tracker.retraces``), so a sheet jump cannot
-    pass it.  Tracking failures and ambiguous matches retry with the next
-    intermediate point; after three, the candidate is undetermined
-    (excluded, with a warning).
+    pass it.  A failed path, an endpoint collision or an ambiguous match
+    retries with a fresh gamma; after three attempts the candidate is
+    undetermined and excluded.
     """
     base = mono.base
     nontrivial, orbit = monodromy.deck_orbit(mono, deck_perms)
@@ -517,19 +515,6 @@ def commuting_discrete_scalings(
         blk.modulus > 1 and not _is_prime(blk.modulus) for blk in lattice.torsion
     )
 
-    # The intermediate fibers do not depend on the candidate, so one tracked
-    # fiber per retry round is shared by all of them; None marks a round
-    # whose draws all failed, so later candidates skip it at once.
-    legs: list["tracker.FiberSample | None"] = []
-
-    def leg(attempt: int):
-        while len(legs) <= attempt:
-            got = tracker.sample_fiber(system, base, cfg, rng, 5)
-            legs.append(None if got is None else got[0])
-        if legs[attempt] is None:
-            raise RuntimeError("could not track an intermediate fiber")
-        return legs[attempt]
-
     for blk in lattice.torsion:
         d = blk.modulus
         lam = -1.0 + 0.0j if d == 2 else cmath.exp(2j * cmath.pi / d)
@@ -537,7 +522,7 @@ def commuting_discrete_scalings(
         truncated_any = truncated_any or truncated
         for u in candidates:
             outcome = _test_candidate(
-                system, lattice, orbit, u, lam, nontrivial, cfg, rng, leg
+                system, lattice, base, orbit, u, lam, nontrivial, cfg, rng
             )
             outcomes.append(CandidateOutcome(d, u, outcome))
             if outcome == "passed":
@@ -560,7 +545,7 @@ def commuting_discrete_scalings(
 
 
 def _test_candidate(
-    system, lattice, orbit, u, lam, deck_perms, cfg, rng, leg
+    system, lattice, base, orbit, u, lam, deck_perms, cfg, rng
 ) -> str:
     n = system.n
     p0 = orbit.params
@@ -579,35 +564,31 @@ def _test_candidate(
     if scaled.min_pairwise_distance() <= tracker.MATCH_TOL:
         return "undetermined"
 
-    def match(point, pool):
-        """Index of the unique pool point within ``tracker.MATCH_TOL``, at
+    def match(point):
+        """Index of the unique base solution within ``tracker.MATCH_TOL``, at
         least 100 times closer than the runner-up; None when no reliable
         match exists."""
-        best, d1, d2 = tracker.nearest(point, pool)
+        best, d1, d2 = tracker.nearest(point, base.solutions)
         if d1 > tracker.MATCH_TOL or d2 < 100.0 * max(d1, 1e-300):
             return None
         return best
 
-    for attempt in range(3):
-        try:
-            mid = leg(attempt)
-        except RuntimeError:
-            continue
+    for _ in range(3):
         gamma = tracker.draw_gamma(rng)
         # s(x_0) alone decides stability; the rest of the orbit is tracked
         # only when it stays on the tracked component.
         ends = []
         for start in starts:
-            r = tracker.track_path(system, start, p_scaled, mid.params, cfg, gamma=gamma)
+            r = tracker.track_path(system, start, p_scaled, p0, cfg, gamma=gamma)
             if not r.success:
                 break
-            if not ends and tracker.nearest(r.endpoint, mid.solutions)[1] > tracker.MATCH_TOL:
+            if not ends and tracker.nearest(r.endpoint, base.solutions)[1] > tracker.MATCH_TOL:
                 return "failed_stability"  # s(x_0) left the tracked component
             ends.append(r.endpoint)
-        back = tracker.FiberSample(mid.params, tuple(ends))
+        back = tracker.FiberSample(p0, tuple(ends))
         if len(ends) < len(starts) or back.min_pairwise_distance() <= tracker.MATCH_TOL:
             continue  # a failed path or an endpoint collision: retry
-        landed = [match(x, mid.solutions) for x in back.solutions]
+        landed = [match(x) for x in back.solutions]
         if None in landed:
             continue  # ambiguous: retry
         c = landed[0]

@@ -11,10 +11,12 @@ the corrector's iteration count and the divergence bound are module
 constants.
 
 ``sample_fiber`` is the one place that tracks a fiber to a fresh random
-target: it draws the target (``random_params``), then gamma, then tracks,
-and redraws both on a failed fiber or a rejected sample.  ``retraces`` is
-the one round-trip check: it tracks a sample back along its own arc.  Fiber
-solutions count as distinct, and a point as matched, within ``MATCH_TOL``.
+target (deck-orbit samples and verification fibers): it draws the target
+(``random_params``), then gamma, then tracks, and redraws both on a failed
+fiber or a rejected sample, ``_SAMPLE_ATTEMPTS`` times in all.  ``retraces``
+is the one round-trip check: it tracks a sample back along its own arc.
+Fiber solutions count as distinct, and a point as matched, within
+``MATCH_TOL``.
 
 Systems are compiled once into one factor table over the unique monomials
 of F, dF/dx and dF/dp.  Each monomial is a short row of flat indices
@@ -59,6 +61,7 @@ _STEP_EXPAND = 2.0
 _STEP_SHRINK = 0.5
 _ACCEPT_STREAK = 3
 _MAX_NORM = 1e8
+_SAMPLE_ATTEMPTS = 3
 
 
 class TrackingError(RuntimeError):
@@ -491,16 +494,15 @@ def sample_fiber(
     fiber: FiberSample,
     cfg: TrackerConfig,
     rng: np.random.Generator,
-    attempts: int,
     accept: Callable[[FiberSample, complex], bool] | None = None,
 ) -> tuple[FiberSample, complex] | None:
     """Track a fiber to a fresh random target.
 
     Each attempt draws the target, then gamma, then tracks; a failed fiber,
     or a sample that ``accept(sample, gamma)`` rejects, is redrawn.  Returns
-    the sample and its gamma, or None after ``attempts`` draws.
+    the sample and its gamma, or None after ``_SAMPLE_ATTEMPTS`` draws.
     """
-    for _ in range(attempts):
+    for _ in range(_SAMPLE_ATTEMPTS):
         target = random_params(system.m, rng)
         gamma = draw_gamma(rng)
         try:

@@ -104,7 +104,12 @@ def test_verify_command_roundtrip(tmp_path):
     )
     report, code = run(cfg)
     assert code == 0
-    assert report["verification"][0]["pairing_ok"]
+    entry = report["verification"][0]
+    assert entry["pairing_ok"] and entry["passed"]
+    assert (entry["trials"], entry["trials_requested"]) == (2, 2)
+    # verify runs no scaling stage, so there is no lattice to check against
+    assert entry["quasi_homogeneity_ok"] is None
+    assert entry["worst_quasi_homogeneity"] == 0.0
 
 
 def test_verify_command_wrong_sign_fails(tmp_path):
@@ -147,6 +152,11 @@ def test_verification_without_tracked_fibers_fails_stage(tmp_path, monkeypatch):
     assert report["status"] == "failed"
     assert report["failed_stage"] == "verification"
     assert [v["trials"] for v in report["verification"]] == [0]
+    assert [v["trials_requested"] for v in report["verification"]] == [5]
+    # pairing and fiber checks pass vacuously on zero fibers; the verdict
+    # and the text do not
+    assert [v["passed"] for v in report["verification"]] == [False]
+    assert "verification (1 2): FAIL" in render_text(report)
 
 
 def test_interpolation_without_tracked_orbits_fails_stage(tmp_path, monkeypatch):

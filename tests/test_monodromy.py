@@ -252,3 +252,29 @@ def test_deterministic_given_seed():
     assert np.allclose(
         np.array(r1.base.solutions), np.array(r2.base.solutions), atol=1e-10
     )
+
+
+@pytest.mark.parametrize("seed", [34, 58])
+def test_sextic_does_not_stop_below_the_expected_degree(seed):
+    """At these seeds every node first holds the same two solutions {x, 1/x}
+    for more than ``_STALL_LIMIT`` rounds; with an expected degree given, the
+    fiber is not stable until it is reached."""
+    from decksym.expr import parse_seed_pair
+    from decksym.fixtures import fixture_path, seed_path
+
+    system = parse_system(fixture_path("sextic").read_text())
+    pair = parse_seed_pair(seed_path("sextic").read_text())
+    cfg = MonodromyConfig(expected_degree=6)
+    result = run_monodromy(system, pair, cfg, np.random.default_rng(seed))
+    assert result.degree == 6
+    assert group_order_capped(result.group(), 10**4) == 48
+    assert_cycles_retrace(system, result, cfg)
+
+
+def test_wrong_expected_degree_fails_after_the_round_limit():
+    """ex4_1 has 2 solutions: asked for 3, the run keeps looking until
+    ``_MAX_LOOPS`` rounds and then fails."""
+    rng = np.random.default_rng(0)
+    pair = seed_from_linear_params(EX41, np.array([2.0 + 0j]), rng)
+    with pytest.raises(MonodromyError, match="found 2 solutions, expected 3"):
+        run_monodromy(EX41, pair, MonodromyConfig(expected_degree=3), rng)

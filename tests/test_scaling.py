@@ -264,8 +264,9 @@ def test_sextic_flip_scaling_survives_filter(mono_sextic):
 
 
 def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
-    """Fault injection: when no fiber tracks after monodromy, every candidate
-    that needs tracking is undetermined and no torsion block survives."""
+    """Fault injection: when no path tracks after monodromy, every candidate
+    is undetermined after three gammas, one failed path each, and no torsion
+    block survives."""
     from decksym import tracker
 
     system, result, cfg, _ = mono_ex57
@@ -274,24 +275,23 @@ def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
 
     def fail(*args, **kwargs):
         calls.append(1)
-        raise tracker.FiberTrackingError("injected")
+        return tracker.PathResult("singular", None, 0, np.inf)
 
-    monkeypatch.setattr(tracker, "track_fiber", fail)
+    monkeypatch.setattr(tracker, "track_path", fail)
     out = commuting_discrete_scalings(
         lat, system, result, _deck(result), cfg.tracker, np.random.default_rng(0)
     )
-    assert out.candidates
+    assert len(out.candidates) > 1
     assert {c.status for c in out.candidates} == {"undetermined"}
     assert out.lattice.torsion == ()
-    # Three intermediate legs, five draws each, for the first candidate; the
-    # later candidates skip the failed legs without drawing again.
-    assert len(out.candidates) > 1
-    assert len(calls) == 15
+    # Each attempt stops at its first failed path, so 3 paths per candidate.
+    assert len(calls) == 3 * len(out.candidates)
 
 
 def test_filter_path_budget(mono_sextic, monkeypatch):
-    """The filter tracks the intermediate fiber once (d paths), the scaled
-    deck orbit per candidate, and the orbit again to retrace a passing one."""
+    """The filter tracks the scaled deck orbit per candidate straight to the
+    base fiber, and the orbit again to retrace a passing one; it tracks no
+    other fiber."""
     from decksym import tracker
 
     system, result, cfg, _ = mono_sextic
@@ -311,7 +311,7 @@ def test_filter_path_budget(mono_sextic, monkeypatch):
     passed = sum(c.status == "passed" for c in out.candidates)
     assert passed == len(out.candidates) == 1
     assert orbit < result.degree
-    assert len(calls) == result.degree + orbit * len(out.candidates) + orbit * passed
+    assert len(calls) == orbit * len(out.candidates) + orbit * passed
 
 
 def test_coinciding_scaled_orbit_is_undetermined(mono_sextic, monkeypatch):
@@ -357,9 +357,9 @@ def test_stability_failure_costs_one_path(mono_ex57, monkeypatch):
     assert statuses == ["failed_stability", "failed_stability", "failed_commutation"]
     orbit = 1 + len(deck)
     assert orbit == result.degree == 6
-    # the intermediate fiber, one path per stability failure, the whole
-    # orbit for the commutation failure
-    assert len(calls) == result.degree + 1 + 1 + orbit
+    # one path per stability failure, the whole orbit for the commutation
+    # failure
+    assert len(calls) == 1 + 1 + orbit
 
 
 def test_sheet_jump_on_retrace_never_passes(mono_sextic, monkeypatch):
@@ -369,13 +369,11 @@ def test_sheet_jump_on_retrace_never_passes(mono_sextic, monkeypatch):
 
     system, result, cfg, _ = mono_sextic
     real = tracker.track_fiber
-    legs, retraced = [], []
+    retraced = []
 
     def jumpy(system, fiber, p_to, cfg, **kwargs):
         out = real(system, fiber, p_to, cfg, **kwargs)
         if np.array_equal(fiber.params, result.base.params):
-            legs.append(out.params)
-        elif any(np.array_equal(fiber.params, q) for q in legs):
             retraced.append(1)
             return tracker.FiberSample(out.params, tuple(s + 1e-3 for s in out.solutions))
         return out
@@ -387,7 +385,35 @@ def test_sheet_jump_on_retrace_never_passes(mono_sextic, monkeypatch):
     )
     assert [c.status for c in out.candidates] == ["undetermined"]
     assert out.lattice.torsion == ()
-    assert len(legs) == len(retraced) == 3
+    assert len(retraced) == 3
+
+
+def test_transient_path_failure_retries_with_a_fresh_gamma(mono_sextic, monkeypatch):
+    """One failed path costs one attempt: the sextic flip passes on its
+    second gamma, with the orbit tracked and retraced once."""
+    from decksym import tracker
+
+    system, result, cfg, _ = mono_sextic
+    deck = _deck(result)
+    real = tracker.track_path
+    gammas = []
+
+    def fail_first(system, x, p_from, p_to, cfg, gamma=None, **kwargs):
+        gammas.append(gamma)
+        if len(gammas) == 1:
+            return tracker.PathResult("singular", None, 0, np.inf)
+        return real(system, x, p_from, p_to, cfg, gamma=gamma, **kwargs)
+
+    monkeypatch.setattr(tracker, "track_path", fail_first)
+    out = commuting_discrete_scalings(
+        detect_scalings(system), system, result, deck, cfg.tracker, np.random.default_rng(1)
+    )
+    assert [c.status for c in out.candidates] == ["passed"]
+    assert out.lattice.torsion[0].rank == 1
+    orbit = 1 + len(deck)
+    first, second = gammas[0], gammas[1]
+    assert second != first
+    assert gammas[1:] == [second] * orbit + [1.0 / second] * orbit
 
 
 def test_ex57_all_candidates_rejected(mono_ex57):

@@ -207,7 +207,7 @@ def test_sample_fiber_draws_target_then_gamma():
         seen.append(gamma)
         return len(seen) == 2
 
-    sample, gamma = tracker.sample_fiber(EX41, fiber, CFG, rng, 3, accept)
+    sample, gamma = tracker.sample_fiber(EX41, fiber, CFG, rng, accept)
     for _ in range(2):
         target = twin.standard_normal(1) + 1j * twin.standard_normal(1)
         expected_gamma = complex(np.exp(2j * np.pi * twin.random()))
@@ -216,7 +216,11 @@ def test_sample_fiber_draws_target_then_gamma():
     again = track_fiber(EX41, fiber, target, CFG, gamma=expected_gamma)
     assert [s.tobytes() for s in sample.solutions] == [s.tobytes() for s in again.solutions]
     assert rng.random() == twin.random()
-    assert tracker.sample_fiber(EX41, fiber, CFG, rng, 2, lambda s, g: False) is None
+    # Three attempts, each drawing its target and gamma, then None.
+    assert tracker.sample_fiber(EX41, fiber, CFG, rng, lambda s, g: False) is None
+    for _ in range(3):
+        twin.standard_normal(1), twin.standard_normal(1), twin.random()
+    assert rng.random() == twin.random()
 
 
 def test_segment_through_discriminant_fails():

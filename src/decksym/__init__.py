@@ -32,7 +32,6 @@ from .interp import (
 )
 from .monodromy import (
     FiberSample,
-    MonodromyConfig,
     MonodromyError,
     MonodromyResult,
     run_monodromy,
@@ -60,7 +59,6 @@ from .scaling import (
 )
 from .tracker import (
     PathResult,
-    TrackerConfig,
     newton_polish,
     track_fiber,
     track_path,

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fixtures, interp, monodromy, permgrp, scaling
+from . import fixtures, interp, monodromy, numcore, permgrp, scaling, tracker
 from .expr import (
     ParseError,
     System,
@@ -34,8 +34,7 @@ from .expr import (
     parse_seed_pair,
     parse_system,
 )
-from .monodromy import MonodromyConfig, MonodromyError, MonodromyResult
-from .tracker import TrackerConfig
+from .monodromy import MonodromyError, MonodromyResult
 
 SCHEMA_VERSION = 1
 GROUP_ORDER_CAP = 10**6
@@ -54,24 +53,18 @@ class RunConfig:
     expected_degree: int | None = None
     threads: int = 1  # no-op kept for compatibility; echoed as config.threads
     out_path: str | None = None
-    tol_newton: float = 1e-10
-    tol_path: float = 1e-8
-    tol_rank: float = 1e-8
-    tol_truncate: float = 1e-5
     verify_trials: int = 5
 
     def __post_init__(self):
         if self.degree_bound < 1:
             raise ValueError("degree bound must be >= 1")
-
-    def tracker_config(self) -> TrackerConfig:
-        return TrackerConfig(newton_tol=self.tol_newton, path_tol=self.tol_path)
-
-    def monodromy_config(self) -> MonodromyConfig:
-        return MonodromyConfig(
-            expected_degree=self.expected_degree,
-            tracker=self.tracker_config(),
-        )
+        if self.rng_seed < 0:
+            raise ValueError("rng seed must be >= 0")
+        # run_monodromy never returns fewer than 2 solutions.
+        if self.expected_degree is not None and self.expected_degree < 2:
+            raise ValueError("expected degree must be >= 2")
+        if self.verify_trials < 1:
+            raise ValueError("verify trials must be >= 1")
 
 
 class StageFailure(RuntimeError):
@@ -139,10 +132,10 @@ class Pipeline:
                 "expected_degree": cfg.expected_degree,
                 "threads": cfg.threads,
                 "tolerances": {
-                    "newton": cfg.tol_newton,
-                    "path": cfg.tol_path,
-                    "rank": cfg.tol_rank,
-                    "truncate": cfg.tol_truncate,
+                    "newton": tracker.NEWTON_TOL,
+                    "path": tracker.PATH_TOL,
+                    "rank": numcore.DEFAULT_RANK_TOL,
+                    "truncate": interp.TRUNCATE_TOL,
                 },
             },
             "timings": {},
@@ -198,7 +191,7 @@ class Pipeline:
     def run_monodromy(self):
         pair = self.seed()
         self.mono = monodromy.run_monodromy(
-            self.system, pair, self.cfg.monodromy_config(), self.rng
+            self.system, pair, self.rng, expected_degree=self.cfg.expected_degree
         )
         base = self.mono.base
         self.report["fiber"] = {
@@ -258,7 +251,6 @@ class Pipeline:
                 self.system,
                 self.mono,
                 self.deck_perms,
-                self.cfg.tracker_config(),
                 self.rng,
             )
             self.lattice = filt.lattice
@@ -289,10 +281,6 @@ class Pipeline:
                 "skipped": "no nontrivial deck transformations"
             }
             return
-        cfg = self.cfg.monodromy_config()
-        common = dict(
-            rank_tol=self.cfg.tol_rank, truncate_tol=self.cfg.tol_truncate
-        )
         if self.cfg.graded:
             if self.lattice is None:
                 raise StageFailure("interpolation", "scaling stage did not run")
@@ -303,9 +291,7 @@ class Pipeline:
                 self.lattice,
                 self.cfg.degree_bound,
                 self.cfg.parameter_dependent,
-                cfg,
                 self.rng,
-                **common,
             )
         else:
             self.decks, stats = interp.interpolate_dense(
@@ -314,9 +300,7 @@ class Pipeline:
                 self.deck_perms,
                 self.cfg.degree_bound,
                 self.cfg.parameter_dependent,
-                cfg,
                 self.rng,
-                **common,
             )
         self.report["interpolation"] = {
             "graded": stats.graded,
@@ -347,7 +331,6 @@ class Pipeline:
         if not self.decks:
             self.report["verification"] = []
             return
-        cfg = self.cfg.monodromy_config()
         out = []
         all_ok = True
         for deck in self.decks:
@@ -364,7 +347,6 @@ class Pipeline:
                 deck,
                 self.mono,
                 self.cfg.verify_trials,
-                cfg,
                 self.rng,
                 lattice=self.lattice,
             )
@@ -389,7 +371,6 @@ class Pipeline:
             deck,
             self.mono,
             self.cfg.verify_trials,
-            self.cfg.monodromy_config(),
             self.rng,
             lattice=self.lattice,
         )
@@ -503,10 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="no-op kept for compatibility (echoed in the report config)",
         )
         p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--tol-newton", type=float, default=1e-10)
-        p.add_argument("--tol-path", type=float, default=1e-8)
-        p.add_argument("--tol-rank", type=float, default=1e-8)
-        p.add_argument("--tol-truncate", type=float, default=1e-5)
         p.add_argument("--verify-trials", type=int, default=5)
         if name == "verify":
             p.add_argument("--formulas", required=True, help="deck formula file")
@@ -526,10 +503,6 @@ def config_from_args(args) -> RunConfig:
         expected_degree=args.expected_degree,
         threads=args.threads,
         out_path=args.out,
-        tol_newton=args.tol_newton,
-        tol_path=args.tol_path,
-        tol_rank=args.tol_rank,
-        tol_truncate=args.tol_truncate,
         verify_trials=args.verify_trials,
     )
 

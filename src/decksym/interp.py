@@ -27,7 +27,7 @@ import numpy as np
 from . import monodromy as monodromy_mod
 from . import numcore, permgrp, scaling
 from .expr import Exponent, Polynomial, RationalFunction, System, monomials_up_to_degree
-from .monodromy import MonodromyConfig, MonodromyResult
+from .monodromy import MonodromyResult
 from .permgrp import Perm
 from .tracker import FiberSample
 from . import tracker
@@ -49,7 +49,6 @@ class DeckMap:
     permutation: Perm
     coords: list[RationalFunction | None]
     degree_bound_used: int
-    worst_validation: float = 0.0
 
     @property
     def complete(self) -> bool:
@@ -104,12 +103,12 @@ def build_vandermonde(
     return np.hstack([vn, -imgs[:, None] * vd])
 
 
-def get_representative(rref_n: np.ndarray, split: int, truncate_tol: float = TRUNCATE_TOL):
+def get_representative(rref_n: np.ndarray, split: int):
     """Sparsest row of the reduced nullspace whose numerator and denominator
-    parts are both nonzero after truncating entries below ``truncate_tol``;
+    parts are both nonzero after truncating entries below ``TRUNCATE_TOL``;
     ties go to the earlier row.  None when no row qualifies."""
     m = np.array(rref_n, dtype=complex, copy=True)
-    m[np.abs(m) < truncate_tol] = 0.0
+    m[np.abs(m) < TRUNCATE_TOL] = 0.0
     best = None
     best_nz = None
     for row in m:
@@ -122,14 +121,10 @@ def get_representative(rref_n: np.ndarray, split: int, truncate_tol: float = TRU
     return best
 
 
-def constant_denominator_representative(
-    rref_n: np.ndarray,
-    split: int,
-    const_index: int = 0,
-    truncate_tol: float = TRUNCATE_TOL,
-):
+def constant_denominator_representative(rref_n: np.ndarray, split: int):
     """Search the row span for a polynomial representative: denominator fixed
-    to the constant monomial, numerator greedily sparsified.
+    to the constant monomial (the first denominator column, as
+    ``monomials_up_to_degree`` lists it), numerator greedily sparsified.
 
     Solves (r^T N)_denominator = e_const; the affine solution family is then
     scanned by repeatedly choosing the free parameter value that annihilates
@@ -141,19 +136,19 @@ def constant_denominator_representative(
     rows = m.shape[0]
     bt = m[:, split:].T  # (t_d, rows)
     target = np.zeros(bt.shape[0], dtype=complex)
-    target[const_index] = 1.0
+    target[0] = 1.0
     # rcond matters: RREF leaves ~1e-9 noise in "zero" entries, and fitting
     # it would pull in large spurious components along the solution family.
     r0, *_ = np.linalg.lstsq(bt, target, rcond=numcore.DEFAULT_RANK_TOL)
     if np.linalg.norm(bt @ r0 - target) > 1e-8 * max(1.0, np.linalg.norm(target)):
         return None
-    directions = numcore.nullspace(bt, numcore.DEFAULT_RANK_TOL)
+    directions = numcore.nullspace(bt)
     at = m[:, :split].T  # (t_n, rows)
     a = at @ r0
     dirs_a = [at @ directions[:, k] for k in range(directions.shape[1])]
 
     def nonzeros(vec):
-        return int(np.count_nonzero(np.abs(vec) > truncate_tol))
+        return int(np.count_nonzero(np.abs(vec) > TRUNCATE_TOL))
 
     changed = True
     while changed and dirs_a:
@@ -164,18 +159,18 @@ def constant_denominator_representative(
                 continue
             idx = np.where(active)[0]
             largest = idx[int(np.argmax(np.abs(a[idx])))]
-            if abs(a[largest]) <= truncate_tol:
+            if abs(a[largest]) <= TRUNCATE_TOL:
                 continue
             step = -a[largest] / da[largest]
             cand = a + step * da
             if nonzeros(cand) < nonzeros(a):
                 a = cand
                 changed = True
-    a = np.where(np.abs(a) > truncate_tol, a, 0.0)
+    a = np.where(np.abs(a) > TRUNCATE_TOL, a, 0.0)
     if not np.any(a):
         return None
     b = np.zeros(m.shape[1] - split, dtype=complex)
-    b[const_index] = 1.0
+    b[0] = 1.0
     return a, b
 
 
@@ -219,17 +214,17 @@ def _validate(
     rf: RationalFunction,
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     j: int,
-) -> tuple[bool, float]:
-    worst = 0.0
+) -> bool:
+    """Whether ``rf`` reproduces coordinate j of every pair within
+    ``VALIDATE_RTOL``."""
     for pt, img in pairs:
         den = rf.denominator.evaluate(pt)
         if abs(den) < 1e-12 * (1 + abs(rf.numerator.evaluate(pt))):
-            return False, np.inf
+            return False
         err = abs(rf.numerator.evaluate(pt) / den - img[j]) / (1.0 + abs(img[j]))
-        worst = max(worst, err)
         if not np.isfinite(err) or err > VALIDATE_RTOL:
-            return False, worst
-    return True, worst
+            return False
+    return True
 
 
 class SampleCache:
@@ -244,13 +239,11 @@ class SampleCache:
         system: System,
         mono: MonodromyResult,
         deck_perms: Sequence[Perm],
-        cfg: MonodromyConfig,
         rng: np.random.Generator,
     ):
         self.system = system
         self.mono = mono
         self.deck_perms = list(deck_perms)
-        self.cfg = cfg
         self.rng = rng
         self.samples: list[FiberSample] = []
 
@@ -262,7 +255,6 @@ class SampleCache:
                     self.mono,
                     self.deck_perms,
                     count - len(self.samples),
-                    self.cfg,
                     self.rng,
                 )
             )
@@ -307,30 +299,27 @@ def _try_candidate(
     k: int,
     size: int,
     holdout: Sequence[tuple[np.ndarray, np.ndarray]],
-    rank_tol: float,
-    truncate_tol: float,
-):
+) -> RationalFunction | None:
+    """The validated formula for coordinate j of deck k from the first
+    ``size`` samples, snapped when the snap still validates; None when the
+    nullspace has no representative or it fails the held-out samples."""
     imgs = arrays.images[k][:size, j]
     a_mat = np.hstack([vn[:size], -imgs[:, None] * vd[:size]])
     try:
-        null = numcore.nullspace(a_mat, rank_tol)
+        null = numcore.nullspace(a_mat)
     except (np.linalg.LinAlgError, ValueError):
         return None
     if null.shape[1] == 0:
         return None
     reduced = numcore.rref(null.T)
-    rep = get_representative(reduced, len(numer_monos), truncate_tol)
+    rep = get_representative(reduced, len(numer_monos))
     if rep is None:
         return None
     rf = representative_to_rational(rep[0], rep[1], numer_monos, denom_monos, system.n + system.m)
-    ok, worst = _validate(rf, holdout, j)
-    if not ok:
+    if not _validate(rf, holdout, j):
         return None
     snapped = snap_rational(rf)
-    ok2, worst2 = _validate(snapped, holdout, j)
-    if ok2:
-        return snapped, worst2
-    return rf, worst
+    return snapped if _validate(snapped, holdout, j) else rf
 
 
 def monomial_classes(
@@ -356,10 +345,7 @@ def _interpolate(
     lattice: scaling.ScalingLattice,
     degree_bound: int,
     parameter_dependent: bool,
-    cfg: MonodromyConfig,
     rng: np.random.Generator,
-    rank_tol: float,
-    truncate_tol: float,
 ) -> tuple[list[DeckMap], InterpolationStats]:
     """Degree-by-degree interpolation of every deck permutation over the
     multidegree classes of the lattice.
@@ -378,7 +364,7 @@ def _interpolate(
     stats = InterpolationStats(parameter_dependent=parameter_dependent, graded=True)
     if not perms:
         return decks, stats
-    cache = SampleCache(system, mono, perms, cfg, rng)
+    cache = SampleCache(system, mono, perms, rng)
 
     for degree in range(1, degree_bound + 1):
         monos = monomials_up_to_degree(n, m, degree, parameter_dependent)
@@ -423,12 +409,10 @@ def _interpolate(
                     got = _try_candidate(
                         system, arrays, vn, vd, mon_n, mon_d, j, k,
                         len(mon_n) + len(mon_d), holdouts[k],
-                        rank_tol, truncate_tol,
                     )
                     if got is not None:
-                        deck.coords[j] = got[0]
+                        deck.coords[j] = got
                         deck.degree_bound_used = degree
-                        deck.worst_validation = max(deck.worst_validation, got[1])
         if all(d.complete for d in decks):
             break
     return decks, stats
@@ -441,16 +425,12 @@ def interpolate_graded(
     lattice: scaling.ScalingLattice,
     degree_bound: int,
     parameter_dependent: bool,
-    cfg: MonodromyConfig,
     rng: np.random.Generator,
-    rank_tol: float = numcore.DEFAULT_RANK_TOL,
-    truncate_tol: float = TRUNCATE_TOL,
 ) -> tuple[list[DeckMap], InterpolationStats]:
     """Quasi-homogeneous interpolation over the multidegree classes of the
     lattice (see ``_interpolate``)."""
     return _interpolate(
-        system, mono, deck_perms, lattice, degree_bound, parameter_dependent,
-        cfg, rng, rank_tol, truncate_tol,
+        system, mono, deck_perms, lattice, degree_bound, parameter_dependent, rng
     )
 
 
@@ -460,10 +440,7 @@ def interpolate_dense(
     deck_perms: Sequence[Perm],
     degree_bound: int,
     parameter_dependent: bool,
-    cfg: MonodromyConfig,
     rng: np.random.Generator,
-    rank_tol: float = numcore.DEFAULT_RANK_TOL,
-    truncate_tol: float = TRUNCATE_TOL,
 ) -> tuple[list[DeckMap], InterpolationStats]:
     """Dense interpolation: the graded loop over the empty lattice, where all
     monomials up to each degree form one class of t monomials fitted on 2t
@@ -471,8 +448,7 @@ def interpolate_dense(
     nvars = system.n + system.m
     empty = scaling.ScalingLattice(nvars, scaling.IntMatrix(0, nvars, ()), ())
     decks, stats = _interpolate(
-        system, mono, deck_perms, empty, degree_bound, parameter_dependent,
-        cfg, rng, rank_tol, truncate_tol,
+        system, mono, deck_perms, empty, degree_bound, parameter_dependent, rng
     )
     stats.graded, stats.class_count, stats.largest_class = False, 0, 0
     return decks, stats
@@ -509,7 +485,6 @@ def verify_deck(
     deck: DeckMap,
     mono: MonodromyResult,
     trial_count: int,
-    cfg: MonodromyConfig,
     rng: np.random.Generator,
     lattice: scaling.ScalingLattice | None = None,
 ) -> DeckVerification:
@@ -521,8 +496,11 @@ def verify_deck(
     row.  Failures are reported, not raised.  A fiber that
     ``tracker.sample_fiber`` cannot track in three attempts is dropped, and a
     check with fewer tracked fibers than ``trial_count`` does not pass: zero
-    fibers would otherwise pass vacuously.
+    fibers would otherwise pass vacuously.  For the same reason a
+    ``trial_count`` below 1 is a ValueError.
     """
+    if trial_count < 1:
+        raise ValueError("trial_count must be >= 1")
     present = [j for j, c in enumerate(deck.coords) if c is not None]
     if not present:
         raise ValueError("deck map has no interpolated coordinates")
@@ -534,7 +512,7 @@ def verify_deck(
     worst_res = 0.0
     fibers: list[FiberSample] = []
     for _ in range(trial_count):
-        got = tracker.sample_fiber(system, mono.base, cfg.tracker, rng)
+        got = tracker.sample_fiber(system, mono.base, rng)
         if got is not None:
             fibers.append(got[0])
 
@@ -574,7 +552,7 @@ def verify_deck(
 
     return DeckVerification(
         pairing_ok=worst_pair <= VALIDATE_RTOL,
-        fiber_ok=(worst_res <= max(10 * cfg.tracker.path_tol, 1e-6)) if deck.complete else None,
+        fiber_ok=(worst_res <= max(10 * tracker.PATH_TOL, 1e-6)) if deck.complete else None,
         quasi_ok=quasi_ok,
         worst_pairing=worst_pair,
         worst_fiber_residual=worst_res,

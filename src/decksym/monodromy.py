@@ -37,11 +37,10 @@ import numpy as np
 from . import numcore, permgrp, tracker
 from .expr import System, coeff_to_complex
 from .permgrp import Perm
-from .tracker import MATCH_TOL, FiberSample, TrackerConfig
+from .tracker import MATCH_TOL, PATH_TOL, FiberSample
 
 __all__ = [
     "FiberSample",
-    "MonodromyConfig",
     "MonodromyError",
     "MonodromyResult",
     "check_deck_perms",
@@ -60,12 +59,6 @@ _STALL_LIMIT = 10
 _PERM_STALL_LIMIT = 5
 _MAX_LOOPS = 400
 _SEED_RESIDUAL_TOL = 1e-10
-
-
-@dataclass
-class MonodromyConfig:
-    expected_degree: int | None = None
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
 
 
 Segment = tuple[np.ndarray, np.ndarray, complex]  # (from, to, gamma) of one tracked arc
@@ -129,8 +122,8 @@ class _Edge:
 class _Graph:
     """The homotopy graph: node parameters, node fibers and edges."""
 
-    def __init__(self, system: System, p0, x0, cfg: TrackerConfig):
-        self.system, self.cfg = system, cfg
+    def __init__(self, system: System, p0, x0):
+        self.system = system
         self.params: list[np.ndarray] = [p0]
         self.fibers: list[list[np.ndarray]] = [[x0]]
         self.edges: list[_Edge] = []
@@ -175,9 +168,7 @@ class _Graph:
         p_from, p_to, gamma = e.segment(direction, self.params)
         e.tried.add((direction, i))
         self.tracked += 1
-        r = tracker.track_path(
-            self.system, self.fibers[src][i], p_from, p_to, self.cfg, gamma=gamma
-        )
+        r = tracker.track_path(self.system, self.fibers[src][i], p_from, p_to, gamma=gamma)
         if not r.success:
             self.failed += 1
             return
@@ -202,9 +193,7 @@ class _Graph:
             if d1 < 100 * MATCH_TOL:
                 return None
         try:
-            new = tracker.newton_polish(
-                self.system, point, self.params[node], self.cfg.path_tol / 100
-            )
+            new = tracker.newton_polish(self.system, point, self.params[node], PATH_TOL / 100)
         except tracker.NewtonError:
             return None
         if fiber:
@@ -353,8 +342,9 @@ def seed_from_linear_params(
 def run_monodromy(
     system: System,
     seed: tuple[np.ndarray, np.ndarray],
-    cfg: MonodromyConfig,
     rng: np.random.Generator,
+    *,
+    expected_degree: int | None = None,
 ) -> MonodromyResult:
     """Grow the homotopy graph round by round from the seed pair and read
     the generators off its cycles.
@@ -366,8 +356,8 @@ def run_monodromy(
     expected degree fails only then.
     """
     x0, p0 = np.asarray(seed[0], dtype=complex), np.asarray(seed[1], dtype=complex)
-    x0 = tracker.newton_polish(system, x0, p0, cfg.tracker.path_tol / 100)
-    graph = _Graph(system, p0, x0, cfg.tracker)
+    x0 = tracker.newton_polish(system, x0, p0, PATH_TOL / 100)
+    graph = _Graph(system, p0, x0)
     fiber = graph.fibers[0]
     cycles: list[LoopRecord] = []
     rounds = 0
@@ -403,10 +393,10 @@ def run_monodromy(
             else:
                 since_new_perm += 1
 
-        if cfg.expected_degree is None:
+        if expected_degree is None:
             fiber_stable = since_new_sol >= _STALL_LIMIT
         else:
-            fiber_stable = len(fiber) >= cfg.expected_degree
+            fiber_stable = len(fiber) >= expected_degree
         if (
             fiber_stable
             and perms
@@ -417,10 +407,8 @@ def run_monodromy(
 
     if len(fiber) < 2:
         raise MonodromyError("monodromy stalled with fewer than 2 solutions")
-    if cfg.expected_degree is not None and len(fiber) != cfg.expected_degree:
-        raise MonodromyError(
-            f"found {len(fiber)} solutions, expected {cfg.expected_degree}"
-        )
+    if expected_degree is not None and len(fiber) != expected_degree:
+        raise MonodromyError(f"found {len(fiber)} solutions, expected {expected_degree}")
     base = FiberSample(p0, tuple(fiber))
     if base.min_pairwise_distance() <= MATCH_TOL:
         raise MonodromyError("fiber solutions are not well separated")
@@ -472,7 +460,6 @@ def sample_orbit(
     result: MonodromyResult,
     deck_perms: Sequence[Perm],
     count: int,
-    cfg: MonodromyConfig,
     rng: np.random.Generator,
 ) -> list[FiberSample]:
     """Track the deck orbit of the base solution to ``count`` random targets.
@@ -487,11 +474,11 @@ def sample_orbit(
     _, orbit = deck_orbit(result, deck_perms)
 
     def roundtrip(sample: FiberSample, gamma: complex) -> bool:
-        return tracker.retraces(system, orbit, sample, gamma, cfg.tracker)
+        return tracker.retraces(system, orbit, sample, gamma)
 
     samples: list[FiberSample] = []
     for _ in range(count):
-        got = tracker.sample_fiber(system, orbit, cfg.tracker, rng, roundtrip)
+        got = tracker.sample_fiber(system, orbit, rng, roundtrip)
         if got is None:
             raise MonodromyError("orbit sampling failed after 3 retries")
         samples.append(got[0])

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 DEFAULT_RANK_TOL = 1e-8
-DEFAULT_PIVOT_TOL = 1e-8
+PIVOT_TOL = 1e-8
 
 
 def _svd_vals_vh(a: np.ndarray):
@@ -52,19 +52,17 @@ def rank(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.sum(s > rank_tol * s[0]))
 
 
-def rref(m: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
+def rref(m: np.ndarray) -> np.ndarray:
     """Reduced row echelon form with partial pivoting.
 
-    Entries below pivot_tol (relative to the largest entry of the input) are
-    treated as zero during pivot selection; pivots are normalized to 1 and
-    their columns cleared.
+    Entries below ``PIVOT_TOL`` (relative to the largest entry of the input)
+    are treated as zero during pivot selection; pivots are normalized to 1
+    and their columns cleared.
     """
-    if pivot_tol <= 0:
-        raise ValueError("pivot_tol must be positive")
     m = np.array(m, dtype=complex, copy=True)
     if m.size == 0:
         return m
-    threshold = pivot_tol * max(1.0, float(np.abs(m).max()))
+    threshold = PIVOT_TOL * max(1.0, float(np.abs(m).max()))
     rows, cols = m.shape
     r = 0
     for c in range(cols):

@@ -481,7 +481,6 @@ def commuting_discrete_scalings(
     system: System,
     mono: monodromy.MonodromyResult,
     deck_perms: Sequence[tuple[int, ...]],
-    cfg: tracker.TrackerConfig,
     rng: np.random.Generator,
 ) -> DiscreteScalingFilter:
     """Filter the torsion blocks down to scalings that preserve the tracked
@@ -521,9 +520,7 @@ def commuting_discrete_scalings(
         candidates, truncated = _enumerate_candidates(blk)
         truncated_any = truncated_any or truncated
         for u in candidates:
-            outcome = _test_candidate(
-                system, lattice, base, orbit, u, lam, nontrivial, cfg, rng
-            )
+            outcome = _test_candidate(system, lattice, base, orbit, u, lam, nontrivial, rng)
             outcomes.append(CandidateOutcome(d, u, outcome))
             if outcome == "passed":
                 passing.setdefault(d, []).append(u)
@@ -544,9 +541,7 @@ def commuting_discrete_scalings(
     return DiscreteScalingFilter(filtered, outcomes, truncated_any, composite)
 
 
-def _test_candidate(
-    system, lattice, base, orbit, u, lam, deck_perms, cfg, rng
-) -> str:
+def _test_candidate(system, lattice, base, orbit, u, lam, deck_perms, rng) -> str:
     n = system.n
     p0 = orbit.params
     p_scaled = apply_scaling(u[n:], lam, p0)
@@ -557,7 +552,7 @@ def _test_candidate(
             point = repatch_point(system, lattice, point)
         except ValueError:
             return "failed_stability"
-        if not tracker.is_start_point(system, point[:n], p_scaled, cfg):
+        if not tracker.is_start_point(system, point[:n], p_scaled):
             return "failed_stability"
         starts.append(point[:n])
     scaled = tracker.FiberSample(p_scaled, tuple(starts))
@@ -579,7 +574,7 @@ def _test_candidate(
         # only when it stays on the tracked component.
         ends = []
         for start in starts:
-            r = tracker.track_path(system, start, p_scaled, p0, cfg, gamma=gamma)
+            r = tracker.track_path(system, start, p_scaled, p0, gamma=gamma)
             if not r.success:
                 break
             if not ends and tracker.nearest(r.endpoint, base.solutions)[1] > tracker.MATCH_TOL:
@@ -594,7 +589,7 @@ def _test_candidate(
         c = landed[0]
         if any(b != sigma[c] for b, sigma in zip(landed[1:], deck_perms)):
             return "failed_commutation"
-        if tracker.retraces(system, scaled, back, gamma, cfg):
+        if tracker.retraces(system, scaled, back, gamma):
             return "passed"
     return "undetermined"
 

@@ -5,9 +5,9 @@ reparametrized through a unit complex gamma (tau = gamma t / (1 + (gamma -
 1) t)); a random gamma makes the path avoid the discriminant with
 probability one, and gamma = 1 is the straight segment.  Step control:
 accept a step when the corrector converges, double the step after three
-consecutive accepts, halve on rejection.  Only the Newton and path
-tolerances are configurable (``TrackerConfig``); the step sizes and factors,
-the corrector's iteration count and the divergence bound are module
+consecutive accepts, halve on rejection.  The corrector converges at
+``NEWTON_TOL`` and a path ends within ``PATH_TOL``; these, the step sizes and
+factors, the corrector's iteration count and the divergence bound are module
 constants.
 
 ``sample_fiber`` is the one place that tracks a fiber to a fresh random
@@ -77,17 +77,6 @@ class FiberTrackingError(TrackingError):
 
 
 @dataclass(frozen=True)
-class TrackerConfig:
-    newton_tol: float = 1e-10
-    path_tol: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("newton_tol", "path_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
 class PathResult:
     status: str  # "success" | "diverged" | "singular" | "step_underflow"
     endpoint: np.ndarray | None
@@ -130,6 +119,10 @@ class FiberSample:
 # Max-norm distance within which two fiber solutions coincide: a fiber is
 # pairwise distinct, and a tracked point matches a known one, on this scale.
 MATCH_TOL = 1e-6
+# ||F||_inf at which the corrector converges, and at which a path's endpoint
+# counts as a solution.
+NEWTON_TOL = 1e-10
+PATH_TOL = 1e-8
 
 
 def nearest(point, pool) -> tuple[int, float, float]:
@@ -312,18 +305,16 @@ def random_params(m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
 
-def _start_newton(comp, x, p, cfg: TrackerConfig):
-    """The start check of a path: Newton to 10 x ``newton_tol`` within the
+def _start_newton(comp, x, p):
+    """The start check of a path: Newton to 10 x ``NEWTON_TOL`` within the
     corrector's iteration count.  Returns (x, residual, converged)."""
-    x, res, ok, _sing, _ = _newton(
-        comp, x, p, cfg.newton_tol * 10, _MAX_NEWTON_ITERS, _MAX_NORM
-    )
+    x, res, ok, _sing, _ = _newton(comp, x, p, NEWTON_TOL * 10, _MAX_NEWTON_ITERS, _MAX_NORM)
     return x, res, ok
 
 
-def is_start_point(system: System, x, p, cfg: TrackerConfig) -> bool:
+def is_start_point(system: System, x, p) -> bool:
     """Whether ``track_path`` accepts x as a start point over p."""
-    return _start_newton(compiled(system), x, p, cfg)[2]
+    return _start_newton(compiled(system), x, p)[2]
 
 
 def track_path(
@@ -331,7 +322,6 @@ def track_path(
     x_start,
     p_from,
     p_to,
-    cfg: TrackerConfig,
     *,
     rng: np.random.Generator | None = None,
     gamma: complex | None = None,
@@ -348,7 +338,7 @@ def track_path(
         gamma = draw_gamma(rng)
     dp = p_to - p_from
 
-    x, res, ok = _start_newton(comp, x_start, p_from, cfg)
+    x, res, ok = _start_newton(comp, x_start, p_from)
     if not ok:
         raise ValueError(
             f"start point does not satisfy the system (residual {res:.3e})"
@@ -387,7 +377,7 @@ def track_path(
             if np.all(np.isfinite(x_pred)):
                 p_next, _ = path_point(t + h)
                 x_new, res, ok, sing, first_step = _newton(
-                    comp, x_pred, p_next, cfg.newton_tol, _MAX_NEWTON_ITERS, _MAX_NORM
+                    comp, x_pred, p_next, NEWTON_TOL, _MAX_NEWTON_ITERS, _MAX_NORM
                 )
                 singular_seen = singular_seen or sing
                 # Guard against sheet jumps: the corrector must stay a small
@@ -395,7 +385,7 @@ def track_path(
                 # otherwise it may have converged onto a different path.
                 motion = float(np.abs(x_pred - x).max())
                 contraction_ok = first_step <= max(
-                    0.2 * motion, 1000 * cfg.newton_tol * (1.0 + float(np.abs(x).max()))
+                    0.2 * motion, 1000 * NEWTON_TOL * (1.0 + float(np.abs(x).max()))
                 )
                 if ok and contraction_ok:
                     accepted = True
@@ -419,10 +409,10 @@ def track_path(
                 status = "singular" if singular_seen else "step_underflow"
                 return PathResult(status, None, steps, np.inf)
 
-    x, res, ok, sing, _ = _newton(comp, x, p_to, cfg.newton_tol, 12, _MAX_NORM)
+    x, res, ok, sing, _ = _newton(comp, x, p_to, NEWTON_TOL, 12, _MAX_NORM)
     if float(np.abs(x).max()) > _MAX_NORM or not np.isfinite(res):
         return PathResult("diverged", None, steps, np.inf)
-    if res > cfg.path_tol:
+    if res > PATH_TOL:
         return PathResult("singular", None, steps, res)
     return PathResult("success", x, steps, res)
 
@@ -431,7 +421,6 @@ def track_fiber(
     system: System,
     fiber: FiberSample,
     p_to,
-    cfg: TrackerConfig,
     *,
     rng: np.random.Generator | None = None,
     gamma: complex | None = None,
@@ -449,9 +438,7 @@ def track_fiber(
     if gamma is None:
         gamma = draw_gamma(rng)
 
-    results = [
-        track_path(system, sol, fiber.params, p_to, cfg, gamma=gamma) for sol in fiber.solutions
-    ]
+    results = [track_path(system, sol, fiber.params, p_to, gamma=gamma) for sol in fiber.solutions]
 
     bad = [i for i, r in enumerate(results) if not r.success]
     if bad:
@@ -464,13 +451,7 @@ def track_fiber(
     return out
 
 
-def retraces(
-    system: System,
-    start: FiberSample,
-    sample: FiberSample,
-    gamma: complex,
-    cfg: TrackerConfig,
-) -> bool:
+def retraces(system: System, start: FiberSample, sample: FiberSample, gamma: complex) -> bool:
     """Whether ``sample``, tracked from ``start`` with ``gamma``, retraces its
     arc back to ``start``: gamma -> 1/gamma reverses the same arc exactly,
     and every point must return within ``MATCH_TOL`` of its start.
@@ -480,7 +461,7 @@ def retraces(
     jump on the way out lands somewhere else on the way back.
     """
     try:
-        back = track_fiber(system, sample, start.params, cfg, gamma=1.0 / gamma)
+        back = track_fiber(system, sample, start.params, gamma=1.0 / gamma)
     except FiberTrackingError:
         return False
     return not any(
@@ -492,7 +473,6 @@ def retraces(
 def sample_fiber(
     system: System,
     fiber: FiberSample,
-    cfg: TrackerConfig,
     rng: np.random.Generator,
     accept: Callable[[FiberSample, complex], bool] | None = None,
 ) -> tuple[FiberSample, complex] | None:
@@ -506,7 +486,7 @@ def sample_fiber(
         target = random_params(system.m, rng)
         gamma = draw_gamma(rng)
         try:
-            sample = track_fiber(system, fiber, target, cfg, gamma=gamma)
+            sample = track_fiber(system, fiber, target, gamma=gamma)
         except FiberTrackingError:
             continue
         if accept is None or accept(sample, gamma):

@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from decksym import tracker
 from decksym.expr import parse_system
-from decksym.monodromy import MonodromyConfig, run_monodromy, seed_from_linear_params
+from decksym.monodromy import run_monodromy, seed_from_linear_params
 from decksym.permgrp import inverse
 from decksym.tracker import MATCH_TOL, compiled
 
@@ -46,7 +46,7 @@ def max_residual(system, sample) -> float:
     return max(float(np.abs(comp.f_at(s, sample.params)).max()) for s in sample.solutions)
 
 
-def assert_cycles_retrace(system, result, cfg):
+def assert_cycles_retrace(system, result):
     """Retrace every recorded generator cycle backwards (segments in reverse
     order, each with 1/gamma) from every base solution: each must come back
     to its preimage under the cycle's permutation.  Re-tracking the arcs
@@ -59,7 +59,7 @@ def assert_cycles_retrace(system, result, cfg):
         for j, sol in enumerate(sols):
             cur = sol
             for p_from, p_to, gamma in reversed(record.segments):
-                r = tracker.track_path(system, cur, p_to, p_from, cfg.tracker, gamma=1.0 / gamma)
+                r = tracker.track_path(system, cur, p_to, p_from, gamma=1.0 / gamma)
                 assert r.success, f"retrace failed ({r.status})"
                 cur = r.endpoint
             best, dist, _ = tracker.nearest(cur, sols)
@@ -71,11 +71,10 @@ def assert_cycles_retrace(system, result, cfg):
 def run_fixture_monodromy(text, degree, seed_rng, x_star="random", seed_pair=None):
     system = parse_system(text)
     rng = np.random.default_rng(seed_rng)
-    cfg = MonodromyConfig(expected_degree=degree)
     if seed_pair is None:
         seed_pair = seed_from_linear_params(system, x_star, rng)
-    result = run_monodromy(system, seed_pair, cfg, rng)
-    return system, result, cfg, rng
+    result = run_monodromy(system, seed_pair, rng, expected_degree=degree)
+    return system, result, rng
 
 
 @pytest.fixture(scope="session")

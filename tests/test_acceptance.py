@@ -33,7 +33,7 @@ from decksym.interp import (
     snap_rational,
     verify_deck,
 )
-from decksym.monodromy import MonodromyConfig, run_monodromy, sample_orbit
+from decksym.monodromy import run_monodromy, sample_orbit
 from decksym.numcore import nullspace, rref
 from decksym.permgrp import (
     centralizer_in_symmetric,
@@ -62,15 +62,13 @@ def pipeline(name, rng_seed=0, graded=False):
     """monodromy -> centralizer (-> scaling filter), returning a state dict."""
     system, seed = load_fixture(name)
     rng = np.random.default_rng(rng_seed)
-    cfg = MonodromyConfig(expected_degree=EXPECTED_DEGREE[name])
     t0 = time.perf_counter()
-    mono = run_monodromy(system, seed, cfg, rng)
+    mono = run_monodromy(system, seed, rng, expected_degree=EXPECTED_DEGREE[name])
     cent = centralizer_in_symmetric(mono.group())
     deck_perms = [p for p in cent if p != identity(mono.degree)]
     state = {
         "system": system,
         "rng": rng,
-        "cfg": cfg,
         "mono": mono,
         "centralizer": cent,
         "deck_perms": deck_perms,
@@ -79,7 +77,7 @@ def pipeline(name, rng_seed=0, graded=False):
     if graded:
         lattice = scaling.detect_scalings(system)
         filt = scaling.commuting_discrete_scalings(
-            lattice, system, mono, deck_perms, cfg.tracker, rng
+            lattice, system, mono, deck_perms, rng
         )
         state["lattice"] = lattice
         state["filtered"] = filt
@@ -87,12 +85,12 @@ def pipeline(name, rng_seed=0, graded=False):
 
 
 def fresh_fiber_points(state, count):
-    system, mono, cfg, rng = state["system"], state["mono"], state["cfg"], state["rng"]
+    system, mono, rng = state["system"], state["mono"], state["rng"]
     pts = []
     while len(pts) < count:
         target = rng.standard_normal(system.m) + 1j * rng.standard_normal(system.m)
         try:
-            sample = track_fiber(system, mono.base, target, cfg.tracker, rng=rng)
+            sample = track_fiber(system, mono.base, target, rng=rng)
         except FiberTrackingError:
             continue
         for sol in sample.solutions:
@@ -150,7 +148,7 @@ def test_criterion_1_ex41(tmp_path):
     # paper's two-row reduced nullspace at D = 1
     state = pipeline("ex4_1", rng_seed=1)
     samples = sample_orbit(
-        state["system"], state["mono"], state["deck_perms"], 6, state["cfg"], state["rng"]
+        state["system"], state["mono"], state["deck_perms"], 6, state["rng"]
     )
     monos = monomials_up_to_degree(1, 1, 1, True)
     pairs = [
@@ -171,14 +169,14 @@ def test_criterion_1_ex41(tmp_path):
 def test_criterion_2_ex42():
     t0 = time.perf_counter()
     state = pipeline("ex4_2")
-    system, mono, cfg, rng = state["system"], state["mono"], state["cfg"], state["rng"]
-    decks, _ = interpolate_dense(system, mono, state["deck_perms"], 1, True, cfg, rng)
+    system, mono, rng = state["system"], state["mono"], state["rng"]
+    decks, _ = interpolate_dense(system, mono, state["deck_perms"], 1, True, rng)
     assert decks[0].complete
     expected = parse_expression("1 - y - 2*p", system.names)
     pts = fresh_fiber_points(state, 20)
     assert_formulas_agree(decks[0].coords[1], expected, pts, 1e-8)
 
-    samples = sample_orbit(system, mono, state["deck_perms"], 8, cfg, rng)
+    samples = sample_orbit(system, mono, state["deck_perms"], 8, rng)
     monos = monomials_up_to_degree(2, 1, 1, True)
     pairs = [
         (np.concatenate([s.solutions[0], s.params]), np.concatenate([s.solutions[1], s.params]))
@@ -206,7 +204,7 @@ def sextic_state():
 
 def test_criterion_3_sextic(sextic_state):
     state = sextic_state
-    system, mono, cfg, rng = state["system"], state["mono"], state["cfg"], state["rng"]
+    system, mono, rng = state["system"], state["mono"], state["rng"]
     assert mono.degree == 6
     group = mono.group()
     assert group_order_capped(group, 10**5) == 48
@@ -215,7 +213,7 @@ def test_criterion_3_sextic(sextic_state):
     assert (2, 2, 2) in shapes  # the pair blocks {x, 1/x}
     assert len(state["centralizer"]) == 2
 
-    decks, _ = interpolate_dense(system, mono, state["deck_perms"], 1, True, cfg, rng)
+    decks, _ = interpolate_dense(system, mono, state["deck_perms"], 1, True, rng)
     assert decks[0].complete
     one_over_x = parse_expression("1/x", system.names)
     pts = fresh_fiber_points(state, 20)
@@ -283,7 +281,7 @@ def assert_filter_labels(filt, labels):
 
 def test_criterion_5_p3p(p3p_state):
     state = p3p_state
-    system, mono, cfg, rng = state["system"], state["mono"], state["cfg"], state["rng"]
+    system, mono, rng = state["system"], state["mono"], state["rng"]
     assert mono.degree == 8
     filt = state["filtered"]
     assert state["lattice"].free_rank == 7
@@ -291,7 +289,7 @@ def test_criterion_5_p3p(p3p_state):
     assert [(b.modulus, b.rank) for b in filt.lattice.torsion] == [(2, 4)]
 
     decks, stats = interpolate_graded(
-        system, mono, state["deck_perms"], filt.lattice, 3, False, cfg, rng
+        system, mono, state["deck_perms"], filt.lattice, 3, False, rng
     )
     assert len(decks) == 1 and decks[0].complete
     assert stats.largest_vandermonde <= 50
@@ -316,7 +314,7 @@ def test_criterion_5_p3p(p3p_state):
 
 def test_criterion_6_fivepoint(fivepoint_state):
     state = fivepoint_state
-    system, mono, cfg, rng = state["system"], state["mono"], state["cfg"], state["rng"]
+    system, mono, rng = state["system"], state["mono"], state["rng"]
     assert mono.degree == 20
     filt = state["filtered"]
     assert state["lattice"].free_rank == 11
@@ -327,7 +325,7 @@ def test_criterion_6_fivepoint(fivepoint_state):
     pts = fresh_fiber_points(state, 20)
 
     decks_i, stats_i = interpolate_graded(
-        system, mono, state["deck_perms"], filt.lattice, 3, False, cfg, rng
+        system, mono, state["deck_perms"], filt.lattice, 3, False, rng
     )
     assert stats_i.largest_vandermonde <= 40
     rt_names = [f"r{i}{j}" for i in range(1, 4) for j in range(1, 4)] + ["t1", "t2", "t3"]
@@ -340,7 +338,7 @@ def test_criterion_6_fivepoint(fivepoint_state):
         assert decks_i[0].coords[system.unknowns.index(name)] is None
 
     decks_d, stats_d = interpolate_graded(
-        system, mono, state["deck_perms"], filt.lattice, 3, True, cfg, rng
+        system, mono, state["deck_perms"], filt.lattice, 3, True, rng
     )
     assert stats_d.largest_vandermonde <= 100
     assert decks_d[0].complete
@@ -364,23 +362,23 @@ def test_criterion_6_fivepoint(fivepoint_state):
 def test_criterion_7_ex57_pathologies():
     t0 = time.perf_counter()
     state = pipeline("ex5_7")
-    system, mono, cfg, rng = state["system"], state["mono"], state["cfg"], state["rng"]
+    system, mono, rng = state["system"], state["mono"], state["rng"]
     lat = scaling.detect_scalings(system)
     x1_flip = scaling.TorsionBlock(2, scaling.IntMatrix.from_rows([[1, 0, 0, 0, 0, 0, 0]]))
     x4_flip = scaling.TorsionBlock(2, scaling.IntMatrix.from_rows([[0, 0, 0, 1, 0, 0, 0]]))
     out1 = scaling.commuting_discrete_scalings(
         scaling.ScalingLattice(7, lat.free, (x1_flip,)),
-        system, mono, state["deck_perms"], cfg.tracker, rng,
+        system, mono, state["deck_perms"], rng,
     )
     assert [c.status for c in out1.candidates] == ["failed_stability"]
     out4 = scaling.commuting_discrete_scalings(
         scaling.ScalingLattice(7, lat.free, (x4_flip,)),
-        system, mono, state["deck_perms"], cfg.tracker, rng,
+        system, mono, state["deck_perms"], rng,
     )
     assert [c.status for c in out4.candidates] == ["failed_commutation"]
     # the SNF's own candidates are likewise all rejected
     full = scaling.commuting_discrete_scalings(
-        lat, system, mono, state["deck_perms"], cfg.tracker, rng
+        lat, system, mono, state["deck_perms"], rng
     )
     assert full.lattice.torsion == ()
     elapsed = time.perf_counter() - t0
@@ -423,10 +421,10 @@ def test_criterion_8a_snf_and_quasi_homogeneity():
 
 def test_criterion_8b_monodromy_properties(p3p_state, sextic_state):
     for state in (sextic_state, p3p_state):
-        system, mono, cfg = state["system"], state["mono"], state["cfg"]
+        system, mono = state["system"], state["mono"]
         for perm in mono.permutations:
             assert is_permutation(perm)
-        assert_cycles_retrace(system, mono, cfg)
+        assert_cycles_retrace(system, mono)
         cent = state["centralizer"]
         elems = set(cent)
         for sigma in cent:
@@ -446,7 +444,7 @@ def test_criterion_8c_interpolated_formulas_validate(p3p_state, fivepoint_state)
         assert "decks" in state, "interpolation criteria must run first"
         for deck in state["decks"]:
             rep = verify_deck(
-                state["system"], deck, state["mono"], 3, state["cfg"], state["rng"],
+                state["system"], deck, state["mono"], 3, state["rng"],
                 lattice=state["filtered"].lattice,
             )
             assert rep.pairing_ok and rep.worst_pairing <= 1e-6
@@ -485,12 +483,12 @@ def test_criterion_8d_deterministic_reports(tmp_path):
 )
 def test_criterion_9_radial_stretch():
     state = pipeline("radial", graded=True)
-    system, mono, cfg, rng = state["system"], state["mono"], state["cfg"], state["rng"]
+    system, mono, rng = state["system"], state["mono"], state["rng"]
     assert mono.degree == 3584
     cent = state["centralizer"]
     assert len(cent) == 16
     decks, _ = interpolate_graded(
-        system, mono, state["deck_perms"], state["filtered"].lattice, 2, False, cfg, rng
+        system, mono, state["deck_perms"], state["filtered"].lattice, 2, False, rng
     )
     pts = fresh_fiber_points(state, 5)
     recovered = 0

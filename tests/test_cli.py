@@ -1,7 +1,11 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
-from decksym.cli import RunConfig, main, render_text, run
+import pytest
+
+from decksym.cli import RunConfig, build_parser, main, render_text, run
 from decksym.fixtures import deck_path, fixture_path, seed_path
 
 
@@ -203,6 +207,49 @@ def test_input_error_exit_code(tmp_path):
     report, code = run(cfg)
     assert code == 2
     assert report["failed_stage"] == "input"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--rng-seed", "-1"),
+        ("--expected-degree", "0"),
+        ("--expected-degree", "1"),
+        ("--verify-trials", "0"),
+        ("--verify-trials", "-3"),
+        ("--degree-bound", "0"),
+    ],
+)
+def test_out_of_range_integers_are_input_errors(tmp_path, capsys, flag, value):
+    """An integer no run can use exits 2 before any stage runs: a negative
+    rng seed, an expected degree below 2 (monodromy never returns fewer
+    solutions), fewer than one verification trial, a degree bound below 1."""
+    out = tmp_path / "r.json"
+    code = main(
+        [
+            "analyze", "--system", "ex4_1", "--seed-pair", "ex4_1",
+            "--degree-bound", "1", "--param-dependent", "--out", str(out), flag, value,
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_readme_names_every_cli_flag():
+    """The README names exactly the flags the parser defines."""
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    defined = {
+        opt
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt.startswith("--")
+    } - {"--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert set(re.findall(r"--[a-z][a-z-]*", readme)) == defined
 
 
 def test_reports_deterministic(tmp_path):

@@ -39,7 +39,7 @@ def rf_equal_on_samples(rf1, rf2, points, rtol=1e-8):
     return True
 
 
-def fiber_points(system, result, cfg, rng, count=20):
+def fiber_points(system, result, rng, count=20):
     """Fresh on-variety points (x, p) obtained by tracking the base fiber."""
     from decksym.tracker import FiberTrackingError, track_fiber
 
@@ -47,7 +47,7 @@ def fiber_points(system, result, cfg, rng, count=20):
     while len(pts) < count:
         target = rng.standard_normal(system.m) + 1j * rng.standard_normal(system.m)
         try:
-            sample = track_fiber(system, result.base, target, cfg.tracker, rng=rng)
+            sample = track_fiber(system, result.base, target, rng=rng)
         except FiberTrackingError:
             continue
         for sol in sample.solutions:
@@ -68,9 +68,9 @@ def test_vandermonde_rejects_empty_input():
 
 
 def test_vandermonde_ex41_nullspace_two_dimensional(mono41):
-    system, result, cfg, rng = mono41
+    system, result, rng = mono41
     deck = deck_perms_of(result)
-    samples = sample_orbit(system, result, deck, 6, cfg, rng)
+    samples = sample_orbit(system, result, deck, 6, rng)
     monos = monomials_up_to_degree(1, 1, 1, True)
     pairs = [
         (np.concatenate([s.solutions[0], s.params]), np.concatenate([s.solutions[1], s.params]))
@@ -82,9 +82,9 @@ def test_vandermonde_ex41_nullspace_two_dimensional(mono41):
 
 
 def test_vandermonde_ex42_is_8x8(mono42):
-    system, result, cfg, rng = mono42
+    system, result, rng = mono42
     deck = deck_perms_of(result)
-    samples = sample_orbit(system, result, deck, 8, cfg, rng)
+    samples = sample_orbit(system, result, deck, 8, rng)
     monos = monomials_up_to_degree(2, 1, 1, True)
     pairs = [
         (np.concatenate([s.solutions[0], s.params]), np.concatenate([s.solutions[1], s.params]))
@@ -132,9 +132,9 @@ def test_get_representative_truncates_noise():
 
 
 def ex42_reduced_nullspace(mono42, coordinate):
-    system, result, cfg, rng = mono42
+    system, result, rng = mono42
     deck = deck_perms_of(result)
-    samples = sample_orbit(system, result, deck, 8, cfg, rng)
+    samples = sample_orbit(system, result, deck, 8, rng)
     monos = monomials_up_to_degree(2, 1, 1, True)
     pairs = [
         (np.concatenate([s.solutions[0], s.params]), np.concatenate([s.solutions[1], s.params]))
@@ -180,65 +180,65 @@ def test_snap_rational():
 
 
 def test_interpolate_dense_ex41(mono41):
-    system, result, cfg, rng = mono41
+    system, result, rng = mono41
     decks, stats = interpolate_dense(
-        system, result, deck_perms_of(result), 1, True, cfg, rng
+        system, result, deck_perms_of(result), 1, True, rng
     )
     assert len(decks) == 1 and decks[0].complete
     rf = decks[0].coords[0]
     one_over_x = parse_expression("1/x", system.names)
-    pts = fiber_points(system, result, cfg, rng)
+    pts = fiber_points(system, result, rng)
     assert rf_equal_on_samples(rf, one_over_x, pts)
     assert stats.largest_vandermonde == 6
 
 
 def test_interpolate_dense_sextic(mono_sextic):
-    system, result, cfg, rng = mono_sextic
+    system, result, rng = mono_sextic
     decks, _ = interpolate_dense(
-        system, result, deck_perms_of(result), 1, True, cfg, rng
+        system, result, deck_perms_of(result), 1, True, rng
     )
     assert decks[0].complete
     one_over_x = parse_expression("1/x", system.names)
-    pts = fiber_points(system, result, cfg, rng, count=12)
+    pts = fiber_points(system, result, rng, count=12)
     assert rf_equal_on_samples(rf1=decks[0].coords[0], rf2=one_over_x, points=pts)
 
 
 def test_interpolate_dense_ex42_psi2(mono42):
-    system, result, cfg, rng = mono42
+    system, result, rng = mono42
     decks, _ = interpolate_dense(
-        system, result, deck_perms_of(result), 1, True, cfg, rng
+        system, result, deck_perms_of(result), 1, True, rng
     )
     assert decks[0].complete
     expected = parse_expression("1 - y - 2*p", system.names)
-    pts = fiber_points(system, result, cfg, rng, count=12)
+    pts = fiber_points(system, result, rng, count=12)
     assert rf_equal_on_samples(decks[0].coords[1], expected, pts)
 
 
 def test_graded_reduces_to_dense_on_empty_lattice(mono41):
-    system, result, cfg, rng = mono41
+    system, result, rng = mono41
     lattice = scaling.ScalingLattice(2, scaling.IntMatrix(0, 2, ()), ())
     assert lattice.is_empty()
     monos = monomials_up_to_degree(1, 1, 1, True)
     classes = monomial_classes(monos, lattice)
     assert len(classes) == 1
     decks, stats = interpolate_graded(
-        system, result, deck_perms_of(result), lattice, 1, True, cfg, rng
+        system, result, deck_perms_of(result), lattice, 1, True, rng
     )
     assert decks[0].complete
     one_over_x = parse_expression("1/x", system.names)
-    pts = fiber_points(system, result, cfg, rng, count=10)
+    pts = fiber_points(system, result, rng, count=10)
     assert rf_equal_on_samples(decks[0].coords[0], one_over_x, pts)
     assert stats.largest_vandermonde == 6
 
 
 def test_graded_matches_dense_on_sextic(mono_sextic):
-    system, result, cfg, rng = mono_sextic
+    system, result, rng = mono_sextic
     lattice = scaling.detect_scalings(system)
-    decks_d, _ = interpolate_dense(system, result, deck_perms_of(result), 1, True, cfg, rng)
+    decks_d, _ = interpolate_dense(system, result, deck_perms_of(result), 1, True, rng)
     decks_g, _ = interpolate_graded(
-        system, result, deck_perms_of(result), lattice, 1, True, cfg, rng
+        system, result, deck_perms_of(result), lattice, 1, True, rng
     )
-    pts = fiber_points(system, result, cfg, rng, count=20)
+    pts = fiber_points(system, result, rng, count=20)
     assert rf_equal_on_samples(decks_d[0].coords[0], decks_g[0].coords[0], pts)
 
 
@@ -254,31 +254,31 @@ def test_class_partition_refines(mono_sextic):
 
 
 def test_sample_cache_reuses(mono41):
-    system, result, cfg, rng = mono41
-    cache = SampleCache(system, result, deck_perms_of(result), cfg, rng)
+    system, result, rng = mono41
+    cache = SampleCache(system, result, deck_perms_of(result), rng)
     first = cache.ensure(4)
     again = cache.ensure(6)
     assert again[:4] == first
 
 
 def test_verify_deck_passes_for_true_formula(mono41):
-    system, result, cfg, rng = mono41
-    decks, _ = interpolate_dense(system, result, deck_perms_of(result), 1, True, cfg, rng)
-    report = verify_deck(system, decks[0], result, 5, cfg, rng)
+    system, result, rng = mono41
+    decks, _ = interpolate_dense(system, result, deck_perms_of(result), 1, True, rng)
+    report = verify_deck(system, decks[0], result, 5, rng)
     assert report.passed
     assert report.worst_pairing <= 1e-6
 
 
 def test_verify_deck_fails_for_corrupted_formula(mono41):
-    system, result, cfg, rng = mono41
-    decks, _ = interpolate_dense(system, result, deck_perms_of(result), 1, True, cfg, rng)
+    system, result, rng = mono41
+    decks, _ = interpolate_dense(system, result, deck_perms_of(result), 1, True, rng)
     rf = decks[0].coords[0]
     corrupted = RationalFunction(
         rf.numerator + Polynomial.constant(2, 1e-3), rf.denominator
     )
     bad = decks[0]
     bad.coords[0] = corrupted
-    report = verify_deck(system, bad, result, 5, cfg, rng)
+    report = verify_deck(system, bad, result, 5, rng)
     assert not report.pairing_ok
 
 
@@ -288,7 +288,7 @@ def test_verify_deck_fails_when_no_fiber_tracks(mono41, monkeypatch):
     from decksym.interp import DeckMap
     from decksym.tracker import FiberTrackingError
 
-    system, result, cfg, _ = mono41
+    system, result, _ = mono41
 
     def fail(*args, **kwargs):
         raise FiberTrackingError("injected")
@@ -298,13 +298,27 @@ def test_verify_deck_fails_when_no_fiber_tracks(mono41, monkeypatch):
         Polynomial.variable(2, 0) + Polynomial.constant(2, 1)
     )
     wrong = DeckMap((1, 0), [x_plus_one], 1)
-    report = verify_deck(system, wrong, result, 5, cfg, np.random.default_rng(0))
+    report = verify_deck(system, wrong, result, 5, np.random.default_rng(0))
     assert report.trials == 0
     assert not report.passed
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_deck_rejects_fewer_than_one_trial(mono41, trials):
+    """Fewer than one trial would pass vacuously: the call raises before it
+    draws or tracks anything."""
+    from decksym.interp import DeckMap
+
+    system, result, _ = mono41
+    ident = DeckMap((0, 1), [RationalFunction.from_polynomial(Polynomial.variable(2, 0))], 1)
+    rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises(ValueError, match="trial_count must be >= 1"):
+        verify_deck(system, ident, result, trials, rng)
+    assert rng.random() == twin.random()
+
+
 def test_verify_deck_identity_map(mono42):
-    system, result, cfg, rng = mono42
+    system, result, rng = mono42
     from decksym.interp import DeckMap
 
     ident = DeckMap(
@@ -315,12 +329,12 @@ def test_verify_deck_identity_map(mono42):
         ],
         1,
     )
-    report = verify_deck(system, ident, result, 3, cfg, rng)
+    report = verify_deck(system, ident, result, 3, rng)
     assert report.passed
 
 
 def test_derive_deck_permutation_ex42(mono42):
-    system, result, cfg, rng = mono42
+    system, result, rng = mono42
     from decksym.expr import parse_deck_formulas
 
     formulas = parse_deck_formulas("x = -x - 1\ny = 1 - y - 2*p\n", system)
@@ -330,11 +344,11 @@ def test_derive_deck_permutation_ex42(mono42):
 
 
 def test_interpolation_commutation_guard(mono_sextic):
-    system, result, cfg, rng = mono_sextic
+    system, result, rng = mono_sextic
     # a transposition of two labels in the same pair block does not commute
     # with the full monodromy group
     bogus = (0, 1, 3, 2, 4, 5)
     with pytest.raises(ValueError, match="centralize"):
-        interpolate_dense(system, result, [bogus], 1, True, cfg, rng)
+        interpolate_dense(system, result, [bogus], 1, True, rng)
     with pytest.raises(ValueError, match="degree"):
-        interpolate_dense(system, result, [(0, 1, 2)], 1, True, cfg, rng)
+        interpolate_dense(system, result, [(0, 1, 2)], 1, True, rng)

@@ -5,7 +5,6 @@ from conftest import EX57_TEXT, assert_cycles_retrace, ex57_seed, max_residual
 from decksym import tracker
 from decksym.expr import parse_system
 from decksym.monodromy import (
-    MonodromyConfig,
     MonodromyError,
     run_monodromy,
     sample_orbit,
@@ -30,9 +29,8 @@ NONLINEAR_P = parse_system("unknowns x; parameters p; equations x^2 + p^2;")
 
 def mono_ex41(seed=0):
     rng = np.random.default_rng(seed)
-    cfg = MonodromyConfig(expected_degree=2)
     pair = seed_from_linear_params(EX41, np.array([2.0 + 0j]), rng)
-    return run_monodromy(EX41, pair, cfg, rng), cfg, rng
+    return run_monodromy(EX41, pair, rng, expected_degree=2), rng
 
 
 def mono_sextic(monkeypatch=None, wrap=None):
@@ -45,7 +43,7 @@ def mono_sextic(monkeypatch=None, wrap=None):
         )
     rng = np.random.default_rng(3)
     pair = seed_from_linear_params(SEXTIC, rng=rng)
-    return run_monodromy(SEXTIC, pair, MonodromyConfig(expected_degree=6), rng)
+    return run_monodromy(SEXTIC, pair, rng, expected_degree=6)
 
 
 FAILED = tracker.PathResult("singular", None, 0, np.inf)
@@ -74,20 +72,20 @@ def test_seed_oracle_rejects_nonlinear_parameters():
 
 
 def test_monodromy_ex41_full_s2():
-    result, cfg, _ = mono_ex41()
+    result, _ = mono_ex41()
     assert result.degree == 2
     group = result.group()
     assert is_transitive(group)
     assert group_order_capped(group, 100) == 2
-    assert max_residual(EX41, result.base) <= cfg.tracker.path_tol
+    assert max_residual(EX41, result.base) <= tracker.PATH_TOL
 
 
 def test_monodromy_permutations_are_bijections_and_replayable():
-    result, cfg, _ = mono_ex41()
+    result, _ = mono_ex41()
     for perm in result.permutations:
         assert is_permutation(perm)
     assert result.loop_log
-    assert_cycles_retrace(EX41, result, cfg)
+    assert_cycles_retrace(EX41, result)
 
 
 def test_monodromy_sextic_degree_and_group_order():
@@ -99,10 +97,10 @@ def test_monodromy_sextic_degree_and_group_order():
 
 
 def test_sample_orbit_vieta_pairs():
-    result, cfg, rng = mono_ex41()
+    result, rng = mono_ex41()
     deck = [p for p in centralizer_in_symmetric(result.group()) if p != identity(2)]
     assert deck == [(1, 0)]
-    samples = sample_orbit(EX41, result, deck, 5, cfg, rng)
+    samples = sample_orbit(EX41, result, deck, 5, rng)
     assert len(samples) == 5
     for s in samples:
         x, ximg = s.solutions[0][0], s.solutions[1][0]
@@ -110,22 +108,22 @@ def test_sample_orbit_vieta_pairs():
 
 
 def test_sample_orbit_identity_only():
-    result, cfg, rng = mono_ex41()
-    samples = sample_orbit(EX41, result, [identity(2)], 2, cfg, rng)
+    result, rng = mono_ex41()
+    samples = sample_orbit(EX41, result, [identity(2)], 2, rng)
     for s in samples:
         assert len(s.solutions) == 1
-        assert max_residual(EX41, s) <= cfg.tracker.path_tol
+        assert max_residual(EX41, s) <= tracker.PATH_TOL
 
 
 def test_sample_orbit_rejects_non_centralizing_perm():
-    result, cfg, rng = mono_ex41()
+    result, rng = mono_ex41()
     bogus = (0, 1, 2)
     with pytest.raises(ValueError):
-        sample_orbit(EX41, result, [bogus], 1, cfg, rng)
+        sample_orbit(EX41, result, [bogus], 1, rng)
 
 
 def test_fiber_closure_under_permutations():
-    result, _, _ = mono_ex41()
+    result, _ = mono_ex41()
     sols = result.base.solutions
     for perm in result.permutations:
         permuted = [sols[perm[i]] for i in range(len(sols))]
@@ -136,7 +134,7 @@ def test_fiber_closure_under_permutations():
 def test_sample_orbit_fails_after_three_draws(monkeypatch):
     """Fault injection: when no orbit tracks, sampling stops with an error
     after three target and gamma draws."""
-    result, cfg, _ = mono_ex41()
+    result, _ = mono_ex41()
     calls = []
 
     def fail(*args, **kwargs):
@@ -146,7 +144,7 @@ def test_sample_orbit_fails_after_three_draws(monkeypatch):
     monkeypatch.setattr(tracker, "track_fiber", fail)
     rng, twin = np.random.default_rng(4), np.random.default_rng(4)
     with pytest.raises(MonodromyError, match="orbit sampling failed"):
-        sample_orbit(EX41, result, [(1, 0)], 2, cfg, rng)
+        sample_orbit(EX41, result, [(1, 0)], 2, rng)
     assert len(calls) == 3
     for _ in range(3):
         twin.standard_normal(2)
@@ -175,8 +173,8 @@ def test_failed_forward_path_is_completed_from_the_other_end(monkeypatch):
     clean = mono_sextic()
     calls = []
 
-    def fail_first(real, system, x, p_from, p_to, cfg, gamma=None, **kwargs):
-        r = FAILED if not calls else real(system, x, p_from, p_to, cfg, gamma=gamma, **kwargs)
+    def fail_first(real, system, x, p_from, p_to, gamma=None, **kwargs):
+        r = FAILED if not calls else real(system, x, p_from, p_to, gamma=gamma, **kwargs)
         calls.append((x, p_from, p_to, gamma, r))
         return r
 
@@ -198,13 +196,13 @@ def test_sheet_jump_onto_a_matched_solution_breaks_the_edge(monkeypatch):
     ends: dict = {}
     jumped = []
 
-    def jump_once(real, system, x, p_from, p_to, cfg, gamma=None, **kwargs):
+    def jump_once(real, system, x, p_from, p_to, gamma=None, **kwargs):
         arc = (p_from.tobytes(), p_to.tobytes(), gamma)
         earlier = ends.setdefault(arc, [])
         if not jumped and len(earlier) == 3:
             jumped.append(arc)
             return earlier[0]
-        r = real(system, x, p_from, p_to, cfg, gamma=gamma, **kwargs)
+        r = real(system, x, p_from, p_to, gamma=gamma, **kwargs)
         if r.success:
             earlier.append(r)
         return r
@@ -213,7 +211,7 @@ def test_sheet_jump_onto_a_matched_solution_breaks_the_edge(monkeypatch):
     monkeypatch.undo()
     assert jumped
     assert group_order_capped(result.group(), 10**4) == 48
-    assert_cycles_retrace(SEXTIC, result, MonodromyConfig(expected_degree=6))
+    assert_cycles_retrace(SEXTIC, result)
 
 
 def test_no_solution_is_tracked_twice_along_one_edge(monkeypatch):
@@ -221,9 +219,9 @@ def test_no_solution_is_tracked_twice_along_one_edge(monkeypatch):
     repeats its start point, its two end parameters and its gamma."""
     seen = []
 
-    def record(real, system, x, p_from, p_to, cfg, gamma=None, **kwargs):
+    def record(real, system, x, p_from, p_to, gamma=None, **kwargs):
         seen.append((x.tobytes(), p_from.tobytes(), p_to.tobytes(), gamma))
-        return real(system, x, p_from, p_to, cfg, gamma=gamma, **kwargs)
+        return real(system, x, p_from, p_to, gamma=gamma, **kwargs)
 
     result = mono_sextic(monkeypatch, record)
     assert len(seen) == result.paths_tracked
@@ -236,18 +234,17 @@ def test_generators_are_distinct_and_never_the_identity(seed):
     triangles records the identity and, through a sheet jump, a group of
     order 48; the true order is 6."""
     system = parse_system(EX57_TEXT)
-    cfg = MonodromyConfig(expected_degree=6)
-    result = run_monodromy(system, ex57_seed(), cfg, np.random.default_rng(seed))
+    result = run_monodromy(system, ex57_seed(), np.random.default_rng(seed), expected_degree=6)
     perms = result.permutations
     assert perms and identity(6) not in perms
     assert len(set(perms)) == len(perms)
     assert group_order_capped(result.group(), 10**4) == 6
-    assert_cycles_retrace(system, result, cfg)
+    assert_cycles_retrace(system, result)
 
 
 def test_deterministic_given_seed():
-    r1, _, _ = mono_ex41(seed=7)
-    r2, _, _ = mono_ex41(seed=7)
+    r1, _ = mono_ex41(seed=7)
+    r2, _ = mono_ex41(seed=7)
     assert r1.permutations == r2.permutations
     assert np.allclose(
         np.array(r1.base.solutions), np.array(r2.base.solutions), atol=1e-10
@@ -264,11 +261,10 @@ def test_sextic_does_not_stop_below_the_expected_degree(seed):
 
     system = parse_system(fixture_path("sextic").read_text())
     pair = parse_seed_pair(seed_path("sextic").read_text())
-    cfg = MonodromyConfig(expected_degree=6)
-    result = run_monodromy(system, pair, cfg, np.random.default_rng(seed))
+    result = run_monodromy(system, pair, np.random.default_rng(seed), expected_degree=6)
     assert result.degree == 6
     assert group_order_capped(result.group(), 10**4) == 48
-    assert_cycles_retrace(system, result, cfg)
+    assert_cycles_retrace(system, result)
 
 
 def test_wrong_expected_degree_fails_after_the_round_limit():
@@ -277,4 +273,4 @@ def test_wrong_expected_degree_fails_after_the_round_limit():
     rng = np.random.default_rng(0)
     pair = seed_from_linear_params(EX41, np.array([2.0 + 0j]), rng)
     with pytest.raises(MonodromyError, match="found 2 solutions, expected 3"):
-        run_monodromy(EX41, pair, MonodromyConfig(expected_degree=3), rng)
+        run_monodromy(EX41, pair, rng, expected_degree=3)

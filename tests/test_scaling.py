@@ -253,11 +253,11 @@ def _deck(result):
 
 
 def test_sextic_flip_scaling_survives_filter(mono_sextic):
-    system, result, cfg, rng = mono_sextic
+    system, result, rng = mono_sextic
     lat = detect_scalings(system)
     assert lat.free_rank == 1
     assert len(lat.torsion) == 1 and lat.torsion[0].modulus == 2
-    out = commuting_discrete_scalings(lat, system, result, _deck(result), cfg.tracker, rng)
+    out = commuting_discrete_scalings(lat, system, result, _deck(result), rng)
     assert len(out.lattice.torsion) == 1
     assert out.lattice.torsion[0].rank == 1
     assert all(c.status == "passed" for c in out.candidates)
@@ -269,7 +269,7 @@ def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
     block survives."""
     from decksym import tracker
 
-    system, result, cfg, _ = mono_ex57
+    system, result, _ = mono_ex57
     lat = detect_scalings(system)
     calls = []
 
@@ -279,7 +279,7 @@ def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
 
     monkeypatch.setattr(tracker, "track_path", fail)
     out = commuting_discrete_scalings(
-        lat, system, result, _deck(result), cfg.tracker, np.random.default_rng(0)
+        lat, system, result, _deck(result), np.random.default_rng(0)
     )
     assert len(out.candidates) > 1
     assert {c.status for c in out.candidates} == {"undetermined"}
@@ -294,7 +294,7 @@ def test_filter_path_budget(mono_sextic, monkeypatch):
     other fiber."""
     from decksym import tracker
 
-    system, result, cfg, _ = mono_sextic
+    system, result, _ = mono_sextic
     deck = _deck(result)
     real = tracker.track_path
     calls = []
@@ -305,7 +305,7 @@ def test_filter_path_budget(mono_sextic, monkeypatch):
 
     monkeypatch.setattr(tracker, "track_path", counting)
     out = commuting_discrete_scalings(
-        detect_scalings(system), system, result, deck, cfg.tracker, np.random.default_rng(1)
+        detect_scalings(system), system, result, deck, np.random.default_rng(1)
     )
     orbit = 1 + len(deck)
     passed = sum(c.status == "passed" for c in out.candidates)
@@ -318,7 +318,7 @@ def test_coinciding_scaled_orbit_is_undetermined(mono_sextic, monkeypatch):
     """Scaled orbit points that coincide decide nothing, before any path."""
     from decksym import tracker
 
-    system, result, cfg, _ = mono_sextic
+    system, result, _ = mono_sextic
     first = []
 
     def collapse(system, lattice, point):
@@ -328,7 +328,7 @@ def test_coinciding_scaled_orbit_is_undetermined(mono_sextic, monkeypatch):
     monkeypatch.setattr(scaling, "repatch_point", collapse)
     monkeypatch.setattr(tracker, "track_path", None)
     out = commuting_discrete_scalings(
-        detect_scalings(system), system, result, _deck(result), cfg.tracker,
+        detect_scalings(system), system, result, _deck(result),
         np.random.default_rng(1),
     )
     assert [c.status for c in out.candidates] == ["undetermined"]
@@ -340,7 +340,7 @@ def test_stability_failure_costs_one_path(mono_ex57, monkeypatch):
     is decided after one path, not after the whole scaled orbit."""
     from decksym import tracker
 
-    system, result, cfg, _ = mono_ex57
+    system, result, _ = mono_ex57
     deck = _deck(result)
     real = tracker.track_path
     calls = []
@@ -351,7 +351,7 @@ def test_stability_failure_costs_one_path(mono_ex57, monkeypatch):
 
     monkeypatch.setattr(tracker, "track_path", counting)
     out = commuting_discrete_scalings(
-        detect_scalings(system), system, result, deck, cfg.tracker, np.random.default_rng(1)
+        detect_scalings(system), system, result, deck, np.random.default_rng(1)
     )
     statuses = [c.status for c in out.candidates]
     assert statuses == ["failed_stability", "failed_stability", "failed_commutation"]
@@ -367,12 +367,12 @@ def test_sheet_jump_on_retrace_never_passes(mono_sextic, monkeypatch):
     back away from the scaled orbit (as after a sheet jump), it cannot."""
     from decksym import tracker
 
-    system, result, cfg, _ = mono_sextic
+    system, result, _ = mono_sextic
     real = tracker.track_fiber
     retraced = []
 
-    def jumpy(system, fiber, p_to, cfg, **kwargs):
-        out = real(system, fiber, p_to, cfg, **kwargs)
+    def jumpy(system, fiber, p_to, **kwargs):
+        out = real(system, fiber, p_to, **kwargs)
         if np.array_equal(fiber.params, result.base.params):
             retraced.append(1)
             return tracker.FiberSample(out.params, tuple(s + 1e-3 for s in out.solutions))
@@ -380,7 +380,7 @@ def test_sheet_jump_on_retrace_never_passes(mono_sextic, monkeypatch):
 
     monkeypatch.setattr(tracker, "track_fiber", jumpy)
     out = commuting_discrete_scalings(
-        detect_scalings(system), system, result, _deck(result), cfg.tracker,
+        detect_scalings(system), system, result, _deck(result),
         np.random.default_rng(1),
     )
     assert [c.status for c in out.candidates] == ["undetermined"]
@@ -393,20 +393,20 @@ def test_transient_path_failure_retries_with_a_fresh_gamma(mono_sextic, monkeypa
     second gamma, with the orbit tracked and retraced once."""
     from decksym import tracker
 
-    system, result, cfg, _ = mono_sextic
+    system, result, _ = mono_sextic
     deck = _deck(result)
     real = tracker.track_path
     gammas = []
 
-    def fail_first(system, x, p_from, p_to, cfg, gamma=None, **kwargs):
+    def fail_first(system, x, p_from, p_to, gamma=None, **kwargs):
         gammas.append(gamma)
         if len(gammas) == 1:
             return tracker.PathResult("singular", None, 0, np.inf)
-        return real(system, x, p_from, p_to, cfg, gamma=gamma, **kwargs)
+        return real(system, x, p_from, p_to, gamma=gamma, **kwargs)
 
     monkeypatch.setattr(tracker, "track_path", fail_first)
     out = commuting_discrete_scalings(
-        detect_scalings(system), system, result, deck, cfg.tracker, np.random.default_rng(1)
+        detect_scalings(system), system, result, deck, np.random.default_rng(1)
     )
     assert [c.status for c in out.candidates] == ["passed"]
     assert out.lattice.torsion[0].rank == 1
@@ -417,11 +417,11 @@ def test_transient_path_failure_retries_with_a_fresh_gamma(mono_sextic, monkeypa
 
 
 def test_ex57_all_candidates_rejected(mono_ex57):
-    system, result, cfg, rng = mono_ex57
+    system, result, rng = mono_ex57
     lat = detect_scalings(system)
     deck = _deck(result)
     assert len(deck) == 5  # full S3 deck group
-    out = commuting_discrete_scalings(lat, system, result, deck, cfg.tracker, rng)
+    out = commuting_discrete_scalings(lat, system, result, deck, rng)
     assert out.lattice.torsion == ()
     # candidates flipping x1 leave the tracked component; the rest fail to
     # commute with the deck action
@@ -433,13 +433,13 @@ def test_ex57_all_candidates_rejected(mono_ex57):
 
 
 def test_ex57_literal_flips(mono_ex57):
-    system, result, cfg, rng = mono_ex57
+    system, result, rng = mono_ex57
     lat = detect_scalings(system)
     x1_flip = TorsionBlock(2, IntMatrix.from_rows([[1, 0, 0, 0, 0, 0, 0]]))
     x4_flip = TorsionBlock(2, IntMatrix.from_rows([[0, 0, 0, 1, 0, 0, 0]]))
     hand = ScalingLattice(7, lat.free, (x1_flip,))
-    out = commuting_discrete_scalings(hand, system, result, _deck(result), cfg.tracker, rng)
+    out = commuting_discrete_scalings(hand, system, result, _deck(result), rng)
     assert [c.status for c in out.candidates] == ["failed_stability"]
     hand = ScalingLattice(7, lat.free, (x4_flip,))
-    out = commuting_discrete_scalings(hand, system, result, _deck(result), cfg.tracker, rng)
+    out = commuting_discrete_scalings(hand, system, result, _deck(result), rng)
     assert [c.status for c in out.candidates] == ["failed_commutation"]

@@ -13,7 +13,6 @@ from decksym.tracker import (
     FiberSample,
     FiberTrackingError,
     NewtonError,
-    TrackerConfig,
     compiled,
     nearest,
     newton_polish,
@@ -26,7 +25,6 @@ SEXTIC = parse_system(
     "unknowns x; parameters a, b, c, d;"
     "equations a*x^6 + b*x^5 + c*x^4 + d*x^3 + c*x^2 + b*x + a;"
 )
-CFG = TrackerConfig()
 
 
 def quadratic_roots(p):
@@ -49,18 +47,18 @@ def test_compiled_evaluation_matches_symbolic():
 
 
 def test_identity_path_returns_start():
-    r = track_path(EX41, [2.0], [-2.5], [-2.5], CFG)
+    r = track_path(EX41, [2.0], [-2.5], [-2.5])
     assert r.success
     assert abs(r.endpoint[0] - 2.0) < 1e-10
 
 
 def test_track_to_nearby_parameter_continuity():
     # x = 2 over p = -2.5 continues to the root of x^2 - 3x + 1 near 2.
-    r = track_path(EX41, [2.0], [-2.5], [-3.0], CFG, rng=np.random.default_rng(0))
+    r = track_path(EX41, [2.0], [-2.5], [-3.0], rng=np.random.default_rng(0))
     assert r.success
     expected = (3 + np.sqrt(5)) / 2
     assert abs(r.endpoint[0] - expected) < 1e-8
-    assert r.final_residual <= CFG.path_tol
+    assert r.final_residual <= tracker.PATH_TOL
 
 
 def test_loop_permutes_fiber():
@@ -73,7 +71,7 @@ def test_loop_permutes_fiber():
     for x in roots:
         cur = np.array([x])
         for a, b in [(p0, q1), (q1, q2), (q2, p0)]:
-            r = track_path(EX41, cur, [a], [b], CFG, rng=np.random.default_rng(5))
+            r = track_path(EX41, cur, [a], [b], rng=np.random.default_rng(5))
             assert r.success
             cur = r.endpoint
         ends.append(cur[0])
@@ -86,8 +84,8 @@ def test_loop_permutes_fiber():
 def test_determinism_with_fixed_gamma():
     rng1 = np.random.default_rng(42)
     rng2 = np.random.default_rng(42)
-    r1 = track_path(EX41, [2.0], [-2.5], [3.0 + 1j], CFG, rng=rng1)
-    r2 = track_path(EX41, [2.0], [-2.5], [3.0 + 1j], CFG, rng=rng2)
+    r1 = track_path(EX41, [2.0], [-2.5], [3.0 + 1j], rng=rng1)
+    r2 = track_path(EX41, [2.0], [-2.5], [3.0 + 1j], rng=rng2)
     assert r1.success and r2.success
     assert np.abs(r1.endpoint - r2.endpoint).max() < 1e-8
 
@@ -96,15 +94,15 @@ def test_residual_invariant_random_targets():
     rng = np.random.default_rng(7)
     for _ in range(10):
         target = rng.standard_normal() + 1j * rng.standard_normal()
-        r = track_path(EX41, [2.0], [-2.5], [target], CFG, rng=rng)
+        r = track_path(EX41, [2.0], [-2.5], [target], rng=rng)
         if r.success:
             comp = compiled(EX41)
-            assert np.abs(comp.f_at(r.endpoint, [target])).max() <= CFG.path_tol
+            assert np.abs(comp.f_at(r.endpoint, [target])).max() <= tracker.PATH_TOL
 
 
 def test_bad_start_point_rejected():
     with pytest.raises(ValueError, match="start point"):
-        track_path(EX41, [17.0], [-2.5], [-3.0], CFG)
+        track_path(EX41, [17.0], [-2.5], [-3.0])
 
 
 def test_newton_polish_exact_root_unchanged():
@@ -130,9 +128,9 @@ def test_fiber_tracking_preserves_order_and_residuals():
     )
     fiber = FiberSample(params, tuple(np.array([r]) for r in roots))
     target = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    out = track_fiber(SEXTIC, fiber, target, CFG, rng=rng)
+    out = track_fiber(SEXTIC, fiber, target, rng=rng)
     assert len(out) == 6
-    assert max_residual(SEXTIC, out) <= CFG.path_tol
+    assert max_residual(SEXTIC, out) <= tracker.PATH_TOL
     assert out.min_pairwise_distance() > 1e-6
 
 
@@ -193,7 +191,7 @@ def test_nearest_single_point_pool():
 def test_fiber_duplicate_solution_rejected():
     fiber = FiberSample(np.array([-2.5]), (np.array([2.0]), np.array([2.0])))
     with pytest.raises(FiberTrackingError, match="distinct"):
-        track_fiber(EX41, fiber, np.array([1.0 + 1j]), CFG)
+        track_fiber(EX41, fiber, np.array([1.0 + 1j]))
 
 
 def test_sample_fiber_draws_target_then_gamma():
@@ -207,17 +205,17 @@ def test_sample_fiber_draws_target_then_gamma():
         seen.append(gamma)
         return len(seen) == 2
 
-    sample, gamma = tracker.sample_fiber(EX41, fiber, CFG, rng, accept)
+    sample, gamma = tracker.sample_fiber(EX41, fiber, rng, accept)
     for _ in range(2):
         target = twin.standard_normal(1) + 1j * twin.standard_normal(1)
         expected_gamma = complex(np.exp(2j * np.pi * twin.random()))
     assert gamma == seen[-1] == expected_gamma
     assert sample.params.tobytes() == target.tobytes()
-    again = track_fiber(EX41, fiber, target, CFG, gamma=expected_gamma)
+    again = track_fiber(EX41, fiber, target, gamma=expected_gamma)
     assert [s.tobytes() for s in sample.solutions] == [s.tobytes() for s in again.solutions]
     assert rng.random() == twin.random()
     # Three attempts, each drawing its target and gamma, then None.
-    assert tracker.sample_fiber(EX41, fiber, CFG, rng, lambda s, g: False) is None
+    assert tracker.sample_fiber(EX41, fiber, rng, lambda s, g: False) is None
     for _ in range(3):
         twin.standard_normal(1), twin.standard_normal(1), twin.random()
     assert rng.random() == twin.random()
@@ -226,25 +224,16 @@ def test_sample_fiber_draws_target_then_gamma():
 def test_segment_through_discriminant_fails():
     # with gamma = 1, the straight segment from p=-2.5 to p=-1.5 passes
     # through the double root at p=-2
-    r = track_path(EX41, [2.0], [-2.5], [-1.5], CFG, gamma=1.0)
+    r = track_path(EX41, [2.0], [-2.5], [-1.5], gamma=1.0)
     assert r.status in ("singular", "step_underflow")
     assert r.endpoint is None
 
 
 def test_gamma_trick_avoids_discriminant():
-    r = track_path(EX41, [2.0], [-2.5], [-1.5], CFG, rng=np.random.default_rng(3))
+    r = track_path(EX41, [2.0], [-2.5], [-1.5], rng=np.random.default_rng(3))
     assert r.success
     roots = quadratic_roots(-1.5)
     assert min(abs(r.endpoint[0] - z) for z in roots) < 1e-7
-
-
-def test_config_validation():
-    # The tolerances come from the command line.
-    for bad in ({"newton_tol": 0.0}, {"newton_tol": -1e-10}, {"path_tol": 0.0},
-                {"path_tol": -1e-8}):
-        with pytest.raises(ValueError):
-            TrackerConfig(**bad)
-    TrackerConfig(newton_tol=1e-14, path_tol=1e-3)
 
 
 def monomials_without_memo(self, x, p):
@@ -281,11 +270,11 @@ def test_tracking_without_memo_is_identical(name, coarse, monkeypatch):
 
     def run():
         newton_calls.clear()
-        paths = [track_path(system, x, p, q, CFG, gamma=g) for q, g in zip(targets, gammas)]
+        paths = [track_path(system, x, p, q, gamma=g) for q, g in zip(targets, gammas)]
         # Besides one start and one final run per successful path, every
         # Newton run is one attempted step.
         attempts = len(newton_calls) - 2 * len(paths)
-        fiber = track_fiber(system, FiberSample(p, (x,)), targets[0], CFG, gamma=gammas[0])
+        fiber = track_fiber(system, FiberSample(p, (x,)), targets[0], gamma=gammas[0])
         return [path_record(r) for r in paths], attempts, [s.tobytes() for s in fiber.solutions]
 
     with_memo = run()
@@ -323,7 +312,7 @@ def test_singular_paths_end_as_with_numpy_solve(monkeypatch):
     ]
 
     def run():
-        return [path_record(track_path(s, x, a, b, CFG, gamma=g)) for s, x, a, b, g in cases]
+        return [path_record(track_path(s, x, a, b, gamma=g)) for s, x, a, b, g in cases]
 
     got = run()
     assert got[0] == ("singular", 0, None)

@@ -62,6 +62,7 @@ from .tracker import (
     newton_polish,
     track_fiber,
     track_path,
+    track_paths,
 )
 
 __version__ = "0.1.0"

@@ -34,6 +34,8 @@ from . import tracker
 
 TRUNCATE_TOL = 1e-5
 VALIDATE_RTOL = 1e-6
+# ||F||_inf a deck image may have on a held-out fiber in ``verify_deck``.
+IMAGE_RESIDUAL_TOL = 1e-6
 SNAP_TOL = 1e-8
 SNAP_BOUND = 20
 
@@ -492,12 +494,13 @@ def verify_deck(
 
     (a) each formula maps every solution to the sigma-paired coordinate;
     (b) for complete maps, the image point satisfies the structural
-    equations; (c) each formula is quasi-homogeneous for every free scaling
-    row.  Failures are reported, not raised.  A fiber that
-    ``tracker.sample_fiber`` cannot track in three attempts is dropped, and a
-    check with fewer tracked fibers than ``trial_count`` does not pass: zero
-    fibers would otherwise pass vacuously.  For the same reason a
-    ``trial_count`` below 1 is a ValueError.
+    equations within ``IMAGE_RESIDUAL_TOL``; (c) each formula is
+    quasi-homogeneous for every free scaling row.  Failures are reported,
+    not raised.  A fiber that ``tracker.sample_fiber`` cannot track in three
+    attempts is dropped, and a check with fewer tracked fibers than
+    ``trial_count`` does not pass: zero fibers would otherwise pass
+    vacuously.  For the same reason a ``trial_count`` below 1 is a
+    ValueError.
     """
     if trial_count < 1:
         raise ValueError("trial_count must be >= 1")
@@ -552,7 +555,7 @@ def verify_deck(
 
     return DeckVerification(
         pairing_ok=worst_pair <= VALIDATE_RTOL,
-        fiber_ok=(worst_res <= max(10 * tracker.PATH_TOL, 1e-6)) if deck.complete else None,
+        fiber_ok=(worst_res <= IMAGE_RESIDUAL_TOL) if deck.complete else None,
         quasi_ok=quasi_ok,
         worst_pairing=worst_pair,
         worst_fiber_residual=worst_res,

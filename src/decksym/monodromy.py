@@ -11,7 +11,12 @@ a new cycle.  An endpoint matches a solution of the far fiber within
 ``tracker.MATCH_TOL`` and 100 times closer than the runner-up, or is
 polished into a new solution there.  A failed or ambiguous path leaves its
 edge incomplete, and the other endpoint may complete it; two solutions
-landing on one break the edge.
+landing on one break the edge.  The solutions an edge maps nowhere yet in
+one direction share one homotopy, so they are tracked in one
+``tracker.track_paths`` call (lockstep, bit-identical to one ``track_path``
+call each; up to two paths go one at a time).  The results are taken in
+index order: a break stops the edge there, and the paths after it count as
+never tracked.
 
 Each round adds one edge between two nodes not yet joined.  Once every pair
 is joined, a new random node enters with edges to nodes 0 and 1.  Generators
@@ -154,33 +159,41 @@ class _Graph:
             progress = False
             for e in self.edges:
                 for direction in (0, 1):
-                    src = e.ends(direction)[0]
-                    for i in range(len(self.fibers[src])):
-                        if e.broken:
-                            break
-                        if i not in e.maps[direction] and (direction, i) not in e.tried:
-                            self._track(e, direction, i)
-                            progress = True
+                    if not e.broken and self._track(e, direction):
+                        progress = True
         return self.tracked - tracked, self.failed - failed
 
-    def _track(self, e: _Edge, direction: int, i: int) -> None:
+    def _track(self, e: _Edge, direction: int) -> bool:
+        """Track every solution the edge maps nowhere yet in one direction,
+        in one ``tracker.track_paths`` call, then take the results in index
+        order; a break ends the edge there, and the paths after it count as
+        never tracked.  Returns whether any path was pending."""
         src, dst = e.ends(direction)
+        pending = [
+            i for i in range(len(self.fibers[src]))
+            if i not in e.maps[direction] and (direction, i) not in e.tried
+        ]
+        if not pending:
+            return False
         p_from, p_to, gamma = e.segment(direction, self.params)
-        e.tried.add((direction, i))
-        self.tracked += 1
-        r = tracker.track_path(self.system, self.fibers[src][i], p_from, p_to, gamma=gamma)
-        if not r.success:
-            self.failed += 1
-            return
-        j = self._locate(dst, r.endpoint)
-        if j is None:
-            return
-        back = e.maps[1 - direction]
-        if j in back:  # two solutions land on one: a sheet jump on this edge
-            e.broken = True
-        else:
+        starts = [self.fibers[src][i] for i in pending]
+        results = tracker.track_paths(self.system, starts, p_from, p_to, gamma)
+        for i, r in zip(pending, results):
+            e.tried.add((direction, i))
+            self.tracked += 1
+            if not r.success:
+                self.failed += 1
+                continue
+            j = self._locate(dst, r.endpoint)
+            if j is None:
+                continue
+            back = e.maps[1 - direction]
+            if j in back:  # two solutions land on one: a sheet jump on this edge
+                e.broken = True
+                break
             e.maps[direction][i] = j
             back[j] = i
+        return True
 
     def _locate(self, node: int, point) -> int | None:
         """The index of ``point`` in the node's fiber, appending it when it

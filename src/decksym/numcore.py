@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: SVD nullspaces, ranks, tolerant RREF.
+"""Dense complex linear algebra: SVD nullspaces and a tolerant RREF.
 
 Matrices are plain complex128 numpy arrays.  The nullspace is computed from
 the singular value decomposition because the matrices built downstream are
@@ -42,14 +42,6 @@ def nullspace(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     smax = s[0]
     rank = int(np.sum(s > rank_tol * smax))
     return vh[rank:].conj().T
-
-
-def rank(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0 or not np.any(a):
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > rank_tol * s[0]))
 
 
 def rref(m: np.ndarray) -> np.ndarray:

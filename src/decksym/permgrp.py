@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Perm = tuple[int, ...]
 
@@ -86,19 +86,6 @@ def cycles_string(p: Perm) -> str:
         seen.add(i)
         out.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
     return "".join(out) if out else "()"
-
-
-def from_cycles(cycles: Iterable[Iterable[int]], degree: int, one_based: bool = True) -> Perm:
-    base = 1 if one_based else 0
-    images = list(range(degree))
-    for cyc in cycles:
-        cyc = [c - base for c in cyc]
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            images[a] = b
-    p = tuple(images)
-    if not is_permutation(p):
-        raise ValueError("cycles do not define a permutation")
-    return p
 
 
 @dataclass(frozen=True)
@@ -328,15 +315,6 @@ def minimal_block_systems(group: PermutationGroup) -> list[tuple[frozenset, ...]
             seen.add(part)
             systems.append(part)
     return systems
-
-
-def is_block_system(group: PermutationGroup, partition: Iterable[Iterable[int]]) -> bool:
-    blocks = {frozenset(b) for b in partition}
-    for g in group.generators:
-        for b in blocks:
-            if frozenset(g[v] for v in b) not in blocks:
-                return False
-    return True
 
 
 def describe_group(elements: Sequence[Perm]) -> str:

@@ -10,6 +10,20 @@ consecutive accepts, halve on rejection.  The corrector converges at
 factors, the corrector's iteration count and the divergence bound are module
 constants.
 
+``track_paths`` tracks the paths of one homotopy (shared p_from, p_to and
+gamma: the paths of a fiber, or of one monodromy graph edge in one
+direction) in lockstep, in the style of the batched tracking of
+HomotopyContinuation.jl (Breiding & Timme, arXiv:1711.10911).  States are
+stacked as (S, n); t, the step size, the accept streak, the cached first RK4
+stage and the singular flag are per path; each pass of the loop stacks the
+evaluations and ``np.linalg.solve`` calls of every active path, and applies
+each path's own acceptance rules.  Every result is bit-identical to
+``track_path``'s.  A pass costs about two to three serial steps plus a
+little per path, so for ``_SERIAL_PATHS`` = 2 paths or fewer
+``track_paths`` calls ``track_path`` once per path, and once no more than
+``_SERIAL_PATHS`` paths are still stepping, each finishes alone from its
+state (``_run_path``).  ``track_fiber`` tracks its fiber this way.
+
 ``sample_fiber`` is the one place that tracks a fiber to a fresh random
 target (deck-orbit samples and verification fibers): it draws the target
 (``random_params``), then gamma, then tracks, and redraws both on a failed
@@ -37,7 +51,20 @@ dF/dx with the next step's first stage.  A rejected step leaves x and t
 unchanged, so its first stage is kept for the retry.  Dense solves call
 LAPACK's ``zgesv`` directly, the routine behind ``np.linalg.solve``, without
 that function's Python wrapper.  numpy and scipy may bundle different LAPACK
-builds; tests/test_tracker.py checks that both solve to the same bits.
+builds; tests/test_tracker.py checks that both solve to the same bits, one
+matrix or a stack.
+
+The stacked evaluation (``monomial_rows`` and the ``*_rows`` blocks) uses the
+same factor table and blocks on (S, n) and (S, m) rows.  Its rows are
+bit-identical to the single-point methods because the monomial products run
+as one 2-D reduction over (S * U, width), the block terms are summed by one
+flat ``reduceat`` with the offsets repeated per row, and every complex
+product takes the numpy loop its single-point counterpart takes: numpy's
+elementwise complex multiply (fused) rounds differently from its product
+reduction and from Python's complex arithmetic (unfused), and a product
+broadcast to a single element falls back to the unfused loop.  The arc's
+scale factors gamma t / den are therefore Python scalars, one per path, and
+the products with them run on flat operands.
 """
 
 from __future__ import annotations
@@ -62,6 +89,10 @@ _STEP_SHRINK = 0.5
 _ACCEPT_STREAK = 3
 _MAX_NORM = 1e8
 _SAMPLE_ATTEMPTS = 3
+# ``track_paths`` tracks this many paths or fewer one ``track_path`` call at
+# a time, and hands its last this many stepping paths to ``_run_path``:
+# below three, stacking costs more than it saves.
+_SERIAL_PATHS = 2
 
 
 class TrackingError(RuntimeError):
@@ -151,7 +182,7 @@ class _Block:
     """One output block (F, dF/dx or dF/dp): each term's monomial index and
     coefficient, and the ``reduceat`` offset of each entry's first term."""
 
-    __slots__ = ("terms", "coeffs", "offsets", "shape")
+    __slots__ = ("terms", "coeffs", "offsets", "shape", "_stacks")
 
     def __init__(self, polys, monomials: dict, stride: int, shape):
         terms: list[int] = []
@@ -167,10 +198,26 @@ class _Block:
         self.coeffs = np.asarray(coeffs, dtype=complex)
         self.offsets = np.asarray(offsets, dtype=np.intp)
         self.shape = shape
+        self._stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __call__(self, mono: np.ndarray) -> np.ndarray:
         vals = self.coeffs * mono[self.terms]
         return np.add.reduceat(vals, self.offsets).reshape(self.shape)
+
+    def rows(self, mono: np.ndarray) -> np.ndarray:
+        """The block at each row of an (S, U) monomial array, stacked as
+        (S, *shape).  The coefficients, repeated once per row, multiply the
+        flat terms, and one flat ``reduceat`` sums them with this block's
+        offsets repeated once per row, so every entry is computed as
+        ``__call__`` computes it."""
+        count = len(mono)
+        stack = self._stacks.get(count)
+        if stack is None:
+            offsets = self.offsets + len(self.terms) * np.arange(count)[:, None]
+            stack = self._stacks[count] = (np.tile(self.coeffs, count), offsets.ravel())
+        coeffs, offsets = stack
+        vals = coeffs * mono.take(self.terms, axis=1).ravel()
+        return np.add.reduceat(vals, offsets).reshape((count, *self.shape))
 
 
 class CompiledSystem:
@@ -227,6 +274,35 @@ class CompiledSystem:
         mono = self._monomials(x, p)
         return self._f(mono), self._jx(mono)
 
+    # Stacked evaluation: row i of x (S, n) and p (S, m) is one point.  The
+    # blocks at row i of ``monomial_rows(x, p)`` are bit-equal to the
+    # single-point methods' results at (x[i], p[i]).
+
+    def monomial_rows(self, x, p) -> np.ndarray:
+        """The (S, U) unique monomials at each row z = (x_i, p_i).  The
+        products run as one 2-D reduction over (S * U, width), the form
+        ``_monomials`` reduces: along the last axis of (S, U, width), numpy
+        rounds differently."""
+        z = np.concatenate([x, p], axis=1)
+        count = len(z)
+        tab = np.empty((count, self.nvars, self.maxdeg + 1), dtype=complex)
+        tab[:, :, 0] = 1.0
+        for k in range(1, self.maxdeg + 1):
+            tab[:, :, k] = tab[:, :, k - 1] * z
+        factors = tab.reshape(count, self.nvars * (self.maxdeg + 1)).take(self._factors, axis=1)
+        return np.multiply.reduce(factors.reshape(-1, self._factors.shape[1]), axis=1).reshape(
+            factors.shape[:2]
+        )
+
+    def f_rows(self, mono) -> np.ndarray:
+        return self._f.rows(mono)
+
+    def jx_rows(self, mono) -> np.ndarray:
+        return self._jx.rows(mono)
+
+    def jp_rows(self, mono) -> np.ndarray:
+        return self._jp.rows(mono)
+
 
 _COMPILED: "weakref.WeakKeyDictionary[System, CompiledSystem]" = weakref.WeakKeyDictionary()
 
@@ -278,6 +354,68 @@ def _newton(comp, x, p, tol, max_iters, max_norm):
     return x, res, res <= tol, False, first_step
 
 
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_solve(a[i], b[i])`` for each row of a stack: the solutions, and
+    which rows solved.  One stacked ``np.linalg.solve`` runs the same
+    ``zgesv`` per matrix; when a singular matrix makes it raise, each row is
+    solved alone, so only the singular rows fail (their solutions are NaN)."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan, dtype=complex)
+        solved = np.zeros(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                out[i] = _solve(a[i], b[i])
+                solved[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return out, solved
+
+
+def _newton_rows(comp, x, p, tol, max_iters, max_norm):
+    """``_newton`` on each row of x (S, n) over the same row of p (S, m), in
+    lockstep.  Returns the stacked (x, residual, converged, singular_flag,
+    first_step_size), row i as ``_newton`` returns it for row i alone, and
+    the monomials of each row's last evaluation, which are those at its
+    returned x when it converged."""
+    x = np.array(x, dtype=complex)
+    count = len(x)
+    res = np.full(count, np.inf)
+    ok = np.zeros(count, dtype=bool)
+    singular = np.zeros(count, dtype=bool)
+    first_step = np.zeros(count)
+    last = mono = comp.monomial_rows(x, p)
+    live = np.arange(count)
+    for it in range(max_iters + 1):
+        if not len(live):
+            break
+        if it:
+            mono = comp.monomial_rows(x[live], p[live])
+            last[live] = mono
+        f = comp.f_rows(mono)
+        r = np.abs(f).max(axis=1)
+        if it == max_iters:  # the check after the last correction
+            res[live] = r
+            ok[live] = r <= tol
+            break
+        finite = np.isfinite(r)
+        res[live] = np.where(finite, r, np.inf)
+        ok[live] = finite & (r <= tol)
+        go = finite & (r > tol)
+        live = live[go]
+        dx, solved = _solve_rows(comp.jx_rows(mono[go]), -f[go])
+        singular[live[~solved]] = True
+        live, dx = live[solved], dx[solved]
+        if it == 0:
+            first_step[live] = np.abs(dx).max(axis=1)
+        x[live] = x[live] + dx
+        far = np.abs(x[live]).max(axis=1) > max_norm
+        res[live[far]] = np.inf
+        live = live[~far]
+    return x, res, ok, singular, first_step, last
+
+
 def newton_polish(system: System, x, p, tol: float, max_iters: int = 30) -> np.ndarray:
     """Polish a point to ||F||_inf <= tol; raises NewtonError otherwise."""
     comp = compiled(system)
@@ -317,51 +455,76 @@ def is_start_point(system: System, x, p) -> bool:
     return _start_newton(compiled(system), x, p)[2]
 
 
-def track_path(
-    system: System,
-    x_start,
-    p_from,
-    p_to,
-    *,
-    rng: np.random.Generator | None = None,
-    gamma: complex | None = None,
-) -> PathResult:
-    """Continue one solution from p_from to p_to along the segment homotopy.
+def _bad_start(res: float) -> ValueError:
+    return ValueError(f"start point does not satisfy the system (residual {res:.3e})")
 
-    Without ``gamma``, one is drawn from ``rng``; without either, the path is
-    the straight segment (gamma = 1).
-    """
-    comp = compiled(system)
-    p_from = np.asarray(p_from, dtype=complex)
-    p_to = np.asarray(p_to, dtype=complex)
-    if gamma is None:
-        gamma = draw_gamma(rng)
-    dp = p_to - p_from
 
-    x, res, ok = _start_newton(comp, x_start, p_from)
-    if not ok:
-        raise ValueError(
-            f"start point does not satisfy the system (residual {res:.3e})"
-        )
+class _Arc:
+    """The parameter arc of one homotopy: p(t) = p_from + tau(t) dp, with
+    tau = gamma t / (1 + (gamma - 1) t), and the rate dtau/dt."""
 
-    def path_point(t: float):
+    __slots__ = ("p_from", "p_to", "dp", "gamma")
+
+    def __init__(self, p_from, p_to, gamma: complex):
+        self.p_from = np.asarray(p_from, dtype=complex)
+        self.p_to = np.asarray(p_to, dtype=complex)
+        self.dp = self.p_to - self.p_from
+        self.gamma = gamma
+
+    def point(self, t: float):
+        gamma = self.gamma
         if gamma == 1.0:
-            return p_from + t * dp, 1.0 + 0.0j
+            return self.p_from + t * self.dp, 1.0 + 0.0j
         den = 1.0 + (gamma - 1.0) * t
-        return p_from + (gamma * t / den) * dp, gamma / (den * den)
+        return self.p_from + (gamma * t / den) * self.dp, gamma / (den * den)
 
-    def tangent(xv, t):
-        p, rate = path_point(t)
-        jx = comp.jx_at(xv, p)
-        jp = comp.jp_at(xv, p)
-        return _solve(jx, -(jp @ dp) * rate)
+    def points(self, t: np.ndarray):
+        """``point`` at each t, stacked.  The scale factors and rates are
+        computed as Python scalars, as in ``point``: numpy's complex
+        arithmetic rounds differently."""
+        gamma = self.gamma
+        if gamma == 1.0:
+            scale, rate = t, np.full(len(t), 1.0 + 0.0j)
+        else:
+            dens = [1.0 + (gamma - 1.0) * ti for ti in t.tolist()]
+            scale = np.array([gamma * ti / den for ti, den in zip(t.tolist(), dens)])
+            rate = np.array([gamma / (den * den) for den in dens])
+        # Flat, equal-length operands in ``point``'s order: a broadcast
+        # product may take another numpy loop, one that rounds differently.
+        count, m = len(t), len(self.dp)
+        step = np.repeat(scale, m) * np.tile(self.dp, count)
+        return self.p_from + step.reshape(count, m), rate
 
-    t = 0.0
-    h = _INITIAL_STEP
-    steps = 0
-    streak = 0
-    singular_seen = False
-    k1 = None  # the first stage at (x, t), kept across rejected steps
+
+def _tangent(comp, arc: _Arc, x, t: float) -> np.ndarray:
+    """dx/dt at (x, t): the solution of dF/dx dx = -dF/dp dp dtau/dt."""
+    p, rate = arc.point(t)
+    jx = comp.jx_at(x, p)
+    jp = comp.jp_at(x, p)
+    return _solve(jx, -(jp @ arc.dp) * rate)
+
+
+def _tangent_rows(comp, arc: _Arc, mono, rate):
+    """``_tangent`` at each row, given its monomials and rate; and which
+    rows solved."""
+    return _solve_rows(comp.jx_rows(mono), -(comp.jp_rows(mono) @ arc.dp) * rate[:, None])
+
+
+def _endpoint(x, res: float, steps: int) -> PathResult:
+    """The result of a path whose final corrector ended at x with residual res."""
+    if float(np.abs(x).max()) > _MAX_NORM or not np.isfinite(res):
+        return PathResult("diverged", None, steps, np.inf)
+    if res > PATH_TOL:
+        return PathResult("singular", None, steps, res)
+    return PathResult("success", x, steps, res)
+
+
+def _run_path(comp, arc: _Arc, x, t=0.0, h=_INITIAL_STEP, steps=0, streak=0,
+              singular_seen=False, k1=None) -> PathResult:
+    """The step loop and final corrector of one path, from its state at t:
+    step size h, the accepts since the last expansion, whether a singular
+    Jacobian was met, and the first RK4 stage at (x, t) when known."""
+
     while t < 1.0 - 1e-14:
         if steps >= _MAX_TOTAL_STEPS:
             return PathResult("step_underflow", None, steps, np.inf)
@@ -369,13 +532,13 @@ def track_path(
         accepted = False
         try:
             if k1 is None:
-                k1 = tangent(x, t)
-            k2 = tangent(x + 0.5 * h * k1, t + 0.5 * h)
-            k3 = tangent(x + 0.5 * h * k2, t + 0.5 * h)
-            k4 = tangent(x + h * k3, t + h)
+                k1 = _tangent(comp, arc, x, t)
+            k2 = _tangent(comp, arc, x + 0.5 * h * k1, t + 0.5 * h)
+            k3 = _tangent(comp, arc, x + 0.5 * h * k2, t + 0.5 * h)
+            k4 = _tangent(comp, arc, x + h * k3, t + h)
             x_pred = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if np.all(np.isfinite(x_pred)):
-                p_next, _ = path_point(t + h)
+                p_next, _ = arc.point(t + h)
                 x_new, res, ok, sing, first_step = _newton(
                     comp, x_pred, p_next, NEWTON_TOL, _MAX_NEWTON_ITERS, _MAX_NORM
                 )
@@ -409,12 +572,164 @@ def track_path(
                 status = "singular" if singular_seen else "step_underflow"
                 return PathResult(status, None, steps, np.inf)
 
-    x, res, ok, sing, _ = _newton(comp, x, p_to, NEWTON_TOL, 12, _MAX_NORM)
-    if float(np.abs(x).max()) > _MAX_NORM or not np.isfinite(res):
-        return PathResult("diverged", None, steps, np.inf)
-    if res > PATH_TOL:
-        return PathResult("singular", None, steps, res)
-    return PathResult("success", x, steps, res)
+    x, res, _, _, _ = _newton(comp, x, arc.p_to, NEWTON_TOL, 12, _MAX_NORM)
+    return _endpoint(x, res, steps)
+
+
+def track_path(
+    system: System,
+    x_start,
+    p_from,
+    p_to,
+    *,
+    rng: np.random.Generator | None = None,
+    gamma: complex | None = None,
+) -> PathResult:
+    """Continue one solution from p_from to p_to along the segment homotopy.
+
+    Without ``gamma``, one is drawn from ``rng``; without either, the path is
+    the straight segment (gamma = 1).
+    """
+    comp = compiled(system)
+    if gamma is None:
+        gamma = draw_gamma(rng)
+    arc = _Arc(p_from, p_to, gamma)
+    x, res, ok = _start_newton(comp, x_start, arc.p_from)
+    if not ok:
+        raise _bad_start(res)
+    return _run_path(comp, arc, x)
+
+
+def track_paths(system: System, starts, p_from, p_to, gamma: complex) -> list[PathResult]:
+    """``track_path`` from each start along one homotopy (p_from, p_to and
+    gamma shared), in lockstep.  Result i is bit-identical to
+    ``track_path(system, starts[i], p_from, p_to, gamma=gamma)``.
+
+    Each path keeps its own t, step size, accept streak, cached first RK4
+    stage and singular flag.  One pass of the loop takes one step (or one
+    rejection) of every active path, with their evaluations and solves
+    stacked, under ``track_path``'s rules for each.  A bad start raises the
+    ``ValueError`` the first bad start raises in ``track_path``.  Up to
+    ``_SERIAL_PATHS`` starts are tracked by ``track_path`` one at a time,
+    and once no more than ``_SERIAL_PATHS`` paths are still stepping, each
+    finishes alone from its state.
+    """
+    if len(starts) <= _SERIAL_PATHS:
+        return [track_path(system, x, p_from, p_to, gamma=gamma) for x in starts]
+    comp = compiled(system)
+    arc = _Arc(p_from, p_to, gamma)
+    count = len(starts)
+    x, res, ok, _, _, _ = _newton_rows(
+        comp, np.array([np.asarray(s, dtype=complex) for s in starts]),
+        np.broadcast_to(arc.p_from, (count, comp.m)),
+        NEWTON_TOL * 10, _MAX_NEWTON_ITERS, _MAX_NORM,
+    )
+    if not ok.all():
+        raise _bad_start(float(res[np.argmin(ok)]))
+
+    t = np.zeros(count)
+    h = np.full(count, _INITIAL_STEP)
+    steps = np.zeros(count, dtype=int)
+    streak = np.zeros(count, dtype=int)
+    singular_seen = np.zeros(count, dtype=bool)
+    k1 = np.empty_like(x)
+    have_k1 = np.zeros(count, dtype=bool)  # k1[i] is the first stage at (x[i], t[i])
+    # The monomials and the rate at (x[i], t[i]): the corrector's last
+    # evaluation at an accepted point is kept, as the single-point memo
+    # shares it with the next first stage.
+    p, rate_at = arc.points(t)
+    at_x = comp.monomial_rows(x, p)
+    results: list[PathResult | None] = [None] * count
+    running = np.ones(count, dtype=bool)  # False once a path has its result
+
+    def end(rows, status):
+        if len(rows):
+            running[rows] = False
+            for i in rows.tolist():
+                results[i] = PathResult(status, None, int(steps[i]), np.inf)
+
+    active = np.arange(count)
+    while True:
+        active = active[running[active] & (t[active] < 1.0 - 1e-14)]
+        if len(active) <= _SERIAL_PATHS:
+            break
+        end(active[steps[active] >= _MAX_TOTAL_STEPS], "step_underflow")
+        active = active[running[active]]
+        h[active] = np.minimum(h[active], 1.0 - t[active])
+
+        need = active[~have_k1[active]]
+        if len(need):
+            k, solved = _tangent_rows(comp, arc, at_x[need], rate_at[need])
+            k1[need[solved]] = k[solved]
+            have_k1[need[solved]] = True
+            singular_seen[need[~solved]] = True
+        # A failed solve ends a path's attempt, as LinAlgError does in
+        # ``_run_path``; its later stages are computed but never used.
+        rows = active[have_k1[active]]
+        x0, hh = x[rows], h[rows]
+        mid = arc.points(t[rows] + 0.5 * hh)
+        end_point = arc.points(t[rows] + hh)
+        alive = np.ones(len(rows), dtype=bool)
+        ks = [k1[rows]]
+        for frac, (p, rate) in ((0.5, mid), (0.5, mid), (1.0, end_point)):
+            mono = comp.monomial_rows(x0 + (frac * hh)[:, None] * ks[-1], p)
+            k, solved = _tangent_rows(comp, arc, mono, rate)
+            singular_seen[rows[alive & ~solved]] = True
+            alive &= solved
+            ks.append(k)
+        x_pred = x0 + (hh / 6.0)[:, None] * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
+        alive &= np.isfinite(x_pred).all(axis=1)
+        rows, x0, x_pred = rows[alive], x0[alive], x_pred[alive]
+        p_next, rate_next = end_point[0][alive], end_point[1][alive]
+
+        accepted = np.zeros(count, dtype=bool)
+        if len(rows):
+            x_new, _, ok, sing, first_step, mono_new = _newton_rows(
+                comp, x_pred, p_next, NEWTON_TOL, _MAX_NEWTON_ITERS, _MAX_NORM
+            )
+            singular_seen[rows] |= sing
+            # The sheet-jump guard of ``_run_path``.
+            motion = np.abs(x_pred - x0).max(axis=1)
+            floor = 1000 * NEWTON_TOL * (1.0 + np.abs(x0).max(axis=1))
+            good = ok & (first_step <= np.maximum(0.2 * motion, floor))
+            acc = rows[good]
+            accepted[acc] = True
+            t[acc] += h[acc]
+            x[acc] = x_new[good]
+            at_x[acc] = mono_new[good]
+            rate_at[acc] = rate_next[good]
+            have_k1[acc] = False
+            steps[acc] += 1
+            streak[acc] += 1
+            expand = acc[streak[acc] >= _ACCEPT_STREAK]
+            h[expand] = np.minimum(h[expand] * _STEP_EXPAND, _MAX_STEP)
+            streak[expand] = 0
+
+        rejected = active[~accepted[active]]
+        diverged = np.abs(x[rejected]).max(axis=1) > _MAX_NORM
+        end(rejected[diverged], "diverged")
+        rejected = rejected[~diverged]
+        streak[rejected] = 0
+        h[rejected] *= _STEP_SHRINK
+        under = rejected[h[rejected] < _MIN_STEP]
+        end(under[singular_seen[under]], "singular")
+        end(under[~singular_seen[under]], "step_underflow")
+
+    for i in active.tolist():
+        running[i] = False
+        results[i] = _run_path(
+            comp, arc, x[i].copy(), float(t[i]), float(h[i]), int(steps[i]), int(streak[i]),
+            bool(singular_seen[i]), k1[i].copy() if have_k1[i] else None,
+        )
+    done = np.flatnonzero(running)
+    if len(done):
+        x, res, _, _, _, _ = _newton_rows(
+            comp, x[done], np.broadcast_to(arc.p_to, (len(done), comp.m)),
+            NEWTON_TOL, 12, _MAX_NORM,
+        )
+        for i, xi, ri in zip(done.tolist(), x, res.tolist()):
+            results[i] = _endpoint(xi.copy(), ri, int(steps[i]))
+    return results
 
 
 def track_fiber(
@@ -438,7 +753,7 @@ def track_fiber(
     if gamma is None:
         gamma = draw_gamma(rng)
 
-    results = [track_path(system, sol, fiber.params, p_to, gamma=gamma) for sol in fiber.solutions]
+    results = track_paths(system, fiber.solutions, fiber.params, p_to, gamma)
 
     bad = [i for i, r in enumerate(results) if not r.success]
     if bad:

@@ -68,6 +68,25 @@ def assert_cycles_retrace(system, result):
             )
 
 
+def is_block_system(group, partition) -> bool:
+    """Reference: every generator maps every block onto a block."""
+    blocks = {frozenset(b) for b in partition}
+    return all(frozenset(g[v] for v in b) in blocks for g in group.generators for b in blocks)
+
+
+def track_paths_one_by_one(monkeypatch, track=None):
+    """Replace ``tracker.track_paths`` by one ``track(system, x, p_from, p_to,
+    gamma=gamma)`` call per start, in order (default: the module's
+    ``tracker.track_path``, looked up at call time), so that a wrapper sees
+    every path of either entry point, and each path once."""
+
+    def one_by_one(system, starts, p_from, p_to, gamma):
+        call = track or tracker.track_path
+        return [call(system, x, p_from, p_to, gamma=gamma) for x in starts]
+
+    monkeypatch.setattr(tracker, "track_paths", one_by_one)
+
+
 def run_fixture_monodromy(text, degree, seed_rng, x_star="random", seed_pair=None):
     system = parse_system(text)
     rng = np.random.default_rng(seed_rng)

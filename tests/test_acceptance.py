@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_cycles_retrace
+from conftest import assert_cycles_retrace, is_block_system
 from decksym import scaling
 from decksym.cli import RunConfig, run
 from decksym.expr import (
@@ -41,7 +41,6 @@ from decksym.permgrp import (
     group_order_capped,
     identity,
     inverse,
-    is_block_system,
     is_permutation,
     minimal_block_systems,
 )

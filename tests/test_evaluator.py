@@ -118,6 +118,29 @@ def check_memo(comp, dense, rng):
     assert_bit_equal(comp, dense, x, p)
 
 
+def mixed_points(rng, count, k):
+    """count rows of k coordinates each: generic complex values, some of them
+    replaced by reals, zeros and negative zeros."""
+    z = random_point(rng, count * k).reshape(count, k)
+    kind = rng.integers(0, 4, size=z.shape)
+    z[kind == 1] = z[kind == 1].real
+    z[kind == 2] = 0.0
+    z[kind == 3] = complex(-0.0, -0.0)
+    return z
+
+
+def assert_rows_bit_equal(comp, x, p):
+    """The stacked evaluation of the lockstep tracker: row i of each block
+    is bit-equal to the single-point methods at (x[i], p[i])."""
+    mono = comp.monomial_rows(x, p)
+    stacked = (comp.f_rows(mono), comp.jx_rows(mono), comp.jp_rows(mono))
+    for i in range(len(x)):
+        single = (*comp.f_and_jx(x[i], p[i]), comp.jp_at(x[i], p[i]))
+        for got, want in zip(stacked, single):
+            assert got[i].shape == want.shape
+            assert got[i].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_evaluation_bit_equal_to_dense(name):
     system = parse_system(fixture_path(name).read_text())
@@ -127,6 +150,10 @@ def test_fixture_evaluation_bit_equal_to_dense(name):
     for _ in range(10):
         assert_bit_equal(comp, dense, random_point(rng, system.n), random_point(rng, system.m))
     check_memo(comp, dense, rng)
+    for count in (1, 5, 33):
+        assert_rows_bit_equal(
+            comp, mixed_points(rng, count, system.n), mixed_points(rng, count, system.m)
+        )
 
 
 NAMES = ("x0", "x1", "x2")
@@ -191,6 +218,16 @@ def test_compiled_matches_symbolic_on_random_sparse_systems(system, seed):
 @given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1))
 def test_memo_bit_equal_to_dense_on_random_sparse_systems(system, seed):
     check_memo(tracker.CompiledSystem(system), DenseReference(system), np.random.default_rng(seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
+def test_stacked_rows_bit_equal_to_single_points(system, seed, count):
+    rng = np.random.default_rng(seed)
+    comp = tracker.CompiledSystem(system)
+    assert_rows_bit_equal(
+        comp, mixed_points(rng, count, system.n), mixed_points(rng, count, system.m)
+    )
 
 
 def test_compile_cache_drops_collected_systems():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import EX57_TEXT, assert_cycles_retrace, ex57_seed, max_residual
+from conftest import (
+    EX57_TEXT,
+    assert_cycles_retrace,
+    ex57_seed,
+    max_residual,
+    track_paths_one_by_one,
+)
 from decksym import tracker
 from decksym.expr import parse_system
 from decksym.monodromy import (
@@ -34,12 +40,14 @@ def mono_ex41(seed=0):
 
 
 def mono_sextic(monkeypatch=None, wrap=None):
-    """run_monodromy on the sextic at rng seed 3, with ``tracker.track_path``
-    optionally wrapped: wrap(real, *args, **kwargs) -> PathResult."""
+    """run_monodromy on the sextic at rng seed 3, optionally with every path
+    that ``tracker.track_paths`` tracks wrapped, one call per path in index
+    order: wrap(real, system, x, p_from, p_to, gamma=gamma) -> PathResult,
+    where real is ``tracker.track_path``."""
     if wrap is not None:
         real = tracker.track_path
-        monkeypatch.setattr(
-            tracker, "track_path", lambda *args, **kwargs: wrap(real, *args, **kwargs)
+        track_paths_one_by_one(
+            monkeypatch, lambda *args, **kwargs: wrap(real, *args, **kwargs)
         )
     rng = np.random.default_rng(3)
     pair = seed_from_linear_params(SEXTIC, rng=rng)
@@ -212,6 +220,44 @@ def test_sheet_jump_onto_a_matched_solution_breaks_the_edge(monkeypatch):
     assert jumped
     assert group_order_capped(result.group(), 10**4) == 48
     assert_cycles_retrace(SEXTIC, result)
+
+
+def test_jump_inside_a_lockstep_edge_breaks_it_in_index_order(monkeypatch):
+    """Fault injection into the results of one ``track_paths`` call: in the
+    first call of at least three paths whose first path succeeds, the third
+    lands where the first did.  The results are taken in index order, so
+    the edge breaks at the third path and the paths after it count as never
+    tracked; the run is the same whether the edge's paths are tracked in
+    lockstep or one by one."""
+    real = tracker.track_paths
+
+    def run(one_by_one):
+        groups = []
+
+        def jump_once(system, starts, p_from, p_to, gamma):
+            if one_by_one:
+                results = [tracker.track_path(system, x, p_from, p_to, gamma=gamma) for x in starts]
+            else:
+                results = real(system, starts, p_from, p_to, gamma)
+            if len(starts) >= 3 and results[0].success and not any(j for _, j in groups):
+                results[2] = results[0]
+                groups.append((len(starts), True))
+            else:
+                groups.append((len(starts), False))
+            return results
+
+        monkeypatch.setattr(tracker, "track_paths", jump_once)
+        result = mono_sextic()
+        monkeypatch.undo()
+        size = next(size for size, jumped in groups if jumped)
+        # The paths after the break in that group were tracked, not counted.
+        assert result.paths_tracked == sum(size for size, _ in groups) - (size - 3)
+        assert group_order_capped(result.group(), 10**4) == 48
+        assert_cycles_retrace(SEXTIC, result)
+        return (result.paths_tracked, result.paths_failed, result.edges, result.permutations,
+                [x.tobytes() for x in result.base.solutions])
+
+    assert run(one_by_one=False) == run(one_by_one=True)
 
 
 def test_no_solution_is_tracked_twice_along_one_edge(monkeypatch):

@@ -5,20 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_block_system
 from decksym.permgrp import (
     PermutationGroup,
     centralizer_in_symmetric,
     compose,
     cycles_string,
     describe_group,
-    from_cycles,
     group_order_capped,
     identity,
     inverse,
-    is_block_system,
+    is_permutation,
     is_transitive,
     minimal_block_systems,
 )
+
+
+def from_cycles(cycles, degree, one_based=True):
+    """Reference: the permutation with the given cycles (labels from 1, or
+    from 0 with ``one_based=False``)."""
+    base = 1 if one_based else 0
+    images = list(range(degree))
+    for cyc in cycles:
+        cyc = [c - base for c in cyc]
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            images[a] = b
+    p = tuple(images)
+    assert is_permutation(p), "cycles do not define a permutation"
+    return p
 
 # Full group preserving the pair blocks {1,4},{2,5},{3,6} on 6 labels
 # (S2 wr S3, order 48): block permutations plus one single flip.

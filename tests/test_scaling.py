@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import track_paths_one_by_one
 from decksym import scaling
 from decksym.expr import parse_system
 from decksym.scaling import (
@@ -291,7 +292,8 @@ def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
 def test_filter_path_budget(mono_sextic, monkeypatch):
     """The filter tracks the scaled deck orbit per candidate straight to the
     base fiber, and the orbit again to retrace a passing one; it tracks no
-    other fiber."""
+    other fiber.  The retrace enters through ``tracker.track_paths``, whose
+    paths are counted one by one."""
     from decksym import tracker
 
     system, result, _ = mono_sextic
@@ -304,6 +306,7 @@ def test_filter_path_budget(mono_sextic, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(tracker, "track_path", counting)
+    track_paths_one_by_one(monkeypatch)
     out = commuting_discrete_scalings(
         detect_scalings(system), system, result, deck, np.random.default_rng(1)
     )
@@ -390,7 +393,8 @@ def test_sheet_jump_on_retrace_never_passes(mono_sextic, monkeypatch):
 
 def test_transient_path_failure_retries_with_a_fresh_gamma(mono_sextic, monkeypatch):
     """One failed path costs one attempt: the sextic flip passes on its
-    second gamma, with the orbit tracked and retraced once."""
+    second gamma, with the orbit tracked and retraced once (the retrace's
+    paths, from ``tracker.track_paths``, recorded one by one)."""
     from decksym import tracker
 
     system, result, _ = mono_sextic
@@ -405,6 +409,7 @@ def test_transient_path_failure_retries_with_a_fresh_gamma(mono_sextic, monkeypa
         return real(system, x, p_from, p_to, gamma=gamma, **kwargs)
 
     monkeypatch.setattr(tracker, "track_path", fail_first)
+    track_paths_one_by_one(monkeypatch)
     out = commuting_discrete_scalings(
         detect_scalings(system), system, result, deck, np.random.default_rng(1)
     )

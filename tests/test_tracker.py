@@ -289,11 +289,29 @@ def test_tracking_without_memo_is_identical(name, coarse, monkeypatch):
 def test_solve_bit_equal_to_numpy():
     rng = np.random.default_rng(23)
     for n in range(1, 31):
-        for _ in range(10):
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            a *= 10.0 ** rng.uniform(-6, 6, size=(n, 1))
-            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert tracker._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+        a = rng.standard_normal((10, n, n)) + 1j * rng.standard_normal((10, n, n))
+        a *= 10.0 ** rng.uniform(-6, 6, size=(10, n, 1))
+        b = rng.standard_normal((10, n)) + 1j * rng.standard_normal((10, n))
+        single = [tracker._solve(a[i], b[i]).tobytes() for i in range(10)]
+        assert single == [np.linalg.solve(a[i], b[i]).tobytes() for i in range(10)]
+        # The stacked solve of the lockstep tracker: every row as alone.
+        stacked, solved = tracker._solve_rows(a, b)
+        assert solved.all()
+        assert [row.tobytes() for row in stacked] == single
+
+
+def test_stacked_solve_flags_only_the_singular_row():
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    a[2] = [[1, 1, 0], [2, 2, 0], [0, 0, 1]]
+    b = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, b[..., None])
+    got, solved = tracker._solve_rows(a, b)
+    assert solved.tolist() == [True, True, False, True, True]
+    for i in (0, 1, 3, 4):
+        assert got[i].tobytes() == tracker._solve(a[i], b[i]).tobytes()
+    assert np.isnan(got[2]).all()
 
 
 def test_solve_raises_on_exactly_singular_matrix():
@@ -320,3 +338,104 @@ def test_singular_paths_end_as_with_numpy_solve(monkeypatch):
     assert got[2][:2] == ("success", 7)
     monkeypatch.setattr(tracker, "_solve", np.linalg.solve)
     assert run() == got
+
+
+def result_bits(r):
+    """Everything of a path result, floats as their bytes."""
+    return path_record(r) + (np.float64(r.final_residual).tobytes(),)
+
+
+@pytest.fixture(scope="module", params=[("p3p_quasihom", 8), ("triangular", 32)],
+                ids=["p3p_quasihom", "triangular"])
+def base_fiber(request):
+    from decksym.monodromy import run_monodromy
+
+    name, degree = request.param
+    system = parse_system(fixture_path(name).read_text())
+    pair = parse_seed_pair(seed_path(name).read_text())
+    result = run_monodromy(system, pair, np.random.default_rng(0), expected_degree=degree)
+    return system, result.base
+
+
+def test_track_paths_bit_identical_to_track_path(base_fiber):
+    """Every path of a whole fiber, tracked in lockstep, ends as alone:
+    status, steps, endpoint and residual bytes.  The third target is small
+    enough that some triangular paths fail."""
+    system, base = base_fiber
+    rng = np.random.default_rng(31)
+    targets = [tracker.random_params(system.m, rng) for _ in range(3)]
+    targets[2] = targets[2] * 1e-9
+    gammas = [tracker.draw_gamma(rng), 1.0, tracker.draw_gamma(rng)]
+    statuses = set()
+    for q, g in zip(targets, gammas):
+        serial = [track_path(system, x, base.params, q, gamma=g) for x in base.solutions]
+        batch = tracker.track_paths(system, base.solutions, base.params, q, g)
+        assert [result_bits(r) for r in batch] == [result_bits(r) for r in serial]
+        statuses |= {r.status for r in serial}
+    assert "success" in statuses
+
+
+CUBIC = parse_system("unknowns x; parameters p; equations p*x^3 + x^2 - 1;")
+
+
+@pytest.mark.parametrize("serial_paths", [0, tracker._SERIAL_PATHS], ids=["lockstep", "default"])
+def test_track_paths_with_one_failing_path(serial_paths, monkeypatch):
+    """At p = 0 the cubic drops to degree 2: one root runs off to infinity
+    and fails, the others succeed, whether the failing path ends in lockstep
+    (no serial cutoff) or alone after the others finished."""
+    monkeypatch.setattr(tracker, "_SERIAL_PATHS", serial_paths)
+    starts = [np.array([r]) for r in np.roots([1, 1, 0, -1])]
+    gamma = 0.6 + 0.8j
+    serial = [track_path(CUBIC, x, [1.0], [0.0], gamma=gamma) for x in starts]
+    batch = tracker.track_paths(CUBIC, starts, [1.0], [0.0], gamma)
+    assert [r.success for r in serial] == [True, False, True]
+    assert [result_bits(r) for r in batch] == [result_bits(r) for r in serial]
+
+
+@pytest.mark.parametrize("gamma", [0.28 - 0.96j, 1.0])
+def test_track_paths_one_unknown_one_parameter(gamma, monkeypatch):
+    """n = m = 1, tracked in lockstep to the end (no serial cutoff), so the
+    last passes stack the (1, 1) arrays of a single path."""
+    monkeypatch.setattr(tracker, "_SERIAL_PATHS", 0)
+    p_from, p_to = np.array([1.3 + 0.4j]), np.array([0.2 - 0.1j])
+    starts = [np.array([r]) for r in np.roots([p_from[0], 1, 0, -1])]
+    serial = [track_path(CUBIC, x, p_from, p_to, gamma=gamma) for x in starts]
+    batch = tracker.track_paths(CUBIC, starts, p_from, p_to, gamma)
+    assert all(r.success for r in serial)
+    assert len({r.steps_taken for r in serial}) > 1  # paths end on different passes
+    assert [result_bits(r) for r in batch] == [result_bits(r) for r in serial]
+
+
+@pytest.mark.parametrize("gamma", [0.28 - 0.96j, 1.0])
+@pytest.mark.parametrize("system", [CUBIC, SEXTIC], ids=["m=1", "m=4"])
+def test_stacked_arc_points_and_tangents_bit_equal(system, gamma):
+    """The stacked parameter points, rates and tangents of the lockstep
+    tracker, one row or several, against the single-path ones."""
+    rng = np.random.default_rng(37)
+    comp = compiled(system)
+    for count in [1] * 40 + [3, 3, 16]:
+        arc = tracker._Arc(
+            tracker.random_params(system.m, rng), tracker.random_params(system.m, rng), gamma
+        )
+        t = rng.random(count)
+        x = rng.standard_normal((count, system.n)) + 1j * rng.standard_normal((count, system.n))
+        p, rate = arc.points(t)
+        k, solved = tracker._tangent_rows(comp, arc, comp.monomial_rows(x, p), rate)
+        assert solved.all()
+        for i in range(count):
+            p_i, rate_i = arc.point(float(t[i]))
+            assert p[i].tobytes() == p_i.tobytes()
+            assert rate[i].tobytes() == np.complex128(rate_i).tobytes()
+            assert k[i].tobytes() == tracker._tangent(comp, arc, x[i], float(t[i])).tobytes()
+
+
+def test_track_paths_bad_start_raises_like_the_first_bad_start():
+    starts = [np.array([r]) for r in np.roots([1, 1, 0, -1])]
+    bad = [starts[0], np.array([5.0 + 0j]), starts[1], np.array([-7.0 + 0j])]
+    with pytest.raises(ValueError) as serial:
+        for x in bad:
+            track_path(CUBIC, x, [1.0], [0.5], gamma=1.0)
+    with pytest.raises(ValueError) as batch:
+        tracker.track_paths(CUBIC, bad, [1.0], [0.5], 1.0)
+    assert "start point" in str(batch.value)
+    assert str(batch.value) == str(serial.value)

@@ -620,8 +620,7 @@ def track_paths(system: System, starts, p_from, p_to, gamma: complex) -> list[Pa
     arc = _Arc(p_from, p_to, gamma)
     count = len(starts)
     x, res, ok, _, _, _ = _newton_rows(
-        comp, np.array([np.asarray(s, dtype=complex) for s in starts]),
-        np.broadcast_to(arc.p_from, (count, comp.m)),
+        comp, np.array(starts, dtype=complex), np.broadcast_to(arc.p_from, (count, comp.m)),
         NEWTON_TOL * 10, _MAX_NEWTON_ITERS, _MAX_NORM,
     )
     if not ok.all():

@@ -48,11 +48,12 @@ The evaluator keeps the monomial vector of the last point, keyed by the
 exact bytes of (x, p), so the four evaluation methods at one point share one
 product: dF/dx and dF/dp in each RK4 stage, and the corrector's last F and
 dF/dx with the next step's first stage.  A rejected step leaves x and t
-unchanged, so its first stage is kept for the retry.  Dense solves call
-LAPACK's ``zgesv`` directly, the routine behind ``np.linalg.solve``, without
-that function's Python wrapper.  numpy and scipy may bundle different LAPACK
-builds; tests/test_tracker.py checks that both solve to the same bits, one
-matrix or a stack.
+unchanged, so its first stage is kept for the retry.  Single dense solves
+call LAPACK's ``zgesv`` directly, the routine behind ``np.linalg.solve``,
+without that function's Python wrapper; stacked solves use
+``np.linalg.solve``, which runs that routine per matrix.  numpy and scipy
+may bundle different LAPACK builds; tests/test_tracker.py checks that both
+solve to the same bits, one matrix or a stack.
 
 The stacked evaluation (``monomial_rows`` and the ``*_rows`` blocks) uses the
 same factor table and blocks on (S, n) and (S, m) rows.  Its rows are

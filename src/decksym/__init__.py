@@ -53,7 +53,6 @@ from .scaling import (
     detect_scalings,
     exponent_difference_matrix,
     extract_scaling_lattice,
-    multidegree,
     denominator_multidegree,
     smith_normal_form,
 )

@@ -12,6 +12,29 @@ Monomial order is graded lexicographic with unknowns before parameters:
 monomial *lists* (interpolation bases, matrix columns) are ascending, so the
 basis for n=2, m=1, D=1 reads 1, x, y, p; the *terms* of a polynomial are
 stored highest-degree first, so x^2 + p*x + 1 prints in that order.
+
+One kernel evaluates every polynomial in the package: the tracker's F, dF/dx
+and dF/dp, ``Polynomial.evaluate`` and ``RationalFunction.evaluate`` (deck
+formulas, patch equations) and the Vandermonde columns of interpolation.  A
+set of unique monomials is a factor table: each monomial is a short row of
+flat indices ``var * (maxdeg + 1) + power`` into a power table of all the
+variables, listing only its non-unit factors in increasing variable order
+and padded with an index of a constant 1.  A ``TermBlock`` keeps, per term of
+each of its polynomials, a monomial index and a coefficient, summed per
+polynomial by ``np.add.reduceat``.  An evaluation fills the power table,
+multiplies the few factors of each monomial once (``monomials_at`` for one
+point, ``monomial_rows`` for a stack of points), and gathers the monomials
+into the terms.
+
+A polynomial compiles, on its first evaluation, into a one-entry block over
+its own support.  The power of a variable, the product of a monomial's
+factors and the sum of a polynomial's terms are each computed by the same
+numpy operations in the same order whatever table holds the monomial, so
+``Polynomial.evaluate`` is bit-equal, at generic points, to the tracker's
+``CompiledSystem`` entry for the same polynomial (tests/test_evaluator.py
+checks this on random sparse systems).  Padding differs between tables;
+multiplying by the padding's exact 1 changes no bit of a product with
+nonzero parts.
 """
 
 from __future__ import annotations
@@ -86,6 +109,106 @@ def _czero(a: Coeff) -> bool:
     return a == 0
 
 
+# ---------------------------------------------------------------------------
+# The evaluation kernel
+# ---------------------------------------------------------------------------
+
+
+def factor_key(exponent: Exponent, stride: int) -> tuple[int, ...]:
+    """Flat power-table indices ``var * stride + power`` of the non-unit
+    factors of one monomial, in increasing variable order."""
+    return tuple(v * stride + k for v, k in enumerate(exponent) if k)
+
+
+def factor_table(keys) -> np.ndarray:
+    """The (U, width) factor table of U monomial keys.  Padding points at
+    power-table entry [0, 0], which is always 1."""
+    keys = list(keys)
+    factors = np.zeros((len(keys), max(map(len, keys), default=0) or 1), dtype=np.intp)
+    for u, key in enumerate(keys):
+        factors[u, : len(key)] = key
+    return factors
+
+
+def monomials_at(factors: np.ndarray, maxdeg: int, z: np.ndarray) -> np.ndarray:
+    """The (U,) monomials of a factor table at one point z."""
+    tab = np.empty((len(z), maxdeg + 1), dtype=complex)
+    tab[:, 0] = 1.0
+    for k in range(1, maxdeg + 1):
+        tab[:, k] = tab[:, k - 1] * z
+    # numpy's elementwise complex multiply may round differently from its
+    # product reduction; a dense product over every variable reduced, and
+    # so does this.
+    return np.multiply.reduce(tab.ravel()[factors], axis=1)
+
+
+def monomial_rows(factors: np.ndarray, maxdeg: int, z: np.ndarray) -> np.ndarray:
+    """The (S, U) monomials of a factor table at each row of z (S, nvars),
+    each row bit-equal to ``monomials_at``.  The products run as one 2-D
+    reduction over (S * U, width), the form ``monomials_at`` reduces: along
+    the last axis of (S, U, width), numpy rounds differently."""
+    count, nvars = z.shape
+    tab = np.empty((count, nvars, maxdeg + 1), dtype=complex)
+    tab[:, :, 0] = 1.0
+    for k in range(1, maxdeg + 1):
+        tab[:, :, k] = tab[:, :, k - 1] * z
+    gathered = tab.reshape(count, nvars * (maxdeg + 1)).take(factors, axis=1)
+    return np.multiply.reduce(gathered.reshape(-1, factors.shape[1]), axis=1).reshape(
+        gathered.shape[:2]
+    )
+
+
+def monomial_values(exponents: Sequence[Exponent], points) -> np.ndarray:
+    """(S, K): monomial k of ``exponents`` (distinct) at row s of ``points``."""
+    maxdeg = max(map(max, exponents), default=0)
+    factors = factor_table(factor_key(e, maxdeg + 1) for e in exponents)
+    return monomial_rows(factors, maxdeg, np.asarray(points, dtype=complex))
+
+
+class TermBlock:
+    """The terms of a list of polynomials over a shared monomial table: each
+    term's monomial index and coefficient, and the ``reduceat`` offset of
+    each polynomial's first term.  Evaluated, the block has the given shape.
+    """
+
+    __slots__ = ("terms", "coeffs", "offsets", "shape", "_stacks")
+
+    def __init__(self, polys, monomials: dict, stride: int, shape):
+        terms: list[int] = []
+        coeffs: list[complex] = []
+        offsets: list[int] = []
+        for p in polys:
+            offsets.append(len(terms))
+            # A zero polynomial keeps one zero term so that every offset is valid.
+            for e, c in p.terms or (((0,) * p.nvars, 0.0),):
+                terms.append(monomials.setdefault(factor_key(e, stride), len(monomials)))
+                coeffs.append(coeff_to_complex(c))
+        self.terms = np.asarray(terms, dtype=np.intp)
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.shape = shape
+        self._stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __call__(self, mono: np.ndarray) -> np.ndarray:
+        vals = self.coeffs * mono[self.terms]
+        return np.add.reduceat(vals, self.offsets).reshape(self.shape)
+
+    def rows(self, mono: np.ndarray) -> np.ndarray:
+        """The block at each row of an (S, U) monomial array, stacked as
+        (S, *shape).  The coefficients, repeated once per row, multiply the
+        flat terms, and one flat ``reduceat`` sums them with this block's
+        offsets repeated once per row, so every entry is computed as
+        ``__call__`` computes it."""
+        count = len(mono)
+        stack = self._stacks.get(count)
+        if stack is None:
+            offsets = self.offsets + len(self.terms) * np.arange(count)[:, None]
+            stack = self._stacks[count] = (np.tile(self.coeffs, count), offsets.ravel())
+        coeffs, offsets = stack
+        vals = coeffs * mono.take(self.terms, axis=1).ravel()
+        return np.add.reduceat(vals, offsets).reshape((count, *self.shape))
+
+
 class Polynomial:
     """Immutable sparse polynomial in canonical form.
 
@@ -93,7 +216,7 @@ class Polynomial:
     highest graded-lex monomial first.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_hash", "_kernel")
 
     def __init__(self, nvars: int, terms: Iterable[tuple[Exponent, Coeff]]):
         acc: dict[Exponent, Coeff] = {}
@@ -112,6 +235,7 @@ class Polynomial:
         self.nvars = nvars
         self.terms: tuple[tuple[Exponent, Coeff], ...] = tuple(clean)
         self._hash = None
+        self._kernel = None
 
     # -- constructors ------------------------------------------------------
 
@@ -186,17 +310,23 @@ class Polynomial:
             out.append((tuple(new), _cmul(c, (Fraction(k), Fraction(0)))))
         return Polynomial(self.nvars, out)
 
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        if len(point) != self.nvars:
-            raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
-        total = 0j
-        for e, c in self.terms:
-            v = coeff_to_complex(c)
-            for i, k in enumerate(e):
-                if k:
-                    v *= complex(point[i]) ** k
-            total += v
-        return total
+    def evaluate(self, point):
+        """The value at one point of ``nvars`` coordinates, as a Python
+        complex, or the (S,) values at an (S, nvars) stack of points.  On the
+        first call the polynomial compiles into a one-entry ``TermBlock`` over
+        its own support."""
+        z = np.asarray(point, dtype=complex)
+        if z.ndim not in (1, 2) or z.shape[-1] != self.nvars:
+            raise ValueError(f"point shape {z.shape} does not end in nvars {self.nvars}")
+        if self._kernel is None:
+            maxdeg = max((max(e) for e, _ in self.terms), default=0)
+            monomials: dict[tuple[int, ...], int] = {}
+            block = TermBlock((self,), monomials, maxdeg + 1, ())
+            self._kernel = (factor_table(monomials), maxdeg, block)
+        factors, maxdeg, block = self._kernel
+        if z.ndim == 1:
+            return complex(block(monomials_at(factors, maxdeg, z)))
+        return block.rows(monomial_rows(factors, maxdeg, z))
 
     # -- comparison --------------------------------------------------------
 
@@ -260,8 +390,17 @@ class RationalFunction:
         d = self.denominator
         return len(d.terms) == 1 and sum(d.terms[0][0]) == 0
 
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        return self.numerator.evaluate(point) / self.denominator.evaluate(point)
+    def evaluate(self, point):
+        """The quotient at one point (a Python complex) or at each row of an
+        (S, nvars) stack, divided by numpy's loop either way, so that both
+        forms agree bit for bit.  A denominator of exactly 0 raises
+        ZeroDivisionError."""
+        num = self.numerator.evaluate(point)
+        den = self.denominator.evaluate(point)
+        if not np.all(den):
+            raise ZeroDivisionError("complex division by zero")
+        quotient = np.divide(num, den)
+        return quotient if quotient.ndim else complex(quotient)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         if self.denominator == other.denominator:
@@ -467,16 +606,26 @@ class _Parser:
         return ParseError(msg, t.line, t.col)
 
     def parse_expr(self) -> RationalFunction:
+        """A sum of terms.  When every term has the same denominator, the
+        numerators' terms build one polynomial; otherwise the terms fold
+        pairwise, left to right.  Literals are exact, so both give the
+        coefficients of the left-to-right fold."""
         sign = 1
         if self.peek().kind in "+-":
             sign = -1 if self.next().kind == "-" else 1
         value = self.parse_term()
-        if sign < 0:
-            value = -value
+        terms = [value if sign > 0 else -value]
         while self.peek().kind in "+-":
             op = self.next().kind
             rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
+            terms.append(rhs if op == "+" else -rhs)
+        den = terms[0].denominator
+        if len(terms) > 1 and all(t.denominator == den for t in terms[1:]):
+            nums = itertools.chain.from_iterable(t.numerator.terms for t in terms)
+            return RationalFunction(Polynomial(self.nvars, nums), den)
+        value = terms[0]
+        for rhs in terms[1:]:
+            value = value + rhs
         return value
 
     def parse_term(self) -> RationalFunction:

@@ -13,6 +13,12 @@ to the degree lands in the same class.
 Candidates are accepted only when they reproduce held-out samples that never
 entered the Vandermonde; accepted coefficients are snapped to nearby small
 rationals and the snap is rolled back if re-validation fails.
+
+Every value here comes from the one evaluation kernel of ``expr``: the
+Vandermonde columns of a multidegree class are its monomial rows at the
+sample points (``expr.monomial_values``), and a formula is evaluated once
+over a whole array of points, the held-out samples in validation and every
+tracked solution in ``verify_deck`` and ``derive_deck_permutation``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,14 @@ import numpy as np
 
 from . import monodromy as monodromy_mod
 from . import numcore, permgrp, scaling
-from .expr import Exponent, Polynomial, RationalFunction, System, monomials_up_to_degree
+from .expr import (
+    Exponent,
+    Polynomial,
+    RationalFunction,
+    System,
+    monomial_values,
+    monomials_up_to_degree,
+)
 from .monodromy import MonodromyResult
 from .permgrp import Perm
 from .tracker import FiberSample
@@ -70,21 +83,6 @@ class InterpolationStats:
     largest_class: int = 0
 
 
-def eval_monomials(points: np.ndarray, exps: Sequence[Exponent]) -> np.ndarray:
-    """Evaluate monomials at points: out[s, k] = prod_v points[s, v] ** exps[k, v]."""
-    points = np.asarray(points, dtype=complex)
-    e = np.asarray(exps, dtype=np.int64)
-    s, nv = points.shape
-    maxd = int(e.max(initial=0))
-    powers = np.ones((s, nv, maxd + 1), dtype=complex)
-    for d in range(1, maxd + 1):
-        powers[:, :, d] = powers[:, :, d - 1] * points
-    out = np.ones((s, e.shape[0]), dtype=complex)
-    for v in range(nv):
-        out *= powers[:, v, :][:, e[:, v]]
-    return out
-
-
 def build_vandermonde(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     j: int,
@@ -100,8 +98,8 @@ def build_vandermonde(
         raise ValueError("need at least one sample pair")
     pts = np.asarray([a for a, _ in pairs], dtype=complex)
     imgs = np.asarray([b[j] for _, b in pairs], dtype=complex)
-    vn = eval_monomials(pts, numer_monomials)
-    vd = eval_monomials(pts, denom_monomials)
+    vn = monomial_values(numer_monomials, pts)
+    vd = monomial_values(denom_monomials, pts)
     return np.hstack([vn, -imgs[:, None] * vd])
 
 
@@ -212,21 +210,15 @@ def snap_rational(rf: RationalFunction) -> RationalFunction:
     return RationalFunction(snap_poly(rf.numerator), snap_poly(rf.denominator))
 
 
-def _validate(
-    rf: RationalFunction,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    j: int,
-) -> bool:
-    """Whether ``rf`` reproduces coordinate j of every pair within
-    ``VALIDATE_RTOL``."""
-    for pt, img in pairs:
-        den = rf.denominator.evaluate(pt)
-        if abs(den) < 1e-12 * (1 + abs(rf.numerator.evaluate(pt))):
-            return False
-        err = abs(rf.numerator.evaluate(pt) / den - img[j]) / (1.0 + abs(img[j]))
-        if not np.isfinite(err) or err > VALIDATE_RTOL:
-            return False
-    return True
+def _validate(rf: RationalFunction, points: np.ndarray, images: np.ndarray) -> bool:
+    """Whether ``rf`` reproduces ``images`` (S,) at ``points`` (S, n+m) within
+    ``VALIDATE_RTOL``, with every denominator clear of 0."""
+    num = rf.numerator.evaluate(points)
+    den = rf.denominator.evaluate(points)
+    if np.any(np.abs(den) < 1e-12 * (1 + np.abs(num))):
+        return False
+    err = np.abs(num / den - images) / (1.0 + np.abs(images))
+    return bool(np.all(err <= VALIDATE_RTOL))
 
 
 class SampleCache:
@@ -283,12 +275,6 @@ class _SampleArrays:
         ]
         return _SampleArrays(pts, imgs)
 
-    def pairs(self, k: int, count: int, start: int = 0):
-        sl = slice(start, start + count)
-        pts = self.points[sl]
-        imgs = self.images[k][sl]
-        return [(pts[i], imgs[i]) for i in range(pts.shape[0])]
-
 
 def _try_candidate(
     system: System,
@@ -300,11 +286,12 @@ def _try_candidate(
     j: int,
     k: int,
     size: int,
-    holdout: Sequence[tuple[np.ndarray, np.ndarray]],
+    holdout: int,
 ) -> RationalFunction | None:
     """The validated formula for coordinate j of deck k from the first
     ``size`` samples, snapped when the snap still validates; None when the
-    nullspace has no representative or it fails the held-out samples."""
+    nullspace has no representative or it fails the samples from index
+    ``holdout`` on."""
     imgs = arrays.images[k][:size, j]
     a_mat = np.hstack([vn[:size], -imgs[:, None] * vd[:size]])
     try:
@@ -318,10 +305,11 @@ def _try_candidate(
     if rep is None:
         return None
     rf = representative_to_rational(rep[0], rep[1], numer_monos, denom_monos, system.n + system.m)
-    if not _validate(rf, holdout, j):
+    points, images = arrays.points[holdout:], arrays.images[k][holdout:, j]
+    if not _validate(rf, points, images):
         return None
     snapped = snap_rational(rf)
-    return snapped if _validate(snapped, holdout, j) else rf
+    return snapped if _validate(snapped, points, images) else rf
 
 
 def monomial_classes(
@@ -377,17 +365,12 @@ def _interpolate(
         fit_max = 2 * t
         samples = cache.ensure(fit_max + _holdout_count(fit_max))
         arrays = _SampleArrays.build(samples, len(perms))
-        holdouts = [
-            arrays.pairs(k, len(samples) - fit_max, start=fit_max)
-            for k in range(len(perms))
-        ]
         values: dict[scaling.Multidegree, np.ndarray] = {}
 
         def class_values(key):
             got = values.get(key)
             if got is None:
-                got = eval_monomials(arrays.points, classes[key])
-                values[key] = got
+                got = values[key] = monomial_values(classes[key], arrays.points)
             return got
 
         for key in sorted(classes.keys(), key=_class_sort_key):
@@ -410,7 +393,7 @@ def _interpolate(
                     )
                     got = _try_candidate(
                         system, arrays, vn, vd, mon_n, mon_d, j, k,
-                        len(mon_n) + len(mon_d), holdouts[k],
+                        len(mon_n) + len(mon_d), fit_max,
                     )
                     if got is not None:
                         deck.coords[j] = got
@@ -511,46 +494,42 @@ def verify_deck(
     n = system.n
     comp = tracker.compiled(system)
 
-    worst_pair = 0.0
-    worst_res = 0.0
     fibers: list[FiberSample] = []
     for _ in range(trial_count):
         got = tracker.sample_fiber(system, mono.base, rng)
         if got is not None:
             fibers.append(got[0])
 
-    for sample in fibers:
-        for i, sol in enumerate(sample.solutions):
-            pt = np.concatenate([sol, sample.params])
-            paired = sample.solutions[sigma[i]]
-            for j in present:
-                err = abs(deck.coords[j].evaluate(pt) - paired[j]) / (1.0 + abs(paired[j]))
-                worst_pair = max(worst_pair, err)
-            if deck.complete:
-                image = np.array([deck.coords[j].evaluate(pt) for j in range(n)])
-                f = comp.f_at(image, sample.params)
-                skip = set(system.patch_indices)
-                res = max(
-                    (abs(f[idx]) for idx in range(n) if idx not in skip), default=0.0
-                )
-                worst_res = max(worst_res, float(res))
+    worst_pair = 0.0
+    worst_res = 0.0
+    if fibers:
+        # Each formula over every tracked solution at once, against the
+        # solution's sigma-partner.  The worst values are numpy maxima, so a
+        # NaN carries through and fails the check.
+        points = np.array([np.concatenate([x, s.params]) for s in fibers for x in s.solutions])
+        paired = np.array([s.solutions[i] for s in fibers for i in sigma])[:, present]
+        values = np.column_stack([deck.coords[j].evaluate(points) for j in present])
+        worst_pair = float(np.max(np.abs(values - paired) / (1.0 + np.abs(paired))))
+        if deck.complete:
+            structural = [i for i in range(n) if i not in system.patch_indices]
+            params = [s.params for s in fibers for _ in s.solutions]
+            for image, p in zip(values, params):
+                f = comp.f_at(image, p)[structural]
+                worst_res = float(np.max(np.abs(f), initial=worst_res))
 
     worst_quasi = 0.0
     quasi_ok: bool | None = None
     if lattice is not None and lattice.free.rows and fibers:
-        quasi_ok = True
         sample = fibers[0]
+        points = np.array([np.concatenate([x, sample.params]) for x in sample.solutions[:3]])
+        base = [deck.coords[j].evaluate(points) for j in present]
         for row in lattice.free.data:
             lam = complex(np.exp(1j * rng.uniform(0, 2 * np.pi))) * rng.uniform(0.5, 1.5)
-            for sol in sample.solutions[:3]:
-                pt = np.concatenate([sol, sample.params])
-                scaled = scaling.apply_scaling(row, lam, pt)
-                for j in present:
-                    base_val = deck.coords[j].evaluate(pt)
-                    scaled_val = deck.coords[j].evaluate(scaled)
-                    expected = lam ** row[j] * base_val
-                    err = abs(scaled_val - expected) / (1.0 + abs(expected))
-                    worst_quasi = max(worst_quasi, err)
+            scaled = scaling.apply_scaling(row, lam, points)
+            for j, base_vals in zip(present, base):
+                expected = lam ** row[j] * base_vals
+                err = np.abs(deck.coords[j].evaluate(scaled) - expected) / (1.0 + np.abs(expected))
+                worst_quasi = float(np.max(err, initial=worst_quasi))
         quasi_ok = worst_quasi <= VALIDATE_RTOL
 
     return DeckVerification(
@@ -582,9 +561,9 @@ def derive_deck_permutation(
         raise ValueError("no formulas supplied")
     images = []
     partial_fiber = np.asarray(base.solutions)[:, present]
-    for i, sol in enumerate(base.solutions):
-        pt = np.concatenate([sol, base.params])
-        predicted = np.array([coords[j].evaluate(pt) for j in present])
+    points = np.array([np.concatenate([sol, base.params]) for sol in base.solutions])
+    predicted_rows = np.column_stack([coords[j].evaluate(points) for j in present])
+    for i, predicted in enumerate(predicted_rows):
         best, d1, d2 = tracker.nearest(predicted, partial_fiber)
         if d1 > 1e-6 * (1 + float(np.abs(predicted).max())):
             raise ValueError(f"formula image of solution {i} does not lie in the fiber")

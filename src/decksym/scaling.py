@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Exponent, System, coeff_to_complex
+from .expr import Exponent, Polynomial, System
 from . import monodromy, tracker
 
 _INT64_GUARD = 2**31
@@ -61,42 +61,6 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.data[i]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data else ())
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        bt = other.transpose().data
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.data
-        )
-        return IntMatrix(self.rows, other.cols, out)
-
-    def det(self) -> int:
-        """Exact determinant by Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
 
 @dataclass(frozen=True)
 class SnfDecomposition:
@@ -108,15 +72,6 @@ class SnfDecomposition:
 
     def diagonal_entry(self, i: int) -> int:
         return self.diag[i] if i < len(self.diag) else 0
-
-    def verify(self, a: IntMatrix) -> bool:
-        prod = self.U.matmul(a).matmul(self.V)
-        for i in range(prod.rows):
-            for j in range(prod.cols):
-                expected = self.diag[i] if (i == j and i < len(self.diag)) else 0
-                if prod.data[i][j] != expected:
-                    return False
-        return abs(self.U.det()) == 1 and abs(self.V.det()) == 1
 
 
 class _OverflowRisk(Exception):
@@ -234,9 +189,6 @@ class ScalingLattice:
     def free_rank(self) -> int:
         return self.free.rows
 
-    def is_empty(self) -> bool:
-        return self.free.rows == 0 and not self.torsion
-
 
 def exponent_difference_matrix(system: System) -> IntMatrix:
     """Columns alpha_ij - alpha_i1 (j >= 2) per structural equation, stacked.
@@ -287,14 +239,6 @@ def detect_scalings(system: System) -> ScalingLattice:
     return extract_scaling_lattice(smith_normal_form(a), a.rows)
 
 
-def equation_weight(row: Sequence[int], eq) -> int | None:
-    """Common weight of all terms of eq under the scaling row, or None if mixed."""
-    weights = {sum(u * e for u, e in zip(row, exp)) for exp in eq.support()}
-    if len(weights) != 1:
-        return None
-    return weights.pop()
-
-
 # ---------------------------------------------------------------------------
 # Multidegrees
 # ---------------------------------------------------------------------------
@@ -304,26 +248,6 @@ def equation_weight(row: Sequence[int], eq) -> int | None:
 class Multidegree:
     free: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
-
-    def __add__(self, other: "Multidegree") -> "Multidegree":
-        return Multidegree(
-            tuple(a + b for a, b in zip(self.free, other.free)),
-            tuple(
-                tuple((a + b) for a, b in zip(ta, tb))
-                for ta, tb in zip(self.torsion, other.torsion)
-            ),
-        )
-
-
-def multidegree(exponent: Exponent, lattice: ScalingLattice) -> Multidegree:
-    if len(exponent) != lattice.nvars:
-        raise ValueError("exponent length does not match the lattice")
-    free = tuple(sum(u * e for u, e in zip(row, exponent)) for row in lattice.free.data)
-    torsion = tuple(
-        tuple(sum(u * e for u, e in zip(row, exponent)) % blk.modulus for row in blk.rows.data)
-        for blk in lattice.torsion
-    )
-    return Multidegree(free, torsion)
 
 
 def denominator_multidegree(numer: Multidegree, lattice: ScalingLattice, j: int) -> Multidegree:
@@ -410,17 +334,10 @@ def repatch_point(system: System, lattice: ScalingLattice, point: np.ndarray) ->
         if fixed is None:
             raise ValueError("cannot re-normalize the scaled point to the patch slice")
         row, w = fixed
-        const_val = 0j
-        graded_val = 0j
-        for exp, c in eq.terms:
-            v = coeff_to_complex(c)
-            for i, k in enumerate(exp):
-                if k:
-                    v *= z[i] ** k
-            if sum(u * e for u, e in zip(row, exp)) == 0:
-                const_val += v
-            else:
-                graded_val += v
+        weights = [sum(u * e for u, e in zip(row, exp)) for exp, _ in eq.terms]
+        const = Polynomial(eq.nvars, [t for t, k in zip(eq.terms, weights) if k == 0])
+        graded = Polynomial(eq.nvars, [t for t, k in zip(eq.terms, weights) if k])
+        const_val, graded_val = const.evaluate(z), graded.evaluate(z)
         if graded_val == 0:
             raise ValueError("degenerate point: cannot re-normalize to the patch")
         lam = (-const_val / graded_val) ** (1.0 / w)

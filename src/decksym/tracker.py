@@ -32,17 +32,13 @@ is the one round-trip check: it tracks a sample back along its own arc.
 Fiber solutions count as distinct, and a point as matched, within
 ``MATCH_TOL``.
 
-Systems are compiled once into one factor table over the unique monomials
-of F, dF/dx and dF/dp.  Each monomial is a short row of flat indices
-``var * (maxdeg + 1) + power`` into a power table of all n+m variables,
-listing only its non-unit factors in increasing variable order and padded
-with an index of a constant 1.  Each block keeps, per term, a monomial index
-and a coefficient, summed per entry by ``np.add.reduceat``.  An evaluation
-fills the power table, multiplies the few factors of each monomial once, and
-gathers the monomials into the terms.  Every product is the one a dense
-evaluation over all n+m factors per term computes, minus multiplications by
-an exact 1, so the values are bit-identical to it (tests/test_evaluator.py
-keeps that dense form as the reference).
+Systems are compiled once on the evaluation kernel of ``expr`` (its module
+docstring describes the factor table and the term blocks): one factor table
+over the unique monomials of F, dF/dx and dF/dp, and one term block each.
+Every product is the one a dense evaluation over all n+m factors per term
+computes, minus multiplications by an exact 1, so the values are
+bit-identical to it (tests/test_evaluator.py keeps that dense form as the
+reference) and, at generic points, to ``Polynomial.evaluate`` of each entry.
 
 The evaluator keeps the monomial vector of the last point, keyed by the
 exact bytes of (x, p), so the four evaluation methods at one point share one
@@ -173,56 +169,9 @@ def nearest(point, pool) -> tuple[int, float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _factor_key(exponent, stride: int) -> tuple[int, ...]:
-    """Flat power-table indices ``var * stride + power`` of the non-unit
-    factors of one monomial, in increasing variable order."""
-    return tuple(v * stride + k for v, k in enumerate(exponent) if k)
-
-
-class _Block:
-    """One output block (F, dF/dx or dF/dp): each term's monomial index and
-    coefficient, and the ``reduceat`` offset of each entry's first term."""
-
-    __slots__ = ("terms", "coeffs", "offsets", "shape", "_stacks")
-
-    def __init__(self, polys, monomials: dict, stride: int, shape):
-        terms: list[int] = []
-        coeffs: list[complex] = []
-        offsets: list[int] = []
-        for p in polys:
-            offsets.append(len(terms))
-            # A zero entry keeps one zero term so that every offset is valid.
-            for e, c in p.terms or (((0,) * p.nvars, 0.0),):
-                terms.append(monomials.setdefault(_factor_key(e, stride), len(monomials)))
-                coeffs.append(expr.coeff_to_complex(c))
-        self.terms = np.asarray(terms, dtype=np.intp)
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.offsets = np.asarray(offsets, dtype=np.intp)
-        self.shape = shape
-        self._stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def __call__(self, mono: np.ndarray) -> np.ndarray:
-        vals = self.coeffs * mono[self.terms]
-        return np.add.reduceat(vals, self.offsets).reshape(self.shape)
-
-    def rows(self, mono: np.ndarray) -> np.ndarray:
-        """The block at each row of an (S, U) monomial array, stacked as
-        (S, *shape).  The coefficients, repeated once per row, multiply the
-        flat terms, and one flat ``reduceat`` sums them with this block's
-        offsets repeated once per row, so every entry is computed as
-        ``__call__`` computes it."""
-        count = len(mono)
-        stack = self._stacks.get(count)
-        if stack is None:
-            offsets = self.offsets + len(self.terms) * np.arange(count)[:, None]
-            stack = self._stacks[count] = (np.tile(self.coeffs, count), offsets.ravel())
-        coeffs, offsets = stack
-        vals = coeffs * mono.take(self.terms, axis=1).ravel()
-        return np.add.reduceat(vals, offsets).reshape((count, *self.shape))
-
-
 class CompiledSystem:
-    """Evaluator for F, dF/dx and dF/dp of one system over its unique monomials."""
+    """Evaluator for F, dF/dx and dF/dp of one system over its unique
+    monomials, on the ``expr`` kernel."""
 
     def __init__(self, system: System):
         n, m = system.n, system.m
@@ -233,15 +182,10 @@ class CompiledSystem:
         jac = expr.jacobian(system)
         pj = expr.parameter_jacobian(system)
         monomials: dict[tuple[int, ...], int] = {}
-        self._f = _Block(system.equations, monomials, stride, (n,))
-        self._jx = _Block([q for row in jac for q in row], monomials, stride, (n, n))
-        self._jp = _Block([q for row in pj for q in row], monomials, stride, (n, m))
-        # Row u lists monomial u's non-unit factors; padding points at
-        # tab[0, 0], which is always 1.
-        width = max(map(len, monomials), default=0) or 1
-        self._factors = np.zeros((len(monomials), width), dtype=np.intp)
-        for u, key in enumerate(monomials):
-            self._factors[u, : len(key)] = key
+        self._f = expr.TermBlock(system.equations, monomials, stride, (n,))
+        self._jx = expr.TermBlock([q for row in jac for q in row], monomials, stride, (n, n))
+        self._jp = expr.TermBlock([q for row in pj for q in row], monomials, stride, (n, m))
+        self._factors = expr.factor_table(monomials)
         self._key: bytes | None = None
         self._mono: np.ndarray | None = None
 
@@ -251,13 +195,7 @@ class CompiledSystem:
         z = np.concatenate([np.asarray(x, complex), np.asarray(p, complex)])
         key = z.tobytes()
         if key != self._key:
-            tab = np.empty((self.nvars, self.maxdeg + 1), dtype=complex)
-            tab[:, 0] = 1.0
-            for k in range(1, self.maxdeg + 1):
-                tab[:, k] = tab[:, k - 1] * z
-            # numpy's elementwise complex multiply may round differently from
-            # its product reduction; the dense form reduced, and so does this.
-            mono = np.multiply.reduce(tab.ravel()[self._factors], axis=1)
+            mono = expr.monomials_at(self._factors, self.maxdeg, z)
             mono.flags.writeable = False
             self._key, self._mono = key, mono
         return self._mono
@@ -280,20 +218,8 @@ class CompiledSystem:
     # single-point methods' results at (x[i], p[i]).
 
     def monomial_rows(self, x, p) -> np.ndarray:
-        """The (S, U) unique monomials at each row z = (x_i, p_i).  The
-        products run as one 2-D reduction over (S * U, width), the form
-        ``_monomials`` reduces: along the last axis of (S, U, width), numpy
-        rounds differently."""
-        z = np.concatenate([x, p], axis=1)
-        count = len(z)
-        tab = np.empty((count, self.nvars, self.maxdeg + 1), dtype=complex)
-        tab[:, :, 0] = 1.0
-        for k in range(1, self.maxdeg + 1):
-            tab[:, :, k] = tab[:, :, k - 1] * z
-        factors = tab.reshape(count, self.nvars * (self.maxdeg + 1)).take(self._factors, axis=1)
-        return np.multiply.reduce(factors.reshape(-1, self._factors.shape[1]), axis=1).reshape(
-            factors.shape[:2]
-        )
+        """The (S, U) unique monomials at each row z = (x_i, p_i)."""
+        return expr.monomial_rows(self._factors, self.maxdeg, np.concatenate([x, p], axis=1))
 
     def f_rows(self, mono) -> np.ndarray:
         return self._f.rows(mono)
@@ -433,9 +359,7 @@ def newton_polish(system: System, x, p, tol: float, max_iters: int = 30) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def draw_gamma(rng: np.random.Generator | None) -> complex:
-    if rng is None:
-        return 1.0 + 0.0j
+def draw_gamma(rng: np.random.Generator) -> complex:
     return complex(np.exp(2j * np.pi * rng.random()))
 
 
@@ -583,17 +507,11 @@ def track_path(
     p_from,
     p_to,
     *,
-    rng: np.random.Generator | None = None,
-    gamma: complex | None = None,
+    gamma: complex,
 ) -> PathResult:
-    """Continue one solution from p_from to p_to along the segment homotopy.
-
-    Without ``gamma``, one is drawn from ``rng``; without either, the path is
-    the straight segment (gamma = 1).
-    """
+    """Continue one solution from p_from to p_to along the segment homotopy
+    with the given gamma (``draw_gamma``; 1 is the straight segment)."""
     comp = compiled(system)
-    if gamma is None:
-        gamma = draw_gamma(rng)
     arc = _Arc(p_from, p_to, gamma)
     x, res, ok = _start_newton(comp, x_start, arc.p_from)
     if not ok:
@@ -737,21 +655,17 @@ def track_fiber(
     fiber: FiberSample,
     p_to,
     *,
-    rng: np.random.Generator | None = None,
-    gamma: complex | None = None,
+    gamma: complex,
 ) -> FiberSample:
     """Track every solution of a fiber to new parameters, preserving order.
 
-    All paths share one homotopy (one gamma, drawn from ``rng`` after the
-    distinctness check when not given).  Any path failure, or an endpoint
-    collision within ``MATCH_TOL``, fails the whole fiber with
-    FiberTrackingError.
+    All paths share one homotopy, with the given gamma.  Any path failure,
+    or an endpoint collision within ``MATCH_TOL``, fails the whole fiber
+    with FiberTrackingError.
     """
     if fiber.min_pairwise_distance() <= MATCH_TOL:
         raise FiberTrackingError("fiber solutions are not pairwise distinct")
     p_to = np.asarray(p_to, dtype=complex)
-    if gamma is None:
-        gamma = draw_gamma(rng)
 
     results = track_paths(system, fiber.solutions, fiber.params, p_to, gamma)
 

@@ -6,6 +6,7 @@ from decksym import tracker
 from decksym.expr import parse_system
 from decksym.monodromy import run_monodromy, seed_from_linear_params
 from decksym.permgrp import inverse
+from decksym.scaling import IntMatrix, Multidegree
 from decksym.tracker import MATCH_TOL, compiled
 
 # Selected in CI with --hypothesis-profile=ci: a fixed example stream, and a
@@ -72,6 +73,82 @@ def is_block_system(group, partition) -> bool:
     """Reference: every generator maps every block onto a block."""
     blocks = {frozenset(b) for b in partition}
     return all(frozenset(g[v] for v in b) in blocks for g in group.generators for b in blocks)
+
+
+# Reference copies of exact helpers that only tests use.
+
+
+def int_transpose(a: IntMatrix) -> IntMatrix:
+    return IntMatrix(a.cols, a.rows, tuple(zip(*a.data)) if a.data else ())
+
+
+def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    bt = int_transpose(b).data
+    out = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.data)
+    return IntMatrix(a.rows, b.cols, out)
+
+
+def int_det(a: IntMatrix) -> int:
+    """Exact determinant by Bareiss elimination."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(r) for r in a.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def snf_verifies(snf, a: IntMatrix) -> bool:
+    """U @ A @ V is the SNF's diagonal, and U and V are unimodular."""
+    prod = int_matmul(int_matmul(snf.U, a), snf.V)
+    for i in range(prod.rows):
+        for j in range(prod.cols):
+            expected = snf.diag[i] if (i == j and i < len(snf.diag)) else 0
+            if prod.data[i][j] != expected:
+                return False
+    return abs(int_det(snf.U)) == 1 and abs(int_det(snf.V)) == 1
+
+
+def lattice_is_empty(lattice) -> bool:
+    return lattice.free.rows == 0 and not lattice.torsion
+
+
+def equation_weight(row, eq) -> int | None:
+    """Common weight of all terms of eq under the scaling row, or None if mixed."""
+    weights = {sum(u * e for u, e in zip(row, exp)) for exp in eq.support()}
+    if len(weights) != 1:
+        return None
+    return weights.pop()
+
+
+def multidegree(exponent, lattice) -> Multidegree:
+    """The multidegree of one exponent vector, term by term (the reference
+    for ``scaling.multidegrees_bulk``)."""
+    if len(exponent) != lattice.nvars:
+        raise ValueError("exponent length does not match the lattice")
+    free = tuple(sum(u * e for u, e in zip(row, exponent)) for row in lattice.free.data)
+    torsion = tuple(
+        tuple(sum(u * e for u, e in zip(row, exponent)) % blk.modulus for row in blk.rows.data)
+        for blk in lattice.torsion
+    )
+    return Multidegree(free, torsion)
 
 
 def track_paths_one_by_one(monkeypatch, track=None):

@@ -5,10 +5,14 @@ monomial.  The dense form it replaced multiplied every term over all n+m
 power-table factors; the extra factors are exact ones, so both must agree
 bit for bit.  The evaluator also keeps the monomials of the last point it
 evaluated; no order of calls, in-place change of an input or write to a
-result may make any result differ from the reference.
+result may make any result differ from the reference.  ``Polynomial.evaluate``
+and ``RationalFunction.evaluate`` run on the same kernel, so they agree with
+the compiled system bit for bit, and their stacked form with their
+single-point form.
 """
 
 import gc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +23,12 @@ from hypothesis import strategies as st
 from decksym import tracker
 from decksym.expr import (
     Polynomial,
+    RationalFunction,
     System,
     coeff_to_complex,
     jacobian,
     parameter_jacobian,
+    parse_expression,
     parse_system,
 )
 from decksym.fixtures import FIXTURES, fixture_path
@@ -184,9 +190,15 @@ def sparse_systems(draw):
     return System(NAMES[:n], PARAMS[:m], tuple(equations))
 
 
+def bits(value) -> bytes:
+    return np.complex128(value).tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1))
 def test_compiled_matches_symbolic_on_random_sparse_systems(system, seed):
+    """At a generic point, ``Polynomial.evaluate`` of every equation and every
+    dF/dx and dF/dp entry is bit-equal to the compiled system's value."""
     comp = tracker.CompiledSystem(system)
     rng = np.random.default_rng(seed)
     x, p = random_point(rng, system.n), random_point(rng, system.m)
@@ -194,24 +206,58 @@ def test_compiled_matches_symbolic_on_random_sparse_systems(system, seed):
 
     z = np.concatenate([x, p])
     n, m = system.n, system.m
-
-    def close(got, poly):
-        want = poly.evaluate(z)
-        scale = sum(
-            abs(coeff_to_complex(c)) * float(np.prod(np.abs(z) ** np.asarray(e)))
-            for e, c in poly.terms
-        )
-        assert abs(got - want) <= 1e-12 * (1.0 + scale)
-
-    f = comp.f_at(x, p)
-    jx = comp.jx_at(x, p)
-    jp = comp.jp_at(x, p)
+    f, jx, jp = comp.f_at(x, p), comp.jx_at(x, p), comp.jp_at(x, p)
     for i, eq in enumerate(system.equations):
-        close(f[i], eq)
-        for j in range(n):
-            close(jx[i, j], eq.differentiate(j))
-        for j in range(m):
-            close(jp[i, j], eq.differentiate(n + j))
+        entries = [(f[i], eq)]
+        entries += [(jx[i, j], eq.differentiate(j)) for j in range(n)]
+        entries += [(jp[i, j], eq.differentiate(n + j)) for j in range(m)]
+        for want, poly in entries:
+            got = poly.evaluate(z)
+            assert type(got) is complex
+            assert bits(got) == bits(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
+def test_stacked_evaluate_bit_equal_to_single_points(system, seed, count):
+    """``evaluate`` on an (S, nvars) stack gives the S single-point values bit
+    for bit: polynomials on points with reals, zeros and negative zeros, a
+    quotient of two equations on generic points (no denominator is 0)."""
+    rng = np.random.default_rng(seed)
+    nvars = system.n + system.m
+    z = mixed_points(rng, count, nvars)
+    for eq in system.equations:
+        stacked = eq.evaluate(z)
+        assert stacked.shape == (count,)
+        assert [bits(v) for v in stacked] == [bits(eq.evaluate(row)) for row in z]
+    rf = RationalFunction(system.equations[0], system.equations[-1])
+    z = random_point(rng, count * nvars).reshape(count, nvars)
+    stacked = rf.evaluate(z)
+    assert stacked.shape == (count,)
+    assert [bits(v) for v in stacked] == [bits(rf.evaluate(list(row))) for row in z]
+
+
+def test_evaluate_list_point_gives_python_complex():
+    rf = parse_expression("(x^2 + 3*y)/(1 + x*y)", ["x", "y"])
+    point = [0.5, 2.0 - 1j]
+    for f in (rf, rf.numerator, rf.denominator):
+        assert type(f.evaluate(point)) is complex
+    assert rf.evaluate(point) == pytest.approx((0.25 + 6 - 3j) / (2 - 0.5j), rel=1e-15)
+    with pytest.raises(ValueError):
+        rf.numerator.evaluate([0.5])
+    with pytest.raises(ValueError):
+        rf.numerator.evaluate(np.ones((2, 3)))
+
+
+def test_zero_denominator_raises_zero_division_without_numpy_warnings():
+    rf = parse_expression("1/x + y", ["x", "y"])  # (1 + x*y)/x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroDivisionError):
+            rf.evaluate([0.0, 1.0])
+        with pytest.raises(ZeroDivisionError):
+            rf.evaluate(np.array([[2.0, 1.0], [0.0, 1.0]]))
+        assert rf.evaluate(np.array([[2.0, 1.0]])).tolist() == [1.5]
 
 
 @settings(max_examples=100, deadline=None)

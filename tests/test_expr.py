@@ -229,6 +229,51 @@ def test_format_parse_round_trip_property(num, den):
     assert diff.is_zero
 
 
+def exact_poly(nvars, terms):
+    """A polynomial from (exponent, real or (real, imag)) pairs of exact values."""
+    def coeff(c):
+        re_, im = c if isinstance(c, tuple) else (c, 0)
+        return (Fraction(re_), Fraction(im))
+
+    return Polynomial(nvars, [(e, coeff(c)) for e, c in terms])
+
+
+def test_long_mixed_sum_against_hand_built_polynomial():
+    """A sum collects its terms into one polynomial: signs, rational and
+    imaginary literals, cancelling terms and parenthesized sub-sums."""
+    names = ["x", "y", "p"]
+    rf = parse_expression(
+        "-x + 3*x^2 - 1/2*x*y + 2 - x^2 + i*p - 3/4 + y - y + 5*x*y*p"
+        " + (x + y)^2 - (x - y)^2 + x - 7/4*i*p",
+        names,
+    )
+    expected = exact_poly(3, [
+        ((2, 0, 0), 2),
+        ((1, 1, 0), Fraction(7, 2)),
+        ((1, 1, 1), 5),
+        ((0, 0, 1), (0, Fraction(-3, 4))),
+        ((0, 0, 0), Fraction(5, 4)),
+    ])
+    assert rf.is_polynomial
+    assert rf.numerator == expected
+    assert rf.numerator.terms == expected.terms
+
+
+def test_sum_with_non_constant_denominators_against_hand_built_values():
+    names = ["x", "y"]
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    one = Polynomial.constant(2, (Fraction(1), Fraction(0)))
+    cases = (
+        ("1/x + 1/y", x + y, x * y),
+        ("1/x + 1/x", exact_poly(2, [((0, 0), 2)]), x),
+        ("1/x + 2 + 3", one + exact_poly(2, [((1, 0), 5)]), x),
+        ("x/y - 1/y + 1", x - one + y, y),
+    )
+    for text, num, den in cases:
+        rf = parse_expression(text, names)
+        assert (rf.numerator, rf.denominator) == (num, den), text
+
+
 def test_constant_denominator_folds():
     rf = parse_expression("(x + 1)/2", ["x"])
     assert rf.is_polynomial

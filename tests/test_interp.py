@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import lattice_is_empty, multidegree
 from decksym import scaling
 from decksym.expr import (
     Polynomial,
     RationalFunction,
+    monomial_values,
     monomials_up_to_degree,
     parse_expression,
 )
@@ -13,7 +15,6 @@ from decksym.interp import (
     build_vandermonde,
     constant_denominator_representative,
     derive_deck_permutation,
-    eval_monomials,
     get_representative,
     interpolate_dense,
     interpolate_graded,
@@ -41,13 +42,13 @@ def rf_equal_on_samples(rf1, rf2, points, rtol=1e-8):
 
 def fiber_points(system, result, rng, count=20):
     """Fresh on-variety points (x, p) obtained by tracking the base fiber."""
-    from decksym.tracker import FiberTrackingError, track_fiber
+    from decksym.tracker import FiberTrackingError, draw_gamma, track_fiber
 
     pts = []
     while len(pts) < count:
         target = rng.standard_normal(system.m) + 1j * rng.standard_normal(system.m)
         try:
-            sample = track_fiber(system, result.base, target, rng=rng)
+            sample = track_fiber(system, result.base, target, gamma=draw_gamma(rng))
         except FiberTrackingError:
             continue
         for sol in sample.solutions:
@@ -94,11 +95,13 @@ def test_vandermonde_ex42_is_8x8(mono42):
     assert a.shape == (8, 8)
 
 
-def test_eval_monomials_matches_direct():
+def test_monomial_values_match_direct():
+    """The Vandermonde columns come from the kernel's monomial rows."""
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     exps = [(0, 0, 0), (2, 1, 0), (0, 0, 3)]
-    vals = eval_monomials(pts, exps)
+    vals = monomial_values(exps, pts)
+    assert vals.shape == (4, 3)
     for s in range(4):
         for k, e in enumerate(exps):
             direct = np.prod([pts[s, v] ** e[v] for v in range(3)])
@@ -217,7 +220,7 @@ def test_interpolate_dense_ex42_psi2(mono42):
 def test_graded_reduces_to_dense_on_empty_lattice(mono41):
     system, result, rng = mono41
     lattice = scaling.ScalingLattice(2, scaling.IntMatrix(0, 2, ()), ())
-    assert lattice.is_empty()
+    assert lattice_is_empty(lattice)
     monos = monomials_up_to_degree(1, 1, 1, True)
     classes = monomial_classes(monos, lattice)
     assert len(classes) == 1
@@ -250,7 +253,7 @@ def test_class_partition_refines(mono_sextic):
     assert sum(len(v) for v in classes.values()) == len(monos)
     for key, exps in classes.items():
         for e in exps:
-            assert scaling.multidegree(e, lattice) == key
+            assert multidegree(e, lattice) == key
 
 
 def test_sample_cache_reuses(mono41):
@@ -280,6 +283,44 @@ def test_verify_deck_fails_for_corrupted_formula(mono41):
     bad.coords[0] = corrupted
     report = verify_deck(system, bad, result, 5, rng)
     assert not report.pairing_ok
+
+
+def test_verify_deck_fails_for_p3p_coefficient_perturbed_by_1e_4():
+    """The bundled P3P deck formulas pass; the same formulas with one
+    coefficient moved from 2 to 2.0001 fail the pairing check."""
+    from decksym.expr import parse_deck_formulas, parse_seed_pair, parse_system
+    from decksym.fixtures import deck_path, fixture_path, seed_path
+    from decksym.interp import DeckMap
+    from decksym.monodromy import run_monodromy
+
+    system = parse_system(fixture_path("p3p_quasihom").read_text())
+    seed = parse_seed_pair(seed_path("p3p_quasihom").read_text())
+    rng = np.random.default_rng(0)
+    result = run_monodromy(system, seed, rng, expected_degree=8)
+    text = deck_path("p3p_quasihom").read_text()
+    perm, coords = derive_deck_permutation(system, parse_deck_formulas(text, system), result.base)
+    assert verify_deck(system, DeckMap(perm, coords, 3), result, 2, rng).passed
+
+    doctored = text.replace("t1 = (2*(", "t1 = (2.0001*(")
+    assert doctored != text
+    formulas = parse_deck_formulas(doctored, system)
+    bad = DeckMap(perm, [formulas[name] for name in system.unknowns], 3)
+    report = verify_deck(system, bad, result, 2, rng)
+    assert report.trials == 2
+    assert not report.pairing_ok and not report.passed
+    assert report.worst_pairing > 1e-5
+
+
+def test_verify_deck_fails_for_nan_formula(mono41):
+    """A formula whose every value is NaN fails both checks: a running
+    maximum that skips NaN would pass it."""
+    from decksym.interp import DeckMap
+
+    system, result, rng = mono41
+    nan_x = RationalFunction.from_polynomial(Polynomial(2, [((1, 0), complex("nan"))]))
+    report = verify_deck(system, DeckMap(deck_perms_of(result)[0], [nan_x], 1), result, 2, rng)
+    assert report.trials == 2
+    assert not report.pairing_ok and not report.fiber_ok and not report.passed
 
 
 def test_verify_deck_fails_when_no_fiber_tracks(mono41, monkeypatch):

@@ -47,14 +47,15 @@ def test_compiled_evaluation_matches_symbolic():
 
 
 def test_identity_path_returns_start():
-    r = track_path(EX41, [2.0], [-2.5], [-2.5])
+    r = track_path(EX41, [2.0], [-2.5], [-2.5], gamma=1.0)
     assert r.success
     assert abs(r.endpoint[0] - 2.0) < 1e-10
 
 
 def test_track_to_nearby_parameter_continuity():
     # x = 2 over p = -2.5 continues to the root of x^2 - 3x + 1 near 2.
-    r = track_path(EX41, [2.0], [-2.5], [-3.0], rng=np.random.default_rng(0))
+    gamma = tracker.draw_gamma(np.random.default_rng(0))
+    r = track_path(EX41, [2.0], [-2.5], [-3.0], gamma=gamma)
     assert r.success
     expected = (3 + np.sqrt(5)) / 2
     assert abs(r.endpoint[0] - expected) < 1e-8
@@ -67,11 +68,12 @@ def test_loop_permutes_fiber():
     roots = quadratic_roots(p0)
     q1 = rng.standard_normal() + 1j * rng.standard_normal()
     q2 = rng.standard_normal() + 1j * rng.standard_normal()
+    gamma = tracker.draw_gamma(np.random.default_rng(5))  # the same gamma on every arc
     ends = []
     for x in roots:
         cur = np.array([x])
         for a, b in [(p0, q1), (q1, q2), (q2, p0)]:
-            r = track_path(EX41, cur, [a], [b], rng=np.random.default_rng(5))
+            r = track_path(EX41, cur, [a], [b], gamma=gamma)
             assert r.success
             cur = r.endpoint
         ends.append(cur[0])
@@ -84,8 +86,8 @@ def test_loop_permutes_fiber():
 def test_determinism_with_fixed_gamma():
     rng1 = np.random.default_rng(42)
     rng2 = np.random.default_rng(42)
-    r1 = track_path(EX41, [2.0], [-2.5], [3.0 + 1j], rng=rng1)
-    r2 = track_path(EX41, [2.0], [-2.5], [3.0 + 1j], rng=rng2)
+    r1 = track_path(EX41, [2.0], [-2.5], [3.0 + 1j], gamma=tracker.draw_gamma(rng1))
+    r2 = track_path(EX41, [2.0], [-2.5], [3.0 + 1j], gamma=tracker.draw_gamma(rng2))
     assert r1.success and r2.success
     assert np.abs(r1.endpoint - r2.endpoint).max() < 1e-8
 
@@ -94,7 +96,7 @@ def test_residual_invariant_random_targets():
     rng = np.random.default_rng(7)
     for _ in range(10):
         target = rng.standard_normal() + 1j * rng.standard_normal()
-        r = track_path(EX41, [2.0], [-2.5], [target], rng=rng)
+        r = track_path(EX41, [2.0], [-2.5], [target], gamma=tracker.draw_gamma(rng))
         if r.success:
             comp = compiled(EX41)
             assert np.abs(comp.f_at(r.endpoint, [target])).max() <= tracker.PATH_TOL
@@ -102,7 +104,7 @@ def test_residual_invariant_random_targets():
 
 def test_bad_start_point_rejected():
     with pytest.raises(ValueError, match="start point"):
-        track_path(EX41, [17.0], [-2.5], [-3.0])
+        track_path(EX41, [17.0], [-2.5], [-3.0], gamma=1.0)
 
 
 def test_newton_polish_exact_root_unchanged():
@@ -128,7 +130,7 @@ def test_fiber_tracking_preserves_order_and_residuals():
     )
     fiber = FiberSample(params, tuple(np.array([r]) for r in roots))
     target = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    out = track_fiber(SEXTIC, fiber, target, rng=rng)
+    out = track_fiber(SEXTIC, fiber, target, gamma=tracker.draw_gamma(rng))
     assert len(out) == 6
     assert max_residual(SEXTIC, out) <= tracker.PATH_TOL
     assert out.min_pairwise_distance() > 1e-6
@@ -191,7 +193,7 @@ def test_nearest_single_point_pool():
 def test_fiber_duplicate_solution_rejected():
     fiber = FiberSample(np.array([-2.5]), (np.array([2.0]), np.array([2.0])))
     with pytest.raises(FiberTrackingError, match="distinct"):
-        track_fiber(EX41, fiber, np.array([1.0 + 1j]))
+        track_fiber(EX41, fiber, np.array([1.0 + 1j]), gamma=1.0)
 
 
 def test_sample_fiber_draws_target_then_gamma():
@@ -230,7 +232,8 @@ def test_segment_through_discriminant_fails():
 
 
 def test_gamma_trick_avoids_discriminant():
-    r = track_path(EX41, [2.0], [-2.5], [-1.5], rng=np.random.default_rng(3))
+    gamma = tracker.draw_gamma(np.random.default_rng(3))
+    r = track_path(EX41, [2.0], [-2.5], [-1.5], gamma=gamma)
     assert r.success
     roots = quadratic_roots(-1.5)
     assert min(abs(r.endpoint[0] - z) for z in roots) < 1e-7

@@ -550,8 +550,8 @@ def derive_deck_permutation(
     """Find the fiber permutation realized by user-supplied formulas.
 
     Evaluates the available coordinate formulas on each base solution and
-    matches the partial image against the fiber; ambiguous or unmatched
-    images are an error.
+    matches the partial image against the fiber (``tracker.match``); a new
+    or ambiguous image is an error.
     """
     coords: list[RationalFunction | None] = [None] * system.n
     for name, rf in formulas.items():
@@ -564,14 +564,14 @@ def derive_deck_permutation(
     points = np.array([np.concatenate([sol, base.params]) for sol in base.solutions])
     predicted_rows = np.column_stack([coords[j].evaluate(points) for j in present])
     for i, predicted in enumerate(predicted_rows):
-        best, d1, d2 = tracker.nearest(predicted, partial_fiber)
-        if d1 > 1e-6 * (1 + float(np.abs(predicted).max())):
+        j = tracker.match(predicted, partial_fiber)
+        if j == tracker.NEW:
             raise ValueError(f"formula image of solution {i} does not lie in the fiber")
-        if d2 < 10 * d1:
+        if j == tracker.AMBIGUOUS:
             raise ValueError(
                 "formula image is ambiguous on the fiber; supply more coordinates"
             )
-        images.append(best)
+        images.append(j)
     if not permgrp.is_permutation(images):
         raise ValueError("formulas do not induce a permutation of the fiber")
     return tuple(images), coords

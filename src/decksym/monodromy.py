@@ -7,9 +7,9 @@ two nodes with one gamma and caches the correspondence of its tracked paths
 in both directions.  A solution is tracked along an edge only while the edge
 maps it nowhere; from the far end the same arc is tracked with 1/gamma, as
 in ``tracker.retraces``.  So each new edge costs at most d paths and closes
-a new cycle.  An endpoint matches a solution of the far fiber within
-``tracker.MATCH_TOL`` and 100 times closer than the runner-up, or is
-polished into a new solution there.  A failed or ambiguous path leaves its
+a new cycle.  ``tracker.match`` decides which solution of the far fiber an
+endpoint is; an endpoint it calls new is polished, matched again, and added
+to the far fiber when it is still new.  A failed or ambiguous path leaves its
 edge incomplete, and the other endpoint may complete it; two solutions
 landing on one break the edge.  The solutions an edge maps nowhere yet in
 one direction share one homotopy, so they are tracked in one
@@ -40,9 +40,9 @@ from typing import Sequence
 import numpy as np
 
 from . import numcore, permgrp, tracker
-from .expr import System, coeff_to_complex
+from .expr import System
 from .permgrp import Perm
-from .tracker import MATCH_TOL, PATH_TOL, FiberSample
+from .tracker import PATH_TOL, FiberSample
 
 __all__ = [
     "FiberSample",
@@ -196,27 +196,22 @@ class _Graph:
         return True
 
     def _locate(self, node: int, point) -> int | None:
-        """The index of ``point`` in the node's fiber, appending it when it
-        is new; None when the match is ambiguous or the polish fails."""
+        """The index of ``point`` in the node's fiber (``tracker.match``); a
+        new point is polished and matched again, and appended when it is
+        still new.  None when the match is ambiguous or the polish fails."""
         fiber = self.fibers[node]
-        if fiber:
-            best, d1, d2 = tracker.nearest(point, fiber)
-            if d1 <= MATCH_TOL and d2 >= 100 * d1:
-                return best
-            if d1 < 100 * MATCH_TOL:
-                return None
+        j = tracker.match(point, fiber)
+        if j != tracker.NEW:
+            return None if j == tracker.AMBIGUOUS else j
         try:
-            new = tracker.newton_polish(self.system, point, self.params[node], PATH_TOL / 100)
+            point = tracker.newton_polish(self.system, point, self.params[node], PATH_TOL / 100)
         except tracker.NewtonError:
             return None
-        if fiber:
-            best, d1, _ = tracker.nearest(new, fiber)
-            if d1 <= MATCH_TOL:
-                return best
-            if d1 < 100 * MATCH_TOL:
-                return None
-        fiber.append(new)
-        return len(fiber) - 1
+        j = tracker.match(point, fiber)
+        if j == tracker.NEW:
+            fiber.append(point)
+            return len(fiber) - 1
+        return None if j == tracker.AMBIGUOUS else j
 
     def cycles(self) -> list[LoopRecord]:
         """One cycle per non-tree edge of a breadth-first spanning tree from
@@ -313,21 +308,11 @@ def seed_from_linear_params(
         attempts = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(10)]
     comp = tracker.compiled(system)
     last = "no attempt"
+    zero = np.zeros(m, dtype=complex)
     for x in attempts:
-        a = np.zeros((n, m), dtype=complex)
-        c = np.zeros(n, dtype=complex)
-        for i, eq in enumerate(system.equations):
-            for exp, coeff in eq.terms:
-                v = coeff_to_complex(coeff)
-                for k, e in enumerate(exp[:n]):
-                    if e:
-                        v *= x[k] ** e
-                pexp = exp[n:]
-                j = next((k for k, e in enumerate(pexp) if e), None)
-                if j is None:
-                    c[i] += v
-                else:
-                    a[i, j] += v
+        # F is affine in p: F(x, p) = c + a p with a = dF/dp and c = F(x, 0).
+        a = comp.jp_at(x, zero)
+        c = comp.f_at(x, zero)
         p, *_ = np.linalg.lstsq(a, -c, rcond=None)
         # The least-squares solution is minimal-norm; add a generic element of
         # the nullspace so under-determined parameters (e.g. homogeneous
@@ -423,7 +408,7 @@ def run_monodromy(
     if expected_degree is not None and len(fiber) != expected_degree:
         raise MonodromyError(f"found {len(fiber)} solutions, expected {expected_degree}")
     base = FiberSample(p0, tuple(fiber))
-    if base.min_pairwise_distance() <= MATCH_TOL:
+    if not base.distinct():
         raise MonodromyError("fiber solutions are not well separated")
     return MonodromyResult(
         base,

@@ -411,15 +411,15 @@ def commuting_discrete_scalings(
     with parameter part 0 mod d has lam^u (.) p0 == p0, so its arc is
     constant and the test is plain membership in the base fiber.
     Stability: every scaled orbit point must pass the start Newton over the
-    scaled parameters, and s(x_0) must land in the base fiber, at some
-    index c.  s(x_0) is tracked first, so a candidate that fails there costs
-    one path; scaled orbit points that coincide leave the candidate
-    undetermined.  Commutation: s(x_sigma(0)) must land at sigma(c) for every
-    deck permutation sigma.  A passing candidate must also retrace its arc
-    back to the scaled orbit (``tracker.retraces``), so a sheet jump cannot
-    pass it.  A failed path, an endpoint collision or an ambiguous match
-    retries with a fresh gamma; after three attempts the candidate is
-    undetermined and excluded.
+    scaled parameters, and ``tracker.match`` must not call s(x_0) new in the
+    base fiber.  s(x_0) is tracked first, so a candidate that fails there
+    costs one path; coinciding scaled orbit points leave it undetermined.
+    Commutation: s(x_sigma(0)) must match sigma(c) for every deck
+    permutation sigma, where s(x_0) matched c.  A passing candidate must
+    also retrace its arc back to the scaled orbit (``tracker.retraces``), so
+    a sheet jump cannot pass it.  A failed path, an endpoint collision or
+    any other unmatched landing retries with a fresh gamma; after three
+    attempts the candidate is undetermined and excluded.
     """
     base = mono.base
     nontrivial, orbit = monodromy.deck_orbit(mono, deck_perms)
@@ -473,36 +473,28 @@ def _test_candidate(system, lattice, base, orbit, u, lam, deck_perms, rng) -> st
             return "failed_stability"
         starts.append(point[:n])
     scaled = tracker.FiberSample(p_scaled, tuple(starts))
-    if scaled.min_pairwise_distance() <= tracker.MATCH_TOL:
+    if not scaled.distinct():
         return "undetermined"
-
-    def match(point):
-        """Index of the unique base solution within ``tracker.MATCH_TOL``, at
-        least 100 times closer than the runner-up; None when no reliable
-        match exists."""
-        best, d1, d2 = tracker.nearest(point, base.solutions)
-        if d1 > tracker.MATCH_TOL or d2 < 100.0 * max(d1, 1e-300):
-            return None
-        return best
 
     for _ in range(3):
         gamma = tracker.draw_gamma(rng)
         # s(x_0) alone decides stability; the rest of the orbit is tracked
         # only when it stays on the tracked component.
-        ends = []
+        ends, landed = [], []
         for start in starts:
             r = tracker.track_path(system, start, p_scaled, p0, gamma=gamma)
             if not r.success:
                 break
-            if not ends and tracker.nearest(r.endpoint, base.solutions)[1] > tracker.MATCH_TOL:
+            j = tracker.match(r.endpoint, base.solutions)
+            if j == tracker.NEW and not ends:
                 return "failed_stability"  # s(x_0) left the tracked component
             ends.append(r.endpoint)
+            landed.append(j)
         back = tracker.FiberSample(p0, tuple(ends))
-        if len(ends) < len(starts) or back.min_pairwise_distance() <= tracker.MATCH_TOL:
+        if len(ends) < len(starts) or not back.distinct():
             continue  # a failed path or an endpoint collision: retry
-        landed = [match(x) for x in back.solutions]
-        if None in landed:
-            continue  # ambiguous: retry
+        if tracker.NEW in landed or tracker.AMBIGUOUS in landed:
+            continue  # no reliable match: retry
         c = landed[0]
         if any(b != sigma[c] for b, sigma in zip(landed[1:], deck_perms)):
             return "failed_commutation"

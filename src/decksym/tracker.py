@@ -29,7 +29,9 @@ target (deck-orbit samples and verification fibers): it draws the target
 (``random_params``), then gamma, then tracks, and redraws both on a failed
 fiber or a rejected sample, ``_SAMPLE_ATTEMPTS`` times in all.  ``retraces``
 is the one round-trip check: it tracks a sample back along its own arc.
-Fiber solutions count as distinct, and a point as matched, within
+``match`` is the one fiber-matching rule, for monodromy endpoints, scaled
+orbit points and formula images: a solution index, ``NEW`` or
+``AMBIGUOUS``.  ``FiberSample.distinct`` and ``retraces`` use its scale,
 ``MATCH_TOL``.
 
 Systems are compiled once on the evaluation kernel of ``expr`` (its module
@@ -116,6 +118,17 @@ class PathResult:
         return self.status == "success"
 
 
+# Max-norm distance within which two fiber solutions coincide: a fiber is
+# pairwise distinct, and a tracked point matches a known one, on this scale.
+MATCH_TOL = 1e-6
+_MATCH_RATIO = 100.0  # a match's margin over the runner-up, and the band's width
+NEW, AMBIGUOUS = "new", "ambiguous"  # ``match``'s outcomes besides an index
+# ||F||_inf at which the corrector converges, and at which a path's endpoint
+# counts as a solution.
+NEWTON_TOL = 1e-10
+PATH_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class FiberSample:
     """A parameter point together with the ordered solutions above it."""
@@ -143,25 +156,35 @@ class FiberSample:
             for i in range(len(sols) - 1)
         )
 
-
-# Max-norm distance within which two fiber solutions coincide: a fiber is
-# pairwise distinct, and a tracked point matches a known one, on this scale.
-MATCH_TOL = 1e-6
-# ||F||_inf at which the corrector converges, and at which a path's endpoint
-# counts as a solution.
-NEWTON_TOL = 1e-10
-PATH_TOL = 1e-8
+    def distinct(self) -> bool:
+        """Whether every two solutions are more than ``MATCH_TOL`` apart."""
+        return self.min_pairwise_distance() > MATCH_TOL
 
 
-def nearest(point, pool) -> tuple[int, float, float]:
-    """Match a point against a fiber: the index of the closest pool point in
-    the max norm, its distance, and the runner-up distance (inf for a
-    one-point pool).  Exact ties are broken by ``np.argsort``."""
+def _nearest(point, pool) -> tuple[int, float, float]:
+    """The index of the closest pool point in the max norm, its distance,
+    and the runner-up distance (inf for a one-point pool).  Exact ties are
+    broken by ``np.argsort``."""
     dists = np.abs(np.asarray(pool) - point).max(axis=1)
     order = np.argsort(dists)
     best = int(order[0])
     second = float(dists[order[1]]) if len(dists) > 1 else np.inf
     return best, float(dists[best]), second
+
+
+def match(point, pool) -> int | str:
+    """The index of the pool point within ``MATCH_TOL`` of ``point`` (max
+    norm) and ``_MATCH_RATIO`` times closer than the runner-up; else ``NEW``
+    for an empty pool or d1 >= ``_MATCH_RATIO`` x ``MATCH_TOL``, else
+    ``AMBIGUOUS``."""
+    if len(pool) == 0:
+        return NEW
+    best, d1, d2 = _nearest(point, pool)
+    if d1 <= MATCH_TOL and d2 >= _MATCH_RATIO * d1:
+        return best
+    if d1 >= _MATCH_RATIO * MATCH_TOL:
+        return NEW
+    return AMBIGUOUS
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +417,10 @@ class _Arc:
         self.p_from = np.asarray(p_from, dtype=complex)
         self.p_to = np.asarray(p_to, dtype=complex)
         self.dp = self.p_to - self.p_from
-        self.gamma = gamma
+        self.gamma = complex(gamma)
 
     def point(self, t: float):
         gamma = self.gamma
-        if gamma == 1.0:
-            return self.p_from + t * self.dp, 1.0 + 0.0j
         den = 1.0 + (gamma - 1.0) * t
         return self.p_from + (gamma * t / den) * self.dp, gamma / (den * den)
 
@@ -408,12 +429,9 @@ class _Arc:
         computed as Python scalars, as in ``point``: numpy's complex
         arithmetic rounds differently."""
         gamma = self.gamma
-        if gamma == 1.0:
-            scale, rate = t, np.full(len(t), 1.0 + 0.0j)
-        else:
-            dens = [1.0 + (gamma - 1.0) * ti for ti in t.tolist()]
-            scale = np.array([gamma * ti / den for ti, den in zip(t.tolist(), dens)])
-            rate = np.array([gamma / (den * den) for den in dens])
+        dens = [1.0 + (gamma - 1.0) * ti for ti in t.tolist()]
+        scale = np.array([gamma * ti / den for ti, den in zip(t.tolist(), dens)])
+        rate = np.array([gamma / (den * den) for den in dens])
         # Flat, equal-length operands in ``point``'s order: a broadcast
         # product may take another numpy loop, one that rounds differently.
         count, m = len(t), len(self.dp)
@@ -663,7 +681,7 @@ def track_fiber(
     or an endpoint collision within ``MATCH_TOL``, fails the whole fiber
     with FiberTrackingError.
     """
-    if fiber.min_pairwise_distance() <= MATCH_TOL:
+    if not fiber.distinct():
         raise FiberTrackingError("fiber solutions are not pairwise distinct")
     p_to = np.asarray(p_to, dtype=complex)
 
@@ -675,7 +693,7 @@ def track_fiber(
             f"{len(bad)}/{len(results)} paths failed ({results[bad[0]].status})"
         )
     out = FiberSample(p_to, tuple(r.endpoint for r in results))
-    if out.min_pairwise_distance() <= MATCH_TOL:
+    if not out.distinct():
         raise FiberTrackingError("endpoint collision after tracking")
     return out
 

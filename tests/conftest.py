@@ -7,7 +7,7 @@ from decksym.expr import parse_system
 from decksym.monodromy import run_monodromy, seed_from_linear_params
 from decksym.permgrp import inverse
 from decksym.scaling import IntMatrix, Multidegree
-from decksym.tracker import MATCH_TOL, compiled
+from decksym.tracker import compiled
 
 # Selected in CI with --hypothesis-profile=ci: a fixed example stream, and a
 # failing example printed as a reproduction blob in the log.
@@ -63,10 +63,8 @@ def assert_cycles_retrace(system, result):
                 r = tracker.track_path(system, cur, p_to, p_from, gamma=1.0 / gamma)
                 assert r.success, f"retrace failed ({r.status})"
                 cur = r.endpoint
-            best, dist, _ = tracker.nearest(cur, sols)
-            assert dist <= MATCH_TOL and best == back[j], (
-                f"cycle {perm} retraced solution {j} to {best} at {dist:.2e}, not {back[j]}"
-            )
+            got = tracker.match(cur, sols)
+            assert got == back[j], f"cycle {perm} retraced solution {j} to {got}, not {back[j]}"
 
 
 def is_block_system(group, partition) -> bool:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import lattice_is_empty, multidegree
+from conftest import EX41_TEXT, EX42_TEXT, lattice_is_empty, multidegree
 from decksym import scaling
 from decksym.expr import (
     Polynomial,
     RationalFunction,
     monomial_values,
     monomials_up_to_degree,
+    parse_deck_formulas,
     parse_expression,
+    parse_system,
 )
 from decksym.interp import (
     SampleCache,
@@ -26,6 +28,7 @@ from decksym.interp import (
 from decksym.monodromy import sample_orbit
 from decksym.numcore import nullspace, rref
 from decksym.permgrp import centralizer_in_symmetric, identity
+from decksym.tracker import FiberSample
 
 
 def deck_perms_of(result):
@@ -382,6 +385,32 @@ def test_derive_deck_permutation_ex42(mono42):
     perm, coords = derive_deck_permutation(system, formulas, result.base)
     assert perm == (1, 0)
     assert coords[0] is not None and coords[1] is not None
+
+
+@pytest.mark.parametrize(
+    "formula, message",
+    [("x = x + 1", "image of solution 0 does not lie in the fiber"), ("x = x + 0.00001", "ambiguous")],
+    ids=["new", "band"],
+)
+def test_derive_deck_permutation_rejects_an_unmatched_image(formula, message):
+    """An image 1 from the fiber is new; one 1e-5 from a solution lies
+    between ``MATCH_TOL`` and 100 times it, and is ambiguous."""
+    system = parse_system(EX41_TEXT)
+    base = FiberSample(np.array([-2.5]), (np.array([2.0]), np.array([0.5])))
+    with pytest.raises(ValueError, match=message):
+        derive_deck_permutation(system, parse_deck_formulas(formula, system), base)
+
+
+def test_derive_deck_permutation_ambiguous_on_partial_coordinates():
+    """Only x is supplied, and two base points share their x to within 5e-7:
+    an image 1e-7 from one is 4e-7 from the other, not 100 times farther.
+    (The base points need not solve the system: the formulas are only
+    evaluated on them and matched.)"""
+    system = parse_system(EX42_TEXT)
+    base = FiberSample(np.array([0.1]), (np.array([0.0, 1.0]), np.array([5e-7, 2.0])))
+    formulas = parse_deck_formulas("x = x + 0.0000001", system)
+    with pytest.raises(ValueError, match="ambiguous on the fiber; supply more coordinates"):
+        derive_deck_permutation(system, formulas, base)
 
 
 def test_interpolation_commutation_guard(mono_sextic):

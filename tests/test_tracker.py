@@ -10,11 +10,14 @@ from decksym import tracker
 from decksym.expr import parse_seed_pair, parse_system
 from decksym.fixtures import fixture_path, seed_path
 from decksym.tracker import (
+    AMBIGUOUS,
+    MATCH_TOL,
+    NEW,
     FiberSample,
     FiberTrackingError,
     NewtonError,
     compiled,
-    nearest,
+    match,
     newton_polish,
     track_fiber,
     track_path,
@@ -160,6 +163,17 @@ def nearest_by_loop(point, pool):
     return best, dists[best], second
 
 
+def match_by_definition(point, pool):
+    """Reference rule: matched j when d1 <= MATCH_TOL and d2 >= 100 d1; new
+    for an empty pool or d1 >= 100 MATCH_TOL; ambiguous otherwise."""
+    if not len(pool):
+        return NEW
+    best, d1, d2 = nearest_by_loop(point, pool)
+    if d1 <= MATCH_TOL and d2 >= 100 * d1:
+        return best
+    return NEW if d1 >= 100 * MATCH_TOL else AMBIGUOUS
+
+
 @st.composite
 def matching_problems(draw):
     dim = draw(st.integers(1, 40))
@@ -180,14 +194,72 @@ def matching_problems(draw):
 @given(matching_problems())
 def test_nearest_matches_per_point_loop(problem):
     point, pool = problem
-    expected = nearest_by_loop(point, pool)
-    assert nearest(point, pool) == expected
-    assert nearest(point, np.array(pool)) == expected
+    expected = match_by_definition(point, pool)
+    assert match(point, pool) == expected
+    assert match(point, np.array(pool)) == expected
 
 
 def test_nearest_single_point_pool():
-    best, dist, second = nearest(np.array([1.0 + 1j]), [np.array([1.5 + 1j])])
-    assert (best, dist, second) == (0, 0.5, math.inf)
+    # The runner-up of a one-point pool is infinitely far.
+    assert match(np.array([1.0 + 1j]), [np.array([1.5 + 1j])]) == NEW
+    assert match(np.array([1.0 + 1j]), [np.array([1.0 + 1j + 1e-7])]) == 0
+
+
+@st.composite
+def moved_copies(draw):
+    """A pool whose points lie at least 1 apart (their first coordinates are
+    distinct integers), translated so that pool[i] is exactly 0, and the
+    point delta * u with |u_0| = 1 and |u_k| <= 1/2: its distance to pool[i]
+    is exactly delta."""
+    dim = draw(st.integers(1, 8))
+    size = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delta = draw(
+        st.sampled_from([0.0, MATCH_TOL, 100 * MATCH_TOL])
+        | st.floats(-10, -2).map(lambda e: 10.0**e)
+    )
+    u = (rng.uniform(-0.5, 0.5, dim) + 1j * rng.uniform(-0.5, 0.5, dim)) / np.sqrt(2)
+    u[0] = draw(st.sampled_from([1.0, -1.0, 1j, -1j]))
+    pool = np.column_stack(
+        [rng.permutation(size) + 0j]
+        + [rng.standard_normal(size) + 1j * rng.standard_normal(size) for _ in range(dim - 1)]
+    )
+    i = draw(st.integers(0, size - 1)) if size else None
+    if size:
+        pool = pool - pool[i]
+    return delta * u, pool, i, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(moved_copies())
+def test_match_outcomes_on_a_moved_copy(problem):
+    point, pool, i, delta = problem
+    if i is None:
+        expected = NEW
+    elif delta <= MATCH_TOL:
+        expected = i  # the runner-up is at least 1 - delta away
+    elif delta >= 100 * MATCH_TOL:
+        expected = NEW
+    else:
+        expected = AMBIGUOUS
+    assert match(point, pool) == expected == match_by_definition(point, pool)
+    assert match(point, list(pool)) == expected
+
+
+def test_match_boundaries():
+    origin = np.zeros(1, dtype=complex)
+    assert match(origin, []) == NEW
+    assert match(origin, np.empty((0, 1), dtype=complex)) == NEW
+    # d1 == MATCH_TOL matches; just above it is ambiguous.
+    assert match(origin, [[1.0], [MATCH_TOL]]) == 1
+    assert match(origin, [[1.0], [np.nextafter(MATCH_TOL, 1.0)]]) == AMBIGUOUS
+    # d1 == 100 MATCH_TOL is new; just below it is ambiguous.
+    assert match(origin, [[100 * MATCH_TOL], [1.0]]) == NEW
+    assert match(origin, [[np.nextafter(100 * MATCH_TOL, 0.0)], [1.0]]) == AMBIGUOUS
+    # A runner-up exactly 100 times farther still lets the closest match.
+    d1 = MATCH_TOL / 2
+    assert match(origin, [[-100 * d1], [d1]]) == 1
+    assert match(origin, [[-np.nextafter(100 * d1, 0.0)], [d1]]) == AMBIGUOUS
 
 
 def test_fiber_duplicate_solution_rejected():

@@ -23,8 +23,6 @@ from .expr import (
 )
 from .interp import (
     DeckMap,
-    build_vandermonde,
-    constant_denominator_representative,
     get_representative,
     interpolate_dense,
     interpolate_graded,

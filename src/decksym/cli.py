@@ -1,12 +1,12 @@
 """Command-line frontend: run the pipeline with reproducible configuration.
 
-Commands
-    analyze      monodromy -> group diagnostics -> (scalings if --graded)
-                 -> interpolation -> verification
+Commands (``COMMANDS`` lists each one's stages and the flags they read)
     monodromy    fiber discovery and group diagnostics only
     scalings     + scaling detection and the probability-one filter
-    interpolate  like analyze (kept as a distinct entry point for scripting)
-    verify       check user-supplied formulas against freshly tracked fibers
+    analyze      monodromy -> group diagnostics -> (scalings if --graded)
+                 -> interpolation -> verification
+    verify       check user-supplied formulas against freshly tracked fibers,
+                 after the scaling stage if --graded
 
 Reports are JSON (versioned schema, deterministic key order) plus a text
 rendering on stdout.  Exit codes: 0 success, 1 stage failure (a partial
@@ -39,6 +39,34 @@ from .monodromy import MonodromyError, MonodromyResult
 SCHEMA_VERSION = 1
 GROUP_ORDER_CAP = 10**6
 
+# Each flag's argparse options; ``dest`` is the RunConfig field it sets, and
+# an absent flag leaves that field at its default.
+FLAGS = {
+    "--system": dict(dest="system_path", required=True, help="system file or fixture name"),
+    "--seed-pair": dict(dest="seed_path", help="seed file (x: ...; p: ...;)"),
+    "--rng-seed": dict(dest="rng_seed", type=int),
+    "--expected-degree": dict(dest="expected_degree", type=int),
+    "--out": dict(dest="out_path", help="write the JSON report here"),
+    "--degree-bound": dict(dest="degree_bound", type=int),
+    "--param-dependent": dict(dest="parameter_dependent", action="store_true"),
+    "--graded": dict(dest="graded", action="store_true"),
+    "--verify-trials": dict(dest="verify_trials", type=int),
+    "--formulas": dict(dest="formulas_path", required=True, help="deck formula file"),
+}
+COMMON_FLAGS = ("--system", "--seed-pair", "--rng-seed", "--expected-degree", "--out")
+# Each command's stages after input, monodromy and group, in order, and the
+# flags beyond COMMON_FLAGS that its stages read.  A command that takes
+# --graded runs its scaling stage only with it.
+COMMANDS = {
+    "analyze": (
+        ("scaling", "interpolation", "verification"),
+        ("--degree-bound", "--param-dependent", "--graded", "--verify-trials"),
+    ),
+    "monodromy": ((), ()),
+    "scalings": (("scaling",), ()),
+    "verify": (("scaling", "verify"), ("--formulas", "--verify-trials", "--graded")),
+}
+
 
 @dataclass
 class RunConfig:
@@ -51,11 +79,13 @@ class RunConfig:
     parameter_dependent: bool = False
     graded: bool = False
     expected_degree: int | None = None
-    threads: int = 1  # no-op kept for compatibility; echoed as config.threads
+    threads: int = 1  # no CLI flag; echoed as config.threads
     out_path: str | None = None
     verify_trials: int = 5
 
     def __post_init__(self):
+        if self.command not in COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}")
         if self.degree_bound < 1:
             raise ValueError("degree bound must be >= 1")
         if self.rng_seed < 0:
@@ -381,20 +411,17 @@ class Pipeline:
     # -- driver -----------------------------------------------------------
 
     def run(self) -> int:
-        command = self.cfg.command
+        methods = dict(
+            input=self.load, monodromy=self.run_monodromy, group=self.group_diagnostics,
+            scaling=self.run_scaling, interpolation=self.run_interpolation,
+            verification=self.run_verification, verify=self.run_verify_formulas,
+        )
+        stages, flags = COMMANDS[self.cfg.command]
         try:
-            self._stage("input", self.load)
-            self._stage("monodromy", self.run_monodromy)
-            self._stage("group", self.group_diagnostics)
-            if command == "scalings" or (
-                command in ("analyze", "interpolate") and self.cfg.graded
-            ):
-                self._stage("scaling", self.run_scaling)
-            if command in ("analyze", "interpolate"):
-                self._stage("interpolation", self.run_interpolation)
-                self._stage("verification", self.run_verification)
-            if command == "verify":
-                self._stage("verify", self.run_verify_formulas)
+            for stage in ("input", "monodromy", "group", *stages):
+                if stage == "scaling" and "--graded" in flags and not self.cfg.graded:
+                    continue
+                self._stage(stage, methods[stage])
         except StageFailure as exc:
             self.report["status"] = "failed"
             self.report["failed_stage"] = exc.stage
@@ -470,41 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recover hidden symmetries of parametric polynomial systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "monodromy", "scalings", "interpolate", "verify"):
-        p = sub.add_parser(name)
-        p.add_argument("--system", required=True, help="system file or bundled fixture name")
-        p.add_argument("--seed-pair", help="seed file (x: ...; p: ...;)")
-        p.add_argument("--rng-seed", type=int, default=0)
-        p.add_argument("--degree-bound", type=int, default=3)
-        p.add_argument("--param-dependent", action="store_true")
-        p.add_argument("--graded", action="store_true")
-        p.add_argument("--expected-degree", type=int)
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="no-op kept for compatibility (echoed in the report config)",
-        )
-        p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--verify-trials", type=int, default=5)
-        if name == "verify":
-            p.add_argument("--formulas", required=True, help="deck formula file")
+    for name, (_, flags) in COMMANDS.items():
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in COMMON_FLAGS + flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
-
-
-def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        system_path=args.system,
-        seed_path=args.seed_pair,
-        formulas_path=getattr(args, "formulas", None),
-        rng_seed=args.rng_seed,
-        degree_bound=args.degree_bound,
-        parameter_dependent=args.param_dependent,
-        graded=args.graded,
-        expected_degree=args.expected_degree,
-        threads=args.threads,
-        out_path=args.out,
-        verify_trials=args.verify_trials,
-    )
 
 
 def run(cfg: RunConfig) -> tuple[dict, int]:
@@ -520,7 +517,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = RunConfig(**vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,26 +83,6 @@ class InterpolationStats:
     largest_class: int = 0
 
 
-def build_vandermonde(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    j: int,
-    numer_monomials: Sequence[Exponent],
-    denom_monomials: Sequence[Exponent],
-) -> np.ndarray:
-    """Constraint matrix with rows [monos_n(pt) | -x'_j * monos_d(pt)].
-
-    The interpolation algorithms build it square (one row per column) or
-    overdetermined; fewer rows still yield a well-formed matrix.
-    """
-    if not pairs:
-        raise ValueError("need at least one sample pair")
-    pts = np.asarray([a for a, _ in pairs], dtype=complex)
-    imgs = np.asarray([b[j] for _, b in pairs], dtype=complex)
-    vn = monomial_values(numer_monomials, pts)
-    vd = monomial_values(denom_monomials, pts)
-    return np.hstack([vn, -imgs[:, None] * vd])
-
-
 def get_representative(rref_n: np.ndarray, split: int):
     """Sparsest row of the reduced nullspace whose numerator and denominator
     parts are both nonzero after truncating entries below ``TRUNCATE_TOL``;
@@ -119,59 +99,6 @@ def get_representative(rref_n: np.ndarray, split: int):
         if best_nz is None or nz < best_nz:
             best, best_nz = (a.copy(), b.copy()), nz
     return best
-
-
-def constant_denominator_representative(rref_n: np.ndarray, split: int):
-    """Search the row span for a polynomial representative: denominator fixed
-    to the constant monomial (the first denominator column, as
-    ``monomials_up_to_degree`` lists it), numerator greedily sparsified.
-
-    Solves (r^T N)_denominator = e_const; the affine solution family is then
-    scanned by repeatedly choosing the free parameter value that annihilates
-    the largest remaining numerator coefficient, keeping a change only when
-    it strictly reduces the nonzero count.  None when the linear system has
-    no solution.
-    """
-    m = np.asarray(rref_n, dtype=complex)
-    rows = m.shape[0]
-    bt = m[:, split:].T  # (t_d, rows)
-    target = np.zeros(bt.shape[0], dtype=complex)
-    target[0] = 1.0
-    # rcond matters: RREF leaves ~1e-9 noise in "zero" entries, and fitting
-    # it would pull in large spurious components along the solution family.
-    r0, *_ = np.linalg.lstsq(bt, target, rcond=numcore.DEFAULT_RANK_TOL)
-    if np.linalg.norm(bt @ r0 - target) > 1e-8 * max(1.0, np.linalg.norm(target)):
-        return None
-    directions = numcore.nullspace(bt)
-    at = m[:, :split].T  # (t_n, rows)
-    a = at @ r0
-    dirs_a = [at @ directions[:, k] for k in range(directions.shape[1])]
-
-    def nonzeros(vec):
-        return int(np.count_nonzero(np.abs(vec) > TRUNCATE_TOL))
-
-    changed = True
-    while changed and dirs_a:
-        changed = False
-        for da in dirs_a:
-            active = np.abs(da) > 1e-12
-            if not np.any(active):
-                continue
-            idx = np.where(active)[0]
-            largest = idx[int(np.argmax(np.abs(a[idx])))]
-            if abs(a[largest]) <= TRUNCATE_TOL:
-                continue
-            step = -a[largest] / da[largest]
-            cand = a + step * da
-            if nonzeros(cand) < nonzeros(a):
-                a = cand
-                changed = True
-    a = np.where(np.abs(a) > TRUNCATE_TOL, a, 0.0)
-    if not np.any(a):
-        return None
-    b = np.zeros(m.shape[1] - split, dtype=complex)
-    b[0] = 1.0
-    return a, b
 
 
 def representative_to_rational(

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numcore, permgrp, tracker
-from .expr import System
+from .expr import System, format_polynomial
 from .permgrp import Perm
 from .tracker import PATH_TOL, FiberSample
 
@@ -261,9 +261,12 @@ def _group_signature(degree: int, perms: list[Perm]):
     """Cheap fingerprint of the generated group, used for stall detection.
 
     Repeating an already-seen permutation must not reset the stall counter,
-    but any growth of the generated group must: otherwise a run can stop
+    but growth of the generated group should: otherwise a run can stop
     with a proper (even intransitive) subgroup and an inflated centralizer.
-    The costlier invariants are skipped at large degrees.
+    The fingerprint is the orbit sizes, the order capped at 3000 (d <= 64)
+    and the centralizer size (transitive, d <= 512), so growth that changes
+    none of them goes unseen: past the cap, or at a large degree.  There the
+    stall counter runs on while the group still grows.
     """
     group = permgrp.PermutationGroup(degree, tuple(perms))
     seen: set[int] = set()
@@ -292,7 +295,9 @@ def seed_from_linear_params(
     Picks random complex unknowns (or uses the given ones), solves the
     induced linear system for the parameters by least squares, and accepts
     when the residual is small and the Jacobian in the unknowns has full
-    rank.  Resamples up to 10 times in the random mode.
+    rank.  Resamples up to 10 times in the random mode, which rejects a
+    parameter-free equation up front: no choice of p satisfies it at a
+    random x.
     """
     n, m = system.n, system.m
     for eq in system.equations:
@@ -303,6 +308,12 @@ def seed_from_linear_params(
     if given:
         attempts = [np.asarray(x_star, dtype=complex)]
     else:
+        for k, eq in enumerate(system.equations, 1):
+            if not any(any(exp[n:]) for exp, _ in eq.terms):
+                raise MonodromyError(
+                    f"equation {k} ({format_polynomial(eq, system.names)}) has no "
+                    "parameter, so no random point satisfies it; pass a seed pair (--seed-pair)"
+                )
         if rng is None:
             raise ValueError("random seeding needs an rng")
         attempts = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(10)]

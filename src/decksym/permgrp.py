@@ -21,6 +21,7 @@ group element is ever enumerated.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Sequence
@@ -207,62 +208,52 @@ def group_order_capped(group: PermutationGroup, cap: int) -> int | None:
     return order()
 
 
-def _schreier_tree(group: PermutationGroup) -> list[tuple[int, Perm] | None]:
-    """Breadth-first tree over the orbit of 0: tree[v] = (parent, generator)."""
-    d = group.degree
-    tree: list[tuple[int, Perm] | None] = [None] * d
-    seen = {0}
-    queue = [0]
+def _schreier_tree(group: PermutationGroup) -> tuple[list[int], list[tuple[int, Perm] | None]]:
+    """Breadth-first tree over the orbit of 0: tree[v] = (parent, generator).
+
+    The visit order comes first; it lists every parent before its children.
+    """
+    tree: list[tuple[int, Perm] | None] = [None] * group.degree
+    visited = [0]
+    queue = deque(visited)
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for g in group.generators:
             w = g[v]
-            if w not in seen:
-                seen.add(w)
+            if w != 0 and tree[w] is None:
                 tree[w] = (v, g)
+                visited.append(w)
                 queue.append(w)
-    return tree
+    return visited, tree
 
 
 def centralizer_in_symmetric(group: PermutationGroup) -> list[Perm]:
     """All elements of S_d commuting with every generator of a transitive group.
 
     For each candidate image c of label 0, the rest of sigma is forced by
-    sigma(g(v)) = g(sigma(v)) along the Schreier tree; the candidate survives
-    if the filled-in map is a permutation commuting with all generators.
+    sigma(g(v)) = g(sigma(v)) along the Schreier tree, filled in the tree's
+    visit order; the candidate survives if the filled-in map is a permutation
+    commuting with all generators.
     The output always contains the identity and has at most d elements.
     """
     if not is_transitive(group):
         raise ValueError("centralizer computation requires a transitive group")
     d = group.degree
-    tree = _schreier_tree(group)
-    order = sorted(range(d), key=lambda v: _tree_depth(tree, v))
+    order, tree = _schreier_tree(group)
     out: list[Perm] = []
     for c in range(d):
         sigma = [-1] * d
         sigma[0] = c
-        ok = True
         for v in order[1:]:
             parent, g = tree[v]  # type: ignore[misc]
-            if sigma[parent] == -1:
-                ok = False
-                break
             sigma[v] = g[sigma[parent]]
-        if not ok or -1 in sigma or not is_permutation(sigma):
+        if not is_permutation(sigma):
             continue
         cand = tuple(sigma)
         if all(compose(cand, g) == compose(g, cand) for g in group.generators):
             out.append(cand)
     out.sort()
     return out
-
-
-def _tree_depth(tree, v: int) -> int:
-    depth = 0
-    while tree[v] is not None:
-        v = tree[v][0]
-        depth += 1
-    return depth
 
 
 def minimal_block_containing(group: PermutationGroup, alpha: int) -> tuple[frozenset, ...]:

@@ -1,9 +1,12 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from decksym import tracker
-from decksym.expr import parse_system
+from decksym import numcore, tracker
+from decksym.expr import Exponent, monomial_values, parse_system
+from decksym.interp import TRUNCATE_TOL
 from decksym.monodromy import run_monodromy, seed_from_linear_params
 from decksym.permgrp import inverse
 from decksym.scaling import IntMatrix, Multidegree
@@ -73,7 +76,80 @@ def is_block_system(group, partition) -> bool:
     return all(frozenset(g[v] for v in b) in blocks for g in group.generators for b in blocks)
 
 
-# Reference copies of exact helpers that only tests use.
+# Reference copies of helpers that only tests use.
+
+
+def build_vandermonde(
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    j: int,
+    numer_monomials: Sequence[Exponent],
+    denom_monomials: Sequence[Exponent],
+) -> np.ndarray:
+    """Constraint matrix with rows [monos_n(pt) | -x'_j * monos_d(pt)].
+
+    The interpolation algorithms build it square (one row per column) or
+    overdetermined; fewer rows still yield a well-formed matrix.
+    """
+    if not pairs:
+        raise ValueError("need at least one sample pair")
+    pts = np.asarray([a for a, _ in pairs], dtype=complex)
+    imgs = np.asarray([b[j] for _, b in pairs], dtype=complex)
+    vn = monomial_values(numer_monomials, pts)
+    vd = monomial_values(denom_monomials, pts)
+    return np.hstack([vn, -imgs[:, None] * vd])
+
+
+def constant_denominator_representative(rref_n: np.ndarray, split: int):
+    """Search the row span for a polynomial representative: denominator fixed
+    to the constant monomial (the first denominator column, as
+    ``monomials_up_to_degree`` lists it), numerator greedily sparsified.
+
+    Solves (r^T N)_denominator = e_const; the affine solution family is then
+    scanned by repeatedly choosing the free parameter value that annihilates
+    the largest remaining numerator coefficient, keeping a change only when
+    it strictly reduces the nonzero count.  None when the linear system has
+    no solution.
+    """
+    m = np.asarray(rref_n, dtype=complex)
+    rows = m.shape[0]
+    bt = m[:, split:].T  # (t_d, rows)
+    target = np.zeros(bt.shape[0], dtype=complex)
+    target[0] = 1.0
+    # rcond matters: RREF leaves ~1e-9 noise in "zero" entries, and fitting
+    # it would pull in large spurious components along the solution family.
+    r0, *_ = np.linalg.lstsq(bt, target, rcond=numcore.DEFAULT_RANK_TOL)
+    if np.linalg.norm(bt @ r0 - target) > 1e-8 * max(1.0, np.linalg.norm(target)):
+        return None
+    directions = numcore.nullspace(bt)
+    at = m[:, :split].T  # (t_n, rows)
+    a = at @ r0
+    dirs_a = [at @ directions[:, k] for k in range(directions.shape[1])]
+
+    def nonzeros(vec):
+        return int(np.count_nonzero(np.abs(vec) > TRUNCATE_TOL))
+
+    changed = True
+    while changed and dirs_a:
+        changed = False
+        for da in dirs_a:
+            active = np.abs(da) > 1e-12
+            if not np.any(active):
+                continue
+            idx = np.where(active)[0]
+            largest = idx[int(np.argmax(np.abs(a[idx])))]
+            if abs(a[largest]) <= TRUNCATE_TOL:
+                continue
+            step = -a[largest] / da[largest]
+            cand = a + step * da
+            if nonzeros(cand) < nonzeros(a):
+                a = cand
+                changed = True
+    a = np.where(np.abs(a) > TRUNCATE_TOL, a, 0.0)
+    if not np.any(a):
+        return None
+    b = np.zeros(m.shape[1] - split, dtype=complex)
+    b[0] = 1.0
+    return a, b
 
 
 def int_transpose(a: IntMatrix) -> IntMatrix:

@@ -13,7 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_cycles_retrace, equation_weight, is_block_system, snf_verifies
+from conftest import (
+    assert_cycles_retrace,
+    build_vandermonde,
+    constant_denominator_representative,
+    equation_weight,
+    is_block_system,
+    snf_verifies,
+)
 from decksym import scaling
 from decksym.cli import RunConfig, run
 from decksym.expr import (
@@ -25,8 +32,6 @@ from decksym.expr import (
 )
 from decksym.fixtures import EXPECTED_DEGREE, deck_path, fixture_path, seed_path
 from decksym.interp import (
-    build_vandermonde,
-    constant_denominator_representative,
     interpolate_dense,
     interpolate_graded,
     representative_to_rational,

@@ -190,8 +190,9 @@ def test_interpolation_without_tracked_orbits_fails_stage(tmp_path, monkeypatch)
 
 
 def test_interpolate_command_graded_ex41(tmp_path):
+    """The interpolation stage of ``analyze`` under ``--graded``."""
     report, code, _ = run_cli(
-        "interpolate", "ex4_1", tmp_path, expected_degree=2, degree_bound=1,
+        "analyze", "ex4_1", tmp_path, expected_degree=2, degree_bound=1,
         parameter_dependent=True, graded=True,
     )
     assert code == 0
@@ -200,6 +201,45 @@ def test_interpolate_command_graded_ex41(tmp_path):
     assert report["scaling"]["commuting_ranks"] == [{"modulus": 2, "rank": 1}]
     assert report["interpolation"]["largest_vandermonde"] <= 4
     assert report["deck_maps"][0]["coordinates"]["x"] == "1/x"
+
+
+def test_verify_graded_checks_quasi_homogeneity(tmp_path):
+    """``verify --graded`` runs the scaling stage first, so the formulas are
+    also checked against the filtered lattice (without the flag the check is
+    ``None``: see ``test_verify_command_roundtrip``)."""
+    out = tmp_path / "verify.json"
+    code = main(
+        [
+            "verify", "--system", "p3p_quasihom", "--seed-pair", "p3p_quasihom",
+            "--expected-degree", "8", "--formulas", str(deck_path("p3p_quasihom")),
+            "--verify-trials", "2", "--graded", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["scaling"]["commuting_ranks"] == [{"modulus": 2, "rank": 4}]
+    entry = report["verification"][0]
+    assert entry["passed"]
+    assert entry["quasi_homogeneity_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interpolate", "--system", "ex4_1"],
+        ["monodromy", "--system", "ex4_1", "--graded"],
+        ["scalings", "--system", "ex4_1", "--degree-bound", "1"],
+        ["verify", "--system", "ex4_1", "--formulas", "x.deck", "--param-dependent"],
+        ["analyze", "--system", "ex4_1", "--threads", "2"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    """Each command takes only the flags its stages read; anything else is
+    argparse's usage error (exit 2) before any stage runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_input_error_exit_code(tmp_path):
@@ -268,7 +308,7 @@ def test_reports_deterministic(tmp_path):
 
 
 def test_threads_flag_does_not_change_report(tmp_path):
-    """--threads is accepted for compatibility and echoed in the config;
+    """``RunConfig.threads`` (no CLI flag) is only echoed in the config;
     paths are tracked in one thread either way."""
     reports = []
     for threads in (1, 2):

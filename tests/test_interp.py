@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import EX41_TEXT, EX42_TEXT, lattice_is_empty, multidegree
+from conftest import (
+    EX41_TEXT,
+    EX42_TEXT,
+    build_vandermonde,
+    constant_denominator_representative,
+    lattice_is_empty,
+    multidegree,
+)
 from decksym import scaling
 from decksym.expr import (
     Polynomial,
@@ -14,8 +21,6 @@ from decksym.expr import (
 )
 from decksym.interp import (
     SampleCache,
-    build_vandermonde,
-    constant_denominator_representative,
     derive_deck_permutation,
     get_representative,
     interpolate_dense,

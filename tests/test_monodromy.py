@@ -10,6 +10,7 @@ from conftest import (
 )
 from decksym import tracker
 from decksym.expr import parse_system
+from decksym.fixtures import fixture_path
 from decksym.monodromy import (
     MonodromyError,
     _Graph,
@@ -73,6 +74,18 @@ def test_seed_oracle_random_ex42_fails_residual():
     # generic (x, y) cannot satisfy both equations with a single p
     with pytest.raises(MonodromyError, match="residual"):
         seed_from_linear_params(EX42, rng=np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("fixture", ["ex5_7", "p3p_quasihom"])
+def test_seed_oracle_random_rejects_parameter_free_equation(fixture):
+    """No p satisfies a parameter-free equation at a random x, so random mode
+    names the equation and asks for a seed pair before drawing any point."""
+    system = parse_system(fixture_path(fixture).read_text())
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(MonodromyError, match=r"equation 1 \(.*\) has no parameter.*--seed-pair"):
+        seed_from_linear_params(system, rng=rng)
+    assert rng.bit_generator.state == state
 
 
 def test_seed_oracle_rejects_nonlinear_parameters():

@@ -36,7 +36,7 @@ from .expr import (
 )
 from .monodromy import MonodromyError, MonodromyResult
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 GROUP_ORDER_CAP = 10**6
 
 # Each flag's argparse options; ``dest`` is the RunConfig field it sets, and
@@ -54,6 +54,9 @@ FLAGS = {
     "--formulas": dict(dest="formulas_path", required=True, help="deck formula file"),
 }
 COMMON_FLAGS = ("--system", "--seed-pair", "--rng-seed", "--expected-degree", "--out")
+# Flags whose RunConfig field a report echoes in ``config`` when its command
+# takes the flag.
+ECHOED_FLAGS = ("--degree-bound", "--param-dependent", "--graded")
 # Each command's stages after input, monodromy and group, in order, and the
 # flags beyond COMMON_FLAGS that its stages read.  A command that takes
 # --graded runs its scaling stage only with it.
@@ -79,7 +82,7 @@ class RunConfig:
     parameter_dependent: bool = False
     graded: bool = False
     expected_degree: int | None = None
-    threads: int = 1  # no CLI flag; echoed as config.threads
+    threads: int = 1  # no CLI flag and not in reports
     out_path: str | None = None
     verify_trials: int = 5
 
@@ -149,6 +152,8 @@ class Pipeline:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.rng_seed)
+        flags = COMMANDS[cfg.command][1]
+        echoed = [FLAGS[f]["dest"] for f in ECHOED_FLAGS if f in flags]
         self.report: dict = {
             "schema_version": SCHEMA_VERSION,
             "command": cfg.command,
@@ -156,11 +161,8 @@ class Pipeline:
                 "system": cfg.system_path,
                 "seed_pair": cfg.seed_path,
                 "rng_seed": cfg.rng_seed,
-                "degree_bound": cfg.degree_bound,
-                "parameter_dependent": cfg.parameter_dependent,
-                "graded": cfg.graded,
+                **{field: getattr(cfg, field) for field in echoed},
                 "expected_degree": cfg.expected_degree,
-                "threads": cfg.threads,
                 "tolerances": {
                     "newton": tracker.NEWTON_TOL,
                     "path": tracker.PATH_TOL,
@@ -395,7 +397,7 @@ class Pipeline:
         except ParseError as exc:
             raise StageFailure("input", str(exc))
         perm, coords = interp.derive_deck_permutation(self.system, formulas, self.mono.base)
-        deck = interp.DeckMap(perm, coords, self.cfg.degree_bound)
+        deck = interp.DeckMap(perm, coords, 0)
         rep = interp.verify_deck(
             self.system,
             deck,

@@ -10,6 +10,12 @@ coordinate's own weights.  The graded path passes the detected lattice; the
 dense path is the one-class case, the empty lattice, where every monomial up
 to the degree lands in the same class.
 
+Each orbit sample is a ``tracker.FiberSample`` of the base solution and its
+|G|-1 deck images.  The samples are kept across degrees, so a higher degree
+draws only the shortfall of its budget; at each degree the base points
+[x | p] are stacked once as an (S, n+m) array and the images as an
+(S, |G|-1, n) array, and every subproblem indexes those two.
+
 Candidates are accepted only when they reproduce held-out samples that never
 entered the Vandermonde; accepted coefficients are snapped to nearby small
 rationals and the snap is rolled back if re-validation fails.
@@ -148,64 +154,14 @@ def _validate(rf: RationalFunction, points: np.ndarray, images: np.ndarray) -> b
     return bool(np.all(err <= VALIDATE_RTOL))
 
 
-class SampleCache:
-    """Append-only cache of deck-orbit samples, shared across degrees.
-
-    Raising the degree bound only draws the shortfall; previously tracked
-    samples are reused (tracking dominates runtime).
-    """
-
-    def __init__(
-        self,
-        system: System,
-        mono: MonodromyResult,
-        deck_perms: Sequence[Perm],
-        rng: np.random.Generator,
-    ):
-        self.system = system
-        self.mono = mono
-        self.deck_perms = list(deck_perms)
-        self.rng = rng
-        self.samples: list[FiberSample] = []
-
-    def ensure(self, count: int) -> list[FiberSample]:
-        if count > len(self.samples):
-            self.samples.extend(
-                monodromy_mod.sample_orbit(
-                    self.system,
-                    self.mono,
-                    self.deck_perms,
-                    count - len(self.samples),
-                    self.rng,
-                )
-            )
-        return self.samples[:count]
-
-
 def _holdout_count(fit: int) -> int:
     return max(3, math.ceil(0.1 * fit))
 
 
-@dataclass
-class _SampleArrays:
-    points: np.ndarray  # (s, n+m) base points
-    images: list[np.ndarray]  # per deck perm: (s, n) paired solutions
-
-    @staticmethod
-    def build(samples: Sequence[FiberSample], n_perms: int) -> "_SampleArrays":
-        pts = np.asarray(
-            [np.concatenate([s.solutions[0], s.params]) for s in samples], dtype=complex
-        )
-        imgs = [
-            np.asarray([s.solutions[1 + k] for s in samples], dtype=complex)
-            for k in range(n_perms)
-        ]
-        return _SampleArrays(pts, imgs)
-
-
 def _try_candidate(
     system: System,
-    arrays: _SampleArrays,
+    points: np.ndarray,
+    images: np.ndarray,
     vn: np.ndarray,
     vd: np.ndarray,
     numer_monos,
@@ -218,8 +174,9 @@ def _try_candidate(
     """The validated formula for coordinate j of deck k from the first
     ``size`` samples, snapped when the snap still validates; None when the
     nullspace has no representative or it fails the samples from index
-    ``holdout`` on."""
-    imgs = arrays.images[k][:size, j]
+    ``holdout`` on.  ``points`` (S, n+m) holds each sample's base point and
+    ``images`` (S, |G|-1, n) its deck images."""
+    imgs = images[:size, k, j]
     a_mat = np.hstack([vn[:size], -imgs[:, None] * vd[:size]])
     try:
         null = numcore.nullspace(a_mat)
@@ -232,7 +189,7 @@ def _try_candidate(
     if rep is None:
         return None
     rf = representative_to_rational(rep[0], rep[1], numer_monos, denom_monos, system.n + system.m)
-    points, images = arrays.points[holdout:], arrays.images[k][holdout:, j]
+    points, images = points[holdout:], images[holdout:, k, j]
     if not _validate(rf, points, images):
         return None
     snapped = snap_rational(rf)
@@ -281,7 +238,7 @@ def _interpolate(
     stats = InterpolationStats(parameter_dependent=parameter_dependent, graded=True)
     if not perms:
         return decks, stats
-    cache = SampleCache(system, mono, perms, rng)
+    samples: list[FiberSample] = []
 
     for degree in range(1, degree_bound + 1):
         monos = monomials_up_to_degree(n, m, degree, parameter_dependent)
@@ -290,14 +247,19 @@ def _interpolate(
         t = max(len(v) for v in classes.values())
         stats.largest_class = max(stats.largest_class, t)
         fit_max = 2 * t
-        samples = cache.ensure(fit_max + _holdout_count(fit_max))
-        arrays = _SampleArrays.build(samples, len(perms))
+        budget = fit_max + _holdout_count(fit_max)
+        if budget > len(samples):
+            samples += monodromy_mod.sample_orbit(
+                system, mono, perms, budget - len(samples), rng
+            )
+        points = np.array([s.points()[0] for s in samples[:budget]])
+        images = np.array([s.solutions[1:] for s in samples[:budget]])
         values: dict[scaling.Multidegree, np.ndarray] = {}
 
         def class_values(key):
             got = values.get(key)
             if got is None:
-                got = values[key] = monomial_values(classes[key], arrays.points)
+                got = values[key] = monomial_values(classes[key], points)
             return got
 
         for key in sorted(classes.keys(), key=_class_sort_key):
@@ -319,7 +281,7 @@ def _interpolate(
                         stats.largest_vandermonde, len(mon_n) + len(mon_d)
                     )
                     got = _try_candidate(
-                        system, arrays, vn, vd, mon_n, mon_d, j, k,
+                        system, points, images, vn, vd, mon_n, mon_d, j, k,
                         len(mon_n) + len(mon_d), fit_max,
                     )
                     if got is not None:
@@ -433,22 +395,20 @@ def verify_deck(
         # Each formula over every tracked solution at once, against the
         # solution's sigma-partner.  The worst values are numpy maxima, so a
         # NaN carries through and fails the check.
-        points = np.array([np.concatenate([x, s.params]) for s in fibers for x in s.solutions])
-        paired = np.array([s.solutions[i] for s in fibers for i in sigma])[:, present]
+        points = np.concatenate([s.points() for s in fibers])
+        paired = np.concatenate([s.solutions[list(sigma)] for s in fibers])[:, present]
         values = np.column_stack([deck.coords[j].evaluate(points) for j in present])
         worst_pair = float(np.max(np.abs(values - paired) / (1.0 + np.abs(paired))))
         if deck.complete:
             structural = [i for i in range(n) if i not in system.patch_indices]
-            params = [s.params for s in fibers for _ in s.solutions]
-            for image, p in zip(values, params):
-                f = comp.f_at(image, p)[structural]
+            for image, point in zip(values, points):
+                f = comp.f_at(image, point[n:])[structural]
                 worst_res = float(np.max(np.abs(f), initial=worst_res))
 
     worst_quasi = 0.0
     quasi_ok: bool | None = None
     if lattice is not None and lattice.free.rows and fibers:
-        sample = fibers[0]
-        points = np.array([np.concatenate([x, sample.params]) for x in sample.solutions[:3]])
+        points = fibers[0].points()[:3]
         base = [deck.coords[j].evaluate(points) for j in present]
         for row in lattice.free.data:
             lam = complex(np.exp(1j * rng.uniform(0, 2 * np.pi))) * rng.uniform(0.5, 1.5)
@@ -487,9 +447,8 @@ def derive_deck_permutation(
     if not present:
         raise ValueError("no formulas supplied")
     images = []
-    partial_fiber = np.asarray(base.solutions)[:, present]
-    points = np.array([np.concatenate([sol, base.params]) for sol in base.solutions])
-    predicted_rows = np.column_stack([coords[j].evaluate(points) for j in present])
+    partial_fiber = base.solutions[:, present]
+    predicted_rows = np.column_stack([coords[j].evaluate(base.points()) for j in present])
     for i, predicted in enumerate(predicted_rows):
         j = tracker.match(predicted, partial_fiber)
         if j == tracker.NEW:

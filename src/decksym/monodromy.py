@@ -2,9 +2,10 @@
 generators of the monodromy group.
 
 The nodes of the graph are the base parameters p0 and random complex
-parameter points, and each node keeps its own partial fiber.  An edge joins
-two nodes with one gamma and caches the correspondence of its tracked paths
-in both directions.  A solution is tracked along an edge only while the edge
+parameter points, and each node keeps its own partial fiber, a (k, n) array
+that grows by one row per new solution.  An edge joins two nodes with one
+gamma and caches the correspondence of its tracked paths in both
+directions.  A solution is tracked along an edge only while the edge
 maps it nowhere; from the far end the same arc is tracked with 1/gamma, as
 in ``tracker.retraces``.  So each new edge costs at most d paths and closes
 a new cycle.  ``tracker.match`` decides which solution of the far fiber an
@@ -130,7 +131,7 @@ class _Graph:
     def __init__(self, system: System, p0, x0):
         self.system = system
         self.params: list[np.ndarray] = [p0]
-        self.fibers: list[list[np.ndarray]] = [[x0]]
+        self.fibers: list[np.ndarray] = [x0[None, :]]  # (k, n) per node
         self.edges: list[_Edge] = []
         self.tracked = 0
         self.failed = 0
@@ -145,7 +146,7 @@ class _Graph:
             self.edges.append(_Edge(*pair, tracker.draw_gamma(rng)))
             return
         self.params.append(tracker.random_params(self.system.m, rng))
-        self.fibers.append([])
+        self.fibers.append(np.empty((0, self.system.n), dtype=complex))
         for a in range(min(k, 2)):
             self.edges.append(_Edge(a, k, tracker.draw_gamma(rng)))
 
@@ -176,7 +177,7 @@ class _Graph:
         if not pending:
             return False
         p_from, p_to, gamma = e.segment(direction, self.params)
-        starts = [self.fibers[src][i] for i in pending]
+        starts = self.fibers[src][pending]
         results = tracker.track_paths(self.system, starts, p_from, p_to, gamma)
         for i, r in zip(pending, results):
             e.tried.add((direction, i))
@@ -198,7 +199,8 @@ class _Graph:
     def _locate(self, node: int, point) -> int | None:
         """The index of ``point`` in the node's fiber (``tracker.match``); a
         new point is polished and matched again, and appended when it is
-        still new.  None when the match is ambiguous or the polish fails."""
+        still new, as the fiber's next row.  None when the match is ambiguous
+        or the polish fails."""
         fiber = self.fibers[node]
         j = tracker.match(point, fiber)
         if j != tracker.NEW:
@@ -209,8 +211,8 @@ class _Graph:
             return None
         j = tracker.match(point, fiber)
         if j == tracker.NEW:
-            fiber.append(point)
-            return len(fiber) - 1
+            self.fibers[node] = np.vstack([fiber, point])
+            return len(fiber)
         return None if j == tracker.AMBIGUOUS else j
 
     def cycles(self) -> list[LoopRecord]:
@@ -367,7 +369,6 @@ def run_monodromy(
     x0, p0 = np.asarray(seed[0], dtype=complex), np.asarray(seed[1], dtype=complex)
     x0 = tracker.newton_polish(system, x0, p0, PATH_TOL / 100)
     graph = _Graph(system, p0, x0)
-    fiber = graph.fibers[0]
     cycles: list[LoopRecord] = []
     rounds = 0
     since_new_sol = 0
@@ -377,7 +378,7 @@ def run_monodromy(
 
     while rounds < _MAX_LOOPS:
         rounds += 1
-        start_count = len(fiber)
+        start_count = len(graph.fibers[0])
         graph.grow(rng)
         tracked, failed = graph.propagate()
         # A round that tracks nothing (an edge between two empty nodes)
@@ -387,7 +388,8 @@ def run_monodromy(
         if len(failure_window) == 5 and all(f > 0.5 for f in failure_window):
             raise MonodromyError("persistent path failures in the homotopy graph")
 
-        grew = len(fiber) > start_count
+        degree = len(graph.fibers[0])
+        grew = degree > start_count
         since_new_sol = 0 if grew else since_new_sol + 1
         cycles = graph.cycles()
         perms = [c.permutation for c in cycles]
@@ -395,7 +397,7 @@ def run_monodromy(
             since_new_perm = 0
             last_signature = None
         elif perms:
-            sig = _group_signature(len(fiber), perms)
+            sig = _group_signature(degree, perms)
             if sig != last_signature:
                 last_signature = sig
                 since_new_perm = 0
@@ -405,20 +407,20 @@ def run_monodromy(
         if expected_degree is None:
             fiber_stable = since_new_sol >= _STALL_LIMIT
         else:
-            fiber_stable = len(fiber) >= expected_degree
+            fiber_stable = degree >= expected_degree
         if (
             fiber_stable
             and perms
             and since_new_perm >= _PERM_STALL_LIMIT
-            and permgrp.is_transitive(permgrp.PermutationGroup(len(fiber), tuple(perms)))
+            and permgrp.is_transitive(permgrp.PermutationGroup(degree, tuple(perms)))
         ):
             break
 
-    if len(fiber) < 2:
+    base = FiberSample(p0, graph.fibers[0])
+    if len(base) < 2:
         raise MonodromyError("monodromy stalled with fewer than 2 solutions")
-    if expected_degree is not None and len(fiber) != expected_degree:
-        raise MonodromyError(f"found {len(fiber)} solutions, expected {expected_degree}")
-    base = FiberSample(p0, tuple(fiber))
+    if expected_degree is not None and len(base) != expected_degree:
+        raise MonodromyError(f"found {len(base)} solutions, expected {expected_degree}")
     if not base.distinct():
         raise MonodromyError("fiber solutions are not well separated")
     return MonodromyResult(
@@ -461,7 +463,7 @@ def deck_orbit(
     if len(set(indices)) != len(indices):
         raise ValueError("deck permutations do not have distinct images of the base point")
     base = result.base
-    return nontrivial, FiberSample(base.params, tuple(base.solutions[i] for i in indices))
+    return nontrivial, FiberSample(base.params, base.solutions[indices])
 
 
 def sample_orbit(

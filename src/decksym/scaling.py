@@ -463,8 +463,7 @@ def _test_candidate(system, lattice, base, orbit, u, lam, deck_perms, rng) -> st
     p0 = orbit.params
     p_scaled = apply_scaling(u[n:], lam, p0)
     starts = []
-    for sol in orbit.solutions:
-        point = apply_scaling(u, lam, np.concatenate([sol, p0]))
+    for point in apply_scaling(u, lam, orbit.points()):
         try:
             point = repatch_point(system, lattice, point)
         except ValueError:
@@ -472,7 +471,7 @@ def _test_candidate(system, lattice, base, orbit, u, lam, deck_perms, rng) -> st
         if not tracker.is_start_point(system, point[:n], p_scaled):
             return "failed_stability"
         starts.append(point[:n])
-    scaled = tracker.FiberSample(p_scaled, tuple(starts))
+    scaled = tracker.FiberSample(p_scaled, starts)
     if not scaled.distinct():
         return "undetermined"
 
@@ -490,9 +489,11 @@ def _test_candidate(system, lattice, base, orbit, u, lam, deck_perms, rng) -> st
                 return "failed_stability"  # s(x_0) left the tracked component
             ends.append(r.endpoint)
             landed.append(j)
-        back = tracker.FiberSample(p0, tuple(ends))
-        if len(ends) < len(starts) or not back.distinct():
-            continue  # a failed path or an endpoint collision: retry
+        if len(ends) < len(starts):
+            continue  # a failed path: retry
+        back = tracker.FiberSample(p0, ends)
+        if not back.distinct():
+            continue  # an endpoint collision: retry
         if tracker.NEW in landed or tracker.AMBIGUOUS in landed:
             continue  # no reliable match: retry
         c = landed[0]

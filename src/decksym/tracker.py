@@ -131,26 +131,37 @@ PATH_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FiberSample:
-    """A parameter point together with the ordered solutions above it."""
+    """A parameter point together with the ordered solutions above it.
+
+    ``solutions`` is the fiber format every stage shares: one read-only
+    complex (d, n) array, one row per solution.  ``points()`` gives the rows
+    [x | p] that polynomials and formulas are evaluated at."""
 
     params: np.ndarray
-    solutions: tuple[np.ndarray, ...]
+    solutions: np.ndarray
 
     def __post_init__(self):
+        sols = np.array(self.solutions, dtype=complex)
+        if sols.ndim != 2:
+            raise ValueError("a fiber is a (d, n) array of solutions")
+        sols.flags.writeable = False
         object.__setattr__(self, "params", np.asarray(self.params, dtype=complex))
-        object.__setattr__(
-            self, "solutions", tuple(np.asarray(s, dtype=complex) for s in self.solutions)
-        )
+        object.__setattr__(self, "solutions", sols)
 
     def __len__(self) -> int:
         return len(self.solutions)
 
+    def points(self) -> np.ndarray:
+        """The (d, n+m) rows [x | p], one per solution."""
+        d, m = len(self.solutions), len(self.params)
+        return np.concatenate([self.solutions, np.broadcast_to(self.params, (d, m))], axis=1)
+
     def min_pairwise_distance(self) -> float:
         """Smallest max-norm distance between two solutions: one reduction
         per solution over the solutions after it."""
-        if len(self.solutions) < 2:
+        sols = self.solutions
+        if len(sols) < 2:
             return np.inf
-        sols = np.array(self.solutions)
         return min(
             float(np.abs(sols[i + 1 :] - sols[i]).max(axis=1).min())
             for i in range(len(sols) - 1)
@@ -165,7 +176,7 @@ def _nearest(point, pool) -> tuple[int, float, float]:
     """The index of the closest pool point in the max norm, its distance,
     and the runner-up distance (inf for a one-point pool).  Exact ties are
     broken by ``np.argsort``."""
-    dists = np.abs(np.asarray(pool) - point).max(axis=1)
+    dists = np.abs(pool - point).max(axis=1)
     order = np.argsort(dists)
     best = int(order[0])
     second = float(dists[order[1]]) if len(dists) > 1 else np.inf
@@ -173,10 +184,10 @@ def _nearest(point, pool) -> tuple[int, float, float]:
 
 
 def match(point, pool) -> int | str:
-    """The index of the pool point within ``MATCH_TOL`` of ``point`` (max
-    norm) and ``_MATCH_RATIO`` times closer than the runner-up; else ``NEW``
-    for an empty pool or d1 >= ``_MATCH_RATIO`` x ``MATCH_TOL``, else
-    ``AMBIGUOUS``."""
+    """The index of the row of ``pool`` (a (k, n) array) within
+    ``MATCH_TOL`` of ``point`` (max norm) and ``_MATCH_RATIO`` times closer
+    than the runner-up; else ``NEW`` for an empty pool or d1 >=
+    ``_MATCH_RATIO`` x ``MATCH_TOL``, else ``AMBIGUOUS``."""
     if len(pool) == 0:
         return NEW
     best, d1, d2 = _nearest(point, pool)
@@ -692,7 +703,7 @@ def track_fiber(
         raise FiberTrackingError(
             f"{len(bad)}/{len(results)} paths failed ({results[bad[0]].status})"
         )
-    out = FiberSample(p_to, tuple(r.endpoint for r in results))
+    out = FiberSample(p_to, [r.endpoint for r in results])
     if not out.distinct():
         raise FiberTrackingError("endpoint collision after tracking")
     return out
@@ -711,10 +722,7 @@ def retraces(system: System, start: FiberSample, sample: FiberSample, gamma: com
         back = track_fiber(system, sample, start.params, gamma=1.0 / gamma)
     except FiberTrackingError:
         return False
-    return not any(
-        float(np.abs(got - want).max()) > MATCH_TOL
-        for got, want in zip(back.solutions, start.solutions)
-    )
+    return not (np.abs(back.solutions - start.solutions).max(axis=1) > MATCH_TOL).any()
 
 
 def sample_fiber(

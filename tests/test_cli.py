@@ -47,13 +47,18 @@ def test_analyze_ex41(tmp_path):
     assert block["largest_class"] == 0
     assert block["largest_vandermonde"] == 6
     assert out.exists()
-    assert json.loads(out.read_text())["schema_version"] == 1
+    assert json.loads(out.read_text())["schema_version"] == 2
+    assert {"degree_bound", "parameter_dependent", "graded"} <= report["config"].keys()
 
 
 def test_monodromy_command_only(tmp_path):
     report, code, _ = run_cli("monodromy", "ex4_2", tmp_path, expected_degree=2)
     assert code == 0
     assert "deck_maps" not in report
+    # Only the flags a command takes are echoed.
+    assert sorted(report["config"]) == [
+        "expected_degree", "rng_seed", "seed_pair", "system", "tolerances"
+    ]
     assert report["group"]["order"] == 2
 
 
@@ -114,6 +119,8 @@ def test_verify_command_roundtrip(tmp_path):
     # verify runs no scaling stage, so there is no lattice to check against
     assert entry["quasi_homogeneity_ok"] is None
     assert entry["worst_quasi_homogeneity"] == 0.0
+    assert report["config"]["graded"] is False
+    assert not {"degree_bound", "parameter_dependent"} & report["config"].keys()
 
 
 def test_verify_command_wrong_sign_fails(tmp_path):
@@ -308,7 +315,7 @@ def test_reports_deterministic(tmp_path):
 
 
 def test_threads_flag_does_not_change_report(tmp_path):
-    """``RunConfig.threads`` (no CLI flag) is only echoed in the config;
+    """``RunConfig.threads`` (no CLI flag) appears nowhere in the report;
     paths are tracked in one thread either way."""
     reports = []
     for threads in (1, 2):
@@ -317,10 +324,8 @@ def test_threads_flag_does_not_change_report(tmp_path):
             expected_degree=2, degree_bound=1, parameter_dependent=True, threads=threads,
         )
         assert code == 0
-        assert report["config"]["threads"] == threads
-        report = strip_timings(report)
-        report["config"] = {k: v for k, v in report["config"].items() if k != "threads"}
-        reports.append(json.dumps(report, sort_keys=True))
+        assert "threads" not in report["config"]
+        reports.append(json.dumps(strip_timings(report), sort_keys=True))
     assert reports[0] == reports[1]
 
 

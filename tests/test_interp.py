@@ -9,7 +9,7 @@ from conftest import (
     lattice_is_empty,
     multidegree,
 )
-from decksym import scaling
+from decksym import interp, monodromy, scaling
 from decksym.expr import (
     Polynomial,
     RationalFunction,
@@ -20,7 +20,6 @@ from decksym.expr import (
     parse_system,
 )
 from decksym.interp import (
-    SampleCache,
     derive_deck_permutation,
     get_representative,
     interpolate_dense,
@@ -264,12 +263,28 @@ def test_class_partition_refines(mono_sextic):
             assert multidegree(e, lattice) == key
 
 
-def test_sample_cache_reuses(mono41):
-    system, result, rng = mono41
-    cache = SampleCache(system, result, deck_perms_of(result), rng)
-    first = cache.ensure(4)
-    again = cache.ensure(6)
-    assert again[:4] == first
+def test_interpolation_draws_only_the_shortfall(mono41, monkeypatch):
+    """With no candidate accepted, degrees 1-3 all run; their orbit samples
+    are kept, so ``sample_orbit`` is asked for the last degree's budget in
+    total, one shortfall per degree."""
+    system, result, _ = mono41
+    asked = []
+
+    def counting(system, mono, perms, count, rng):
+        asked.append(count)
+        return real(system, mono, perms, count, rng)
+
+    real = monodromy.sample_orbit
+    monkeypatch.setattr(monodromy, "sample_orbit", counting)
+    monkeypatch.setattr(interp, "_try_candidate", lambda *args: None)
+    interpolate_dense(system, result, deck_perms_of(result), 3, True, np.random.default_rng(0))
+
+    def budget(degree):
+        fit = 2 * len(monomials_up_to_degree(system.n, system.m, degree, True))
+        return fit + interp._holdout_count(fit)
+
+    assert asked == [budget(1), budget(2) - budget(1), budget(3) - budget(2)]
+    assert sum(asked) == budget(3)
 
 
 def test_verify_deck_passes_for_true_formula(mono41):

@@ -215,20 +215,21 @@ def test_locate_matches_polishes_and_appends():
     """Over p = -2.5 the roots of x^2 + p x + 1 are 2 and 1/2; the node's
     fiber starts as [2]."""
     graph = _Graph(EX41, np.array([-2.5 + 0j]), np.array([2.0 + 0j]))
-    fiber = graph.fibers[0]
     assert graph._locate(0, np.array([2.0 + 1e-7])) == 0
     # Between MATCH_TOL and 100 times it: ambiguous, and the fiber is unchanged.
     assert graph._locate(0, np.array([2.0 + 1e-5])) is None
     # New, but the polish lands on the known root.
     assert graph._locate(0, np.array([2.0 + 1e-3j])) == 0
-    assert len(fiber) == 1 and fiber[0].tobytes() == np.array([2.0 + 0j]).tobytes()
+    fiber = graph.fibers[0]
+    assert fiber.shape == (1, 1) and fiber[0].tobytes() == np.array([2.0 + 0j]).tobytes()
     # New, and still new once polished: appended as the root 1/2.
     assert graph._locate(0, np.array([0.5 + 1e-3])) == 1
-    assert len(fiber) == 2 and abs(fiber[1][0] - 0.5) <= 1e-9
+    fiber = graph.fibers[0]
+    assert fiber.shape == (2, 1) and abs(fiber[1][0] - 0.5) <= 1e-9
     assert graph._locate(0, np.array([0.5 - 1e-8j])) == 1
     # A polish that fails (x = 5/4 is the critical point) gives None.
     assert graph._locate(0, np.array([1.25 + 0j])) is None
-    assert len(fiber) == 2
+    assert len(graph.fibers[0]) == 2
 
 
 def test_sheet_jump_onto_a_matched_solution_breaks_the_edge(monkeypatch):

@@ -139,6 +139,21 @@ def test_fiber_tracking_preserves_order_and_residuals():
     assert out.min_pairwise_distance() > 1e-6
 
 
+def test_fiber_sample_is_one_read_only_array_with_stacked_points():
+    rng = np.random.default_rng(3)
+    params = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    sols = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(4)]
+    fiber = FiberSample(params, tuple(sols))
+    assert isinstance(fiber.solutions, np.ndarray) and fiber.solutions.shape == (4, 2)
+    assert not fiber.solutions.flags.writeable
+    with pytest.raises(ValueError):
+        fiber.solutions[0, 0] = 0
+    points = fiber.points()
+    assert points.shape == (4, 5)
+    for x, row in zip(sols, points):
+        assert row.tobytes() == np.concatenate([x, params]).tobytes()
+
+
 def test_min_pairwise_distance_matches_pairwise_definition():
     rng = np.random.default_rng(5)
     for d, n in ((2, 1), (7, 3), (40, 12)):

@@ -24,6 +24,7 @@ from .expr import (
 from .interp import (
     DeckMap,
     get_representative,
+    held_out_fibers,
     interpolate_dense,
     interpolate_graded,
     verify_deck,

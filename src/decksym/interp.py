@@ -23,8 +23,9 @@ rationals and the snap is rolled back if re-validation fails.
 Every value here comes from the one evaluation kernel of ``expr``: the
 Vandermonde columns of a multidegree class are its monomial rows at the
 sample points (``expr.monomial_values``), and a formula is evaluated once
-over a whole array of points, the held-out samples in validation and every
-tracked solution in ``verify_deck`` and ``derive_deck_permutation``.
+over a whole array of points: the held-out samples in validation, the base
+fiber in ``derive_deck_permutation``, and in ``verify_deck`` the held-out
+fibers that ``held_out_fibers`` tracks once per run for every deck map.
 """
 
 from __future__ import annotations
@@ -354,25 +355,34 @@ class DeckVerification:
         )
 
 
+def held_out_fibers(
+    system: System, base: FiberSample, count: int, rng: np.random.Generator
+) -> list[FiberSample]:
+    """The fibers that track out of ``count`` draws of ``tracker.sample_fiber``
+    from ``base``; a draw that fails all its attempts is dropped."""
+    drawn = (tracker.sample_fiber(system, base, rng) for _ in range(count))
+    return [got[0] for got in drawn if got is not None]
+
+
 def verify_deck(
     system: System,
     deck: DeckMap,
-    mono: MonodromyResult,
+    fibers: Sequence[FiberSample],
     trial_count: int,
     rng: np.random.Generator,
     lattice: scaling.ScalingLattice | None = None,
 ) -> DeckVerification:
-    """Check a deck map against freshly tracked fibers.
+    """Check a deck map against held-out fibers (``held_out_fibers``).
 
     (a) each formula maps every solution to the sigma-paired coordinate;
     (b) for complete maps, the image point satisfies the structural
     equations within ``IMAGE_RESIDUAL_TOL``; (c) each formula is
-    quasi-homogeneous for every free scaling row.  Failures are reported,
-    not raised.  A fiber that ``tracker.sample_fiber`` cannot track in three
-    attempts is dropped, and a check with fewer tracked fibers than
-    ``trial_count`` does not pass: zero fibers would otherwise pass
-    vacuously.  For the same reason a ``trial_count`` below 1 is a
-    ValueError.
+    quasi-homogeneous for every free scaling row, at scalings drawn from
+    ``rng``.  Failures are reported, not raised.  ``trial_count`` is the
+    number of fibers requested, and a check on fewer fibers does not pass:
+    zero fibers would otherwise pass vacuously.  For the same reason a
+    ``trial_count`` below 1 is a ValueError.  The fibers are only read, so
+    every deck map of a run is checked on the same ones.
     """
     if trial_count < 1:
         raise ValueError("trial_count must be >= 1")
@@ -381,29 +391,23 @@ def verify_deck(
         raise ValueError("deck map has no interpolated coordinates")
     sigma = deck.permutation
     n = system.n
-    comp = tracker.compiled(system)
-
-    fibers: list[FiberSample] = []
-    for _ in range(trial_count):
-        got = tracker.sample_fiber(system, mono.base, rng)
-        if got is not None:
-            fibers.append(got[0])
 
     worst_pair = 0.0
     worst_res = 0.0
     if fibers:
-        # Each formula over every tracked solution at once, against the
-        # solution's sigma-partner.  The worst values are numpy maxima, so a
-        # NaN carries through and fails the check.
+        # Each formula over every held-out solution at once, against the
+        # solution's sigma-partner, and every image's residual in one stacked
+        # evaluation.  The worst values are numpy maxima, so a NaN carries
+        # through and fails the check.
         points = np.concatenate([s.points() for s in fibers])
         paired = np.concatenate([s.solutions[list(sigma)] for s in fibers])[:, present]
         values = np.column_stack([deck.coords[j].evaluate(points) for j in present])
         worst_pair = float(np.max(np.abs(values - paired) / (1.0 + np.abs(paired))))
         if deck.complete:
+            comp = tracker.compiled(system)
             structural = [i for i in range(n) if i not in system.patch_indices]
-            for image, point in zip(values, points):
-                f = comp.f_at(image, point[n:])[structural]
-                worst_res = float(np.max(np.abs(f), initial=worst_res))
+            f = comp.f_rows(comp.monomial_rows(values, points[:, n:]))[:, structural]
+            worst_res = float(np.max(np.abs(f), initial=0.0))
 
     worst_quasi = 0.0
     quasi_ok: bool | None = None
@@ -437,8 +441,9 @@ def derive_deck_permutation(
     """Find the fiber permutation realized by user-supplied formulas.
 
     Evaluates the available coordinate formulas on each base solution and
-    matches the partial image against the fiber (``tracker.match``); a new
-    or ambiguous image is an error.
+    matches the partial image against the fiber (``tracker.match``); a
+    denominator that vanishes on the fiber, or a new or ambiguous image, is
+    an error.
     """
     coords: list[RationalFunction | None] = [None] * system.n
     for name, rf in formulas.items():
@@ -448,7 +453,10 @@ def derive_deck_permutation(
         raise ValueError("no formulas supplied")
     images = []
     partial_fiber = base.solutions[:, present]
-    predicted_rows = np.column_stack([coords[j].evaluate(base.points()) for j in present])
+    try:
+        predicted_rows = np.column_stack([coords[j].evaluate(base.points()) for j in present])
+    except ZeroDivisionError:
+        raise ValueError("a formula's denominator vanishes on the base fiber") from None
     for i, predicted in enumerate(predicted_rows):
         j = tracker.match(predicted, partial_fiber)
         if j == tracker.NEW:

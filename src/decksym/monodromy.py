@@ -491,6 +491,6 @@ def sample_orbit(
     for _ in range(count):
         got = tracker.sample_fiber(system, orbit, rng, roundtrip)
         if got is None:
-            raise MonodromyError("orbit sampling failed after 3 retries")
+            raise MonodromyError("orbit sampling failed after 3 attempts")
         samples.append(got[0])
     return samples

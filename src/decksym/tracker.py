@@ -156,20 +156,14 @@ class FiberSample:
         d, m = len(self.solutions), len(self.params)
         return np.concatenate([self.solutions, np.broadcast_to(self.params, (d, m))], axis=1)
 
-    def min_pairwise_distance(self) -> float:
-        """Smallest max-norm distance between two solutions: one reduction
-        per solution over the solutions after it."""
+    def distinct(self) -> bool:
+        """Whether every two solutions are more than ``MATCH_TOL`` apart in
+        the max norm: one reduction per solution over the ones after it."""
         sols = self.solutions
-        if len(sols) < 2:
-            return np.inf
-        return min(
-            float(np.abs(sols[i + 1 :] - sols[i]).max(axis=1).min())
+        return all(
+            np.abs(sols[i + 1 :] - sols[i]).max(axis=1).min() > MATCH_TOL
             for i in range(len(sols) - 1)
         )
-
-    def distinct(self) -> bool:
-        """Whether every two solutions are more than ``MATCH_TOL`` apart."""
-        return self.min_pairwise_distance() > MATCH_TOL
 
 
 def _nearest(point, pool) -> tuple[int, float, float]:

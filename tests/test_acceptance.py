@@ -32,6 +32,7 @@ from decksym.expr import (
 )
 from decksym.fixtures import EXPECTED_DEGREE, deck_path, fixture_path, seed_path
 from decksym.interp import (
+    held_out_fibers,
     interpolate_dense,
     interpolate_graded,
     representative_to_rational,
@@ -447,8 +448,9 @@ def test_criterion_8c_interpolated_formulas_validate(p3p_state, fivepoint_state)
     for state in (p3p_state, fivepoint_state):
         assert "decks" in state, "interpolation criteria must run first"
         for deck in state["decks"]:
+            fibers = held_out_fibers(state["system"], state["mono"].base, 3, state["rng"])
             rep = verify_deck(
-                state["system"], deck, state["mono"], 3, state["rng"],
+                state["system"], deck, fibers, 3, state["rng"],
                 lattice=state["filtered"].lattice,
             )
             assert rep.pairing_ok and rep.worst_pairing <= 1e-6

@@ -139,6 +139,59 @@ def test_verify_command_wrong_sign_fails(tmp_path):
     assert report["status"] == "failed"
 
 
+@pytest.mark.parametrize(
+    "system, degree, formula, message",
+    [
+        # exact at the seed's p = -5/2 and wrong at every other p
+        ("ex4_1", 2, "x = 1/x + (p + 5/2)", "failed verification"),
+        # the seed has p1 = -3/2 exactly
+        ("ex5_7", 6, "x2 = 1/(p1 + 3/2)", "denominator vanishes on the base fiber"),
+    ],
+    ids=["wrong-off-base", "zero-denominator"],
+)
+def test_failed_verify_names_the_verify_stage(tmp_path, system, degree, formula, message):
+    """A formula that fails ``verify`` fails its one stage, ``verify``, and
+    the partial report is still written."""
+    bad = tmp_path / "bad.deck"
+    bad.write_text(formula + "\n")
+    report, code, out = run_cli(
+        "verify", system, tmp_path, formulas_path=str(bad), expected_degree=degree,
+    )
+    assert code == 1
+    assert report["status"] == "failed"
+    assert report["failed_stage"] == "verify"
+    assert message in report["error"]
+    assert json.loads(out.read_text())["failed_stage"] == "verify"
+
+
+def test_verification_tracks_one_set_of_fibers_for_every_deck_map(tmp_path, monkeypatch):
+    """ex5_7 has five deck maps; the verification stage draws its
+    ``verify_trials`` held-out fibers once and checks every map on them."""
+    from decksym import cli, tracker
+
+    calls = []
+    sample_fiber = tracker.sample_fiber
+    run_verification = cli.Pipeline.run_verification
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return sample_fiber(*args, **kwargs)
+
+    def verification_counting_draws(self):
+        monkeypatch.setattr(tracker, "sample_fiber", counting)
+        return run_verification(self)
+
+    monkeypatch.setattr(cli.Pipeline, "run_verification", verification_counting_draws)
+    report, code, _ = run_cli(
+        "analyze", "ex5_7", tmp_path, expected_degree=6, degree_bound=1,
+        parameter_dependent=True,
+    )
+    assert code == 0
+    assert len(report["verification"]) == 5
+    assert all(v["passed"] and v["trials"] == 5 for v in report["verification"])
+    assert len(calls) == 5
+
+
 def test_verification_without_tracked_fibers_fails_stage(tmp_path, monkeypatch):
     """Fault injection: every held-out fiber fails to track, so the
     verification stage fails instead of passing with zero trials."""

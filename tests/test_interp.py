@@ -22,6 +22,7 @@ from decksym.expr import (
 from decksym.interp import (
     derive_deck_permutation,
     get_representative,
+    held_out_fibers,
     interpolate_dense,
     interpolate_graded,
     monomial_classes,
@@ -290,7 +291,7 @@ def test_interpolation_draws_only_the_shortfall(mono41, monkeypatch):
 def test_verify_deck_passes_for_true_formula(mono41):
     system, result, rng = mono41
     decks, _ = interpolate_dense(system, result, deck_perms_of(result), 1, True, rng)
-    report = verify_deck(system, decks[0], result, 5, rng)
+    report = verify_deck(system, decks[0], held_out_fibers(system, result.base, 5, rng), 5, rng)
     assert report.passed
     assert report.worst_pairing <= 1e-6
 
@@ -304,7 +305,7 @@ def test_verify_deck_fails_for_corrupted_formula(mono41):
     )
     bad = decks[0]
     bad.coords[0] = corrupted
-    report = verify_deck(system, bad, result, 5, rng)
+    report = verify_deck(system, bad, held_out_fibers(system, result.base, 5, rng), 5, rng)
     assert not report.pairing_ok
 
 
@@ -322,13 +323,14 @@ def test_verify_deck_fails_for_p3p_coefficient_perturbed_by_1e_4():
     result = run_monodromy(system, seed, rng, expected_degree=8)
     text = deck_path("p3p_quasihom").read_text()
     perm, coords = derive_deck_permutation(system, parse_deck_formulas(text, system), result.base)
-    assert verify_deck(system, DeckMap(perm, coords, 3), result, 2, rng).passed
+    fibers = held_out_fibers(system, result.base, 2, rng)
+    assert verify_deck(system, DeckMap(perm, coords, 3), fibers, 2, rng).passed
 
     doctored = text.replace("t1 = (2*(", "t1 = (2.0001*(")
     assert doctored != text
     formulas = parse_deck_formulas(doctored, system)
     bad = DeckMap(perm, [formulas[name] for name in system.unknowns], 3)
-    report = verify_deck(system, bad, result, 2, rng)
+    report = verify_deck(system, bad, held_out_fibers(system, result.base, 2, rng), 2, rng)
     assert report.trials == 2
     assert not report.pairing_ok and not report.passed
     assert report.worst_pairing > 1e-5
@@ -341,7 +343,8 @@ def test_verify_deck_fails_for_nan_formula(mono41):
 
     system, result, rng = mono41
     nan_x = RationalFunction.from_polynomial(Polynomial(2, [((1, 0), complex("nan"))]))
-    report = verify_deck(system, DeckMap(deck_perms_of(result)[0], [nan_x], 1), result, 2, rng)
+    nan_deck = DeckMap(deck_perms_of(result)[0], [nan_x], 1)
+    report = verify_deck(system, nan_deck, held_out_fibers(system, result.base, 2, rng), 2, rng)
     assert report.trials == 2
     assert not report.pairing_ok and not report.fiber_ok and not report.passed
 
@@ -362,7 +365,8 @@ def test_verify_deck_fails_when_no_fiber_tracks(mono41, monkeypatch):
         Polynomial.variable(2, 0) + Polynomial.constant(2, 1)
     )
     wrong = DeckMap((1, 0), [x_plus_one], 1)
-    report = verify_deck(system, wrong, result, 5, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    report = verify_deck(system, wrong, held_out_fibers(system, result.base, 5, rng), 5, rng)
     assert report.trials == 0
     assert not report.passed
 
@@ -377,7 +381,7 @@ def test_verify_deck_rejects_fewer_than_one_trial(mono41, trials):
     ident = DeckMap((0, 1), [RationalFunction.from_polynomial(Polynomial.variable(2, 0))], 1)
     rng, twin = np.random.default_rng(0), np.random.default_rng(0)
     with pytest.raises(ValueError, match="trial_count must be >= 1"):
-        verify_deck(system, ident, result, trials, rng)
+        verify_deck(system, ident, held_out_fibers(system, result.base, trials, rng), trials, rng)
     assert rng.random() == twin.random()
 
 
@@ -393,7 +397,7 @@ def test_verify_deck_identity_map(mono42):
         ],
         1,
     )
-    report = verify_deck(system, ident, result, 3, rng)
+    report = verify_deck(system, ident, held_out_fibers(system, result.base, 3, rng), 3, rng)
     assert report.passed
 
 

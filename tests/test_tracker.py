@@ -136,7 +136,7 @@ def test_fiber_tracking_preserves_order_and_residuals():
     out = track_fiber(SEXTIC, fiber, target, gamma=tracker.draw_gamma(rng))
     assert len(out) == 6
     assert max_residual(SEXTIC, out) <= tracker.PATH_TOL
-    assert out.min_pairwise_distance() > 1e-6
+    assert out.distinct()
 
 
 def test_fiber_sample_is_one_read_only_array_with_stacked_points():
@@ -154,19 +154,28 @@ def test_fiber_sample_is_one_read_only_array_with_stacked_points():
         assert row.tobytes() == np.concatenate([x, params]).tobytes()
 
 
-def test_min_pairwise_distance_matches_pairwise_definition():
+def test_distinct_matches_pairwise_definition():
+    """``distinct`` against the pairwise definition, on random fibers and on
+    the same fibers with the last solution moved just below or just above
+    ``MATCH_TOL`` from the first."""
     rng = np.random.default_rng(5)
+    seen = set()
     for d, n in ((2, 1), (7, 3), (40, 12)):
         scale = 10.0 ** rng.uniform(-6, 6, size=(d, n))
-        sols = tuple((rng.standard_normal(n) + 1j * rng.standard_normal(n)) * s for s in scale)
-        fiber = FiberSample(np.zeros(1), sols)
-        expected = min(
-            float(np.abs(sols[i] - sols[j]).max())
-            for i in range(d)
-            for j in range(i + 1, d)
-        )
-        assert fiber.min_pairwise_distance() == expected
-    assert FiberSample(np.zeros(1), (np.ones(2),)).min_pairwise_distance() == np.inf
+        sols = [(rng.standard_normal(n) + 1j * rng.standard_normal(n)) * s for s in scale]
+        for gap in (None, 0.999 * tracker.MATCH_TOL, 1.001 * tracker.MATCH_TOL):
+            if gap is not None:
+                sols[-1] = sols[0] + gap
+            expected = min(
+                float(np.abs(sols[i] - sols[j]).max())
+                for i in range(d)
+                for j in range(i + 1, d)
+            )
+            got = FiberSample(np.zeros(1), tuple(sols)).distinct()
+            assert got == (expected > tracker.MATCH_TOL)
+            seen.add((gap is None, got))
+    assert seen >= {(False, False), (False, True), (True, True)}
+    assert FiberSample(np.zeros(1), (np.ones(2),)).distinct()
 
 
 def nearest_by_loop(point, pool):

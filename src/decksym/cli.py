@@ -8,9 +8,12 @@ Commands (``COMMANDS`` lists each one's stages and the flags they read)
     verify       the verification stage for the one deck map that user-supplied
                  formulas define, after the scaling stage if --graded
 
-Reports are JSON (versioned schema, deterministic key order) plus a text
-rendering on stdout.  Exit codes: 0 success, 1 stage failure (a partial
-report naming the failing stage is still written), 2 input error.
+Only the input stage reads files; each file flag takes a path or the name of
+a bundled fixture file, suffix optional.  Reports are JSON (versioned schema,
+deterministic key order) plus a text rendering on stdout.  Exit codes: 0
+success, 1 stage failure (a partial report naming the failing stage is still
+written), 2 input error (a flag value out of range, or a missing or malformed
+input file, reported before any path is tracked).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import numpy as np
 
 from . import fixtures, interp, monodromy, numcore, permgrp, scaling, tracker
 from .expr import (
-    ParseError,
     System,
     format_complex,
     format_rational,
@@ -106,14 +108,18 @@ class StageFailure(RuntimeError):
         self.stage = stage
 
 
-def _resolve_system(path: str) -> Path:
-    p = Path(path)
-    if p.exists():
-        return p
+def _read(name: str, suffix: str, parse):
+    """Parse one input file: an existing path, else the bundled fixture file
+    of that name with or without ``suffix``.  Any failure names the file."""
+    path = Path(name)
+    if not path.exists():
+        path = fixtures.fixture_path(name.removesuffix(suffix)).with_suffix(suffix)
+        if not path.exists():
+            raise StageFailure("input", f"{name}: no such file or bundled fixture")
     try:
-        return fixtures.fixture_path(path)
-    except FileNotFoundError:
-        raise StageFailure("input", f"system file or fixture {path!r} not found")
+        return parse(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise StageFailure("input", f"{path}: {exc}")
 
 
 def _jsonify(value):
@@ -174,6 +180,7 @@ class Pipeline:
             "status": "ok",
         }
         self.system: System | None = None
+        self.seed_pair: tuple[np.ndarray, np.ndarray] | None = None
         self.mono: MonodromyResult | None = None
         self.deck_perms: list = []
         self.lattice = None
@@ -185,7 +192,7 @@ class Pipeline:
             fn()
         except StageFailure:
             raise
-        except (MonodromyError, ParseError, ValueError, RuntimeError) as exc:
+        except (MonodromyError, ValueError, RuntimeError) as exc:
             raise StageFailure(name, str(exc))
         finally:
             self.report["timings"][name] = round(time.perf_counter() - start, 6)
@@ -193,35 +200,32 @@ class Pipeline:
     # -- stages ----------------------------------------------------------
 
     def load(self):
-        path = _resolve_system(self.cfg.system_path)
-        try:
-            self.system = parse_system(path.read_text())
-        except ParseError as exc:
-            raise StageFailure("input", f"{path}: {exc}")
+        """The input stage, the only one that reads files (see ``_read``)."""
+        # parse_system is looked up on this module at call time: tracing patches it here.
+        self.system = _read(self.cfg.system_path, ".sys", parse_system)
         self.report["system"] = {
             "unknowns": list(self.system.unknowns),
             "parameters": list(self.system.parameters),
             "equations": len(self.system.equations),
             "patch_equations": len(self.system.patch_indices),
         }
-
-    def seed(self) -> tuple[np.ndarray, np.ndarray]:
         if self.cfg.seed_path:
-            seed_file = Path(self.cfg.seed_path)
-            if not seed_file.exists():
-                candidate = fixtures.seed_path(self.cfg.seed_path.removesuffix(".seed"))
-                if candidate.exists():
-                    seed_file = candidate
-                else:
-                    raise StageFailure("input", f"seed file {self.cfg.seed_path!r} not found")
-            x, p = parse_seed_pair(seed_file.read_text())
-            if len(x) != self.system.n or len(p) != self.system.m:
-                raise StageFailure("input", "seed pair dimensions do not match the system")
-            return x, p
-        return monodromy.seed_from_linear_params(self.system, "random", self.rng)
+            self.seed_pair = _read(self.cfg.seed_path, ".seed", self._parse_seed_pair)
+        if self.cfg.formulas_path:
+            self.formulas = _read(
+                self.cfg.formulas_path, ".deck", lambda t: parse_deck_formulas(t, self.system)
+            )
+
+    def _parse_seed_pair(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        x, p = parse_seed_pair(text)
+        if len(x) != self.system.n or len(p) != self.system.m:
+            raise ValueError("seed pair dimensions do not match the system")
+        return x, p
 
     def run_monodromy(self):
-        pair = self.seed()
+        pair = self.seed_pair
+        if pair is None:
+            pair = monodromy.seed_from_linear_params(self.system, "random", self.rng)
         self.mono = monodromy.run_monodromy(
             self.system, pair, self.rng, expected_degree=self.cfg.expected_degree
         )
@@ -391,14 +395,7 @@ class Pipeline:
             raise ValueError("a deck formula failed verification on held-out fibers")
 
     def run_verify_formulas(self):
-        path = Path(self.cfg.formulas_path)
-        if not path.exists():
-            raise StageFailure("input", f"formulas file {path} not found")
-        try:
-            formulas = parse_deck_formulas(path.read_text(), self.system)
-        except ParseError as exc:
-            raise StageFailure("input", str(exc))
-        perm, coords = interp.derive_deck_permutation(self.system, formulas, self.mono.base)
+        perm, coords = interp.derive_deck_permutation(self.system, self.formulas, self.mono.base)
         self.decks = [interp.DeckMap(perm, coords, 0)]
         self.run_verification()
 

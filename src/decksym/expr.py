@@ -488,6 +488,7 @@ class ParseError(ValueError):
 
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {msg}")
+        self.msg = msg
         self.line = line
         self.col = col
 
@@ -799,7 +800,8 @@ def parse_deck_formulas(text: str, system: System) -> dict[str, RationalFunction
         try:
             out[name] = parse_expression(rhs, system.names)
         except ParseError as exc:
-            raise ParseError(f"in formula for {name}: {exc}", lineno, 1)
+            col = raw.index("=") + 1 + exc.col  # rhs starts after the first '='
+            raise ParseError(f"in formula for {name}: {exc.msg}", lineno, col)
     return out
 
 

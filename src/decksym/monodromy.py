@@ -477,8 +477,8 @@ def sample_orbit(
 
     Each returned sample holds the orbit only, index-correspondent: pair
     (solutions[0], solutions[j]) realizes (x, Psi_j(x)) for the j-th
-    non-identity deck permutation.  Each sample is drawn with up to 3 tries
-    of ``tracker.sample_fiber`` and must pass a round trip.
+    non-identity deck permutation.  Each sample must pass a round trip, in
+    ``tracker.sample_fiber``'s ``tracker.SAMPLE_ATTEMPTS`` tries.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -491,6 +491,6 @@ def sample_orbit(
     for _ in range(count):
         got = tracker.sample_fiber(system, orbit, rng, roundtrip)
         if got is None:
-            raise MonodromyError("orbit sampling failed after 3 attempts")
+            raise MonodromyError(f"orbit sampling failed after {tracker.SAMPLE_ATTEMPTS} attempts")
         samples.append(got[0])
     return samples

@@ -292,7 +292,9 @@ def minimal_block_containing(group: PermutationGroup, alpha: int) -> tuple[froze
 
 
 def minimal_block_systems(group: PermutationGroup) -> list[tuple[frozenset, ...]]:
-    """Distinct nontrivial minimal block systems; empty iff the action is primitive."""
+    """The distinct nontrivial block systems that one pair {0, alpha}
+    generates, by alpha: every minimal one, and coarser ones (for Z8, both
+    {0,2,4,6}|{1,3,5,7} and its refinement into pairs).  Empty iff primitive."""
     if not is_transitive(group):
         raise ValueError("block systems require a transitive group")
     d = group.degree

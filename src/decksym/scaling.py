@@ -418,8 +418,8 @@ def commuting_discrete_scalings(
     permutation sigma, where s(x_0) matched c.  A passing candidate must
     also retrace its arc back to the scaled orbit (``tracker.retraces``), so
     a sheet jump cannot pass it.  A failed path, an endpoint collision or
-    any other unmatched landing retries with a fresh gamma; after three
-    attempts the candidate is undetermined and excluded.
+    any other unmatched landing retries with a fresh gamma; after
+    ``tracker.SAMPLE_ATTEMPTS`` tries the candidate is undetermined and excluded.
     """
     base = mono.base
     nontrivial, orbit = monodromy.deck_orbit(mono, deck_perms)
@@ -475,7 +475,7 @@ def _test_candidate(system, lattice, base, orbit, u, lam, deck_perms, rng) -> st
     if not scaled.distinct():
         return "undetermined"
 
-    for _ in range(3):
+    for _ in range(tracker.SAMPLE_ATTEMPTS):
         gamma = tracker.draw_gamma(rng)
         # s(x_0) alone decides stability; the rest of the orbit is tracked
         # only when it stays on the tracked component.

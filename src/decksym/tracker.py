@@ -27,7 +27,7 @@ state (``_run_path``).  ``track_fiber`` tracks its fiber this way.
 ``sample_fiber`` is the one place that tracks a fiber to a fresh random
 target (deck-orbit samples and verification fibers): it draws the target
 (``random_params``), then gamma, then tracks, and redraws both on a failed
-fiber or a rejected sample, ``_SAMPLE_ATTEMPTS`` times in all.  ``retraces``
+fiber or a rejected sample, ``SAMPLE_ATTEMPTS`` times in all.  ``retraces``
 is the one round-trip check: it tracks a sample back along its own arc.
 ``match`` is the one fiber-matching rule, for monodromy endpoints, scaled
 orbit points and formula images: a solution index, ``NEW`` or
@@ -87,7 +87,7 @@ _STEP_EXPAND = 2.0
 _STEP_SHRINK = 0.5
 _ACCEPT_STREAK = 3
 _MAX_NORM = 1e8
-_SAMPLE_ATTEMPTS = 3
+SAMPLE_ATTEMPTS = 3
 # ``track_paths`` tracks this many paths or fewer one ``track_path`` call at
 # a time, and hands its last this many stepping paths to ``_run_path``:
 # below three, stacking costs more than it saves.
@@ -729,9 +729,9 @@ def sample_fiber(
 
     Each attempt draws the target, then gamma, then tracks; a failed fiber,
     or a sample that ``accept(sample, gamma)`` rejects, is redrawn.  Returns
-    the sample and its gamma, or None after ``_SAMPLE_ATTEMPTS`` draws.
+    the sample and its gamma, or None after ``SAMPLE_ATTEMPTS`` draws.
     """
-    for _ in range(_SAMPLE_ATTEMPTS):
+    for _ in range(SAMPLE_ATTEMPTS):
         target = random_params(system.m, rng)
         gamma = draw_gamma(rng)
         try:

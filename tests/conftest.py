@@ -1,3 +1,4 @@
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import settings
 
 from decksym import numcore, tracker
-from decksym.expr import Exponent, monomial_values, parse_system
+from decksym.expr import Exponent, System, monomial_values, parse_system
+from decksym.fixtures import fixture_path
 from decksym.interp import TRUNCATE_TOL
 from decksym.monodromy import run_monodromy, seed_from_linear_params
 from decksym.permgrp import inverse
@@ -30,6 +32,14 @@ x2 + 2*x1*x3 + p1;
 3*x3^2 + x4^2 - 4*p1*x1*x3 - 2*p2;
 x1*x3^3 + 3*x1*x3*x4^2 + p1*x3^2 + p1*x4^2 - 2*p2*x1*x3 - 2*p3;
 """
+
+
+@functools.cache
+def fixture_system(name: str) -> System:
+    """The bundled fixture ``name``, parsed once per session: the stretch
+    fixtures take 1-2 s each to parse.  A System is frozen, so tests can
+    share it."""
+    return parse_system(fixture_path(name).read_text())
 
 
 def ex57_seed():

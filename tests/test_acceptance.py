@@ -18,6 +18,7 @@ from conftest import (
     build_vandermonde,
     constant_denominator_representative,
     equation_weight,
+    fixture_system,
     is_block_system,
     snf_verifies,
 )
@@ -28,9 +29,8 @@ from decksym.expr import (
     parse_deck_formulas,
     parse_expression,
     parse_seed_pair,
-    parse_system,
 )
-from decksym.fixtures import EXPECTED_DEGREE, deck_path, fixture_path, seed_path
+from decksym.fixtures import EXPECTED_DEGREE, deck_path, seed_path
 from decksym.interp import (
     held_out_fibers,
     interpolate_dense,
@@ -58,7 +58,7 @@ def announce(number: int, text: str):
 
 
 def load_fixture(name):
-    system = parse_system(fixture_path(name).read_text())
+    system = fixture_system(name)
     x, p = parse_seed_pair(seed_path(name).read_text())
     return system, (x, p)
 

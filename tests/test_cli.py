@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from decksym.cli import RunConfig, build_parser, main, render_text, run
-from decksym.fixtures import deck_path, fixture_path, seed_path
+from decksym.fixtures import fixture_path
 
 
 def run_cli(command, system, tmp_path, name="report.json", **kw):
@@ -106,7 +106,7 @@ def test_verify_command_roundtrip(tmp_path):
         command="verify",
         system_path="p3p_quasihom",
         seed_path="p3p_quasihom",
-        formulas_path=str(deck_path("p3p_quasihom")),
+        formulas_path="p3p_quasihom",
         expected_degree=8,
         verify_trials=2,
         out_path=str(tmp_path / "verify.json"),
@@ -271,7 +271,7 @@ def test_verify_graded_checks_quasi_homogeneity(tmp_path):
     code = main(
         [
             "verify", "--system", "p3p_quasihom", "--seed-pair", "p3p_quasihom",
-            "--expected-degree", "8", "--formulas", str(deck_path("p3p_quasihom")),
+            "--expected-degree", "8", "--formulas", "p3p_quasihom",
             "--verify-trials", "2", "--graded", "--out", str(out),
         ]
     )
@@ -307,6 +307,56 @@ def test_input_error_exit_code(tmp_path):
     report, code = run(cfg)
     assert code == 2
     assert report["failed_stage"] == "input"
+
+
+@pytest.mark.parametrize(
+    "command, seed, formulas, error",
+    [
+        ("monodromy", "x: 1;\np: zzz;\n", None, "could not convert string to float: 'zzz'"),
+        ("monodromy", "x: 1, 2;\np: 1;\n", None, "seed pair dimensions do not match"),
+        ("verify", None, None, "no such file or bundled fixture"),
+        ("verify", None, "x = 1/x +\n", "line 1, column 10: in formula for x"),
+    ],
+    ids=["malformed-seed", "seed-of-wrong-length", "missing-formulas", "malformed-formulas"],
+)
+def test_bad_input_files_fail_the_input_stage(tmp_path, command, seed, formulas, error):
+    """The input stage reads every input file, so a missing or malformed one
+    exits 2 before monodromy tracks any path, and the error names the file."""
+    kw = {"seed": "ex4_1"}
+    if seed is not None:
+        bad = tmp_path / "bad.seed"
+        bad.write_text(seed)
+        kw["seed"] = str(bad)
+    if command == "verify":
+        bad = tmp_path / "bad.deck"
+        if formulas is not None:
+            bad.write_text(formulas)
+        kw["formulas_path"] = str(bad)
+    report, code, out = run_cli(command, "ex4_1", tmp_path, expected_degree=2, **kw)
+    assert code == 2
+    assert report["failed_stage"] == "input"
+    assert list(report["timings"]) == ["input"]
+    assert report["error"].startswith(f"{bad}: ")
+    assert error in report["error"]
+    assert json.loads(out.read_text())["failed_stage"] == "input"
+
+
+def test_bundled_names_resolve_with_or_without_suffix(tmp_path, monkeypatch):
+    """A bundled fixture file can be named with or without its suffix; an
+    existing file of that name wins over it."""
+    monkeypatch.chdir(tmp_path)
+    reports = [
+        strip_timings(run_cli("monodromy", system, tmp_path, seed=seed, expected_degree=2)[0])
+        for system, seed in (("ex4_1", "ex4_1"), ("ex4_1.sys", "ex4_1.seed"))
+    ]
+    for report in reports:
+        del report["config"]
+    assert reports[0] == reports[1]
+    assert reports[0]["status"] == "ok"
+    (tmp_path / "ex4_1").write_text(fixture_path("ex4_2").read_text())
+    report, code, _ = run_cli("monodromy", "ex4_1", tmp_path, seed="ex4_2", expected_degree=2)
+    assert code == 0
+    assert report["system"]["unknowns"] == ["x", "y"]
 
 
 @pytest.mark.parametrize(

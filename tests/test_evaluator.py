@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture_system
 from decksym import tracker
 from decksym.expr import (
     Polynomial,
@@ -31,7 +32,7 @@ from decksym.expr import (
     parse_expression,
     parse_system,
 )
-from decksym.fixtures import FIXTURES, fixture_path
+from decksym.fixtures import FIXTURES
 
 
 def dense_pack(polys, nvars):
@@ -149,7 +150,7 @@ def assert_rows_bit_equal(comp, x, p):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_evaluation_bit_equal_to_dense(name):
-    system = parse_system(fixture_path(name).read_text())
+    system = fixture_system(name)
     comp = tracker.compiled(system)
     dense = DenseReference(system)
     rng = np.random.default_rng(7)

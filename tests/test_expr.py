@@ -313,3 +313,17 @@ def test_deck_formula_file():
     assert set(formulas) == {"x", "y"}
     with pytest.raises(ParseError, match="not an unknown"):
         parse_deck_formulas("p = 1\n", s)
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [("x = -x - 1\ny = 1 - y - 2*q\n", 2, 15), ("x = -x - 1\n  y  =  1 - y - 2*q\n", 2, 19)],
+    ids=["plain", "indented"],
+)
+def test_deck_formula_error_reports_its_file_position(text, line, col):
+    """An error inside a formula is reported at its line and column in the
+    file, not at column 1 with a column counted from the right-hand side."""
+    with pytest.raises(ParseError) as err:
+        parse_deck_formulas(text, parse_system(EX42))
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"line {line}, column {col}: in formula for y: undeclared variable 'q'"

@@ -8,14 +8,15 @@ reference deck formulas must map the seed back onto the variety.
 import numpy as np
 import pytest
 
-from decksym.expr import parse_deck_formulas, parse_seed_pair, parse_system
-from decksym.fixtures import EXPECTED_DEGREE, FIXTURES, deck_path, fixture_path, seed_path
+from conftest import fixture_system
+from decksym.expr import parse_deck_formulas, parse_seed_pair
+from decksym.fixtures import EXPECTED_DEGREE, FIXTURES, deck_path, seed_path
 from decksym.tracker import compiled
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_parses_and_seed_is_regular(name):
-    system = parse_system(fixture_path(name).read_text())
+    system = fixture_system(name)
     assert len(system.equations) == system.n
     x, p = parse_seed_pair(seed_path(name).read_text())
     assert len(x) == system.n and len(p) == system.m
@@ -42,7 +43,7 @@ def test_reference_deck_maps_seed_onto_variety(system_name, deck_name):
     """Evaluating the reference formulas at the seed must land on the
     structural variety again: a strong consistency check of both the
     formulas and the generated equations."""
-    system = parse_system(fixture_path(system_name).read_text())
+    system = fixture_system(system_name)
     x, p = parse_seed_pair(seed_path(system_name).read_text())
     formulas = parse_deck_formulas(deck_path(deck_name).read_text(), system)
     assert set(formulas) == set(system.unknowns)

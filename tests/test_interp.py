@@ -6,6 +6,7 @@ from conftest import (
     EX42_TEXT,
     build_vandermonde,
     constant_denominator_representative,
+    fixture_system,
     lattice_is_empty,
     multidegree,
 )
@@ -312,12 +313,12 @@ def test_verify_deck_fails_for_corrupted_formula(mono41):
 def test_verify_deck_fails_for_p3p_coefficient_perturbed_by_1e_4():
     """The bundled P3P deck formulas pass; the same formulas with one
     coefficient moved from 2 to 2.0001 fail the pairing check."""
-    from decksym.expr import parse_deck_formulas, parse_seed_pair, parse_system
-    from decksym.fixtures import deck_path, fixture_path, seed_path
+    from decksym.expr import parse_deck_formulas, parse_seed_pair
+    from decksym.fixtures import deck_path, seed_path
     from decksym.interp import DeckMap
     from decksym.monodromy import run_monodromy
 
-    system = parse_system(fixture_path("p3p_quasihom").read_text())
+    system = fixture_system("p3p_quasihom")
     seed = parse_seed_pair(seed_path("p3p_quasihom").read_text())
     rng = np.random.default_rng(0)
     result = run_monodromy(system, seed, rng, expected_degree=8)

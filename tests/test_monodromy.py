@@ -5,12 +5,12 @@ from conftest import (
     EX57_TEXT,
     assert_cycles_retrace,
     ex57_seed,
+    fixture_system,
     max_residual,
     track_paths_one_by_one,
 )
 from decksym import tracker
 from decksym.expr import parse_system
-from decksym.fixtures import fixture_path
 from decksym.monodromy import (
     MonodromyError,
     _Graph,
@@ -80,7 +80,7 @@ def test_seed_oracle_random_ex42_fails_residual():
 def test_seed_oracle_random_rejects_parameter_free_equation(fixture):
     """No p satisfies a parameter-free equation at a random x, so random mode
     names the equation and asks for a seed pair before drawing any point."""
-    system = parse_system(fixture_path(fixture).read_text())
+    system = fixture_system(fixture)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(MonodromyError, match=r"equation 1 \(.*\) has no parameter.*--seed-pair"):
@@ -338,9 +338,9 @@ def test_sextic_does_not_stop_below_the_expected_degree(seed):
     for more than ``_STALL_LIMIT`` rounds; with an expected degree given, the
     fiber is not stable until it is reached."""
     from decksym.expr import parse_seed_pair
-    from decksym.fixtures import fixture_path, seed_path
+    from decksym.fixtures import seed_path
 
-    system = parse_system(fixture_path("sextic").read_text())
+    system = fixture_system("sextic")
     pair = parse_seed_pair(seed_path("sextic").read_text())
     result = run_monodromy(system, pair, np.random.default_rng(seed), expected_degree=6)
     assert result.degree == 6
@@ -360,7 +360,7 @@ def test_sextic_seed_3_generators_retrace():
     from decksym.expr import parse_seed_pair
     from decksym.fixtures import seed_path
 
-    system = parse_system(fixture_path("sextic").read_text())
+    system = fixture_system("sextic")
     pair = parse_seed_pair(seed_path("sextic").read_text())
     result = run_monodromy(system, pair, np.random.default_rng(3), expected_degree=6)
     assert_cycles_retrace(system, result)

@@ -163,6 +163,20 @@ def test_blocks_diagonal_subgroup_has_both_shapes():
     assert ((0, 3), (1, 4), (2, 5)) in as_sets
 
 
+def test_blocks_cyclic_eight_include_a_coarser_system():
+    """One pair {0, alpha} generates each system; for Z8 the pair {0, 2}
+    gives the two blocks of four, which the pairs of {0, 4} refine, so the
+    list holds a system that is not minimal."""
+    group = PermutationGroup(8, (from_cycles([list(range(1, 9))], 8),))
+    systems = minimal_block_systems(group)
+    assert systems == [
+        (frozenset({0, 2, 4, 6}), frozenset({1, 3, 5, 7})),
+        (frozenset({0, 4}), frozenset({1, 5}), frozenset({2, 6}), frozenset({3, 7})),
+    ]
+    coarse, fine = systems
+    assert all(any(b <= c for c in coarse) for b in fine)
+
+
 def test_blocks_full_symmetric_primitive():
     gens = (from_cycles([[1, 2]], 4), from_cycles([[1, 2, 3, 4]], 4))
     assert minimal_block_systems(PermutationGroup(4, gens)) == []

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_residual
+from conftest import fixture_system, max_residual
 from decksym import tracker
 from decksym.expr import parse_seed_pair, parse_system
-from decksym.fixtures import fixture_path, seed_path
+from decksym.fixtures import seed_path
 from decksym.tracker import (
     AMBIGUOUS,
     MATCH_TOL,
@@ -355,7 +355,7 @@ def test_tracking_without_memo_is_identical(name, coarse, monkeypatch):
     if coarse:
         monkeypatch.setattr(tracker, "_INITIAL_STEP", 0.25)
         monkeypatch.setattr(tracker, "_MAX_STEP", 0.25)
-    system = parse_system(fixture_path(name).read_text())
+    system = fixture_system(name)
     x, p = parse_seed_pair(seed_path(name).read_text())
     rng = np.random.default_rng(17)
     targets = [rng.standard_normal(system.m) + 1j * rng.standard_normal(system.m)
@@ -450,7 +450,7 @@ def base_fiber(request):
     from decksym.monodromy import run_monodromy
 
     name, degree = request.param
-    system = parse_system(fixture_path(name).read_text())
+    system = fixture_system(name)
     pair = parse_seed_pair(seed_path(name).read_text())
     result = run_monodromy(system, pair, np.random.default_rng(0), expected_degree=degree)
     return system, result.base

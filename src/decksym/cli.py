@@ -215,6 +215,8 @@ class Pipeline:
             self.formulas = _read(
                 self.cfg.formulas_path, ".deck", lambda t: parse_deck_formulas(t, self.system)
             )
+        elif "--formulas" in COMMANDS[self.cfg.command][1]:
+            raise StageFailure("input", f"{self.cfg.command} needs a formula file (--formulas)")
 
     def _parse_seed_pair(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         x, p = parse_seed_pair(text)

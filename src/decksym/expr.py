@@ -171,7 +171,7 @@ class TermBlock:
     each polynomial's first term.  Evaluated, the block has the given shape.
     """
 
-    __slots__ = ("terms", "coeffs", "offsets", "shape", "_stacks")
+    __slots__ = ("terms", "coeffs", "offsets", "shape", "_stack")
 
     def __init__(self, polys, monomials: dict, stride: int, shape):
         terms: list[int] = []
@@ -187,7 +187,7 @@ class TermBlock:
         self.coeffs = np.asarray(coeffs, dtype=complex)
         self.offsets = np.asarray(offsets, dtype=np.intp)
         self.shape = shape
-        self._stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._stack: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, mono: np.ndarray) -> np.ndarray:
         vals = self.coeffs * mono[self.terms]
@@ -198,15 +198,18 @@ class TermBlock:
         (S, *shape).  The coefficients, repeated once per row, multiply the
         flat terms, and one flat ``reduceat`` sums them with this block's
         offsets repeated once per row, so every entry is computed as
-        ``__call__`` computes it."""
+        ``__call__`` computes it.  The repeats are kept for the most rows
+        seen so far, and fewer rows take their prefix: a lockstep tracker
+        calls with every count up to its batch size."""
         count = len(mono)
-        stack = self._stacks.get(count)
-        if stack is None:
+        if self._stack is None or len(self._stack[0]) < count * len(self.terms):
             offsets = self.offsets + len(self.terms) * np.arange(count)[:, None]
-            stack = self._stacks[count] = (np.tile(self.coeffs, count), offsets.ravel())
-        coeffs, offsets = stack
-        vals = coeffs * mono.take(self.terms, axis=1).ravel()
-        return np.add.reduceat(vals, offsets).reshape((count, *self.shape))
+            self._stack = (np.tile(self.coeffs, count), offsets.ravel())
+        coeffs, offsets = self._stack
+        vals = coeffs[: count * len(self.terms)] * mono.take(self.terms, axis=1).ravel()
+        return np.add.reduceat(vals, offsets[: count * len(self.offsets)]).reshape(
+            (count, *self.shape)
+        )
 
 
 class Polynomial:
@@ -789,14 +792,15 @@ def parse_deck_formulas(text: str, system: System) -> dict[str, RationalFunction
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        start = len(raw) - len(raw.lstrip()) + 1  # the column where the name starts
         if "=" not in line:
-            raise ParseError("expected '<unknown> = <expression>'", lineno, 1)
+            raise ParseError("expected '<unknown> = <expression>'", lineno, start)
         name, rhs = line.split("=", 1)
         name = name.strip()
         if name not in system.unknowns:
-            raise ParseError(f"{name!r} is not an unknown of the system", lineno, 1)
+            raise ParseError(f"{name!r} is not an unknown of the system", lineno, start)
         if name in out:
-            raise ParseError(f"duplicate formula for {name!r}", lineno, 1)
+            raise ParseError(f"duplicate formula for {name!r}", lineno, start)
         try:
             out[name] = parse_expression(rhs, system.names)
         except ParseError as exc:

@@ -12,9 +12,12 @@ to the degree lands in the same class.
 
 Each orbit sample is a ``tracker.FiberSample`` of the base solution and its
 |G|-1 deck images.  The samples are kept across degrees, so a higher degree
-draws only the shortfall of its budget; at each degree the base points
-[x | p] are stacked once as an (S, n+m) array and the images as an
-(S, |G|-1, n) array, and every subproblem indexes those two.
+draws only the shortfall of its budget, in one ``monodromy.sample_orbit``
+call: the whole shortfall goes out in one lockstep tracking call and comes
+back for its round trip in one more (``tracker.sample_fiber``), and only
+failed samples are redrawn.  At each degree the base points [x | p] are
+stacked once as an (S, n+m) array and the images as an (S, |G|-1, n) array,
+and every subproblem indexes those two.
 
 Candidates are accepted only when they reproduce held-out samples that never
 entered the Vandermonde; accepted coefficients are snapped to nearby small
@@ -25,7 +28,8 @@ Vandermonde columns of a multidegree class are its monomial rows at the
 sample points (``expr.monomial_values``), and a formula is evaluated once
 over a whole array of points: the held-out samples in validation, the base
 fiber in ``derive_deck_permutation``, and in ``verify_deck`` the held-out
-fibers that ``held_out_fibers`` tracks once per run for every deck map.
+fibers that ``held_out_fibers`` tracks once per run for every deck map, all
+of their paths in one lockstep call.
 """
 
 from __future__ import annotations
@@ -358,10 +362,11 @@ class DeckVerification:
 def held_out_fibers(
     system: System, base: FiberSample, count: int, rng: np.random.Generator
 ) -> list[FiberSample]:
-    """The fibers that track out of ``count`` draws of ``tracker.sample_fiber``
-    from ``base``; a draw that fails all its attempts is dropped."""
-    drawn = (tracker.sample_fiber(system, base, rng) for _ in range(count))
-    return [got[0] for got in drawn if got is not None]
+    """The fibers that track out of one ``tracker.sample_fiber`` call for
+    ``count`` slots from ``base`` (every path of every fiber in one lockstep
+    call); a slot that fails all its attempts is dropped."""
+    samples = tracker.sample_fiber(system, base, count, rng)
+    return [sample for sample in samples if sample is not None]
 
 
 def verify_deck(

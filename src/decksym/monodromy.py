@@ -28,8 +28,10 @@ given, and otherwise after ``_STALL_LIMIT`` rounds without a new base
 solution.  The run stops once the fiber is stable and ``_PERM_STALL_LIMIT``
 rounds did not grow the group, or at ``_MAX_LOOPS`` rounds.
 
-Deck-orbit samples come from ``tracker.sample_fiber``, each checked by a
-round trip back to the base point (``tracker.retraces``).
+Deck-orbit samples come from ``tracker.sample_fiber``: all the samples one
+call asks for are tracked out together and checked together by a round trip
+back to the base point (``tracker.retraces``), and only the failed ones are
+redrawn.
 """
 
 from __future__ import annotations
@@ -478,19 +480,13 @@ def sample_orbit(
     Each returned sample holds the orbit only, index-correspondent: pair
     (solutions[0], solutions[j]) realizes (x, Psi_j(x)) for the j-th
     non-identity deck permutation.  Each sample must pass a round trip, in
-    ``tracker.sample_fiber``'s ``tracker.SAMPLE_ATTEMPTS`` tries.
+    ``tracker.SAMPLE_ATTEMPTS`` rounds of one ``tracker.sample_fiber`` call
+    for all ``count`` samples.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     _, orbit = deck_orbit(result, deck_perms)
-
-    def roundtrip(sample: FiberSample, gamma: complex) -> bool:
-        return tracker.retraces(system, orbit, sample, gamma)
-
-    samples: list[FiberSample] = []
-    for _ in range(count):
-        got = tracker.sample_fiber(system, orbit, rng, roundtrip)
-        if got is None:
-            raise MonodromyError(f"orbit sampling failed after {tracker.SAMPLE_ATTEMPTS} attempts")
-        samples.append(got[0])
+    samples = tracker.sample_fiber(system, orbit, count, rng, retrace=True)
+    if any(sample is None for sample in samples):
+        raise MonodromyError(f"orbit sampling failed after {tracker.SAMPLE_ATTEMPTS} attempts")
     return samples

@@ -499,7 +499,7 @@ def _test_candidate(system, lattice, base, orbit, u, lam, deck_perms, rng) -> st
         c = landed[0]
         if any(b != sigma[c] for b, sigma in zip(landed[1:], deck_perms)):
             return "failed_commutation"
-        if tracker.retraces(system, scaled, back, gamma):
+        if tracker.retraces(system, scaled, [back], [gamma])[0]:
             return "passed"
     return "undetermined"
 

@@ -10,29 +10,35 @@ consecutive accepts, halve on rejection.  The corrector converges at
 factors, the corrector's iteration count and the divergence bound are module
 constants.
 
-``track_paths`` tracks the paths of one homotopy (shared p_from, p_to and
-gamma: the paths of a fiber, or of one monodromy graph edge in one
-direction) in lockstep, in the style of the batched tracking of
-HomotopyContinuation.jl (Breiding & Timme, arXiv:1711.10911).  States are
-stacked as (S, n); t, the step size, the accept streak, the cached first RK4
-stage and the singular flag are per path; each pass of the loop stacks the
-evaluations and ``np.linalg.solve`` calls of every active path, and applies
-each path's own acceptance rules.  Every result is bit-identical to
-``track_path``'s.  A pass costs about two to three serial steps plus a
-little per path, so for ``_SERIAL_PATHS`` = 2 paths or fewer
-``track_paths`` calls ``track_path`` once per path, and once no more than
-``_SERIAL_PATHS`` paths are still stepping, each finishes alone from its
-state (``_run_path``).  ``track_fiber`` tracks its fiber this way.
+``track_paths`` tracks paths in lockstep, each along its own arc (row i of
+p_from and p_to with gamma i; the paths of one homotopy, such as a fiber or
+one monodromy graph edge in one direction, are the broadcast case of one
+shared arc), in the style of the batched tracking of HomotopyContinuation.jl
+(Breiding & Timme, arXiv:1711.10911).  States are stacked as (S, n); t, the
+step size, the accept streak, the cached first RK4 stage, the singular flag
+and the arc are per path; each pass of the loop stacks the evaluations and
+``np.linalg.solve`` calls of every active path, and applies each path's own
+acceptance rules.  Every result is bit-identical to ``track_path``'s on its
+row's arc.  A pass costs about two to three serial steps plus a little per
+path, so for ``_SERIAL_PATHS`` = 2 paths or fewer ``track_paths`` calls
+``track_path`` once per path, and once no more than ``_SERIAL_PATHS`` paths
+are still stepping, each finishes alone from its state (``_run_path``).
 
-``sample_fiber`` is the one place that tracks a fiber to a fresh random
-target (deck-orbit samples and verification fibers): it draws the target
-(``random_params``), then gamma, then tracks, and redraws both on a failed
-fiber or a rejected sample, ``SAMPLE_ATTEMPTS`` times in all.  ``retraces``
-is the one round-trip check: it tracks a sample back along its own arc.
-``match`` is the one fiber-matching rule, for monodromy endpoints, scaled
-orbit points and formula images: a solution index, ``NEW`` or
-``AMBIGUOUS``.  ``FiberSample.distinct`` and ``retraces`` use its scale,
-``MATCH_TOL``.
+``track_fiber`` tracks fibers, each from its own parameters to its own
+target with its own gamma, every path of every fiber in one ``track_paths``
+call, and applies the per-fiber checks: every path succeeds and the
+endpoints are pairwise distinct.  ``sample_fiber`` is the one place that
+tracks a fiber to fresh random targets (deck-orbit samples and verification
+fibers), one per slot: each round draws the target (``random_params``), then
+gamma, for every open slot in slot order, tracks all their fibers in one
+``track_fiber`` call and, for orbit samples, checks them all by one round
+trip; only the slots that failed are redrawn, ``SAMPLE_ATTEMPTS`` rounds in
+all.  When no slot is redrawn, the draws are those of one slot after the
+other.  ``retraces`` is the one round-trip check: it tracks samples back
+along their own arcs.  ``match`` is the one fiber-matching rule, for
+monodromy endpoints, scaled orbit points and formula images: a solution
+index, ``NEW`` or ``AMBIGUOUS``.  ``FiberSample.distinct`` and ``retraces``
+use its scale, ``MATCH_TOL``.
 
 Systems are compiled once on the evaluation kernel of ``expr`` (its module
 docstring describes the factor table and the term blocks): one factor table
@@ -63,14 +69,16 @@ elementwise complex multiply (fused) rounds differently from its product
 reduction and from Python's complex arithmetic (unfused), and a product
 broadcast to a single element falls back to the unfused loop.  The arc's
 scale factors gamma t / den are therefore Python scalars, one per path, and
-the products with them run on flat operands.
+the products with them run on flat operands.  The tangent's dF/dp dp is one
+stacked (S, n, m) @ (S, m, 1) product, bit-equal to each row's ``jp @ dp``
+(``np.einsum`` is not).
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import zgesv
@@ -99,10 +107,6 @@ class TrackingError(RuntimeError):
 
 
 class NewtonError(TrackingError):
-    pass
-
-
-class FiberTrackingError(TrackingError):
     pass
 
 
@@ -413,49 +417,56 @@ def _bad_start(res: float) -> ValueError:
 
 
 class _Arc:
-    """The parameter arc of one homotopy: p(t) = p_from + tau(t) dp, with
-    tau = gamma t / (1 + (gamma - 1) t), and the rate dtau/dt."""
+    """The parameter arcs of S paths, one per row: p_i(t) = p_from[i] +
+    tau_i(t) dp[i], with tau_i = gamma_i t / (1 + (gamma_i - 1) t), and the
+    rate dtau_i/dt.  ``p_from`` and ``p_to`` broadcast to (S, m) and the
+    gammas to S, so a shared arc is the broadcast case."""
 
     __slots__ = ("p_from", "p_to", "dp", "gamma")
 
-    def __init__(self, p_from, p_to, gamma: complex):
-        self.p_from = np.asarray(p_from, dtype=complex)
-        self.p_to = np.asarray(p_to, dtype=complex)
+    def __init__(self, p_from, p_to, gamma, count: int):
+        p_from = np.asarray(p_from, dtype=complex)
+        shape = (count, p_from.shape[-1])
+        self.p_from = np.broadcast_to(p_from, shape)
+        self.p_to = np.broadcast_to(np.asarray(p_to, dtype=complex), shape)
         self.dp = self.p_to - self.p_from
-        self.gamma = complex(gamma)
+        self.gamma = [complex(g) for g in np.broadcast_to(gamma, (count,)).tolist()]
 
-    def point(self, t: float):
-        gamma = self.gamma
+    def point(self, i: int, t: float):
+        gamma = self.gamma[i]
         den = 1.0 + (gamma - 1.0) * t
-        return self.p_from + (gamma * t / den) * self.dp, gamma / (den * den)
+        return self.p_from[i] + (gamma * t / den) * self.dp[i], gamma / (den * den)
 
-    def points(self, t: np.ndarray):
-        """``point`` at each t, stacked.  The scale factors and rates are
-        computed as Python scalars, as in ``point``: numpy's complex
-        arithmetic rounds differently."""
-        gamma = self.gamma
-        dens = [1.0 + (gamma - 1.0) * ti for ti in t.tolist()]
-        scale = np.array([gamma * ti / den for ti, den in zip(t.tolist(), dens)])
-        rate = np.array([gamma / (den * den) for den in dens])
+    def points(self, rows: np.ndarray, t: np.ndarray):
+        """``point`` of each row at its t, stacked.  The scale factors and
+        rates are computed as Python scalars, as in ``point``: numpy's
+        complex arithmetic rounds differently."""
+        gammas = [self.gamma[i] for i in rows.tolist()]
+        ts = t.tolist()
+        dens = [1.0 + (g - 1.0) * ti for g, ti in zip(gammas, ts)]
+        scale = np.array([g * ti / den for g, ti, den in zip(gammas, ts, dens)])
+        rate = np.array([g / (den * den) for g, den in zip(gammas, dens)])
         # Flat, equal-length operands in ``point``'s order: a broadcast
         # product may take another numpy loop, one that rounds differently.
-        count, m = len(t), len(self.dp)
-        step = np.repeat(scale, m) * np.tile(self.dp, count)
-        return self.p_from + step.reshape(count, m), rate
+        count, m = len(rows), self.dp.shape[1]
+        step = np.repeat(scale, m) * self.dp.take(rows, axis=0).ravel()
+        return self.p_from.take(rows, axis=0) + step.reshape(count, m), rate
 
 
-def _tangent(comp, arc: _Arc, x, t: float) -> np.ndarray:
-    """dx/dt at (x, t): the solution of dF/dx dx = -dF/dp dp dtau/dt."""
-    p, rate = arc.point(t)
+def _tangent(comp, arc: _Arc, i: int, x, t: float) -> np.ndarray:
+    """dx/dt of path i at (x, t): the solution of dF/dx dx = -dF/dp dp dtau/dt."""
+    p, rate = arc.point(i, t)
     jx = comp.jx_at(x, p)
     jp = comp.jp_at(x, p)
-    return _solve(jx, -(jp @ arc.dp) * rate)
+    return _solve(jx, -(jp @ arc.dp[i]) * rate)
 
 
-def _tangent_rows(comp, arc: _Arc, mono, rate):
-    """``_tangent`` at each row, given its monomials and rate; and which
-    rows solved."""
-    return _solve_rows(comp.jx_rows(mono), -(comp.jp_rows(mono) @ arc.dp) * rate[:, None])
+def _tangent_rows(comp, arc: _Arc, rows, mono, rate):
+    """``_tangent`` of each of the paths ``rows``, given the monomials and
+    rate at its point; and which rows solved.  The stacked product
+    (S, n, m) @ (S, m, 1) is bit-equal to each row's ``jp @ dp``."""
+    jp_dp = (comp.jp_rows(mono) @ arc.dp.take(rows, axis=0)[:, :, None])[..., 0]
+    return _solve_rows(comp.jx_rows(mono), -jp_dp * rate[:, None])
 
 
 def _endpoint(x, res: float, steps: int) -> PathResult:
@@ -467,11 +478,11 @@ def _endpoint(x, res: float, steps: int) -> PathResult:
     return PathResult("success", x, steps, res)
 
 
-def _run_path(comp, arc: _Arc, x, t=0.0, h=_INITIAL_STEP, steps=0, streak=0,
+def _run_path(comp, arc: _Arc, i: int, x, t=0.0, h=_INITIAL_STEP, steps=0, streak=0,
               singular_seen=False, k1=None) -> PathResult:
-    """The step loop and final corrector of one path, from its state at t:
-    step size h, the accepts since the last expansion, whether a singular
-    Jacobian was met, and the first RK4 stage at (x, t) when known."""
+    """The step loop and final corrector of path i of ``arc``, from its state
+    at t: step size h, the accepts since the last expansion, whether a
+    singular Jacobian was met, and the first RK4 stage at (x, t) when known."""
 
     while t < 1.0 - 1e-14:
         if steps >= _MAX_TOTAL_STEPS:
@@ -480,13 +491,13 @@ def _run_path(comp, arc: _Arc, x, t=0.0, h=_INITIAL_STEP, steps=0, streak=0,
         accepted = False
         try:
             if k1 is None:
-                k1 = _tangent(comp, arc, x, t)
-            k2 = _tangent(comp, arc, x + 0.5 * h * k1, t + 0.5 * h)
-            k3 = _tangent(comp, arc, x + 0.5 * h * k2, t + 0.5 * h)
-            k4 = _tangent(comp, arc, x + h * k3, t + h)
+                k1 = _tangent(comp, arc, i, x, t)
+            k2 = _tangent(comp, arc, i, x + 0.5 * h * k1, t + 0.5 * h)
+            k3 = _tangent(comp, arc, i, x + 0.5 * h * k2, t + 0.5 * h)
+            k4 = _tangent(comp, arc, i, x + h * k3, t + h)
             x_pred = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if np.all(np.isfinite(x_pred)):
-                p_next, _ = arc.point(t + h)
+                p_next, _ = arc.point(i, t + h)
                 x_new, res, ok, sing, first_step = _newton(
                     comp, x_pred, p_next, NEWTON_TOL, _MAX_NEWTON_ITERS, _MAX_NORM
                 )
@@ -520,7 +531,7 @@ def _run_path(comp, arc: _Arc, x, t=0.0, h=_INITIAL_STEP, steps=0, streak=0,
                 status = "singular" if singular_seen else "step_underflow"
                 return PathResult(status, None, steps, np.inf)
 
-    x, res, _, _, _ = _newton(comp, x, arc.p_to, NEWTON_TOL, 12, _MAX_NORM)
+    x, res, _, _, _ = _newton(comp, x, arc.p_to[i], NEWTON_TOL, 12, _MAX_NORM)
     return _endpoint(x, res, steps)
 
 
@@ -535,17 +546,19 @@ def track_path(
     """Continue one solution from p_from to p_to along the segment homotopy
     with the given gamma (``draw_gamma``; 1 is the straight segment)."""
     comp = compiled(system)
-    arc = _Arc(p_from, p_to, gamma)
-    x, res, ok = _start_newton(comp, x_start, arc.p_from)
+    arc = _Arc(p_from, p_to, gamma, 1)
+    x, res, ok = _start_newton(comp, x_start, arc.p_from[0])
     if not ok:
         raise _bad_start(res)
-    return _run_path(comp, arc, x)
+    return _run_path(comp, arc, 0, x)
 
 
-def track_paths(system: System, starts, p_from, p_to, gamma: complex) -> list[PathResult]:
-    """``track_path`` from each start along one homotopy (p_from, p_to and
-    gamma shared), in lockstep.  Result i is bit-identical to
-    ``track_path(system, starts[i], p_from, p_to, gamma=gamma)``.
+def track_paths(system: System, starts, p_from, p_to, gammas) -> list[PathResult]:
+    """``track_path`` from each start along its own arc, in lockstep: row i
+    of ``p_from`` and ``p_to`` (each broadcast to (S, m)) with gamma i (the
+    gammas broadcast to S), so one shared arc is the broadcast case.  Result
+    i is bit-identical to ``track_path(system, starts[i], p_from[i],
+    p_to[i], gamma=gammas[i])``.
 
     Each path keeps its own t, step size, accept streak, cached first RK4
     stage and singular flag.  One pass of the loop takes one step (or one
@@ -556,13 +569,16 @@ def track_paths(system: System, starts, p_from, p_to, gamma: complex) -> list[Pa
     and once no more than ``_SERIAL_PATHS`` paths are still stepping, each
     finishes alone from its state.
     """
-    if len(starts) <= _SERIAL_PATHS:
-        return [track_path(system, x, p_from, p_to, gamma=gamma) for x in starts]
-    comp = compiled(system)
-    arc = _Arc(p_from, p_to, gamma)
     count = len(starts)
+    arc = _Arc(p_from, p_to, gammas, count)
+    if count <= _SERIAL_PATHS:
+        return [
+            track_path(system, x, arc.p_from[i], arc.p_to[i], gamma=arc.gamma[i])
+            for i, x in enumerate(starts)
+        ]
+    comp = compiled(system)
     x, res, ok, _, _, _ = _newton_rows(
-        comp, np.array(starts, dtype=complex), np.broadcast_to(arc.p_from, (count, comp.m)),
+        comp, np.array(starts, dtype=complex), arc.p_from,
         NEWTON_TOL * 10, _MAX_NEWTON_ITERS, _MAX_NORM,
     )
     if not ok.all():
@@ -578,7 +594,7 @@ def track_paths(system: System, starts, p_from, p_to, gamma: complex) -> list[Pa
     # The monomials and the rate at (x[i], t[i]): the corrector's last
     # evaluation at an accepted point is kept, as the single-point memo
     # shares it with the next first stage.
-    p, rate_at = arc.points(t)
+    p, rate_at = arc.points(np.arange(count), t)
     at_x = comp.monomial_rows(x, p)
     results: list[PathResult | None] = [None] * count
     running = np.ones(count, dtype=bool)  # False once a path has its result
@@ -600,7 +616,7 @@ def track_paths(system: System, starts, p_from, p_to, gamma: complex) -> list[Pa
 
         need = active[~have_k1[active]]
         if len(need):
-            k, solved = _tangent_rows(comp, arc, at_x[need], rate_at[need])
+            k, solved = _tangent_rows(comp, arc, need, at_x[need], rate_at[need])
             k1[need[solved]] = k[solved]
             have_k1[need[solved]] = True
             singular_seen[need[~solved]] = True
@@ -608,13 +624,13 @@ def track_paths(system: System, starts, p_from, p_to, gamma: complex) -> list[Pa
         # ``_run_path``; its later stages are computed but never used.
         rows = active[have_k1[active]]
         x0, hh = x[rows], h[rows]
-        mid = arc.points(t[rows] + 0.5 * hh)
-        end_point = arc.points(t[rows] + hh)
+        mid = arc.points(rows, t[rows] + 0.5 * hh)
+        end_point = arc.points(rows, t[rows] + hh)
         alive = np.ones(len(rows), dtype=bool)
         ks = [k1[rows]]
         for frac, (p, rate) in ((0.5, mid), (0.5, mid), (1.0, end_point)):
             mono = comp.monomial_rows(x0 + (frac * hh)[:, None] * ks[-1], p)
-            k, solved = _tangent_rows(comp, arc, mono, rate)
+            k, solved = _tangent_rows(comp, arc, rows, mono, rate)
             singular_seen[rows[alive & ~solved]] = True
             alive &= solved
             ks.append(k)
@@ -659,14 +675,13 @@ def track_paths(system: System, starts, p_from, p_to, gamma: complex) -> list[Pa
     for i in active.tolist():
         running[i] = False
         results[i] = _run_path(
-            comp, arc, x[i].copy(), float(t[i]), float(h[i]), int(steps[i]), int(streak[i]),
-            bool(singular_seen[i]), k1[i].copy() if have_k1[i] else None,
+            comp, arc, i, x[i].copy(), float(t[i]), float(h[i]), int(steps[i]),
+            int(streak[i]), bool(singular_seen[i]), k1[i].copy() if have_k1[i] else None,
         )
     done = np.flatnonzero(running)
     if len(done):
         x, res, _, _, _, _ = _newton_rows(
-            comp, x[done], np.broadcast_to(arc.p_to, (len(done), comp.m)),
-            NEWTON_TOL, 12, _MAX_NORM,
+            comp, x[done], arc.p_to[done], NEWTON_TOL, 12, _MAX_NORM
         )
         for i, xi, ri in zip(done.tolist(), x, res.tolist()):
             results[i] = _endpoint(xi.copy(), ri, int(steps[i]))
@@ -674,70 +689,94 @@ def track_paths(system: System, starts, p_from, p_to, gamma: complex) -> list[Pa
 
 
 def track_fiber(
-    system: System,
-    fiber: FiberSample,
-    p_to,
-    *,
-    gamma: complex,
-) -> FiberSample:
-    """Track every solution of a fiber to new parameters, preserving order.
+    system: System, fibers: Sequence[FiberSample], targets, gammas
+) -> list[FiberSample | None]:
+    """Track every solution of each fiber to new parameters, preserving
+    order: fiber i from its own parameters to ``targets[i]`` with
+    ``gammas[i]``.  The paths of all fibers go out in one ``track_paths``
+    call.
 
-    All paths share one homotopy, with the given gamma.  Any path failure,
-    or an endpoint collision within ``MATCH_TOL``, fails the whole fiber
-    with FiberTrackingError.
+    Fiber i comes back as None when its solutions are not pairwise distinct
+    (it is not tracked), when any of its paths fails, or when two of its
+    endpoints coincide within ``MATCH_TOL``.
     """
-    if not fiber.distinct():
-        raise FiberTrackingError("fiber solutions are not pairwise distinct")
-    p_to = np.asarray(p_to, dtype=complex)
-
-    results = track_paths(system, fiber.solutions, fiber.params, p_to, gamma)
-
-    bad = [i for i, r in enumerate(results) if not r.success]
-    if bad:
-        raise FiberTrackingError(
-            f"{len(bad)}/{len(results)} paths failed ({results[bad[0]].status})"
-        )
-    out = FiberSample(p_to, [r.endpoint for r in results])
-    if not out.distinct():
-        raise FiberTrackingError("endpoint collision after tracking")
+    live = [i for i, fiber in enumerate(fibers) if fiber.distinct()]
+    out: list[FiberSample | None] = [None] * len(fibers)
+    if not live:
+        return out
+    sizes = [len(fibers[i]) for i in live]
+    results = track_paths(
+        system,
+        np.concatenate([fibers[i].solutions for i in live]),
+        np.repeat([fibers[i].params for i in live], sizes, axis=0),
+        np.repeat([np.asarray(targets[i], dtype=complex) for i in live], sizes, axis=0),
+        np.repeat([complex(gammas[i]) for i in live], sizes),
+    )
+    ends = np.cumsum(sizes)
+    for i, stop, size in zip(live, ends.tolist(), sizes):
+        paths = results[stop - size : stop]
+        if all(r.success for r in paths):
+            sample = FiberSample(targets[i], [r.endpoint for r in paths])
+            if sample.distinct():
+                out[i] = sample
     return out
 
 
-def retraces(system: System, start: FiberSample, sample: FiberSample, gamma: complex) -> bool:
-    """Whether ``sample``, tracked from ``start`` with ``gamma``, retraces its
-    arc back to ``start``: gamma -> 1/gamma reverses the same arc exactly,
-    and every point must return within ``MATCH_TOL`` of its start.
+def retraces(
+    system: System, start: FiberSample, samples: Sequence[FiberSample], gammas
+) -> list[bool]:
+    """Whether each sample, tracked from ``start`` with its gamma, retraces
+    its arc back to ``start``: gamma -> 1/gamma reverses the same arc
+    exactly, and every point must return within ``MATCH_TOL`` of its start.
+    All samples go back in one ``track_fiber`` call.
 
     Sheet jumps inside a full tracked fiber surface as endpoint collisions,
     but a partial fiber (a deck orbit) tracks only a few sheets; a sheet
     jump on the way out lands somewhere else on the way back.
     """
-    try:
-        back = track_fiber(system, sample, start.params, gamma=1.0 / gamma)
-    except FiberTrackingError:
-        return False
-    return not (np.abs(back.solutions - start.solutions).max(axis=1) > MATCH_TOL).any()
+    backs = track_fiber(
+        system, samples, [start.params] * len(samples), [1.0 / complex(g) for g in gammas]
+    )
+    return [
+        back is not None
+        and not (np.abs(back.solutions - start.solutions).max(axis=1) > MATCH_TOL).any()
+        for back in backs
+    ]
 
 
 def sample_fiber(
     system: System,
     fiber: FiberSample,
+    count: int,
     rng: np.random.Generator,
-    accept: Callable[[FiberSample, complex], bool] | None = None,
-) -> tuple[FiberSample, complex] | None:
-    """Track a fiber to a fresh random target.
+    *,
+    retrace: bool = False,
+) -> list[FiberSample | None]:
+    """Track a fiber to ``count`` fresh random targets, one per slot.
 
-    Each attempt draws the target, then gamma, then tracks; a failed fiber,
-    or a sample that ``accept(sample, gamma)`` rejects, is redrawn.  Returns
-    the sample and its gamma, or None after ``SAMPLE_ATTEMPTS`` draws.
+    Each round draws the target, then gamma, for every open slot in slot
+    order, as one draw per slot in turn would; tracks all their fibers in
+    one ``track_fiber`` call; and, with ``retrace``, checks every tracked
+    sample by its round trip (``retraces``) in one more call.  A slot whose
+    fiber fails, or whose sample does not retrace, is redrawn in the next
+    round, after the round's other draws; a slot still open after
+    ``SAMPLE_ATTEMPTS`` rounds is None.
     """
+    out: list[FiberSample | None] = [None] * count
+    pending = list(range(count))
     for _ in range(SAMPLE_ATTEMPTS):
-        target = random_params(system.m, rng)
-        gamma = draw_gamma(rng)
-        try:
-            sample = track_fiber(system, fiber, target, gamma=gamma)
-        except FiberTrackingError:
-            continue
-        if accept is None or accept(sample, gamma):
-            return sample, gamma
-    return None
+        if not pending:
+            break
+        targets, gammas = [], []
+        for _slot in pending:
+            targets.append(random_params(system.m, rng))
+            gammas.append(draw_gamma(rng))
+        samples = track_fiber(system, [fiber] * len(pending), targets, gammas)
+        good = [k for k, sample in enumerate(samples) if sample is not None]
+        if retrace and good:
+            back = retraces(system, fiber, [samples[k] for k in good], [gammas[k] for k in good])
+            good = [k for k, ok in zip(good, back) if ok]
+        for k in good:
+            out[pending[k]] = samples[k]
+        pending = [slot for slot in pending if out[slot] is None]
+    return out

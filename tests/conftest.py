@@ -6,8 +6,8 @@ import pytest
 from hypothesis import settings
 
 from decksym import numcore, tracker
-from decksym.expr import Exponent, System, monomial_values, parse_system
-from decksym.fixtures import fixture_path
+from decksym.expr import Exponent, System, monomial_values, parse_seed_pair, parse_system
+from decksym.fixtures import fixture_path, seed_path
 from decksym.interp import TRUNCATE_TOL
 from decksym.monodromy import run_monodromy, seed_from_linear_params
 from decksym.permgrp import inverse
@@ -236,16 +236,60 @@ def multidegree(exponent, lattice) -> Multidegree:
 
 
 def track_paths_one_by_one(monkeypatch, track=None):
-    """Replace ``tracker.track_paths`` by one ``track(system, x, p_from, p_to,
-    gamma=gamma)`` call per start, in order (default: the module's
+    """Replace ``tracker.track_paths`` by one ``track(system, x, p_from[i],
+    p_to[i], gamma=gammas[i])`` call per start, in order, with the arcs
+    broadcast as ``track_paths`` broadcasts them (default: the module's
     ``tracker.track_path``, looked up at call time), so that a wrapper sees
     every path of either entry point, and each path once."""
 
-    def one_by_one(system, starts, p_from, p_to, gamma):
+    def one_by_one(system, starts, p_from, p_to, gammas):
         call = track or tracker.track_path
-        return [call(system, x, p_from, p_to, gamma=gamma) for x in starts]
+        count = len(starts)
+        p_from = np.broadcast_to(p_from, (count, np.shape(p_from)[-1]))
+        p_to = np.broadcast_to(p_to, p_from.shape)
+        gammas = np.broadcast_to(gammas, (count,)).tolist()
+        return [call(system, x, p_from[i], p_to[i], gamma=gammas[i]) for i, x in enumerate(starts)]
 
     monkeypatch.setattr(tracker, "track_paths", one_by_one)
+
+
+def serial_sample_fiber(system, fiber, count, rng, retrace=False):
+    """The reference for ``tracker.sample_fiber``: each slot in turn draws
+    its target, then gamma, tracks every path alone (``tracker.track_path``),
+    checks the fiber (every path succeeds, the endpoints are distinct) and,
+    with ``retrace``, tracks every point back alone with 1/gamma, which must
+    succeed, stay distinct and land within ``MATCH_TOL`` of its start.  A
+    failed slot draws again at once, ``SAMPLE_ATTEMPTS`` times in all."""
+    out = []
+    for _ in range(count):
+        got = None
+        for _ in range(tracker.SAMPLE_ATTEMPTS):
+            target = tracker.random_params(system.m, rng)
+            gamma = tracker.draw_gamma(rng)
+            paths = [
+                tracker.track_path(system, x, fiber.params, target, gamma=gamma)
+                for x in fiber.solutions
+            ]
+            if not all(r.success for r in paths):
+                continue
+            sample = tracker.FiberSample(target, [r.endpoint for r in paths])
+            if not sample.distinct():
+                continue
+            if retrace:
+                back = [
+                    tracker.track_path(system, x, target, fiber.params, gamma=1.0 / gamma)
+                    for x in sample.solutions
+                ]
+                if not all(r.success for r in back):
+                    continue
+                ends = tracker.FiberSample(fiber.params, [r.endpoint for r in back])
+                far = np.abs(ends.solutions - fiber.solutions).max(axis=1) > tracker.MATCH_TOL
+                if not ends.distinct() or far.any():
+                    continue
+            got = sample
+            break
+        out.append(got)
+    return out
 
 
 def run_fixture_monodromy(text, degree, seed_rng, x_star="random", seed_pair=None):
@@ -275,3 +319,17 @@ def mono_sextic():
 @pytest.fixture(scope="session")
 def mono_ex57():
     return run_fixture_monodromy(EX57_TEXT, 6, 3, seed_pair=ex57_seed())
+
+
+@pytest.fixture(scope="session")
+def p3p_orbit():
+    """P3P after monodromy at rng seed 0: the system, the result and the deck
+    orbit of its base solution (2 points)."""
+    from decksym.monodromy import deck_orbit
+    from decksym.permgrp import centralizer_in_symmetric, identity
+
+    system = fixture_system("p3p_quasihom")
+    pair = parse_seed_pair(seed_path("p3p_quasihom").read_text())
+    result = run_monodromy(system, pair, np.random.default_rng(0), expected_degree=8)
+    perms = [g for g in centralizer_in_symmetric(result.group()) if g != identity(8)]
+    return system, result, deck_orbit(result, perms)[1]

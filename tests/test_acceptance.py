@@ -50,7 +50,7 @@ from decksym.permgrp import (
     is_permutation,
     minimal_block_systems,
 )
-from decksym.tracker import FiberTrackingError, draw_gamma, track_fiber
+from decksym.tracker import draw_gamma, track_fiber
 
 
 def announce(number: int, text: str):
@@ -94,9 +94,8 @@ def fresh_fiber_points(state, count):
     pts = []
     while len(pts) < count:
         target = rng.standard_normal(system.m) + 1j * rng.standard_normal(system.m)
-        try:
-            sample = track_fiber(system, mono.base, target, gamma=draw_gamma(rng))
-        except FiberTrackingError:
+        (sample,) = track_fiber(system, [mono.base], [target], [draw_gamma(rng)])
+        if sample is None:
             continue
         for sol in sample.solutions:
             pts.append(np.concatenate([sol, sample.params]))

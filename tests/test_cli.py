@@ -173,9 +173,9 @@ def test_verification_tracks_one_set_of_fibers_for_every_deck_map(tmp_path, monk
     sample_fiber = tracker.sample_fiber
     run_verification = cli.Pipeline.run_verification
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return sample_fiber(*args, **kwargs)
+    def counting(system, fiber, count, rng, **kwargs):
+        calls.append(count)
+        return sample_fiber(system, fiber, count, rng, **kwargs)
 
     def verification_counting_draws(self):
         monkeypatch.setattr(tracker, "sample_fiber", counting)
@@ -189,17 +189,50 @@ def test_verification_tracks_one_set_of_fibers_for_every_deck_map(tmp_path, monk
     assert code == 0
     assert len(report["verification"]) == 5
     assert all(v["passed"] and v["trials"] == 5 for v in report["verification"])
-    assert len(calls) == 5
+    assert calls == [5]  # one call draws all five fibers
+
+
+def test_p3p_samples_go_out_in_one_call_per_degree(tmp_path, monkeypatch):
+    """P3P graded at rng seed 0 redraws nothing: interpolation tracks each
+    degree's orbit shortfall (5, 18 and 32 samples of 2 points) out in one
+    ``track_paths`` call and back in one more, and verification tracks its
+    5 fibers of 8 solutions in one 40-row call."""
+    from decksym import cli, tracker
+
+    rows = {"interpolation": [], "verification": []}
+    track_paths = tracker.track_paths
+
+    def counting(stage, method):
+        def run_stage(self):
+            def recording(system, starts, *args):
+                rows[stage].append(len(starts))
+                return track_paths(system, starts, *args)
+
+            monkeypatch.setattr(tracker, "track_paths", recording)
+            try:
+                return method(self)
+            finally:
+                monkeypatch.setattr(tracker, "track_paths", track_paths)
+
+        return run_stage
+
+    for stage in rows:
+        method = getattr(cli.Pipeline, f"run_{stage}")
+        monkeypatch.setattr(cli.Pipeline, f"run_{stage}", counting(stage, method))
+    report, code, _ = run_cli(
+        "analyze", "p3p_quasihom", tmp_path, expected_degree=8, graded=True, degree_bound=3
+    )
+    assert code == 0
+    assert rows == {"interpolation": [10, 10, 36, 36, 64, 64], "verification": [40]}
 
 
 def test_verification_without_tracked_fibers_fails_stage(tmp_path, monkeypatch):
     """Fault injection: every held-out fiber fails to track, so the
     verification stage fails instead of passing with zero trials."""
     from decksym import cli, tracker
-    from decksym.tracker import FiberTrackingError
 
-    def fail(*args, **kwargs):
-        raise FiberTrackingError("injected")
+    def fail(system, fibers, targets, gammas):
+        return [None] * len(fibers)
 
     run_verification = cli.Pipeline.run_verification
 
@@ -227,10 +260,9 @@ def test_interpolation_without_tracked_orbits_fails_stage(tmp_path, monkeypatch)
     """Fault injection: no deck orbit tracks after monodromy, so the
     interpolation stage fails and the run exits with a stage failure."""
     from decksym import cli, tracker
-    from decksym.tracker import FiberTrackingError
 
-    def fail(*args, **kwargs):
-        raise FiberTrackingError("injected")
+    def fail(system, fibers, targets, gammas):
+        return [None] * len(fibers)
 
     run_interpolation = cli.Pipeline.run_interpolation
 
@@ -339,6 +371,18 @@ def test_bad_input_files_fail_the_input_stage(tmp_path, command, seed, formulas,
     assert report["error"].startswith(f"{bad}: ")
     assert error in report["error"]
     assert json.loads(out.read_text())["failed_stage"] == "input"
+
+
+def test_verify_without_a_formula_file_is_an_input_error():
+    """``cli.run`` called directly, with no formula file for verify: the
+    input stage fails (exit 2, with a report) before monodromy runs."""
+    cfg = RunConfig(command="verify", system_path="ex4_1", seed_path="ex4_1", expected_degree=2)
+    report, code = run(cfg)
+    assert code == 2
+    assert report["status"] == "failed"
+    assert report["failed_stage"] == "input"
+    assert report["error"] == "verify needs a formula file (--formulas)"
+    assert list(report["timings"]) == ["input"]
 
 
 def test_bundled_names_resolve_with_or_without_suffix(tmp_path, monkeypatch):

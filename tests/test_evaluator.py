@@ -277,6 +277,23 @@ def test_stacked_rows_bit_equal_to_single_points(system, seed, count):
     )
 
 
+def test_stacked_rows_keep_one_repeat_for_every_count():
+    """A lockstep batch shrinks pass by pass: after the largest count, a
+    block keeps one repeat of its coefficients and offsets, and fewer rows
+    take its prefix with the same bits."""
+    system = fixture_system("p3p_quasihom")
+    comp = tracker.CompiledSystem(system)
+    rng = np.random.default_rng(41)
+    largest = 0
+    for count in (3, 64, 63, 17, 1, 64):
+        x = random_point(rng, count * system.n).reshape(count, system.n)
+        p = random_point(rng, count * system.m).reshape(count, system.m)
+        assert_rows_bit_equal(comp, x, p)
+        largest = max(largest, count)
+        for block in (comp._f, comp._jx, comp._jp):
+            assert len(block._stack[0]) == largest * len(block.terms)
+
+
 def test_compile_cache_drops_collected_systems():
     text = "unknowns u, v; parameters q; equations u^3 - q; u*v - 1;"
     system = parse_system(text)

@@ -327,3 +327,22 @@ def test_deck_formula_error_reports_its_file_position(text, line, col):
         parse_deck_formulas(text, parse_system(EX42))
     assert (err.value.line, err.value.col) == (line, col)
     assert str(err.value) == f"line {line}, column {col}: in formula for y: undeclared variable 'q'"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("   p = 1\n", "'p' is not an unknown of the system"),
+        ("x = -x - 1\n   x = 1\n", "duplicate formula for 'x'"),
+        ("   x 1\n", "expected '<unknown> = <expression>'"),
+    ],
+    ids=["not-an-unknown", "duplicate", "no-equals"],
+)
+def test_deck_formula_name_error_reports_where_the_name_starts(text, message):
+    """An error in a formula's left-hand side points at the column where the
+    line's name starts, past its indentation, not at column 1."""
+    with pytest.raises(ParseError) as err:
+        parse_deck_formulas(text, parse_system(EX42))
+    line = text.count("\n")
+    assert (err.value.line, err.value.col) == (line, 4)
+    assert str(err.value) == f"line {line}, column 4: {message}"

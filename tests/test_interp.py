@@ -51,14 +51,13 @@ def rf_equal_on_samples(rf1, rf2, points, rtol=1e-8):
 
 def fiber_points(system, result, rng, count=20):
     """Fresh on-variety points (x, p) obtained by tracking the base fiber."""
-    from decksym.tracker import FiberTrackingError, draw_gamma, track_fiber
+    from decksym.tracker import draw_gamma, track_fiber
 
     pts = []
     while len(pts) < count:
         target = rng.standard_normal(system.m) + 1j * rng.standard_normal(system.m)
-        try:
-            sample = track_fiber(system, result.base, target, gamma=draw_gamma(rng))
-        except FiberTrackingError:
+        (sample,) = track_fiber(system, [result.base], [target], [draw_gamma(rng)])
+        if sample is None:
             continue
         for sol in sample.solutions:
             pts.append(np.concatenate([sol, sample.params]))
@@ -354,12 +353,11 @@ def test_verify_deck_fails_when_no_fiber_tracks(mono41, monkeypatch):
     """A wrong formula must not pass because every held-out fiber failed."""
     from decksym import tracker
     from decksym.interp import DeckMap
-    from decksym.tracker import FiberTrackingError
 
     system, result, _ = mono41
 
-    def fail(*args, **kwargs):
-        raise FiberTrackingError("injected")
+    def fail(system, fibers, targets, gammas):
+        return [None] * len(fibers)
 
     monkeypatch.setattr(tracker, "track_fiber", fail)
     x_plus_one = RationalFunction.from_polynomial(

@@ -155,20 +155,20 @@ def test_fiber_closure_under_permutations():
 
 def test_sample_orbit_fails_after_three_draws(monkeypatch):
     """Fault injection: when no orbit tracks, sampling stops with an error
-    after three target and gamma draws."""
+    after three rounds of target and gamma draws, one per sample a round."""
     result, _ = mono_ex41()
     calls = []
 
-    def fail(*args, **kwargs):
+    def fail(system, fibers, targets, gammas):
         calls.append(1)
-        raise tracker.FiberTrackingError("injected")
+        return [None] * len(fibers)
 
     monkeypatch.setattr(tracker, "track_fiber", fail)
     rng, twin = np.random.default_rng(4), np.random.default_rng(4)
-    with pytest.raises(MonodromyError, match="orbit sampling failed"):
+    with pytest.raises(MonodromyError, match="orbit sampling failed after 3 attempts"):
         sample_orbit(EX41, result, [(1, 0)], 2, rng)
     assert len(calls) == 3
-    for _ in range(3):
+    for _ in range(3 * 2):
         twin.standard_normal(2)
         twin.random()
     assert rng.random() == twin.random()

@@ -380,11 +380,12 @@ def test_sheet_jump_on_retrace_never_passes(mono_sextic, monkeypatch):
     real = tracker.track_fiber
     retraced = []
 
-    def jumpy(system, fiber, p_to, **kwargs):
-        out = real(system, fiber, p_to, **kwargs)
-        if np.array_equal(fiber.params, result.base.params):
-            retraced.append(1)
-            return tracker.FiberSample(out.params, tuple(s + 1e-3 for s in out.solutions))
+    def jumpy(system, fibers, targets, gammas):
+        out = real(system, fibers, targets, gammas)
+        for k, (fiber, back) in enumerate(zip(fibers, out)):
+            if back is not None and np.array_equal(fiber.params, result.base.params):
+                retraced.append(1)
+                out[k] = tracker.FiberSample(back.params, tuple(s + 1e-3 for s in back.solutions))
         return out
 
     monkeypatch.setattr(tracker, "track_fiber", jumpy)

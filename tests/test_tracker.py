@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_system, max_residual
+from conftest import fixture_system, max_residual, serial_sample_fiber
 from decksym import tracker
 from decksym.expr import parse_seed_pair, parse_system
 from decksym.fixtures import seed_path
@@ -14,7 +14,6 @@ from decksym.tracker import (
     MATCH_TOL,
     NEW,
     FiberSample,
-    FiberTrackingError,
     NewtonError,
     compiled,
     match,
@@ -133,7 +132,7 @@ def test_fiber_tracking_preserves_order_and_residuals():
     )
     fiber = FiberSample(params, tuple(np.array([r]) for r in roots))
     target = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    out = track_fiber(SEXTIC, fiber, target, gamma=tracker.draw_gamma(rng))
+    (out,) = track_fiber(SEXTIC, [fiber], [target], [tracker.draw_gamma(rng)])
     assert len(out) == 6
     assert max_residual(SEXTIC, out) <= tracker.PATH_TOL
     assert out.distinct()
@@ -288,32 +287,34 @@ def test_match_boundaries():
 
 def test_fiber_duplicate_solution_rejected():
     fiber = FiberSample(np.array([-2.5]), (np.array([2.0]), np.array([2.0])))
-    with pytest.raises(FiberTrackingError, match="distinct"):
-        track_fiber(EX41, fiber, np.array([1.0 + 1j]), gamma=1.0)
+    # A fiber that is not pairwise distinct fails without tracking a path.
+    assert track_fiber(EX41, [fiber], [np.array([1.0 + 1j])], [1.0]) == [None]
 
 
-def test_sample_fiber_draws_target_then_gamma():
+def test_sample_fiber_draws_target_then_gamma(monkeypatch):
     # Reports at a fixed seed depend on this draw order: target, then gamma,
     # for every attempt, a rejected one included.
     fiber = FiberSample(np.array([-2.5]), (np.array([2.0]), np.array([0.5])))
     rng, twin = np.random.default_rng(9), np.random.default_rng(9)
     seen = []
 
-    def accept(sample, gamma):
-        seen.append(gamma)
-        return len(seen) == 2
+    def reject_first(system, start, samples, gammas):
+        seen.extend(gammas)
+        return [len(seen) == 2 for _ in samples]
 
-    sample, gamma = tracker.sample_fiber(EX41, fiber, rng, accept)
+    monkeypatch.setattr(tracker, "retraces", reject_first)
+    (sample,) = tracker.sample_fiber(EX41, fiber, 1, rng, retrace=True)
     for _ in range(2):
         target = twin.standard_normal(1) + 1j * twin.standard_normal(1)
         expected_gamma = complex(np.exp(2j * np.pi * twin.random()))
-    assert gamma == seen[-1] == expected_gamma
+    assert seen[-1] == expected_gamma
     assert sample.params.tobytes() == target.tobytes()
-    again = track_fiber(EX41, fiber, target, gamma=expected_gamma)
+    (again,) = track_fiber(EX41, [fiber], [target], [expected_gamma])
     assert [s.tobytes() for s in sample.solutions] == [s.tobytes() for s in again.solutions]
     assert rng.random() == twin.random()
     # Three attempts, each drawing its target and gamma, then None.
-    assert tracker.sample_fiber(EX41, fiber, rng, lambda s, g: False) is None
+    monkeypatch.setattr(tracker, "retraces", lambda system, start, samples, gammas: [False])
+    assert tracker.sample_fiber(EX41, fiber, 1, rng, retrace=True) == [None]
     for _ in range(3):
         twin.standard_normal(1), twin.standard_normal(1), twin.random()
     assert rng.random() == twin.random()
@@ -373,7 +374,7 @@ def test_tracking_without_memo_is_identical(name, coarse, monkeypatch):
         # Besides one start and one final run per successful path, every
         # Newton run is one attempted step.
         attempts = len(newton_calls) - 2 * len(paths)
-        fiber = track_fiber(system, FiberSample(p, (x,)), targets[0], gamma=gammas[0])
+        (fiber,) = track_fiber(system, [FiberSample(p, (x,))], [targets[0]], [gammas[0]])
         return [path_record(r) for r in paths], attempts, [s.tobytes() for s in fiber.solutions]
 
     with_memo = run()
@@ -505,27 +506,37 @@ def test_track_paths_one_unknown_one_parameter(gamma, monkeypatch):
     assert [result_bits(r) for r in batch] == [result_bits(r) for r in serial]
 
 
-@pytest.mark.parametrize("gamma", [0.28 - 0.96j, 1.0])
+@pytest.mark.parametrize("gamma", [0.28 - 0.96j, 1.0, None])
 @pytest.mark.parametrize("system", [CUBIC, SEXTIC], ids=["m=1", "m=4"])
 def test_stacked_arc_points_and_tangents_bit_equal(system, gamma):
     """The stacked parameter points, rates and tangents of the lockstep
-    tracker, one row or several, against the single-path ones."""
+    tracker, one row or several, against the single-path ones of each row's
+    own arc.  Even draws share one arc (the broadcast case); odd draws give
+    every row its own endpoints, and its own gamma when ``gamma`` is None."""
     rng = np.random.default_rng(37)
     comp = compiled(system)
-    for count in [1] * 40 + [3, 3, 16]:
-        arc = tracker._Arc(
-            tracker.random_params(system.m, rng), tracker.random_params(system.m, rng), gamma
-        )
+    for draw, count in enumerate([1] * 40 + [3, 3, 16, 16]):
+        rows = 1 if draw % 2 == 0 else count
+        p_from = [tracker.random_params(system.m, rng) for _ in range(rows)]
+        p_to = [tracker.random_params(system.m, rng) for _ in range(rows)]
+        gammas = [tracker.draw_gamma(rng) if gamma is None else gamma for _ in range(rows)]
+        if rows == 1:
+            arc = tracker._Arc(p_from[0], p_to[0], gammas[0], count)
+        else:
+            arc = tracker._Arc(p_from, p_to, gammas, count)
         t = rng.random(count)
         x = rng.standard_normal((count, system.n)) + 1j * rng.standard_normal((count, system.n))
-        p, rate = arc.points(t)
-        k, solved = tracker._tangent_rows(comp, arc, comp.monomial_rows(x, p), rate)
+        every = np.arange(count)
+        p, rate = arc.points(every, t)
+        k, solved = tracker._tangent_rows(comp, arc, every, comp.monomial_rows(x, p), rate)
         assert solved.all()
         for i in range(count):
-            p_i, rate_i = arc.point(float(t[i]))
+            j = i % rows
+            alone = tracker._Arc(p_from[j], p_to[j], gammas[j], 1)
+            p_i, rate_i = alone.point(0, float(t[i]))
             assert p[i].tobytes() == p_i.tobytes()
             assert rate[i].tobytes() == np.complex128(rate_i).tobytes()
-            assert k[i].tobytes() == tracker._tangent(comp, arc, x[i], float(t[i])).tobytes()
+            assert k[i].tobytes() == tracker._tangent(comp, alone, 0, x[i], float(t[i])).tobytes()
 
 
 def test_track_paths_bad_start_raises_like_the_first_bad_start():
@@ -538,3 +549,149 @@ def test_track_paths_bad_start_raises_like_the_first_bad_start():
         tracker.track_paths(CUBIC, bad, [1.0], [0.5], 1.0)
     assert "start point" in str(batch.value)
     assert str(batch.value) == str(serial.value)
+
+
+# The cubic's failing arc (as in ``test_track_paths_with_one_failing_path``):
+# from p = 1 to p = 0 with this gamma, the second root runs off to infinity.
+FAILING_ARC = (np.array([np.roots([1, 1, 0, -1])[1]]), np.array([1.0]), np.array([0.0]), 0.6 + 0.8j)
+
+
+def assert_rows_as_alone(system, starts, p_from, p_to, gammas):
+    """``track_paths`` on per-row arcs against ``track_path`` on each row's
+    arc: status, steps, endpoint bytes and residual bytes.  Returns the
+    serial results."""
+    serial = [
+        track_path(system, x, a, b, gamma=g) for x, a, b, g in zip(starts, p_from, p_to, gammas)
+    ]
+    batch = tracker.track_paths(system, starts, np.array(p_from), np.array(p_to), gammas)
+    assert [result_bits(r) for r in batch] == [result_bits(r) for r in serial]
+    return serial
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 7),
+    shared=st.booleans(),
+    failing=st.integers(-1, 6),
+)
+def test_track_paths_per_row_arcs_bit_identical_cubic(seed, count, shared, failing):
+    """One arc per row of the cubic, or one shared arc given once and
+    broadcast: every row ends as ``track_path`` on its own arc, whether it
+    is tracked alone (up to ``_SERIAL_PATHS`` rows), in lockstep, or
+    finished alone in the tail.  Row ``failing`` (when in range) takes the
+    arc on which its path fails."""
+    rng = np.random.default_rng(seed)
+    arcs = []
+    for _ in range(1 if shared else count):
+        p_from, p_to = tracker.random_params(1, rng), tracker.random_params(1, rng)
+        arcs.append((p_from, p_to, tracker.draw_gamma(rng)))
+    if shared and 0 <= failing < count:
+        arcs = [FAILING_ARC[1:]]
+    rows = [arcs[0 if shared else i] for i in range(count)]
+    roots = [np.roots([a[0], 1, 0, -1]) for a, _, _ in rows]
+    starts = [np.array([r[rng.integers(3)]]) for r in roots]
+    if 0 <= failing < count:
+        if shared:
+            starts[failing] = FAILING_ARC[0]
+        else:
+            starts[failing], *rows[failing] = FAILING_ARC
+    p_from, p_to, gammas = (list(col) for col in zip(*rows))
+    serial = assert_rows_as_alone(CUBIC, starts, p_from, p_to, gammas)
+    if 0 <= failing < count:
+        assert not serial[failing].success
+    if shared:
+        # The shared arc given once: the broadcast case.
+        batch = tracker.track_paths(CUBIC, starts, p_from[0], p_to[0], gammas[0])
+        assert [result_bits(r) for r in batch] == [result_bits(r) for r in serial]
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 4))
+def test_track_paths_per_row_arcs_bit_identical_p3p_orbit(p3p_orbit, seed, slots):
+    """The P3P deck orbit (2 points) to ``slots`` random targets, each with
+    its own gamma, out and back, as ``sample_fiber`` tracks it: one slot is
+    the serial case, more slots run in lockstep and finish in the tail."""
+    system, _, orbit = p3p_orbit
+    rng = np.random.default_rng(seed)
+    draws = [(tracker.random_params(system.m, rng), tracker.draw_gamma(rng)) for _ in range(slots)]
+    d = len(orbit)
+    starts = np.tile(orbit.solutions, (slots, 1))
+    targets = [q for q, _ in draws for _ in range(d)]
+    gammas = [g for _, g in draws for _ in range(d)]
+    out = assert_rows_as_alone(system, starts, [orbit.params] * len(starts), targets, gammas)
+    back = [(r.endpoint, q, 1.0 / g) for r, q, g in zip(out, targets, gammas) if r.success]
+    if back:
+        ends, froms, inverse = (list(col) for col in zip(*back))
+        assert_rows_as_alone(system, ends, froms, [orbit.params] * len(ends), inverse)
+
+
+@pytest.mark.parametrize("retrace, count", [(True, 5), (False, 2)], ids=["orbit", "fiber"])
+def test_sample_fiber_bit_identical_to_serial_draws(p3p_orbit, retrace, count):
+    """With no redraw, the batched sampler gives the samples of one draw per
+    slot in turn, every path tracked alone, bit for bit, and leaves the rng
+    where that leaves it: the P3P deck orbit with its round trip, and the
+    whole P3P base fiber without one."""
+    system, result, orbit = p3p_orbit
+    fiber = orbit if retrace else result.base
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    got = tracker.sample_fiber(system, fiber, count, rng, retrace=retrace)
+    want = serial_sample_fiber(system, fiber, count, twin, retrace=retrace)
+    assert all(sample is not None for sample in want)
+    assert [s.params.tobytes() for s in got] == [s.params.tobytes() for s in want]
+    assert [s.solutions.tobytes() for s in got] == [s.solutions.tobytes() for s in want]
+    assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("stage", ["track", "retrace"])
+def test_sample_fiber_redraws_a_failed_slot_after_the_rounds_other_draws(stage, monkeypatch):
+    """Fault injection into slot 1 of 4, on the way out or on its round trip:
+    the other slots keep their first draws, and slot 1 takes the fifth draw,
+    the first of the next round, which tracks only it."""
+    fiber = FiberSample(np.array([-2.5]), (np.array([2.0]), np.array([0.5])))
+    calls = []
+    name = "track_fiber" if stage == "track" else "retraces"
+    real = getattr(tracker, name)
+
+    def fail_slot_1_once(system, *args):
+        out = real(system, *args)
+        calls.append(len(out))
+        if len(calls) == 1:
+            out[1] = False if stage == "retrace" else None
+        return out
+
+    monkeypatch.setattr(tracker, name, fail_slot_1_once)
+    rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+    got = tracker.sample_fiber(EX41, fiber, 4, rng, retrace=True)
+    draws = [(tracker.random_params(1, twin), tracker.draw_gamma(twin)) for _ in range(5)]
+    order = [0, 4, 2, 3]
+    assert [s.params.tobytes() for s in got] == [draws[k][0].tobytes() for k in order]
+    # ``track_fiber`` also serves the round trips: out 4, back 3, out 1, back 1.
+    assert calls == ([4, 1] if stage == "retrace" else [4, 3, 1, 1])
+    for sample, k in zip(got, order):
+        (alone,) = track_fiber(EX41, [fiber], [draws[k][0]], [draws[k][1]])
+        assert sample.solutions.tobytes() == alone.solutions.tobytes()
+    assert rng.random() == twin.random()
+
+
+def test_held_out_fibers_drop_a_slot_that_fails_every_round(mono41, monkeypatch):
+    """A slot that fails in all ``SAMPLE_ATTEMPTS`` rounds is dropped from
+    the held-out fibers; the others keep their first-round draws."""
+    from decksym.interp import held_out_fibers
+
+    system, result, _ = mono41
+    real = tracker.track_fiber
+    rounds = []
+
+    def fail_slot_2(system, fibers, targets, gammas):
+        out = real(system, fibers, targets, gammas)
+        rounds.append(len(fibers))
+        return [None] * len(out) if len(rounds) > 1 else out[:2] + [None] + out[3:]
+
+    monkeypatch.setattr(tracker, "track_fiber", fail_slot_2)
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    fibers = held_out_fibers(system, result.base, 5, rng)
+    assert rounds == [5, 1, 1]
+    draws = [(tracker.random_params(1, twin), tracker.draw_gamma(twin)) for _ in range(7)]
+    assert [f.params.tobytes() for f in fibers] == [draws[k][0].tobytes() for k in (0, 1, 3, 4)]
+    assert rng.random() == twin.random()

@@ -361,6 +361,28 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {len(self.terms)} terms)"
 
 
+def _scale_tiny_denominators(num: np.ndarray, den: np.ndarray):
+    """``(num, den)``, where each quotient whose denominator has a subnormal
+    larger part is scaled, numerator and denominator alike, by the power of
+    two that brings that part into [0.5, 1).
+
+    numpy's complex divide takes the reciprocal of a number of the
+    denominator's size, which overflows there: it warns and returns inf or
+    NaN where the quotient is finite.  Scaling by a power of two is exact,
+    and a quotient with a normal denominator is left as it is, so it keeps
+    its bits."""
+    larger = np.maximum(np.abs(den.real), np.abs(den.imag))
+    tiny = larger < np.finfo(float).tiny
+    if not tiny.any():
+        return num, den
+    shift = -np.frexp(larger[tiny])[1]
+    num, den = num.copy(), den.copy()
+    for z in (num, den):
+        z.real[tiny] = np.ldexp(z.real[tiny], shift)
+        z.imag[tiny] = np.ldexp(z.imag[tiny], shift)
+    return num, den
+
+
 @dataclass(frozen=True)
 class RationalFunction:
     """Quotient of two polynomials; the denominator is never the zero polynomial.
@@ -398,11 +420,11 @@ class RationalFunction:
         (S, nvars) stack, divided by numpy's loop either way, so that both
         forms agree bit for bit.  A denominator of exactly 0 raises
         ZeroDivisionError."""
-        num = self.numerator.evaluate(point)
-        den = self.denominator.evaluate(point)
+        num = np.asarray(self.numerator.evaluate(point), dtype=complex)
+        den = np.asarray(self.denominator.evaluate(point), dtype=complex)
         if not np.all(den):
             raise ZeroDivisionError("complex division by zero")
-        quotient = np.divide(num, den)
+        quotient = np.divide(*_scale_tiny_denominators(num, den))
         return quotient if quotient.ndim else complex(quotient)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":

@@ -3,13 +3,14 @@
 Matrices are plain complex128 numpy arrays.  The nullspace is computed from
 the singular value decomposition because the matrices built downstream are
 Vandermonde-like and badly conditioned; rank decisions are made relative to
-the largest singular value.
+the largest singular value.  The SVD is numpy's (LAPACK gesdd); only when it
+fails to converge does the nullspace fall back to scipy's gesvd driver, the
+one use of scipy in decksym.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_RANK_TOL = 1e-8
 PIVOT_TOL = 1e-8
@@ -21,6 +22,10 @@ def _svd_vals_vh(a: np.ndarray):
     try:
         _, s, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError:
+        # Imported here, on the one path that needs it: importing scipy.linalg
+        # costs more start-up time than the rest of decksym together.
+        import scipy.linalg
+
         _, s, vh = scipy.linalg.svd(a, full_matrices=True, lapack_driver="gesvd")
     return s, vh
 

@@ -52,12 +52,12 @@ The evaluator keeps the monomial vector of the last point, keyed by the
 exact bytes of (x, p), so the four evaluation methods at one point share one
 product: dF/dx and dF/dp in each RK4 stage, and the corrector's last F and
 dF/dx with the next step's first stage.  A rejected step leaves x and t
-unchanged, so its first stage is kept for the retry.  Single dense solves
-call LAPACK's ``zgesv`` directly, the routine behind ``np.linalg.solve``,
-without that function's Python wrapper; stacked solves use
-``np.linalg.solve``, which runs that routine per matrix.  numpy and scipy
-may bundle different LAPACK builds; tests/test_tracker.py checks that both
-solve to the same bits, one matrix or a stack.
+unchanged, so its first stage is kept for the retry.  Every solve runs on
+one LAPACK build, numpy's: single dense solves call the gufunc behind
+``np.linalg.solve`` directly, with that function's error settings but
+without its Python wrapper, and stacked solves call ``np.linalg.solve``,
+which runs the same routine per matrix.  tests/test_tracker.py checks that
+both solve to the bits of ``np.linalg.solve``, one matrix or a stack.
 
 The stacked evaluation (``monomial_rows`` and the ``*_rows`` blocks) uses the
 same factor table and blocks on (S, n) and (S, m) rows.  Its rows are
@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import zgesv
+from numpy.linalg import _umath_linalg
 
 from . import expr
 from .expr import System
@@ -279,13 +279,16 @@ def compiled(system: System) -> CompiledSystem:
 # ---------------------------------------------------------------------------
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.linalg.solve(a, b)`` for one complex right-hand side: the same
-    LAPACK ``zgesv`` call, and the same ``LinAlgError`` on a singular a."""
-    _, _, x, info = zgesv(a, b)
-    if info > 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return x
+    gufunc (numpy's LAPACK ``zgesv``) under the same error settings, so the
+    same bits, no warning and the same ``LinAlgError`` on a singular a."""
+    return _umath_linalg.solve1(a, b, signature="DD->D")
 
 
 def _newton(comp, x, p, tol, max_iters, max_norm):
@@ -316,8 +319,9 @@ def _newton(comp, x, p, tol, max_iters, max_norm):
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_solve(a[i], b[i])`` for each row of a stack: the solutions, and
     which rows solved.  One stacked ``np.linalg.solve`` runs the same
-    ``zgesv`` per matrix; when a singular matrix makes it raise, each row is
-    solved alone, so only the singular rows fail (their solutions are NaN)."""
+    routine per matrix on the same LAPACK; when a singular matrix makes it
+    raise, each row is solved alone, so only the singular rows fail (their
+    solutions are NaN)."""
     try:
         return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -530,3 +533,22 @@ def test_fixture_snapshots_structural():
             got["commuting_ranks"] = report["scaling"].get("commuting_ranks", [])
         for key, value in snap["structural"].items():
             assert got[key] == value, f"{name}: {key} mismatch: {got[key]} != {value}"
+
+
+# Imports decksym, runs the README example and exits 1 if scipy was loaded.
+# CI runs the same line against the installed package.
+NO_SCIPY_CHECK = (
+    "import sys, decksym, decksym.cli as cli; "
+    "_, code = cli.run(cli.RunConfig(command='analyze', system_path='ex4_1', "
+    "seed_path='ex4_1', expected_degree=2, degree_bound=1, parameter_dependent=True)); "
+    "sys.exit(code or any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+)
+
+
+def test_analyze_runs_without_importing_scipy(tmp_path):
+    """scipy is only the SVD fallback's, so a run that never needs that
+    fallback must not pay for importing it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_CHECK], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

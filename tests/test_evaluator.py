@@ -261,6 +261,25 @@ def test_zero_denominator_raises_zero_division_without_numpy_warnings():
         assert rf.evaluate(np.array([[2.0, 1.0]])).tolist() == [1.5]
 
 
+def test_subnormal_denominator_divides_without_overflow():
+    """At (0.01, 0.1) the denominator is 1e-315 + 1e-315j, where numpy's
+    complex divide overflows and returns NaN for a quotient of 1.  The other
+    rows have normal denominators and keep the bits of ``np.divide``."""
+    p = Polynomial(2, [((6, 3), 1e-300 + 1e-300j)])
+    rf = RationalFunction(p, p)
+    z = np.array([[0.01, 0.1], [0.5, -1.5], [1.3, 0.2]])
+    den = p.evaluate(z)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        np.divide(den[:1], den[:1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = rf.evaluate(z)
+        singles = [rf.evaluate(row) for row in z]
+    assert stacked[0] == 1
+    assert [bits(v) for v in stacked[1:]] == [bits(v) for v in np.divide(den[1:], den[1:])]
+    assert [bits(v) for v in stacked] == [bits(v) for v in singles]
+
+
 @settings(max_examples=100, deadline=None)
 @given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1))
 def test_memo_bit_equal_to_dense_on_random_sparse_systems(system, seed):

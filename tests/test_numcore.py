@@ -95,3 +95,24 @@ def test_rref_example41_nullspace_rows():
         [[1, 0, 0, 0, 1, 0], [0, 1, 1, -1, 0, 0]], dtype=complex
     )
     assert np.abs(reduced - expected).max() < 1e-8
+
+
+def test_nullspace_falls_back_to_gesvd_when_numpy_svd_fails(monkeypatch):
+    """When numpy's SVD does not converge, the nullspace comes from scipy's
+    gesvd driver, the one use of scipy in decksym."""
+    calls = []
+
+    def failing_svd(*args, **kwargs):
+        calls.append(args)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    rng = np.random.default_rng(31)
+    b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    c = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    a = b @ c  # rank 3
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    n = nullspace(a)
+    assert len(calls) == 1
+    assert n.shape == (5, 2)
+    assert np.allclose(n.conj().T @ n, np.eye(2), atol=1e-12)
+    assert np.linalg.norm(a @ n) <= 1e-10 * np.linalg.norm(a)

@@ -387,6 +387,8 @@ def test_tracking_without_memo_is_identical(name, coarse, monkeypatch):
 
 
 def test_solve_bit_equal_to_numpy():
+    # One LAPACK, numpy's: a single solve calls np.linalg.solve's gufunc
+    # without its wrapper, a stacked one np.linalg.solve itself.
     rng = np.random.default_rng(23)
     for n in range(1, 31):
         a = rng.standard_normal((10, n, n)) + 1j * rng.standard_normal((10, n, n))

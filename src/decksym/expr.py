@@ -21,10 +21,12 @@ flat indices ``var * (maxdeg + 1) + power`` into a power table of all the
 variables, listing only its non-unit factors in increasing variable order
 and padded with an index of a constant 1.  A ``TermBlock`` keeps, per term of
 each of its polynomials, a monomial index and a coefficient, summed per
-polynomial by ``np.add.reduceat``.  An evaluation fills the power table,
-multiplies the few factors of each monomial once (``monomials_at`` for one
-point, ``monomial_rows`` for a stack of points), and gathers the monomials
-into the terms.
+polynomial by ``np.add.reduceat``; a block whose every polynomial has one
+term (P3P's dF/dx, for one) skips the sum, which over one element is that
+element, bit for bit.  An evaluation fills the power table, multiplies the
+few factors of each monomial once (``monomials_at`` for one point,
+``monomial_rows`` for a stack of points), and gathers the monomials into the
+terms.
 
 A polynomial compiles, on its first evaluation, into a one-entry block over
 its own support.  The power of a variable, the product of a monomial's
@@ -191,6 +193,8 @@ class TermBlock:
 
     def __call__(self, mono: np.ndarray) -> np.ndarray:
         vals = self.coeffs * mono[self.terms]
+        if len(self.terms) == len(self.offsets):  # one term each: a sum of one
+            return vals.reshape(self.shape)
         return np.add.reduceat(vals, self.offsets).reshape(self.shape)
 
     def rows(self, mono: np.ndarray) -> np.ndarray:
@@ -200,13 +204,16 @@ class TermBlock:
         offsets repeated once per row, so every entry is computed as
         ``__call__`` computes it.  The repeats are kept for the most rows
         seen so far, and fewer rows take their prefix: a lockstep tracker
-        calls with every count up to its batch size."""
+        calls with every count up to its batch size.  A block whose every
+        polynomial has one term skips the sum, as ``__call__`` does."""
         count = len(mono)
         if self._stack is None or len(self._stack[0]) < count * len(self.terms):
             offsets = self.offsets + len(self.terms) * np.arange(count)[:, None]
             self._stack = (np.tile(self.coeffs, count), offsets.ravel())
         coeffs, offsets = self._stack
         vals = coeffs[: count * len(self.terms)] * mono.take(self.terms, axis=1).ravel()
+        if len(self.terms) == len(self.offsets):
+            return vals.reshape((count, *self.shape))
         return np.add.reduceat(vals, offsets[: count * len(self.offsets)]).reshape(
             (count, *self.shape)
         )
@@ -361,25 +368,36 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {len(self.terms)} terms)"
 
 
-def _scale_tiny_denominators(num: np.ndarray, den: np.ndarray):
-    """``(num, den)``, where each quotient whose denominator has a subnormal
-    larger part is scaled, numerator and denominator alike, by the power of
-    two that brings that part into [0.5, 1).
+# Above this, a part of numpy's complex divide can overflow: the sum
+# num.real + num.imag * ratio with |ratio| <= 1, or the denominator's.
+_HUGE_PART = 2.0**1021
 
-    numpy's complex divide takes the reciprocal of a number of the
-    denominator's size, which overflows there: it warns and returns inf or
-    NaN where the quotient is finite.  Scaling by a power of two is exact,
-    and a quotient with a normal denominator is left as it is, so it keeps
-    its bits."""
-    larger = np.maximum(np.abs(den.real), np.abs(den.imag))
-    tiny = larger < np.finfo(float).tiny
-    if not tiny.any():
+
+def _scale_denominators(num: np.ndarray, den: np.ndarray):
+    """``(num, den)``, where each quotient at the edge of the double range is
+    scaled, numerator and denominator alike, by the power of two that brings
+    the larger part of its denominator into [0.5, 1).  The edge is a
+    denominator whose larger part is subnormal or above 2^1021, or a
+    numerator whose larger part is above 2^1021.
+
+    numpy's complex divide forms num.real + num.imag * ratio and den.real +
+    den.imag * ratio (ratio the smaller part of den over the larger), then
+    multiplies by the reciprocal of the latter.  At a subnormal denominator
+    the reciprocal overflows; above 2^1021 the denominator's sum can overflow
+    and the reciprocal loses bits; above 2^1021 the numerator's sum can
+    overflow.  Each warns, or returns inf, NaN or 0, where the quotient is
+    finite.  Scaling by a power of two is exact and leaves the ratio as it
+    is, so every other quotient is left alone and keeps its bits."""
+    den_part = np.maximum(np.abs(den.real), np.abs(den.imag))
+    num_part = np.maximum(np.abs(num.real), np.abs(num.imag))
+    edge = (den_part < np.finfo(float).tiny) | (den_part > _HUGE_PART) | (num_part > _HUGE_PART)
+    if not edge.any():
         return num, den
-    shift = -np.frexp(larger[tiny])[1]
+    shift = -np.frexp(den_part[edge])[1]
     num, den = num.copy(), den.copy()
     for z in (num, den):
-        z.real[tiny] = np.ldexp(z.real[tiny], shift)
-        z.imag[tiny] = np.ldexp(z.imag[tiny], shift)
+        z.real[edge] = np.ldexp(z.real[edge], shift)
+        z.imag[edge] = np.ldexp(z.imag[edge], shift)
     return num, den
 
 
@@ -424,7 +442,7 @@ class RationalFunction:
         den = np.asarray(self.denominator.evaluate(point), dtype=complex)
         if not np.all(den):
             raise ZeroDivisionError("complex division by zero")
-        quotient = np.divide(*_scale_tiny_denominators(num, den))
+        quotient = np.divide(*_scale_denominators(num, den))
         return quotient if quotient.ndim else complex(quotient)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":

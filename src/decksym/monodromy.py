@@ -12,12 +12,16 @@ a new cycle.  ``tracker.match`` decides which solution of the far fiber an
 endpoint is; an endpoint it calls new is polished, matched again, and added
 to the far fiber when it is still new.  A failed or ambiguous path leaves its
 edge incomplete, and the other endpoint may complete it; two solutions
-landing on one break the edge.  The solutions an edge maps nowhere yet in
-one direction share one homotopy, so they are tracked in one
-``tracker.track_paths`` call (lockstep, bit-identical to one ``track_path``
-call each; up to two paths go one at a time).  The results are taken in
-index order: a break stops the edge there, and the paths after it count as
-never tracked.
+landing on one break the edge.  The results of an edge direction's paths
+are taken at its turn in the sweep, in index order: a break stops the edge
+there, and the paths after it count as never tracked.  They are tracked
+ahead of that turn: when a turn finds a path not yet tracked, one
+``tracker.track_paths`` call (lockstep, each row along its own arc and
+bit-identical to one ``track_path`` call; up to two paths go one at a time)
+tracks the turn's missing paths together with the direction-0 paths every
+other unbroken edge still has pending.  An edge's direction-0 pending set
+only grows until its turn, so the sweep tracks exactly the paths it
+tracked one edge direction at a time, in fewer and larger calls.
 
 Each round adds one edge between two nodes not yet joined.  Once every pair
 is joined, a new random node enters with edges to nodes 0 and 1.  Generators
@@ -128,13 +132,16 @@ class _Edge:
 
 
 class _Graph:
-    """The homotopy graph: node parameters, node fibers and edges."""
+    """The homotopy graph: node parameters, node fibers and edges, and the
+    paths tracked ahead of their turn, keyed by (edge index, direction,
+    solution index)."""
 
     def __init__(self, system: System, p0, x0):
         self.system = system
         self.params: list[np.ndarray] = [p0]
         self.fibers: list[np.ndarray] = [x0[None, :]]  # (k, n) per node
         self.edges: list[_Edge] = []
+        self.ahead: dict[tuple[int, int, int], tracker.PathResult] = {}
         self.tracked = 0
         self.failed = 0
 
@@ -160,27 +167,35 @@ class _Graph:
         progress = True
         while progress:
             progress = False
-            for e in self.edges:
+            for k, e in enumerate(self.edges):
                 for direction in (0, 1):
-                    if not e.broken and self._track(e, direction):
+                    if not e.broken and self._track(k, direction):
                         progress = True
         return self.tracked - tracked, self.failed - failed
 
-    def _track(self, e: _Edge, direction: int) -> bool:
-        """Track every solution the edge maps nowhere yet in one direction,
-        in one ``tracker.track_paths`` call, then take the results in index
-        order; a break ends the edge there, and the paths after it count as
-        never tracked.  Returns whether any path was pending."""
-        src, dst = e.ends(direction)
-        pending = [
+    def _pending(self, e: _Edge, direction: int) -> list[int]:
+        """The solutions at the edge's source that it maps nowhere yet in one
+        direction and has not tried, in index order."""
+        src = e.ends(direction)[0]
+        return [
             i for i in range(len(self.fibers[src]))
             if i not in e.maps[direction] and (direction, i) not in e.tried
         ]
+
+    def _track(self, k: int, direction: int) -> bool:
+        """Take the paths of every solution edge k maps nowhere yet in one
+        direction, tracking the ones not tracked ahead (``_track_ahead``),
+        and use them in index order; a break ends the edge there, and the
+        paths after it count as never tracked.  Returns whether any path was
+        pending."""
+        e = self.edges[k]
+        pending = self._pending(e, direction)
         if not pending:
             return False
-        p_from, p_to, gamma = e.segment(direction, self.params)
-        starts = self.fibers[src][pending]
-        results = tracker.track_paths(self.system, starts, p_from, p_to, gamma)
+        if any((k, direction, i) not in self.ahead for i in pending):
+            self._track_ahead(k, direction, pending)
+        results = [self.ahead.pop((k, direction, i)) for i in pending]
+        dst = e.ends(direction)[1]
         for i, r in zip(pending, results):
             e.tried.add((direction, i))
             self.tracked += 1
@@ -197,6 +212,31 @@ class _Graph:
             e.maps[direction][i] = j
             back[j] = i
         return True
+
+    def _track_ahead(self, k: int, direction: int, pending: list[int]) -> None:
+        """One ``tracker.track_paths`` call, each row along its own edge's
+        arc: the pending paths of edge k not yet tracked, and the pending
+        direction-0 paths of every other unbroken edge.  The sweep of
+        ``propagate`` takes those anyway: until an edge's direction-0 turn,
+        only its own turns change what it maps or has tried, and fibers only
+        grow, so its pending set only grows; and the sweep after this one
+        comes round to every edge."""
+        rows = [(k, direction, i) for i in pending if (k, direction, i) not in self.ahead]
+        for k2, e2 in enumerate(self.edges):
+            if k2 != k and not e2.broken:
+                rows += [(k2, 0, i) for i in self._pending(e2, 0) if (k2, 0, i) not in self.ahead]
+        starts, p_from, p_to, gammas = [], [], [], []
+        for k2, d, i in rows:
+            e2 = self.edges[k2]
+            a, b, g = e2.segment(d, self.params)
+            starts.append(self.fibers[e2.ends(d)[0]][i])
+            p_from.append(a)
+            p_to.append(b)
+            gammas.append(g)
+        results = tracker.track_paths(
+            self.system, np.array(starts), np.array(p_from), np.array(p_to), gammas
+        )
+        self.ahead.update(zip(rows, results))
 
     def _locate(self, node: int, point) -> int | None:
         """The index of ``point`` in the node's fiber (``tracker.match``); a

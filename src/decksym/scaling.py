@@ -9,7 +9,13 @@ a candidate survives only if it maps the solution variety to itself and
 commutes with the deck permutations.  The test tracks only the scaled deck
 orbit of one base solution, straight back to the base parameters, and
 matches it against the labelled base fiber: |G| paths per candidate rather
-than the fiber, and no fiber tracked anywhere else.
+than the fiber, and no fiber tracked anywhere else.  Each candidate's
+scaled orbit is prepared first, without the rng; the candidates are then
+decided in order, one gamma per attempt.  A candidate that fails at s(x_0)
+uses one path, one that stays there its orbit and, if it would pass, the
+orbit's round trip.  Those paths are tracked ahead of their turn in
+lockstep, in rounds of a few candidates (``_Lookahead``), and used as one
+candidate at a time would track them.
 
 All integer arithmetic is exact.  The SNF runs on int64 with an overflow
 guard and falls back to arbitrary-precision Python integers when entries
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+from copy import deepcopy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -412,35 +419,44 @@ def commuting_discrete_scalings(
     constant and the test is plain membership in the base fiber.
     Stability: every scaled orbit point must pass the start Newton over the
     scaled parameters, and ``tracker.match`` must not call s(x_0) new in the
-    base fiber.  s(x_0) is tracked first, so a candidate that fails there
-    costs one path; coinciding scaled orbit points leave it undetermined.
-    Commutation: s(x_sigma(0)) must match sigma(c) for every deck
-    permutation sigma, where s(x_0) matched c.  A passing candidate must
-    also retrace its arc back to the scaled orbit (``tracker.retraces``), so
-    a sheet jump cannot pass it.  A failed path, an endpoint collision or
-    any other unmatched landing retries with a fresh gamma; after
-    ``tracker.SAMPLE_ATTEMPTS`` tries the candidate is undetermined and excluded.
+    base fiber.  A candidate that fails at s(x_0) uses one path; the rest
+    of its orbit is used only when s(x_0) stays on the tracked component,
+    and coinciding scaled orbit points leave it undetermined.  Commutation:
+    s(x_sigma(0)) must match sigma(c) for every deck permutation sigma,
+    where s(x_0) matched c.  A passing candidate must also retrace its arc
+    back to the scaled orbit (``tracker.retraces``), so a sheet jump cannot
+    pass it.  A failed path, an endpoint collision or any other unmatched
+    landing retries with a fresh gamma; after ``tracker.SAMPLE_ATTEMPTS``
+    tries the candidate is undetermined and excluded.
+
+    Candidates are decided one after the other, each drawing one gamma per
+    attempt from ``rng``; their paths are tracked ahead in lockstep
+    (``_Lookahead``), so the outcomes, the paths used and the draws are
+    those of one candidate at a time.
     """
     base = mono.base
     nontrivial, orbit = monodromy.deck_orbit(mono, deck_perms)
 
-    outcomes: list[CandidateOutcome] = []
-    passing: dict[int, list[tuple[int, ...]]] = {}
+    tested: list[tuple[int, tuple[int, ...], tracker.FiberSample | str]] = []
     truncated_any = False
     composite = any(
         blk.modulus > 1 and not _is_prime(blk.modulus) for blk in lattice.torsion
     )
-
     for blk in lattice.torsion:
         d = blk.modulus
         lam = -1.0 + 0.0j if d == 2 else cmath.exp(2j * cmath.pi / d)
         candidates, truncated = _enumerate_candidates(blk)
         truncated_any = truncated_any or truncated
-        for u in candidates:
-            outcome = _test_candidate(system, lattice, base, orbit, u, lam, nontrivial, rng)
-            outcomes.append(CandidateOutcome(d, u, outcome))
-            if outcome == "passed":
-                passing.setdefault(d, []).append(u)
+        tested += [(d, u, _scaled_orbit(system, lattice, orbit, u, lam)) for u in candidates]
+
+    ahead = _Lookahead(system, base, nontrivial, [scaled for _, _, scaled in tested])
+    outcomes: list[CandidateOutcome] = []
+    passing: dict[int, list[tuple[int, ...]]] = {}
+    for c, (d, u, scaled) in enumerate(tested):
+        outcome = scaled if isinstance(scaled, str) else ahead.decide(c, rng)
+        outcomes.append(CandidateOutcome(d, u, outcome))
+        if outcome == "passed":
+            passing.setdefault(d, []).append(u)
 
     blocks = []
     for blk in lattice.torsion:
@@ -458,10 +474,12 @@ def commuting_discrete_scalings(
     return DiscreteScalingFilter(filtered, outcomes, truncated_any, composite)
 
 
-def _test_candidate(system, lattice, base, orbit, u, lam, deck_perms, rng) -> str:
+def _scaled_orbit(system, lattice, orbit, u, lam) -> tracker.FiberSample | str:
+    """The candidate's scaled orbit over its scaled parameters, each point
+    re-patched and a start point there; else the candidate's outcome:
+    ``failed_stability``, or ``undetermined`` when two points coincide."""
     n = system.n
-    p0 = orbit.params
-    p_scaled = apply_scaling(u[n:], lam, p0)
+    p_scaled = apply_scaling(u[n:], lam, orbit.params)
     starts = []
     for point in apply_scaling(u, lam, orbit.points()):
         try:
@@ -472,36 +490,185 @@ def _test_candidate(system, lattice, base, orbit, u, lam, deck_perms, rng) -> st
             return "failed_stability"
         starts.append(point[:n])
     scaled = tracker.FiberSample(p_scaled, starts)
-    if not scaled.distinct():
+    return scaled if scaled.distinct() else "undetermined"
+
+
+class _Lookahead:
+    """The filter's paths, tracked ahead of their turn and taken in turn.
+
+    Candidates are decided in order, attempt by attempt, each attempt
+    drawing its gamma from the real rng and taking the paths that deciding
+    one candidate at a time tracks: s(x_0), then the rest of the orbit up
+    to its first failed path when s(x_0) stays on the tracked component,
+    then the round trip of an orbit that would pass.  Each is looked up by
+    (candidate, gamma, orbit index), or (candidate, gamma) for the round
+    trip; a miss makes one lockstep call for it and for the same step of
+    the candidates after it in the round:
+
+    1. s(x_0): a new round.  From a copy of the rng, each of the next
+       candidates with an orbit draws the gamma it would draw if every
+       earlier one decided on this attempt, and tracks s(x_0) with it.
+    2. The rest of the orbit, for the round's candidates whose s(x_0)
+       stayed, up to the first one known to retry.
+    3. The round trips (``tracker.retraces``), for the round's candidates
+       whose orbit would pass, up to the first one that is unknown or
+       retries.
+
+    A retry draws a gamma the round gave to the next candidate, so it ends
+    the round: every row tracked ahead goes unused.  So that those rows
+    never outnumber the candidates with an orbit (C), a call tracks rows
+    for later candidates only while U, the rows gone unused so far, plus
+    every row tracked for them and not yet used stays within C
+    (``_room``).  A round's first call takes room // |G| candidates after
+    its first: one row each, leaving room for about half of them to stay
+    and come back (|G| - 1 more rows out and |G| back each); calls 2 and 3
+    stop at the first later candidate that no longer fits.  The rows of an
+    orbit after its first failed path are tracked too and go unused, and U
+    counts them; they are the candidate's own attempt, not rows tracked
+    ahead.
+    """
+
+    def __init__(self, system, base, deck_perms, scaled):
+        self.system, self.base, self.deck_perms, self.scaled = system, base, deck_perms, scaled
+        self.size = 1 + len(deck_perms)  # |G|, the rows of one orbit
+        self.allowance = sum(not isinstance(orbit, str) for orbit in scaled)
+        self.unused = 0
+        self.paths: dict[tuple, tracker.PathResult] = {}
+        self.backs: dict[tuple, bool] = {}
+        self.round: dict[int, complex] = {}  # the round's gamma of each later candidate
+
+    def decide(self, c: int, rng: np.random.Generator) -> str:
+        """The outcome of candidate c, drawing one gamma per attempt."""
+        for attempt in range(1, tracker.SAMPLE_ATTEMPTS + 1):
+            gamma = tracker.draw_gamma(rng)
+            outcome = self._attempt(c, gamma, rng)
+            # Rows of this attempt it did not use: after a failed path.
+            for key in [key for key in self.paths if key[:2] == (c, gamma)]:
+                del self.paths[key]
+                self.unused += 1
+            if outcome != "retry":
+                return outcome
+            if attempt < tracker.SAMPLE_ATTEMPTS:
+                self.unused += len(self.paths) + self.size * len(self.backs)
+                self.paths.clear()
+                self.backs.clear()
+                self.round.clear()
         return "undetermined"
 
-    for _ in range(tracker.SAMPLE_ATTEMPTS):
-        gamma = tracker.draw_gamma(rng)
-        # s(x_0) alone decides stability; the rest of the orbit is tracked
-        # only when it stays on the tracked component.
+    def _attempt(self, c, gamma, rng) -> str:
+        ends = self._landing(lambda j: self._take(c, gamma, j, rng))
+        if isinstance(ends, str):
+            return ends
+        if (c, gamma) not in self.backs:
+            self._track_backs(c, gamma, ends)
+        return "passed" if self.backs.pop((c, gamma)) else "retry"
+
+    def _landing(self, path):
+        """One attempt's paths out, as one candidate at a time takes them:
+        ``path(j)`` gives orbit point j's path, or None when unknown.  The
+        attempt's outcome, ``retry``, the orbit's endpoints when it would
+        pass, or None when a path is unknown."""
+        base = self.base.solutions
         ends, landed = [], []
-        for start in starts:
-            r = tracker.track_path(system, start, p_scaled, p0, gamma=gamma)
+        for j in range(self.size):
+            r = path(j)
+            if r is None:
+                return None
             if not r.success:
-                break
-            j = tracker.match(r.endpoint, base.solutions)
-            if j == tracker.NEW and not ends:
+                return "retry"  # a failed path
+            k = tracker.match(r.endpoint, base)
+            if k == tracker.NEW and not ends:
                 return "failed_stability"  # s(x_0) left the tracked component
             ends.append(r.endpoint)
-            landed.append(j)
-        if len(ends) < len(starts):
-            continue  # a failed path: retry
-        back = tracker.FiberSample(p0, ends)
-        if not back.distinct():
-            continue  # an endpoint collision: retry
+            landed.append(k)
+        if not tracker.FiberSample(self.base.params, ends).distinct():
+            return "retry"  # an endpoint collision
         if tracker.NEW in landed or tracker.AMBIGUOUS in landed:
-            continue  # no reliable match: retry
-        c = landed[0]
-        if any(b != sigma[c] for b, sigma in zip(landed[1:], deck_perms)):
+            return "retry"  # no reliable match
+        first = landed[0]
+        if any(b != sigma[first] for b, sigma in zip(landed[1:], self.deck_perms)):
             return "failed_commutation"
-        if tracker.retraces(system, scaled, [back], [gamma])[0]:
-            return "passed"
-    return "undetermined"
+        return ends
+
+    def _take(self, c, gamma, j, rng) -> tracker.PathResult:
+        if (c, gamma, j) not in self.paths:
+            if j == 0:
+                self._new_round(c, gamma, rng)
+            else:
+                self._track_rest(c, gamma)
+        return self.paths.pop((c, gamma, j))
+
+    def _later(self, c):
+        """The round's candidates after c, with their gammas, in order."""
+        return [(k, g) for k, g in self.round.items() if k > c]
+
+    def _room(self, c) -> int:
+        """How many more rows may be tracked ahead for candidates after c:
+        the allowance left if every row already tracked for them went
+        unused."""
+        ahead = sum(key[0] > c for key in self.paths) + self.size * sum(
+            key[0] > c for key in self.backs
+        )
+        return self.allowance - self.unused - ahead
+
+    def _new_round(self, c, gamma, rng) -> None:
+        spare = self._room(c) // self.size
+        later = [k for k in range(c + 1, len(self.scaled)) if not isinstance(self.scaled[k], str)]
+        copy = deepcopy(rng)
+        self.round = {k: tracker.draw_gamma(copy) for k in later[: max(spare, 0)]}
+        self._track([(c, gamma, 0)] + [(k, g, 0) for k, g in self.round.items()])
+
+    def _track_rest(self, c, gamma) -> None:
+        rows = [(c, gamma, j) for j in range(1, self.size) if (c, gamma, j) not in self.paths]
+        room = self._room(c)
+        for k, g in self._later(c):
+            if (k, g, 0) not in self.paths:
+                break
+            r = self.paths[(k, g, 0)]
+            if not r.success:
+                break  # k retries
+            if tracker.match(r.endpoint, self.base.solutions) != tracker.NEW:
+                rest = [(k, g, j) for j in range(1, self.size) if (k, g, j) not in self.paths]
+                if len(rest) > room:
+                    break
+                room -= len(rest)
+                rows += rest
+        self._track(rows)
+
+    def _track(self, rows) -> None:
+        """One lockstep call for the paths out of the given (candidate,
+        gamma, orbit index) rows."""
+        starts = [self.scaled[k].solutions[j] for k, _, j in rows]
+        p_from = [self.scaled[k].params for k, _, _ in rows]
+        results = tracker.track_paths(
+            self.system, np.array(starts), np.array(p_from), self.base.params,
+            [g for _, g, _ in rows],
+        )
+        self.paths.update(zip(rows, results))
+
+    def _track_backs(self, c, gamma, ends) -> None:
+        """One ``tracker.retraces`` call for c's orbit and for the round's
+        later candidates whose orbits would pass."""
+        pairs = [(c, gamma, ends)]
+        room = self._room(c)
+        for k, g in self._later(c):
+            peek = self._landing(lambda j: self.paths.get((k, g, j)))
+            if peek is None or peek == "retry":
+                break
+            if isinstance(peek, str):
+                continue  # k is decided
+            if room < self.size:
+                break
+            pairs.append((k, g, peek))
+            room -= self.size
+        p0 = self.base.params
+        back = tracker.retraces(
+            self.system,
+            [self.scaled[k] for k, _, _ in pairs],
+            [tracker.FiberSample(p0, e) for _, _, e in pairs],
+            [g for _, g, _ in pairs],
+        )
+        self.backs.update(((k, g), ok) for (k, g, _), ok in zip(pairs, back))
 
 
 def _is_prime(n: int) -> bool:

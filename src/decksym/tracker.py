@@ -22,7 +22,11 @@ acceptance rules.  Every result is bit-identical to ``track_path``'s on its
 row's arc.  A pass costs about two to three serial steps plus a little per
 path, so for ``_SERIAL_PATHS`` = 2 paths or fewer ``track_paths`` calls
 ``track_path`` once per path, and once no more than ``_SERIAL_PATHS`` paths
-are still stepping, each finishes alone from its state (``_run_path``).
+are still stepping, each finishes alone from its state (``_run_path``).  A
+call whose stacked evaluation would take more than ``_STACK_BYTES`` (rows x
+``CompiledSystem.row_bytes``: dF/dx, dF/dp and the unique monomials per
+row) runs in consecutive chunks under that bound, each row bit-identical;
+no bundled workload reaches it, radial's verification fibers would.
 
 ``track_fiber`` tracks fibers, each from its own parameters to its own
 target with its own gamma, every path of every fiber in one ``track_paths``
@@ -35,14 +39,17 @@ gamma, for every open slot in slot order, tracks all their fibers in one
 trip; only the slots that failed are redrawn, ``SAMPLE_ATTEMPTS`` rounds in
 all.  When no slot is redrawn, the draws are those of one slot after the
 other.  ``retraces`` is the one round-trip check: it tracks samples back
-along their own arcs.  ``match`` is the one fiber-matching rule, for
-monodromy endpoints, scaled orbit points and formula images: a solution
-index, ``NEW`` or ``AMBIGUOUS``.  ``FiberSample.distinct`` and ``retraces``
-use its scale, ``MATCH_TOL``.
+along their own arcs, each to its own start (``sample_fiber``'s samples to
+one fiber, the scaling filter's to each candidate's scaled orbit).
+``match`` is the one fiber-matching rule, for monodromy endpoints, scaled
+orbit points and formula images: a solution index, ``NEW`` or
+``AMBIGUOUS``.  ``FiberSample.distinct`` and ``retraces`` use its scale,
+``MATCH_TOL``.
 
 Systems are compiled once on the evaluation kernel of ``expr`` (its module
 docstring describes the factor table and the term blocks): one factor table
-over the unique monomials of F, dF/dx and dF/dp, and one term block each.
+over the unique monomials of F, dF/dx and dF/dp, and one term block each
+(a block of one-term entries, such as P3P's dF/dx and dF/dp, is not summed).
 Every product is the one a dense evaluation over all n+m factors per term
 computes, minus multiplications by an exact 1, so the values are
 bit-identical to it (tests/test_evaluator.py keeps that dense form as the
@@ -100,6 +107,10 @@ SAMPLE_ATTEMPTS = 3
 # a time, and hands its last this many stepping paths to ``_run_path``:
 # below three, stacking costs more than it saves.
 _SERIAL_PATHS = 2
+# ``track_paths`` runs a call whose stacked evaluation (rows x
+# ``CompiledSystem.row_bytes``) would take more bytes than this in
+# consecutive chunks that stay under it.
+_STACK_BYTES = 64 << 20
 
 
 class TrackingError(RuntimeError):
@@ -218,6 +229,9 @@ class CompiledSystem:
         self._jx = expr.TermBlock([q for row in jac for q in row], monomials, stride, (n, n))
         self._jp = expr.TermBlock([q for row in pj for q in row], monomials, stride, (n, m))
         self._factors = expr.factor_table(monomials)
+        # The bytes of one row of a stacked evaluation: dF/dx, dF/dp and the
+        # unique monomials, complex.
+        self.row_bytes = 16 * (n * n + n * m + len(self._factors))
         self._key: bytes | None = None
         self._mono: np.ndarray | None = None
 
@@ -581,6 +595,16 @@ def track_paths(system: System, starts, p_from, p_to, gammas) -> list[PathResult
             for i, x in enumerate(starts)
         ]
     comp = compiled(system)
+    chunk = max(_SERIAL_PATHS + 1, _STACK_BYTES // comp.row_bytes)
+    if count > chunk:
+        return [
+            r
+            for k in range(0, count, chunk)
+            for r in track_paths(
+                system, starts[k : k + chunk], arc.p_from[k : k + chunk],
+                arc.p_to[k : k + chunk], arc.gamma[k : k + chunk],
+            )
+        ]
     x, res, ok, _, _, _ = _newton_rows(
         comp, np.array(starts, dtype=complex), arc.p_from,
         NEWTON_TOL * 10, _MAX_NEWTON_ITERS, _MAX_NORM,
@@ -727,24 +751,25 @@ def track_fiber(
 
 
 def retraces(
-    system: System, start: FiberSample, samples: Sequence[FiberSample], gammas
+    system: System, starts: Sequence[FiberSample], samples: Sequence[FiberSample], gammas
 ) -> list[bool]:
-    """Whether each sample, tracked from ``start`` with its gamma, retraces
-    its arc back to ``start``: gamma -> 1/gamma reverses the same arc
-    exactly, and every point must return within ``MATCH_TOL`` of its start.
-    All samples go back in one ``track_fiber`` call.
+    """Whether each sample, tracked from its own start (``starts[i]`` for
+    sample i) with its gamma, retraces its arc back to that start: gamma ->
+    1/gamma reverses the same arc exactly, and every point must return
+    within ``MATCH_TOL`` of its start.  All samples go back in one
+    ``track_fiber`` call.
 
     Sheet jumps inside a full tracked fiber surface as endpoint collisions,
     but a partial fiber (a deck orbit) tracks only a few sheets; a sheet
     jump on the way out lands somewhere else on the way back.
     """
     backs = track_fiber(
-        system, samples, [start.params] * len(samples), [1.0 / complex(g) for g in gammas]
+        system, samples, [start.params for start in starts], [1.0 / complex(g) for g in gammas]
     )
     return [
         back is not None
         and not (np.abs(back.solutions - start.solutions).max(axis=1) > MATCH_TOL).any()
-        for back in backs
+        for start, back in zip(starts, backs)
     ]
 
 
@@ -778,7 +803,9 @@ def sample_fiber(
         samples = track_fiber(system, [fiber] * len(pending), targets, gammas)
         good = [k for k, sample in enumerate(samples) if sample is not None]
         if retrace and good:
-            back = retraces(system, fiber, [samples[k] for k in good], [gammas[k] for k in good])
+            back = retraces(
+                system, [fiber] * len(good), [samples[k] for k in good], [gammas[k] for k in good]
+            )
             good = [k for k, ok in zip(good, back) if ok]
         for k in good:
             out[pending[k]] = samples[k]

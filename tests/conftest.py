@@ -292,6 +292,100 @@ def serial_sample_fiber(system, fiber, count, rng, retrace=False):
     return out
 
 
+def record_paths(monkeypatch, alter=None):
+    """Wrap ``tracker.track_paths`` (as looked up at call time) so that every
+    path it tracks is recorded as (start, p_from, p_to, gamma), the arrays as
+    bytes; returns the list it appends to.  ``alter(key, result)``, when
+    given, may replace each result."""
+    real = tracker.track_paths
+    rows = []
+
+    def recording(system, starts, p_from, p_to, gammas):
+        count = len(starts)
+        results = real(system, starts, p_from, p_to, gammas)
+        p_from = np.broadcast_to(np.asarray(p_from, complex), (count, np.shape(p_from)[-1]))
+        p_to = np.broadcast_to(np.asarray(p_to, complex), p_from.shape)
+        gammas = [complex(g) for g in np.broadcast_to(gammas, (count,)).tolist()]
+        for i, x in enumerate(starts):
+            key = (np.asarray(x, complex).tobytes(), p_from[i].tobytes(), p_to[i].tobytes(), gammas[i])
+            rows.append(key)
+            if alter is not None:
+                results[i] = alter(key, results[i])
+        return results
+
+    monkeypatch.setattr(tracker, "track_paths", recording)
+    return rows
+
+
+def per_edge_track(graph, k, direction):
+    """The reference for ``monodromy._Graph._track``: the pending paths of
+    edge k in one direction, and only those, in one ``tracker.track_paths``
+    call at the edge's turn, taken in index order; a break ends the edge
+    there, and the paths after it count as never tracked."""
+    e = graph.edges[k]
+    src, dst = e.ends(direction)
+    pending = [
+        i for i in range(len(graph.fibers[src]))
+        if i not in e.maps[direction] and (direction, i) not in e.tried
+    ]
+    if not pending:
+        return False
+    p_from, p_to, gamma = e.segment(direction, graph.params)
+    results = tracker.track_paths(graph.system, graph.fibers[src][pending], p_from, p_to, gamma)
+    for i, r in zip(pending, results):
+        e.tried.add((direction, i))
+        graph.tracked += 1
+        if not r.success:
+            graph.failed += 1
+            continue
+        j = graph._locate(dst, r.endpoint)
+        if j is None:
+            continue
+        back = e.maps[1 - direction]
+        if j in back:
+            e.broken = True
+            break
+        e.maps[direction][i] = j
+        back[j] = i
+    return True
+
+
+class SerialFilter:
+    """The reference for ``scaling._Lookahead``: one candidate at a time,
+    each path tracked alone at its turn (a one-path ``tracker.track_paths``
+    call, which is ``tracker.track_path``), s(x_0) first and the rest of the
+    orbit up to its first failed path, and one round trip per orbit that
+    would pass."""
+
+    def __init__(self, system, base, deck_perms, scaled):
+        self.system, self.base, self.deck_perms, self.scaled = system, base, deck_perms, scaled
+
+    def decide(self, c, rng):
+        scaled, p0 = self.scaled[c], self.base.params
+        for _ in range(tracker.SAMPLE_ATTEMPTS):
+            gamma = tracker.draw_gamma(rng)
+            ends, landed = [], []
+            for start in scaled.solutions:
+                r = tracker.track_paths(self.system, start[None], scaled.params, p0, gamma)[0]
+                if not r.success:
+                    break
+                j = tracker.match(r.endpoint, self.base.solutions)
+                if j == tracker.NEW and not ends:
+                    return "failed_stability"
+                ends.append(r.endpoint)
+                landed.append(j)
+            if len(ends) < len(scaled):
+                continue
+            back = tracker.FiberSample(p0, ends)
+            if not back.distinct() or tracker.NEW in landed or tracker.AMBIGUOUS in landed:
+                continue
+            if any(b != sigma[landed[0]] for b, sigma in zip(landed[1:], self.deck_perms)):
+                return "failed_commutation"
+            if tracker.retraces(self.system, [scaled], [back], [gamma])[0]:
+                return "passed"
+        return "undetermined"
+
+
 def run_fixture_monodromy(text, degree, seed_rng, x_star="random", seed_pair=None):
     system = parse_system(text)
     rng = np.random.default_rng(seed_rng)

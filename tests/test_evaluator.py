@@ -313,6 +313,67 @@ def test_stacked_rows_keep_one_repeat_for_every_count():
             assert len(block._stack[0]) == largest * len(block.terms)
 
 
+SPECIAL_PARTS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1.5, -3e300]
+
+
+@pytest.mark.parametrize("name, block", [
+    ("p3p_quasihom", "_jx"), ("p3p_quasihom", "_jp"), ("triangular", "_jp"),
+])
+def test_single_term_blocks_bit_equal_to_reduceat(name, block):
+    """Every polynomial of these blocks has one term (a zero polynomial
+    keeps one zero term), so evaluation skips ``np.add.reduceat``; the
+    values keep the bits of the sum over one-term segments, at one point
+    and stacked, with monomials and coefficients that take -0, NaN, inf and
+    subnormal parts."""
+    block = getattr(tracker.CompiledSystem(fixture_system(name)), block)
+    assert len(block.terms) == len(block.offsets)
+    rng = np.random.default_rng(12)
+    size = int(block.terms.max()) + 1
+    mono = np.empty((6, size), dtype=complex)
+    for part in (mono.real, mono.imag):
+        part[:] = rng.standard_normal((6, size))
+        part[:, ::3] = rng.choice(SPECIAL_PARTS, size=part[:, ::3].shape)
+    block.coeffs.real[::5] = -0.0
+    block.coeffs.imag[::5] = 5e-324
+    shape = block.shape
+    with np.errstate(all="ignore"):
+        want = np.stack([
+            np.add.reduceat(block.coeffs * row[block.terms], block.offsets).reshape(shape)
+            for row in mono
+        ])
+        singles = np.stack([block(row) for row in mono])
+        stacked = block.rows(mono)
+    assert singles.tobytes() == want.tobytes()
+    assert stacked.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("num, den", [
+    (1.5e308 + 1.5e308j, 1e290 + 1e290j),  # the numerator's sum overflows
+    (1e308 - 1e308j, 1.5e308 + 1.5e308j),  # the denominator's sum overflows
+    (3e307 + 1e300j, 1e308 + 1e307j),  # 1/den is subnormal
+])
+def test_quotient_at_the_top_of_the_double_range_divides_without_overflow(num, den):
+    """numpy's complex divide overflows at the top of the double range,
+    where the quotient is finite: in num.real + num.imag * ratio, in
+    den.real + den.imag * ratio, or in 1/den.  The rational function divides
+    as if both were scaled to a denominator part in [0.5, 1), without a
+    warning; rows with plain parts keep the bits of ``np.divide``."""
+    rf = RationalFunction(
+        Polynomial(3, [((1, 0, 0), 1.0)]), Polynomial(3, [((0, 1, 0), 1.0)])
+    )
+    z = np.array([[num, den, 0], [1.5 - 2j, 0.25 + 3j, 0], [-7e10 + 1j, 3e-5 - 2e-5j, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rf.evaluate(z)
+        single = rf.evaluate(z[0])
+    a, b, c, d = map(Fraction, (num.real, num.imag, den.real, den.imag))
+    norm = c * c + d * d
+    exact = complex(float((a * c + b * d) / norm), float((b * c - a * d) / norm))
+    assert abs(got[0] - exact) <= 1e-15 * abs(exact)
+    assert bits(single) == bits(got[0])
+    assert [bits(v) for v in got[1:]] == [bits(v) for v in np.divide(z[1:, 0], z[1:, 1])]
+
+
 def test_compile_cache_drops_collected_systems():
     text = "unknowns u, v; parameters q; equations u^3 - q; u*v - 1;"
     system = parse_system(text)

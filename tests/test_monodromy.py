@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,13 @@ from conftest import (
     ex57_seed,
     fixture_system,
     max_residual,
+    per_edge_track,
+    record_paths,
     track_paths_one_by_one,
 )
 from decksym import tracker
-from decksym.expr import parse_system
+from decksym.expr import parse_seed_pair, parse_system
+from decksym.fixtures import EXPECTED_DEGREE, seed_path
 from decksym.monodromy import (
     MonodromyError,
     _Graph,
@@ -258,35 +263,46 @@ def test_sheet_jump_onto_a_matched_solution_breaks_the_edge(monkeypatch):
 
 
 def test_jump_inside_a_lockstep_edge_breaks_it_in_index_order(monkeypatch):
-    """Fault injection into the results of one ``track_paths`` call: in the
-    first call of at least three paths whose first path succeeds, the third
-    lands where the first did.  The results are taken in index order, so
-    the edge breaks at the third path and the paths after it count as never
-    tracked; the run is the same whether the edge's paths are tracked in
-    lockstep or one by one."""
+    """Fault injection into the results of ``track_paths`` calls: in the
+    first edge direction (rows sharing one arc) that one call holds at least
+    three paths of, and whose first path there succeeds, the third lands
+    where the first did.  The results are taken in index order, so the edge
+    breaks at that path, and the edge's paths after it, in this call or
+    another, count as never tracked; the run is the same whether the paths
+    are tracked in lockstep or one by one."""
     real = tracker.track_paths
 
     def run(one_by_one):
-        groups = []
+        arcs = []  # the arc of every path tracked, in call order
+        jumped = []  # the arc of the jump, and the jumped path's index among its paths
 
-        def jump_once(system, starts, p_from, p_to, gamma):
+        def jump_once(system, starts, p_from, p_to, gammas):
+            count = len(starts)
+            p_from = np.broadcast_to(p_from, (count, np.shape(p_from)[-1]))
+            p_to = np.broadcast_to(p_to, p_from.shape)
+            gammas = np.broadcast_to(gammas, (count,)).tolist()
             if one_by_one:
-                results = [tracker.track_path(system, x, p_from, p_to, gamma=gamma) for x in starts]
+                results = [
+                    tracker.track_path(system, x, p_from[i], p_to[i], gamma=gammas[i])
+                    for i, x in enumerate(starts)
+                ]
             else:
-                results = real(system, starts, p_from, p_to, gamma)
-            if len(starts) >= 3 and results[0].success and not any(j for _, j in groups):
-                results[2] = results[0]
-                groups.append((len(starts), True))
-            else:
-                groups.append((len(starts), False))
+                results = real(system, starts, p_from, p_to, gammas)
+            keys = [(a.tobytes(), b.tobytes(), g) for a, b, g in zip(p_from, p_to, gammas)]
+            for key in dict.fromkeys(keys) if not jumped else ():
+                rows = [i for i, k in enumerate(keys) if k == key]
+                if len(rows) >= 3 and results[rows[0]].success:
+                    results[rows[2]] = results[rows[0]]
+                    jumped.append((key, arcs.count(key) + 2))
+                    break
+            arcs.extend(keys)
             return results
 
         monkeypatch.setattr(tracker, "track_paths", jump_once)
         result = mono_sextic()
         monkeypatch.undo()
-        size = next(size for size, jumped in groups if jumped)
-        # The paths after the break in that group were tracked, not counted.
-        assert result.paths_tracked == sum(size for size, _ in groups) - (size - 3)
+        key, index = jumped[0]
+        assert result.paths_tracked == len(arcs) - (arcs.count(key) - index - 1)
         assert group_order_capped(result.group(), 10**4) == 48
         assert_cycles_retrace(SEXTIC, result)
         return (result.paths_tracked, result.paths_failed, result.edges, result.permutations,
@@ -373,3 +389,72 @@ def test_wrong_expected_degree_fails_after_the_round_limit():
     pair = seed_from_linear_params(EX41, np.array([2.0 + 0j]), rng)
     with pytest.raises(MonodromyError, match="found 2 solutions, expected 3"):
         run_monodromy(EX41, pair, rng, expected_degree=3)
+
+
+def run_recorded(monkeypatch, name, seed, reference):
+    """run_monodromy on a bundled fixture with its seed pair at an rng seed,
+    with the paths of every ``tracker.track_paths`` call recorded, and with
+    the per-edge sweep of ``tests/conftest.py`` as ``_Graph._track`` when
+    ``reference`` is set; the result, the paths and the call sizes."""
+    calls = []
+    real = tracker.track_paths
+
+    def counting(system, starts, *args):
+        calls.append(len(starts))
+        return real(system, starts, *args)
+
+    monkeypatch.setattr(tracker, "track_paths", counting)
+    paths = record_paths(monkeypatch)
+    if reference:
+        monkeypatch.setattr(_Graph, "_track", per_edge_track)
+    pair = parse_seed_pair(seed_path(name).read_text())
+    result = run_monodromy(
+        fixture_system(name), pair, np.random.default_rng(seed),
+        expected_degree=EXPECTED_DEGREE[name],
+    )
+    monkeypatch.undo()
+    return result, paths, calls
+
+
+def run_fields(result):
+    """Every field of a monodromy result, arrays as bytes."""
+    return (
+        result.base.params.tobytes(),
+        result.base.solutions.tobytes(),
+        result.permutations,
+        result.loop_count,
+        result.edges,
+        result.paths_tracked,
+        result.paths_failed,
+        [
+            (record.permutation, [(a.tobytes(), b.tobytes(), g) for a, b, g in record.segments])
+            for record in result.loop_log
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [(name, seed) for name in ("ex4_2", "sextic", "ex5_7") for seed in range(4)]
+    + [("triangular", 0), ("triangular", 1)],
+)
+def test_tracking_ahead_is_bit_identical_to_the_per_edge_sweep(monkeypatch, name, seed):
+    """Edges track ahead the direction-0 paths of the other edges: the same
+    result, bit for bit, the same paths (start, arc and gamma) as tracking
+    each edge direction's own paths at its turn, and no more calls."""
+    got, paths, calls = run_recorded(monkeypatch, name, seed, reference=False)
+    want, want_paths, want_calls = run_recorded(monkeypatch, name, seed, reference=True)
+    assert run_fields(got) == run_fields(want)
+    assert Counter(paths) == Counter(want_paths)
+    assert len(calls) <= len(want_calls)
+
+
+def test_p3p_edges_go_out_in_fewer_calls(monkeypatch):
+    """P3P at rng seed 0: the same 120 paths (115 counted) in 27 calls
+    instead of one per edge direction, 40."""
+    got, paths, calls = run_recorded(monkeypatch, "p3p_quasihom", 0, reference=False)
+    want, want_paths, want_calls = run_recorded(monkeypatch, "p3p_quasihom", 0, reference=True)
+    assert run_fields(got) == run_fields(want)
+    assert Counter(paths) == Counter(want_paths)
+    assert (len(paths), got.paths_tracked) == (120, 115)
+    assert (len(calls), len(want_calls)) == (27, 40)

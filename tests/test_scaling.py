@@ -1,3 +1,4 @@
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    SerialFilter,
     equation_weight,
     int_det,
     int_matmul,
     lattice_is_empty,
     multidegree,
+    record_paths,
     snf_verifies,
     track_paths_one_by_one,
 )
@@ -273,7 +276,9 @@ def test_sextic_flip_scaling_survives_filter(mono_sextic):
 def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
     """Fault injection: when no path tracks after monodromy, every candidate
     is undetermined after three gammas, one failed path each, and no torsion
-    block survives."""
+    block survives.  No path is tracked ahead: ex5_7's 3 candidates allow
+    3 // 6 = 0 candidates after the first of a round, |G| = 6 (the paths,
+    from ``tracker.track_paths``, recorded one by one)."""
     from decksym import tracker
 
     system, result, _ = mono_ex57
@@ -285,6 +290,7 @@ def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
         return tracker.PathResult("singular", None, 0, np.inf)
 
     monkeypatch.setattr(tracker, "track_path", fail)
+    track_paths_one_by_one(monkeypatch)
     out = commuting_discrete_scalings(
         lat, system, result, _deck(result), np.random.default_rng(0)
     )
@@ -336,6 +342,7 @@ def test_coinciding_scaled_orbit_is_undetermined(mono_sextic, monkeypatch):
 
     monkeypatch.setattr(scaling, "repatch_point", collapse)
     monkeypatch.setattr(tracker, "track_path", None)
+    track_paths_one_by_one(monkeypatch)
     out = commuting_discrete_scalings(
         detect_scalings(system), system, result, _deck(result),
         np.random.default_rng(1),
@@ -346,7 +353,8 @@ def test_coinciding_scaled_orbit_is_undetermined(mono_sextic, monkeypatch):
 
 def test_stability_failure_costs_one_path(mono_ex57, monkeypatch):
     """s(x_0) is tracked first: a candidate that leaves the tracked component
-    is decided after one path, not after the whole scaled orbit."""
+    is decided after one path, not after the whole scaled orbit (the paths,
+    from ``tracker.track_paths``, recorded one by one)."""
     from decksym import tracker
 
     system, result, _ = mono_ex57
@@ -359,6 +367,7 @@ def test_stability_failure_costs_one_path(mono_ex57, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(tracker, "track_path", counting)
+    track_paths_one_by_one(monkeypatch)
     out = commuting_discrete_scalings(
         detect_scalings(system), system, result, deck, np.random.default_rng(1)
     )
@@ -455,3 +464,155 @@ def test_ex57_literal_flips(mono_ex57):
     hand = ScalingLattice(7, lat.free, (x4_flip,))
     out = commuting_discrete_scalings(hand, system, result, _deck(result), rng)
     assert [c.status for c in out.candidates] == ["failed_commutation"]
+
+
+def run_filter(monkeypatch, system, result, seed, reference, alter=None):
+    """The filter on the result's fiber at an rng seed, with every path of
+    ``tracker.track_paths`` recorded (``alter`` may replace its results),
+    and with ``tests/conftest.py``'s one-candidate-at-a-time filter when
+    ``reference`` is set; the outcomes, the next draw of the rng, the
+    paths and the call sizes."""
+    from decksym import tracker
+
+    calls = []
+    real = tracker.track_paths
+
+    def counting(system, starts, *args):
+        calls.append(len(starts))
+        return real(system, starts, *args)
+
+    monkeypatch.setattr(tracker, "track_paths", counting)
+    paths = record_paths(monkeypatch, alter)
+    if reference:
+        monkeypatch.setattr(scaling, "_Lookahead", SerialFilter)
+    rng = np.random.default_rng(seed)
+    out = commuting_discrete_scalings(
+        detect_scalings(system), system, result, _deck(result), rng
+    )
+    monkeypatch.undo()
+    outcomes = [(c.modulus, c.vector, c.status) for c in out.candidates]
+    return (outcomes, out.lattice, rng.random()), paths, calls
+
+
+@pytest.fixture
+def p3p_mono(p3p_orbit):
+    system, result, _ = p3p_orbit
+    return system, result
+
+
+@pytest.mark.parametrize("case", ["p3p_mono", "mono_sextic", "mono_ex57"])
+def test_filter_bit_identical_to_one_candidate_at_a_time(request, monkeypatch, case):
+    """Tracking ahead leaves every outcome, the rng's draws and the paths
+    (start, arc and gamma) of deciding one candidate after the other, each
+    path alone at its turn: no path goes unused."""
+    system, result = request.getfixturevalue(case)[:2]
+    got, paths, _ = run_filter(monkeypatch, system, result, 5, reference=False)
+    want, want_paths, _ = run_filter(monkeypatch, system, result, 5, reference=True)
+    assert got == want
+    assert Counter(paths) == Counter(want_paths)
+
+
+def test_p3p_filter_paths_go_out_in_rounds(p3p_orbit, monkeypatch):
+    """P3P at rng seed 0: 31 candidates, 16 of which fail at s(x_0) and 15
+    pass; 31 + 15 paths out and 15 round trips of 2, 76 paths, none unused.
+    A round's first call holds 31 // 2 = 15 candidates after its first, so
+    two rounds cover the 31: 16 paths out, then 7 (the first staying
+    candidate's second orbit point and 6 more), then 6 round trips, all the
+    room left allows, and the last one alone; then 15 out, 8, 12 and 4.
+    8 calls instead of one per path and per round trip, 61."""
+    system, result, _ = p3p_orbit
+    got, paths, calls = run_filter(monkeypatch, system, result, 0, reference=False)
+    want, want_paths, want_calls = run_filter(monkeypatch, system, result, 0, reference=True)
+    assert got == want
+    assert Counter(paths) == Counter(want_paths)
+    statuses = Counter(status for _, _, status in got[0])
+    assert statuses == {"failed_stability": 16, "passed": 15}
+    assert (len(paths), len(want_calls)) == (76, 61)
+    assert calls == [16, 7, 12, 2, 15, 8, 12, 4]
+
+
+def s_x0(system, result, index):
+    """s(x_0) of the P3P filter's candidate ``index``."""
+    from decksym.monodromy import deck_orbit
+
+    lattice = detect_scalings(system)
+    (block,) = lattice.torsion
+    u = scaling._enumerate_candidates(block)[0][index]
+    _, orbit = deck_orbit(result, _deck(result))
+    return scaling._scaled_orbit(system, lattice, orbit, u, -1.0 + 0j).solutions[0]
+
+
+def test_filter_retry_bit_identical_and_its_unused_paths_bounded(p3p_orbit, monkeypatch):
+    """Fault injection: the first path from s(x_0) of P3P's candidate 1
+    fails, so candidate 1 retries inside the first round (candidates 0-15,
+    1 + 31 // 2).  The outcomes and the rng's draws are those of one
+    candidate at a time, and so is every path it tracks; on top of those,
+    the retry leaves the s(x_0) paths of candidates 2-15 unused: 14, fewer
+    than the 31 candidates."""
+    from decksym import tracker
+
+    system, result, _ = p3p_orbit
+    start = s_x0(system, result, 1).tobytes()
+
+    def run(reference):
+        failed = []
+
+        def fail_once(key, r):
+            if key[0] == start and not failed:
+                failed.append(key)
+                return tracker.PathResult("singular", None, 0, np.inf)
+            return r
+
+        out = run_filter(monkeypatch, system, result, 0, reference, fail_once)
+        return out, failed
+
+    (got, paths, _), failed = run(reference=False)
+    (want, want_paths, _), want_failed = run(reference=True)
+    assert got == want and failed == want_failed
+    extra = Counter(paths) - Counter(want_paths)
+    assert not Counter(want_paths) - Counter(paths)
+    assert sum(extra.values()) == 14
+    # Candidate 1 ended the first round and passed on its second gamma.
+    assert [status for _, _, status in got[0]][:2] == ["failed_stability", "passed"]
+
+
+def test_p3p_filter_without_tracked_paths_bounds_its_unused_paths(p3p_orbit, monkeypatch):
+    """Fault injection: every path fails, so each of P3P's 31 candidates is
+    undetermined after 3 attempts of one path, 93 paths, and every attempt
+    but a candidate's last is a retry that ends its round.  The unused
+    paths follow from the round rule, restated here: a round's first call
+    holds (31 - unused) // 2 candidates after its first, and a retry leaves
+    the rest of the round unused.  That gives rounds of 16, 9, 5, 3, four of
+    2, then one path at a time: 30 unused paths, 123 in all, never more
+    unused paths than candidates."""
+    from decksym import tracker
+
+    system, result, _ = p3p_orbit
+    calls = []
+
+    def fail(system, starts, p_from, p_to, gammas):
+        calls.append(len(starts))
+        return [tracker.PathResult("singular", None, 0, np.inf)] * len(starts)
+
+    monkeypatch.setattr(tracker, "track_paths", fail)
+    out = commuting_discrete_scalings(
+        detect_scalings(system), system, result, _deck(result), np.random.default_rng(0)
+    )
+    assert [c.status for c in out.candidates] == ["undetermined"] * 31
+
+    unused, paths, pending, candidate, attempt = 0, 0, set(), 0, 1
+    while candidate < 31:
+        if (candidate, attempt) not in pending:
+            spare = (31 - unused) // 2
+            later = range(candidate + 1, min(31, candidate + 1 + spare))
+            pending = {(candidate, attempt)} | {(k, 1) for k in later}
+            paths += 1 + len(later)
+        pending.discard((candidate, attempt))
+        if attempt < 3:
+            unused, pending, attempt = unused + len(pending), set(), attempt + 1
+        else:
+            candidate, attempt = candidate + 1, 1
+    assert (unused, paths) == (30, 123)
+    assert sum(calls) == paths == 3 * 31 + unused
+    assert calls[:9] == [16, 9, 5, 3, 2, 2, 2, 2, 1]
+    assert unused <= len(out.candidates)

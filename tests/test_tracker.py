@@ -697,3 +697,50 @@ def test_held_out_fibers_drop_a_slot_that_fails_every_round(mono41, monkeypatch)
     draws = [(tracker.random_params(1, twin), tracker.draw_gamma(twin)) for _ in range(7)]
     assert [f.params.tobytes() for f in fibers] == [draws[k][0].tobytes() for k in (0, 1, 3, 4)]
     assert rng.random() == twin.random()
+
+
+def test_track_paths_bit_identical_in_chunks_under_a_tiny_memory_budget(base_fiber, monkeypatch):
+    """With the byte budget of one call's stacked evaluation monkeypatched
+    to one byte, a call runs in consecutive chunks of the smallest lockstep
+    size, ``_SERIAL_PATHS`` + 1, and every row keeps its bits: a whole
+    fiber to two targets, each row with its own arc."""
+    system, base = base_fiber
+    rng = np.random.default_rng(8)
+    d = len(base)
+    targets = [tracker.random_params(system.m, rng) for _ in range(2)]
+    gammas = [tracker.draw_gamma(rng) for _ in range(2)]
+    starts = np.tile(base.solutions, (2, 1))
+    p_to = np.repeat(targets, d, axis=0)
+    row_gammas = np.repeat(gammas, d)
+    whole = tracker.track_paths(system, starts, base.params, p_to, row_gammas)
+    real = tracker.track_paths
+    calls = []
+
+    def counting(system, starts, *args):
+        calls.append(len(starts))
+        return real(system, starts, *args)
+
+    monkeypatch.setattr(tracker, "_STACK_BYTES", 1)
+    monkeypatch.setattr(tracker, "track_paths", counting)
+    chunked = tracker.track_paths(system, starts, base.params, p_to, row_gammas)
+    assert [result_bits(r) for r in chunked] == [result_bits(r) for r in whole]
+    size = tracker._SERIAL_PATHS + 1
+    assert calls == [2 * d] + [min(size, 2 * d - k) for k in range(0, 2 * d, size)]
+
+
+def test_retraces_checks_each_sample_against_its_own_start():
+    """Two samples of x^2 + p x + 1, out from two different fibers: each
+    retraces to its own start, and the second, checked against its start
+    with the two solutions swapped, does not."""
+    rng = np.random.default_rng(2)
+    fibers = [
+        FiberSample(np.array([p]), [np.array([r]) for r in quadratic_roots(p)])
+        for p in (-2.5, 3.0 + 1j)
+    ]
+    target = np.array([1.5 - 2j])
+    gammas = [tracker.draw_gamma(rng), tracker.draw_gamma(rng)]
+    samples = track_fiber(EX41, fibers, [target, target], gammas)
+    assert all(sample is not None for sample in samples)
+    assert tracker.retraces(EX41, fibers, samples, gammas) == [True, True]
+    swapped = FiberSample(fibers[1].params, fibers[1].solutions[::-1])
+    assert tracker.retraces(EX41, [fibers[0], swapped], samples, gammas) == [True, False]

@@ -13,9 +13,10 @@ than the fiber, and no fiber tracked anywhere else.  Each candidate's
 scaled orbit is prepared first, without the rng; the candidates are then
 decided in order, one gamma per attempt.  A candidate that fails at s(x_0)
 uses one path, one that stays there its orbit and, if it would pass, the
-orbit's round trip.  Those paths are tracked ahead of their turn in
-lockstep, in rounds of a few candidates (``_Lookahead``), and used as one
-candidate at a time would track them.
+orbit's round trip.  ``_decide`` tracks those paths in rounds of three
+lockstep calls, the first over every candidate and, after the first retry,
+each over one, and replays each round in order with the real rng, so the
+outcomes and the draws are those of one candidate at a time.
 
 All integer arithmetic is exact.  The SNF runs on int64 with an overflow
 guard and falls back to arbitrary-precision Python integers when entries
@@ -430,9 +431,9 @@ def commuting_discrete_scalings(
     tries the candidate is undetermined and excluded.
 
     Candidates are decided one after the other, each drawing one gamma per
-    attempt from ``rng``; their paths are tracked ahead in lockstep
-    (``_Lookahead``), so the outcomes, the paths used and the draws are
-    those of one candidate at a time.
+    attempt from ``rng``.  Their paths go out in lockstep rounds
+    (``_decide``): the outcomes and the draws are those of one candidate at
+    a time, and every path one candidate at a time tracks is among them.
     """
     base = mono.base
     nontrivial, orbit = monodromy.deck_orbit(mono, deck_perms)
@@ -449,11 +450,10 @@ def commuting_discrete_scalings(
         truncated_any = truncated_any or truncated
         tested += [(d, u, _scaled_orbit(system, lattice, orbit, u, lam)) for u in candidates]
 
-    ahead = _Lookahead(system, base, nontrivial, [scaled for _, _, scaled in tested])
+    decided = _decide(system, base, nontrivial, [scaled for _, _, scaled in tested], rng)
     outcomes: list[CandidateOutcome] = []
     passing: dict[int, list[tuple[int, ...]]] = {}
-    for c, (d, u, scaled) in enumerate(tested):
-        outcome = scaled if isinstance(scaled, str) else ahead.decide(c, rng)
+    for (d, u, _), outcome in zip(tested, decided):
         outcomes.append(CandidateOutcome(d, u, outcome))
         if outcome == "passed":
             passing.setdefault(d, []).append(u)
@@ -493,182 +493,111 @@ def _scaled_orbit(system, lattice, orbit, u, lam) -> tracker.FiberSample | str:
     return scaled if scaled.distinct() else "undetermined"
 
 
-class _Lookahead:
-    """The filter's paths, tracked ahead of their turn and taken in turn.
+def _decide(system, base, deck_perms, scaled, rng) -> list[str]:
+    """Every candidate's outcome: its status from ``_scaled_orbit``, or the
+    outcome of deciding it in turn, one gamma from ``rng`` per attempt.
 
-    Candidates are decided in order, attempt by attempt, each attempt
-    drawing its gamma from the real rng and taking the paths that deciding
-    one candidate at a time tracks: s(x_0), then the rest of the orbit up
-    to its first failed path when s(x_0) stays on the tracked component,
-    then the round trip of an orbit that would pass.  Each is looked up by
-    (candidate, gamma, orbit index), or (candidate, gamma) for the round
-    trip; a miss makes one lockstep call for it and for the same step of
-    the candidates after it in the round:
-
-    1. s(x_0): a new round.  From a copy of the rng, each of the next
-       candidates with an orbit draws the gamma it would draw if every
-       earlier one decided on this attempt, and tracks s(x_0) with it.
-    2. The rest of the orbit, for the round's candidates whose s(x_0)
-       stayed, up to the first one known to retry.
-    3. The round trips (``tracker.retraces``), for the round's candidates
-       whose orbit would pass, up to the first one that is unknown or
-       retries.
-
-    A retry draws a gamma the round gave to the next candidate, so it ends
-    the round: every row tracked ahead goes unused.  So that those rows
-    never outnumber the candidates with an orbit (C), a call tracks rows
-    for later candidates only while U, the rows gone unused so far, plus
-    every row tracked for them and not yet used stays within C
-    (``_room``).  A round's first call takes room // |G| candidates after
-    its first: one row each, leaving room for about half of them to stay
-    and come back (|G| - 1 more rows out and |G| back each); calls 2 and 3
-    stop at the first later candidate that no longer fits.  The rows of an
-    orbit after its first failed path are tracked too and go unused, and U
-    counts them; they are the candidate's own attempt, not rows tracked
-    ahead.
+    The candidates with an orbit are decided in rounds, like
+    ``tracker.sample_fiber``'s: the first round takes all of them, and
+    after the first failed attempt every round takes one.  Each round
+    draws, from a copy of the rng, the gamma each of its candidates would
+    draw if no candidate before it retried, and makes three lockstep calls:
+    every s(x_0); the rest of every orbit whose s(x_0) stayed; and the
+    round trips (``tracker.retraces``) of every orbit that would pass.  The
+    second and third calls stop at the first candidate known to retry with
+    attempts left.  The round is then replayed in order with the real rng,
+    and a retry with attempts left ends it.  So rows tracked for later
+    candidates go unused only when the first round ends early: at most 2|G|
+    for each of them.
     """
-
-    def __init__(self, system, base, deck_perms, scaled):
-        self.system, self.base, self.deck_perms, self.scaled = system, base, deck_perms, scaled
-        self.size = 1 + len(deck_perms)  # |G|, the rows of one orbit
-        self.allowance = sum(not isinstance(orbit, str) for orbit in scaled)
-        self.unused = 0
-        self.paths: dict[tuple, tracker.PathResult] = {}
-        self.backs: dict[tuple, bool] = {}
-        self.round: dict[int, complex] = {}  # the round's gamma of each later candidate
-
-    def decide(self, c: int, rng: np.random.Generator) -> str:
-        """The outcome of candidate c, drawing one gamma per attempt."""
-        for attempt in range(1, tracker.SAMPLE_ATTEMPTS + 1):
-            gamma = tracker.draw_gamma(rng)
-            outcome = self._attempt(c, gamma, rng)
-            # Rows of this attempt it did not use: after a failed path.
-            for key in [key for key in self.paths if key[:2] == (c, gamma)]:
-                del self.paths[key]
-                self.unused += 1
-            if outcome != "retry":
-                return outcome
-            if attempt < tracker.SAMPLE_ATTEMPTS:
-                self.unused += len(self.paths) + self.size * len(self.backs)
-                self.paths.clear()
-                self.backs.clear()
-                self.round.clear()
-        return "undetermined"
-
-    def _attempt(self, c, gamma, rng) -> str:
-        ends = self._landing(lambda j: self._take(c, gamma, j, rng))
-        if isinstance(ends, str):
-            return ends
-        if (c, gamma) not in self.backs:
-            self._track_backs(c, gamma, ends)
-        return "passed" if self.backs.pop((c, gamma)) else "retry"
-
-    def _landing(self, path):
-        """One attempt's paths out, as one candidate at a time takes them:
-        ``path(j)`` gives orbit point j's path, or None when unknown.  The
-        attempt's outcome, ``retry``, the orbit's endpoints when it would
-        pass, or None when a path is unknown."""
-        base = self.base.solutions
-        ends, landed = [], []
-        for j in range(self.size):
-            r = path(j)
-            if r is None:
-                return None
-            if not r.success:
-                return "retry"  # a failed path
-            k = tracker.match(r.endpoint, base)
-            if k == tracker.NEW and not ends:
-                return "failed_stability"  # s(x_0) left the tracked component
-            ends.append(r.endpoint)
-            landed.append(k)
-        if not tracker.FiberSample(self.base.params, ends).distinct():
-            return "retry"  # an endpoint collision
-        if tracker.NEW in landed or tracker.AMBIGUOUS in landed:
-            return "retry"  # no reliable match
-        first = landed[0]
-        if any(b != sigma[first] for b, sigma in zip(landed[1:], self.deck_perms)):
-            return "failed_commutation"
-        return ends
-
-    def _take(self, c, gamma, j, rng) -> tracker.PathResult:
-        if (c, gamma, j) not in self.paths:
-            if j == 0:
-                self._new_round(c, gamma, rng)
-            else:
-                self._track_rest(c, gamma)
-        return self.paths.pop((c, gamma, j))
-
-    def _later(self, c):
-        """The round's candidates after c, with their gammas, in order."""
-        return [(k, g) for k, g in self.round.items() if k > c]
-
-    def _room(self, c) -> int:
-        """How many more rows may be tracked ahead for candidates after c:
-        the allowance left if every row already tracked for them went
-        unused."""
-        ahead = sum(key[0] > c for key in self.paths) + self.size * sum(
-            key[0] > c for key in self.backs
-        )
-        return self.allowance - self.unused - ahead
-
-    def _new_round(self, c, gamma, rng) -> None:
-        spare = self._room(c) // self.size
-        later = [k for k in range(c + 1, len(self.scaled)) if not isinstance(self.scaled[k], str)]
+    size, p0 = 1 + len(deck_perms), base.params
+    outcomes = [orbit if isinstance(orbit, str) else "" for orbit in scaled]
+    todo = [c for c, orbit in enumerate(scaled) if not isinstance(orbit, str)]
+    first, attempt = True, 1
+    while todo:
+        cands = todo if first else todo[:1]
+        # One flag serves the whole round: a round of several candidates is
+        # the first attempt of each.
+        left = attempt < tracker.SAMPLE_ATTEMPTS
         copy = deepcopy(rng)
-        self.round = {k: tracker.draw_gamma(copy) for k in later[: max(spare, 0)]}
-        self._track([(c, gamma, 0)] + [(k, g, 0) for k, g in self.round.items()])
+        gammas = [tracker.draw_gamma(copy) for _ in cands]
+        paths: list[dict[int, tracker.PathResult]] = [{} for _ in cands]
 
-    def _track_rest(self, c, gamma) -> None:
-        rows = [(c, gamma, j) for j in range(1, self.size) if (c, gamma, j) not in self.paths]
-        room = self._room(c)
-        for k, g in self._later(c):
-            if (k, g, 0) not in self.paths:
-                break
-            r = self.paths[(k, g, 0)]
-            if not r.success:
-                break  # k retries
-            if tracker.match(r.endpoint, self.base.solutions) != tracker.NEW:
-                rest = [(k, g, j) for j in range(1, self.size) if (k, g, j) not in self.paths]
-                if len(rest) > room:
+        def track(rows):
+            if not rows:
+                return
+            results = tracker.track_paths(
+                system,
+                np.array([scaled[cands[i]].solutions[j] for i, j in rows]),
+                np.array([scaled[cands[i]].params for i, _ in rows]),
+                p0,
+                [gammas[i] for i, _ in rows],
+            )
+            for (i, j), r in zip(rows, results):
+                paths[i][j] = r
+
+        def landings():
+            """(i, landing) for the round's candidates in order, up to the
+            first one known to retry with attempts left."""
+            for i, known in enumerate(paths):
+                land = _landing(base, deck_perms, known.get)
+                if land == "retry" and left:
+                    return
+                yield i, land
+
+        track([(i, 0) for i in range(len(cands))])
+        track([(i, j) for i, land in landings() if land is None for j in range(1, size)])
+        passing = [(i, land) for i, land in landings() if isinstance(land, list)]
+        back = {}
+        if passing:
+            oks = tracker.retraces(
+                system,
+                [scaled[cands[i]] for i, _ in passing],
+                [tracker.FiberSample(p0, ends) for _, ends in passing],
+                [gammas[i] for i, _ in passing],
+            )
+            back = dict(zip((i for i, _ in passing), oks))
+
+        for i, c in enumerate(cands):
+            tracker.draw_gamma(rng)  # the gamma the round gave c
+            land = _landing(base, deck_perms, paths[i].get)
+            outcome = land if isinstance(land, str) else ("passed" if back[i] else "retry")
+            if outcome == "retry":
+                if left:
+                    todo, first, attempt = todo[i:], False, attempt + 1
                     break
-                room -= len(rest)
-                rows += rest
-        self._track(rows)
+                outcome = "undetermined"
+            outcomes[c] = outcome
+        else:
+            todo, attempt = todo[len(cands):], 1
+    return outcomes
 
-    def _track(self, rows) -> None:
-        """One lockstep call for the paths out of the given (candidate,
-        gamma, orbit index) rows."""
-        starts = [self.scaled[k].solutions[j] for k, _, j in rows]
-        p_from = [self.scaled[k].params for k, _, _ in rows]
-        results = tracker.track_paths(
-            self.system, np.array(starts), np.array(p_from), self.base.params,
-            [g for _, g, _ in rows],
-        )
-        self.paths.update(zip(rows, results))
 
-    def _track_backs(self, c, gamma, ends) -> None:
-        """One ``tracker.retraces`` call for c's orbit and for the round's
-        later candidates whose orbits would pass."""
-        pairs = [(c, gamma, ends)]
-        room = self._room(c)
-        for k, g in self._later(c):
-            peek = self._landing(lambda j: self.paths.get((k, g, j)))
-            if peek is None or peek == "retry":
-                break
-            if isinstance(peek, str):
-                continue  # k is decided
-            if room < self.size:
-                break
-            pairs.append((k, g, peek))
-            room -= self.size
-        p0 = self.base.params
-        back = tracker.retraces(
-            self.system,
-            [self.scaled[k] for k, _, _ in pairs],
-            [tracker.FiberSample(p0, e) for _, _, e in pairs],
-            [g for _, g, _ in pairs],
-        )
-        self.backs.update(((k, g), ok) for (k, g, _), ok in zip(pairs, back))
+def _landing(base, deck_perms, path):
+    """One attempt's paths out, as one candidate at a time takes them:
+    ``path(j)`` gives orbit point j's path, or None when unknown.  The
+    attempt's outcome, ``retry``, the orbit's endpoints when it would
+    pass, or None when a path is unknown."""
+    ends, landed = [], []
+    for j in range(1 + len(deck_perms)):
+        r = path(j)
+        if r is None:
+            return None
+        if not r.success:
+            return "retry"  # a failed path
+        k = tracker.match(r.endpoint, base.solutions)
+        if k == tracker.NEW and not ends:
+            return "failed_stability"  # s(x_0) left the tracked component
+        ends.append(r.endpoint)
+        landed.append(k)
+    if not tracker.FiberSample(base.params, ends).distinct():
+        return "retry"  # an endpoint collision
+    if tracker.NEW in landed or tracker.AMBIGUOUS in landed:
+        return "retry"  # no reliable match
+    first = landed[0]
+    if any(b != sigma[first] for b, sigma in zip(landed[1:], deck_perms)):
+        return "failed_commutation"
+    return ends
 
 
 def _is_prime(n: int) -> bool:

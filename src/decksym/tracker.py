@@ -113,11 +113,7 @@ _SERIAL_PATHS = 2
 _STACK_BYTES = 64 << 20
 
 
-class TrackingError(RuntimeError):
-    pass
-
-
-class NewtonError(TrackingError):
+class NewtonError(RuntimeError):
     pass
 
 

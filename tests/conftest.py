@@ -351,11 +351,11 @@ def per_edge_track(graph, k, direction):
 
 
 class SerialFilter:
-    """The reference for ``scaling._Lookahead``: one candidate at a time,
-    each path tracked alone at its turn (a one-path ``tracker.track_paths``
-    call, which is ``tracker.track_path``), s(x_0) first and the rest of the
-    orbit up to its first failed path, and one round trip per orbit that
-    would pass."""
+    """The reference for ``scaling._decide`` (``serial_decide`` adapts it):
+    one candidate at a time, each path tracked alone at its turn (a one-path
+    ``tracker.track_paths`` call, which is ``tracker.track_path``), s(x_0)
+    first and the rest of the orbit up to its first failed path, and one
+    round trip per orbit that would pass."""
 
     def __init__(self, system, base, deck_perms, scaled):
         self.system, self.base, self.deck_perms, self.scaled = system, base, deck_perms, scaled
@@ -384,6 +384,13 @@ class SerialFilter:
             if tracker.retraces(self.system, [scaled], [back], [gamma])[0]:
                 return "passed"
         return "undetermined"
+
+
+def serial_decide(system, base, deck_perms, scaled, rng):
+    """``scaling._decide`` with ``SerialFilter`` deciding each candidate
+    that has a scaled orbit, in order."""
+    one = SerialFilter(system, base, deck_perms, scaled)
+    return [o if isinstance(o, str) else one.decide(c, rng) for c, o in enumerate(scaled)]
 
 
 def run_fixture_monodromy(text, degree, seed_rng, x_star="random", seed_pair=None):

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    SerialFilter,
     equation_weight,
     int_det,
     int_matmul,
     lattice_is_empty,
     multidegree,
     record_paths,
+    serial_decide,
     snf_verifies,
     track_paths_one_by_one,
 )
@@ -276,9 +276,10 @@ def test_sextic_flip_scaling_survives_filter(mono_sextic):
 def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
     """Fault injection: when no path tracks after monodromy, every candidate
     is undetermined after three gammas, one failed path each, and no torsion
-    block survives.  No path is tracked ahead: ex5_7's 3 candidates allow
-    3 // 6 = 0 candidates after the first of a round, |G| = 6 (the paths,
-    from ``tracker.track_paths``, recorded one by one)."""
+    block survives.  The first round tracks the s(x_0) of all 3 of ex5_7's
+    candidates; the first one's retry ends it and leaves the other 2 paths
+    unused, and every later round holds one candidate: 9 paths used and 2
+    unused (the paths, from ``tracker.track_paths``, recorded one by one)."""
     from decksym import tracker
 
     system, result, _ = mono_ex57
@@ -297,8 +298,10 @@ def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
     assert len(out.candidates) > 1
     assert {c.status for c in out.candidates} == {"undetermined"}
     assert out.lattice.torsion == ()
-    # Each attempt stops at its first failed path, so 3 paths per candidate.
-    assert len(calls) == 3 * len(out.candidates)
+    # Each attempt stops at its first failed path, so 3 paths per candidate,
+    # plus the first round's unused s(x_0) paths of candidates 1 and 2.
+    assert len(out.candidates) == 3
+    assert len(calls) == 3 * len(out.candidates) + 2 == 11
 
 
 def test_filter_path_budget(mono_sextic, monkeypatch):
@@ -484,7 +487,7 @@ def run_filter(monkeypatch, system, result, seed, reference, alter=None):
     monkeypatch.setattr(tracker, "track_paths", counting)
     paths = record_paths(monkeypatch, alter)
     if reference:
-        monkeypatch.setattr(scaling, "_Lookahead", SerialFilter)
+        monkeypatch.setattr(scaling, "_decide", serial_decide)
     rng = np.random.default_rng(seed)
     out = commuting_discrete_scalings(
         detect_scalings(system), system, result, _deck(result), rng
@@ -500,26 +503,42 @@ def p3p_mono(p3p_orbit):
     return system, result
 
 
-@pytest.mark.parametrize("case", ["p3p_mono", "mono_sextic", "mono_ex57"])
-def test_filter_bit_identical_to_one_candidate_at_a_time(request, monkeypatch, case):
-    """Tracking ahead leaves every outcome, the rng's draws and the paths
-    (start, arc and gamma) of deciding one candidate after the other, each
-    path alone at its turn: no path goes unused."""
+@pytest.mark.parametrize(
+    "case, seed, unused",
+    [
+        pytest.param("p3p_mono", 5, 0, id="p3p_mono"),
+        pytest.param("mono_sextic", 5, 0, id="mono_sextic"),
+        pytest.param("mono_ex57", 5, 0, id="mono_ex57"),
+        # P3P's first round ends in a retry that no fault injects: a round
+        # trip that does not come back (seeds 6, 14 and 25), a failed path
+        # from s(x_0) (seed 4) or from the rest of an orbit (seed 39).
+        *(
+            pytest.param("p3p_mono", seed, unused, id=f"p3p_mono-seed{seed}")
+            for seed, unused in [(4, 4), (6, 71), (14, 35), (25, 71), (39, 27)]
+        ),
+    ],
+)
+def test_filter_bit_identical_to_one_candidate_at_a_time(request, monkeypatch, case, seed, unused):
+    """Tracking in rounds leaves every outcome, the lattice, the rng's draws
+    and the paths (start, arc and gamma) of deciding one candidate after
+    the other, each path alone at its turn.  On top of those paths, a first
+    round that ends early leaves the rows it tracked for later candidates
+    unused, within 2|G| (C - 1)."""
     system, result = request.getfixturevalue(case)[:2]
-    got, paths, _ = run_filter(monkeypatch, system, result, 5, reference=False)
-    want, want_paths, _ = run_filter(monkeypatch, system, result, 5, reference=True)
+    got, paths, _ = run_filter(monkeypatch, system, result, seed, reference=False)
+    want, want_paths, _ = run_filter(monkeypatch, system, result, seed, reference=True)
     assert got == want
-    assert Counter(paths) == Counter(want_paths)
+    assert not Counter(want_paths) - Counter(paths)
+    assert len(paths) - len(want_paths) == unused
+    assert unused <= 2 * (1 + len(_deck(result))) * (len(got[0]) - 1)
 
 
 def test_p3p_filter_paths_go_out_in_rounds(p3p_orbit, monkeypatch):
     """P3P at rng seed 0: 31 candidates, 16 of which fail at s(x_0) and 15
     pass; 31 + 15 paths out and 15 round trips of 2, 76 paths, none unused.
-    A round's first call holds 31 // 2 = 15 candidates after its first, so
-    two rounds cover the 31: 16 paths out, then 7 (the first staying
-    candidate's second orbit point and 6 more), then 6 round trips, all the
-    room left allows, and the last one alone; then 15 out, 8, 12 and 4.
-    8 calls instead of one per path and per round trip, 61."""
+    No candidate retries, so one round decides all 31 in three calls: every
+    s(x_0), the second orbit point of the 15 that stayed, and their 15 round
+    trips.  3 calls instead of one per path and per round trip, 61."""
     system, result, _ = p3p_orbit
     got, paths, calls = run_filter(monkeypatch, system, result, 0, reference=False)
     want, want_paths, want_calls = run_filter(monkeypatch, system, result, 0, reference=True)
@@ -528,7 +547,7 @@ def test_p3p_filter_paths_go_out_in_rounds(p3p_orbit, monkeypatch):
     statuses = Counter(status for _, _, status in got[0])
     assert statuses == {"failed_stability": 16, "passed": 15}
     assert (len(paths), len(want_calls)) == (76, 61)
-    assert calls == [16, 7, 12, 2, 15, 8, 12, 4]
+    assert calls == [31, 15, 30]
 
 
 def s_x0(system, result, index):
@@ -544,11 +563,12 @@ def s_x0(system, result, index):
 
 def test_filter_retry_bit_identical_and_its_unused_paths_bounded(p3p_orbit, monkeypatch):
     """Fault injection: the first path from s(x_0) of P3P's candidate 1
-    fails, so candidate 1 retries inside the first round (candidates 0-15,
-    1 + 31 // 2).  The outcomes and the rng's draws are those of one
+    fails, so candidate 1 retries inside the first round, which holds all
+    31 candidates.  The outcomes and the rng's draws are those of one
     candidate at a time, and so is every path it tracks; on top of those,
-    the retry leaves the s(x_0) paths of candidates 2-15 unused: 14, fewer
-    than the 31 candidates."""
+    the retry leaves the s(x_0) paths of candidates 2-30 unused: 29.  The
+    round's later calls stop at candidate 1, so nothing else is tracked
+    ahead."""
     from decksym import tracker
 
     system, result, _ = p3p_orbit
@@ -571,7 +591,7 @@ def test_filter_retry_bit_identical_and_its_unused_paths_bounded(p3p_orbit, monk
     assert got == want and failed == want_failed
     extra = Counter(paths) - Counter(want_paths)
     assert not Counter(want_paths) - Counter(paths)
-    assert sum(extra.values()) == 14
+    assert sum(extra.values()) == 29
     # Candidate 1 ended the first round and passed on its second gamma.
     assert [status for _, _, status in got[0]][:2] == ["failed_stability", "passed"]
 
@@ -580,11 +600,10 @@ def test_p3p_filter_without_tracked_paths_bounds_its_unused_paths(p3p_orbit, mon
     """Fault injection: every path fails, so each of P3P's 31 candidates is
     undetermined after 3 attempts of one path, 93 paths, and every attempt
     but a candidate's last is a retry that ends its round.  The unused
-    paths follow from the round rule, restated here: a round's first call
-    holds (31 - unused) // 2 candidates after its first, and a retry leaves
-    the rest of the round unused.  That gives rounds of 16, 9, 5, 3, four of
-    2, then one path at a time: 30 unused paths, 123 in all, never more
-    unused paths than candidates."""
+    paths follow from the round rule, restated here: the first round holds
+    every candidate, every later round one, and a retry with attempts left
+    leaves the rest of its round unused.  The first round's 31 paths leave
+    30 unused, 123 in all, within 2|G| (C - 1) for |G| = 2 and C = 31."""
     from decksym import tracker
 
     system, result, _ = p3p_orbit
@@ -600,19 +619,15 @@ def test_p3p_filter_without_tracked_paths_bounds_its_unused_paths(p3p_orbit, mon
     )
     assert [c.status for c in out.candidates] == ["undetermined"] * 31
 
-    unused, paths, pending, candidate, attempt = 0, 0, set(), 0, 1
-    while candidate < 31:
-        if (candidate, attempt) not in pending:
-            spare = (31 - unused) // 2
-            later = range(candidate + 1, min(31, candidate + 1 + spare))
-            pending = {(candidate, attempt)} | {(k, 1) for k in later}
-            paths += 1 + len(later)
-        pending.discard((candidate, attempt))
+    unused, paths, left, attempt, first = 0, 0, 31, 1, True
+    while left:
+        held = left if first else 1
+        paths += held  # one s(x_0) each; no orbit stays, so no other call
         if attempt < 3:
-            unused, pending, attempt = unused + len(pending), set(), attempt + 1
+            unused, first, attempt = unused + held - 1, False, attempt + 1
         else:
-            candidate, attempt = candidate + 1, 1
+            left, attempt = left - 1, 1
     assert (unused, paths) == (30, 123)
     assert sum(calls) == paths == 3 * 31 + unused
-    assert calls[:9] == [16, 9, 5, 3, 2, 2, 2, 2, 1]
-    assert unused <= len(out.candidates)
+    assert calls[:3] == [31, 1, 1] and set(calls[1:]) == {1}
+    assert unused <= 2 * (1 + len(_deck(result))) * (len(out.candidates) - 1)

@@ -347,6 +347,8 @@ class Pipeline:
             "subproblems": stats.subproblems,
             "class_count": stats.class_count,
             "largest_class": stats.largest_class,
+            "orbit_samples": stats.orbit_samples,
+            "rows_per_sample": stats.rows_per_sample,
         }
         self.report["deck_maps"] = [self._deck_entry(d) for d in self.decks]
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -53,6 +54,7 @@ import numpy as np
 Exponent = tuple[int, ...]
 ExactComplex = tuple[Fraction, Fraction]
 Coeff = Union[complex, ExactComplex]
+Term = tuple[Exponent, Coeff]
 
 _EXACT_ZERO: ExactComplex = (Fraction(0), Fraction(0))
 _EXACT_ONE: ExactComplex = (Fraction(1), Fraction(0))
@@ -673,10 +675,24 @@ class _Parser:
         return value
 
     def parse_term(self) -> RationalFunction:
+        """A product of factors, folded left to right.  Numbers, variables
+        and their powers are monomials (``parse_atom``): a run of them, each
+        multiplied or dividing by a nonzero constant, is multiplied out
+        exponent by exponent and builds one polynomial.  Literals are exact,
+        so this gives the coefficients of the fold."""
         value = self.parse_factor()
         while self.peek().kind in "*/":
             op = self.next().kind
             rhs = self.parse_factor()
+            if isinstance(value, tuple) and isinstance(rhs, tuple):
+                if op == "*":
+                    c = value[1] if rhs[1] is _EXACT_ONE else _cmul(value[1], rhs[1])
+                    value = (tuple(map(operator.add, value[0], rhs[0])), c)
+                    continue
+                if not any(rhs[0]) and not _czero(rhs[1]):
+                    value = (value[0], _cmul(value[1], _cinv(rhs[1])))
+                    continue
+            value, rhs = self.rational(value), self.rational(rhs)
             if op == "*":
                 value = value * rhs
             else:
@@ -684,9 +700,15 @@ class _Parser:
                     t = self.toks[self.pos - 1]
                     raise ParseError("division by zero", t.line, t.col)
                 value = value / rhs
+        return self.rational(value)
+
+    def rational(self, value: RationalFunction | Term) -> RationalFunction:
+        """``value`` as a rational function; a monomial becomes a polynomial."""
+        if isinstance(value, tuple):
+            return RationalFunction.from_polynomial(Polynomial(self.nvars, [value]))
         return value
 
-    def parse_factor(self) -> RationalFunction:
+    def parse_factor(self) -> RationalFunction | Term:
         sign = 1
         while self.peek().kind in "+-":
             if self.next().kind == "-":
@@ -698,30 +720,35 @@ class _Parser:
             if t.kind != "number" or not t.text.isdigit():
                 raise ParseError("exponent must be a non-negative integer", t.line, t.col)
             k = int(t.text)
-            value = RationalFunction(value.numerator**k, value.denominator**k)
+            if isinstance(value, tuple):
+                c = _EXACT_ONE
+                for _ in range(k):
+                    c = _cmul(c, value[1])
+                value = (tuple(e * k for e in value[0]), c)
+            else:
+                value = RationalFunction(value.numerator**k, value.denominator**k)
         if sign < 0:
-            value = -value
+            value = (value[0], _cneg(value[1])) if isinstance(value, tuple) else -value
         return value
 
-    def parse_atom(self) -> RationalFunction:
+    def parse_atom(self) -> RationalFunction | Term:
+        """A number, the imaginary unit or a variable as a monomial term
+        (exponent, exact coefficient); a parenthesized expression as a
+        rational function."""
         t = self.next()
         if t.kind == "number":
             try:
                 value = Fraction(Decimal(t.text))
             except (InvalidOperation, ValueError):
                 raise ParseError(f"bad numeric literal {t.text!r}", t.line, t.col)
-            return RationalFunction.from_polynomial(
-                Polynomial.constant(self.nvars, (value, Fraction(0)))
-            )
+            return (0,) * self.nvars, (value, Fraction(0))
         if t.kind == "ident":
             if t.text in self.index:
-                return RationalFunction.from_polynomial(
-                    Polynomial.variable(self.nvars, self.index[t.text])
-                )
+                exp = [0] * self.nvars
+                exp[self.index[t.text]] = 1
+                return tuple(exp), _EXACT_ONE
             if t.text == "i":
-                return RationalFunction.from_polynomial(
-                    Polynomial.constant(self.nvars, (Fraction(0), Fraction(1)))
-                )
+                return (0,) * self.nvars, (Fraction(0), Fraction(1))
             raise ParseError(f"undeclared variable {t.text!r}", t.line, t.col)
         if t.kind == "(":
             value = self.parse_expr()

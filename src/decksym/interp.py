@@ -11,17 +11,24 @@ dense path is the one-class case, the empty lattice, where every monomial up
 to the degree lands in the same class.
 
 Each orbit sample is a ``tracker.FiberSample`` of the base solution and its
-|G|-1 deck images.  The samples are kept across degrees, so a higher degree
-draws only the shortfall of its budget, in one ``monodromy.sample_orbit``
-call: the whole shortfall goes out in one lockstep tracking call and comes
-back for its round trip in one more (``tracker.sample_fiber``), and only
-failed samples are redrawn.  At each degree the base points [x | p] are
-stacked once as an (S, n+m) array and the images as an (S, |G|-1, n) array,
-and every subproblem indexes those two.
+|G|-1 deck images, tracked to one random parameter point.  Each of its |G|
+points x gives the pairs (x, Psi_k(x)) for every deck map, since the deck
+permutations send x to another point of the same sample.  A degree that
+needs 2t rows fits on every point of ceil(2t/|G|) samples when that many
+parameter points rule out spurious nullspace vectors, and on point 0 of 2t
+samples otherwise (the rule and its derivation are in ``_interpolate``).
+The samples are kept across degrees, so a higher degree draws only the
+shortfall of its budget, in one ``monodromy.sample_orbit`` call: the whole
+shortfall goes out in one lockstep tracking call and comes back for its
+round trip in one more (``tracker.sample_fiber``), and only failed samples
+are redrawn.  At each degree the fit and held-out points [x | p] are
+stacked once as an (R, n+m) array and their deck images as an
+(R, |G|-1, n) array, and every subproblem indexes those two.
 
-Candidates are accepted only when they reproduce held-out samples that never
-entered the Vandermonde; accepted coefficients are snapped to nearby small
-rationals and the snap is rolled back if re-validation fails.
+Candidates are accepted only when they reproduce held-out rows that never
+entered the Vandermonde: point 0 of samples that give no fit row.
+Accepted coefficients are snapped to nearby small rationals and the snap is
+rolled back if re-validation fails.
 
 Every value here comes from the one evaluation kernel of ``expr``: the
 Vandermonde columns of a multidegree class are its monomial rows at the
@@ -35,7 +42,7 @@ of their paths in one lockstep call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -92,6 +99,8 @@ class InterpolationStats:
     graded: bool = False
     class_count: int = 0
     largest_class: int = 0
+    orbit_samples: int = 0
+    rows_per_sample: list[int] = field(default_factory=list)
 
 
 def get_representative(rref_n: np.ndarray, split: int):
@@ -177,10 +186,12 @@ def _try_candidate(
     holdout: int,
 ) -> RationalFunction | None:
     """The validated formula for coordinate j of deck k from the first
-    ``size`` samples, snapped when the snap still validates; None when the
-    nullspace has no representative or it fails the samples from index
-    ``holdout`` on.  ``points`` (S, n+m) holds each sample's base point and
-    ``images`` (S, |G|-1, n) its deck images."""
+    ``size`` rows, snapped when the snap still validates; None when the
+    nullspace has no representative or it fails the held-out rows, those
+    from index ``holdout`` on.  Row r of ``points`` (R, n+m) is an orbit
+    point [x | p] and row r of ``images`` (R, |G|-1, n) its images under
+    the deck maps (``_orbit_rows``); ``vn`` and ``vd`` hold the numerator
+    and denominator columns at every row."""
     imgs = images[:size, k, j]
     a_mat = np.hstack([vn[:size], -imgs[:, None] * vd[:size]])
     try:
@@ -199,6 +210,28 @@ def _try_candidate(
         return None
     snapped = snap_rational(rf)
     return snapped if _validate(snapped, points, images) else rf
+
+
+def _image_positions(perms: Sequence[Perm], labels: Sequence[int]) -> list[list[int | None]]:
+    """Row tau: the orbit position of sigma_k(labels[tau]) for every deck
+    permutation sigma_k, None where that image lies outside the orbit.  Row 0
+    is [1, ..., |G|-1] (``monodromy.deck_orbit``)."""
+    position = {label: i for i, label in enumerate(labels)}
+    return [[position.get(sigma[label]) for sigma in perms] for label in labels]
+
+
+def _orbit_rows(
+    samples: Sequence[FiberSample], image_positions: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points (R, n+m) and their deck images (R, |G|-1, n) of the first
+    ``len(image_positions)`` orbit positions of every sample, stacked
+    position-major: position 0 of every sample, then position 1 of every
+    sample, and so on."""
+    sols = np.array([s.solutions for s in samples])
+    params = np.array([s.params for s in samples])
+    points = [np.hstack([sols[:, tau], params]) for tau in range(len(image_positions))]
+    images = [sols[:, row] for row in image_positions]
+    return np.concatenate(points), np.concatenate(images)
 
 
 def monomial_classes(
@@ -232,10 +265,38 @@ def _interpolate(
     For each degree D up to the bound, the monomials up to degree D are
     split into classes; the numerator class determines the denominator class
     through the coordinate's own weights, and classes whose denominator
-    multidegree has no monomials are skipped.  The sample budget per degree
-    is twice the largest class size plus a held-out tail.  Coordinates that
-    admit a validated representative are filled in, and the loop stops
-    early once every coordinate is found.
+    multidegree has no monomials are skipped.  A fit needs 2t rows, t the
+    largest class size.  Coordinates that admit a validated representative
+    are filled in, and the loop stops early once every coordinate is found.
+
+    Every point x_tau of an orbit sample gives a row (x_tau, Psi_k(x_tau))
+    for each deck k: Psi_k(x_tau) is the sample's point at the orbit
+    position of sigma_k(l_tau), l_tau the base labels of
+    ``monodromy.deck_orbit``.  The |G| points of a sample share one
+    parameter point, though, and that can add spurious nullspace vectors.
+    Let P be the number of the degree's monomials with no unknown, the
+    constant included: 1 without ``parameter_dependent``, C(m+D, D) with
+    it.  A nonzero h(p) of degree <= D that vanishes at every fit parameter
+    point puts (h*A, h*B) into the nullspace for every pair of polynomials
+    A, B whose products with h are columns of the subproblem: (h, 0), and h
+    times the true numerator and denominator when the degrees allow, since
+    h*A - y*h*B is 0 on every row however generic the samples.  The h of
+    degree <= D span a space of dimension P, and S generic parameter points
+    impose S independent conditions on it, so no such h exists exactly when
+    S >= P.  (With one row per sample, every row has its own parameter
+    point.)  Hence the rule: a degree fits on all |G| points of
+    S = ceil(2t/|G|) samples when S >= P and the deck images of every orbit
+    point lie in the orbit (the permutations and the identity form a
+    group), and on point 0 of 2t samples otherwise.
+
+    Fit rows are stacked position-major (``_orbit_rows``), and a subproblem
+    with ``size`` columns takes the first ``size`` rows.  So a subproblem
+    with at most S columns sees only point-0 rows of distinct samples, and
+    one that needs orbit mates has first used every fit parameter point.
+    The held-out rows are point 0 of the next ``_holdout_count(2t)``
+    samples, which give no fit row: orbit mates of a fit row share its
+    parameters and so check nothing new.  Samples are kept across degrees,
+    and a degree draws only the shortfall of its fit and held-out samples.
     """
     perms = sorted(set(monodromy_mod.check_deck_perms(mono, deck_perms)))
     n, m = system.n, system.m
@@ -243,6 +304,9 @@ def _interpolate(
     stats = InterpolationStats(parameter_dependent=parameter_dependent, graded=True)
     if not perms:
         return decks, stats
+    _, labels, _ = monodromy_mod.deck_orbit(mono, perms)
+    image_positions = _image_positions(perms, labels)
+    closed = all(None not in row for row in image_positions)
     samples: list[FiberSample] = []
 
     for degree in range(1, degree_bound + 1):
@@ -251,14 +315,26 @@ def _interpolate(
         stats.class_count = len(classes)
         t = max(len(v) for v in classes.values())
         stats.largest_class = max(stats.largest_class, t)
-        fit_max = 2 * t
-        budget = fit_max + _holdout_count(fit_max)
+        fit_rows = 2 * t
+        parameter_columns = sum(1 for exp in monos if not any(exp[:n]))
+        fit_samples = math.ceil(fit_rows / len(labels))
+        positions = len(labels)
+        if not closed or fit_samples < parameter_columns:
+            fit_samples, positions = fit_rows, 1
+        stats.rows_per_sample.append(positions)
+        budget = fit_samples + _holdout_count(fit_rows)
         if budget > len(samples):
             samples += monodromy_mod.sample_orbit(
                 system, mono, perms, budget - len(samples), rng
             )
-        points = np.array([s.points()[0] for s in samples[:budget]])
-        images = np.array([s.solutions[1:] for s in samples[:budget]])
+        fit_points, fit_images = _orbit_rows(
+            samples[:fit_samples], image_positions[:positions]
+        )
+        held_points, held_images = _orbit_rows(
+            samples[fit_samples:budget], image_positions[:1]
+        )
+        points = np.concatenate([fit_points, held_points])
+        images = np.concatenate([fit_images, held_images])
         values: dict[scaling.Multidegree, np.ndarray] = {}
 
         def class_values(key):
@@ -287,13 +363,14 @@ def _interpolate(
                     )
                     got = _try_candidate(
                         system, points, images, vn, vd, mon_n, mon_d, j, k,
-                        len(mon_n) + len(mon_d), fit_max,
+                        len(mon_n) + len(mon_d), len(fit_points),
                     )
                     if got is not None:
                         deck.coords[j] = got
                         deck.degree_bound_used = degree
         if all(d.complete for d in decks):
             break
+    stats.orbit_samples = len(samples)
     return decks, stats
 
 
@@ -369,6 +446,16 @@ def held_out_fibers(
     return [sample for sample in samples if sample is not None]
 
 
+def _values(rf: RationalFunction, points: np.ndarray) -> np.ndarray:
+    """``rf`` at every row of ``points``; all NaN when its denominator is
+    exactly 0 at some row, so that a check on the values fails there
+    instead of raising."""
+    try:
+        return rf.evaluate(points)
+    except ZeroDivisionError:
+        return np.full(len(points), complex(np.nan, np.nan))
+
+
 def verify_deck(
     system: System,
     deck: DeckMap,
@@ -383,11 +470,13 @@ def verify_deck(
     (b) for complete maps, the image point satisfies the structural
     equations within ``IMAGE_RESIDUAL_TOL``; (c) each formula is
     quasi-homogeneous for every free scaling row, at scalings drawn from
-    ``rng``.  Failures are reported, not raised.  ``trial_count`` is the
-    number of fibers requested, and a check on fewer fibers does not pass:
-    zero fibers would otherwise pass vacuously.  For the same reason a
-    ``trial_count`` below 1 is a ValueError.  The fibers are only read, so
-    every deck map of a run is checked on the same ones.
+    ``rng``.  Failures are reported, not raised: a formula whose denominator
+    is exactly 0 at a held-out or scaled point fails its check with a NaN
+    worst value.  ``trial_count`` is the number of fibers requested, and a
+    check on fewer fibers does not pass: zero fibers would otherwise pass
+    vacuously.  For the same reason a ``trial_count`` below 1 is a
+    ValueError.  The fibers are only read, so every deck map of a run is
+    checked on the same ones.
     """
     if trial_count < 1:
         raise ValueError("trial_count must be >= 1")
@@ -406,7 +495,7 @@ def verify_deck(
         # through and fails the check.
         points = np.concatenate([s.points() for s in fibers])
         paired = np.concatenate([s.solutions[list(sigma)] for s in fibers])[:, present]
-        values = np.column_stack([deck.coords[j].evaluate(points) for j in present])
+        values = np.column_stack([_values(deck.coords[j], points) for j in present])
         worst_pair = float(np.max(np.abs(values - paired) / (1.0 + np.abs(paired))))
         if deck.complete:
             comp = tracker.compiled(system)
@@ -418,13 +507,13 @@ def verify_deck(
     quasi_ok: bool | None = None
     if lattice is not None and lattice.free.rows and fibers:
         points = fibers[0].points()[:3]
-        base = [deck.coords[j].evaluate(points) for j in present]
+        base = [_values(deck.coords[j], points) for j in present]
         for row in lattice.free.data:
             lam = complex(np.exp(1j * rng.uniform(0, 2 * np.pi))) * rng.uniform(0.5, 1.5)
             scaled = scaling.apply_scaling(row, lam, points)
             for j, base_vals in zip(present, base):
                 expected = lam ** row[j] * base_vals
-                err = np.abs(deck.coords[j].evaluate(scaled) - expected) / (1.0 + np.abs(expected))
+                err = np.abs(_values(deck.coords[j], scaled) - expected) / (1.0 + np.abs(expected))
                 worst_quasi = float(np.max(err, initial=worst_quasi))
         quasi_ok = worst_quasi <= VALIDATE_RTOL
 

@@ -496,16 +496,18 @@ def check_deck_perms(result: MonodromyResult, deck_perms: Sequence[Perm]) -> lis
 
 def deck_orbit(
     result: MonodromyResult, deck_perms: Sequence[Perm]
-) -> tuple[list[Perm], FiberSample]:
-    """The non-identity deck permutations (``check_deck_perms``) and the deck
-    orbit of the base solution over the base parameters: solution 0, then
-    solution sigma(0) for each of them, which must all be distinct."""
+) -> tuple[list[Perm], list[int], FiberSample]:
+    """The non-identity deck permutations (``check_deck_perms``), the base
+    labels of the deck orbit of the base solution, and that orbit over the
+    base parameters.  The labels are 0, then sigma(0) for each permutation,
+    and must all be distinct; orbit point tau is base solution labels[tau],
+    so deck k maps it to the orbit point labelled sigma_k(labels[tau])."""
     nontrivial = check_deck_perms(result, deck_perms)
-    indices = [0] + [sigma[0] for sigma in nontrivial]
-    if len(set(indices)) != len(indices):
+    labels = [0] + [sigma[0] for sigma in nontrivial]
+    if len(set(labels)) != len(labels):
         raise ValueError("deck permutations do not have distinct images of the base point")
     base = result.base
-    return nontrivial, FiberSample(base.params, base.solutions[indices])
+    return nontrivial, labels, FiberSample(base.params, base.solutions[labels])
 
 
 def sample_orbit(
@@ -517,15 +519,17 @@ def sample_orbit(
 ) -> list[FiberSample]:
     """Track the deck orbit of the base solution to ``count`` random targets.
 
-    Each returned sample holds the orbit only, index-correspondent: pair
-    (solutions[0], solutions[j]) realizes (x, Psi_j(x)) for the j-th
-    non-identity deck permutation.  Each sample must pass a round trip, in
+    Each returned sample holds the orbit only, in the order of
+    ``deck_orbit``: pair (solutions[0], solutions[j]) realizes
+    (x, Psi_j(x)) for the j-th non-identity deck permutation, and deck k
+    maps solutions[tau] to the solution at the position of
+    sigma_k(labels[tau]).  Each sample must pass a round trip, in
     ``tracker.SAMPLE_ATTEMPTS`` rounds of one ``tracker.sample_fiber`` call
     for all ``count`` samples.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    _, orbit = deck_orbit(result, deck_perms)
+    _, _, orbit = deck_orbit(result, deck_perms)
     samples = tracker.sample_fiber(system, orbit, count, rng, retrace=True)
     if any(sample is None for sample in samples):
         raise MonodromyError(f"orbit sampling failed after {tracker.SAMPLE_ATTEMPTS} attempts")

@@ -436,7 +436,7 @@ def commuting_discrete_scalings(
     a time, and every path one candidate at a time tracks is among them.
     """
     base = mono.base
-    nontrivial, orbit = monodromy.deck_orbit(mono, deck_perms)
+    nontrivial, _, orbit = monodromy.deck_orbit(mono, deck_perms)
 
     tested: list[tuple[int, tuple[int, ...], tracker.FiberSample | str]] = []
     truncated_any = False

@@ -1,11 +1,13 @@
 import functools
+from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from decksym import numcore, tracker
+from decksym import expr, numcore, tracker
 from decksym.expr import Exponent, System, monomial_values, parse_seed_pair, parse_system
 from decksym.fixtures import fixture_path, seed_path
 from decksym.interp import TRUNCATE_TOL
@@ -40,6 +42,78 @@ def fixture_system(name: str) -> System:
     fixtures take 1-2 s each to parse.  A System is frozen, so tests can
     share it."""
     return parse_system(fixture_path(name).read_text())
+
+
+class FoldParser(expr._Parser):
+    """The parser with a term folded factor by factor: every number and
+    variable is a ``RationalFunction``, and every ``*``, ``/`` and ``^`` one
+    product of them.  The reference the parser's monomial products are
+    compared with, term for term and coefficient for coefficient."""
+
+    def parse_term(self):
+        value = self.parse_factor()
+        while self.peek().kind in "*/":
+            op = self.next().kind
+            rhs = self.parse_factor()
+            if op == "*":
+                value = value * rhs
+            else:
+                if rhs.numerator.is_zero:
+                    t = self.toks[self.pos - 1]
+                    raise expr.ParseError("division by zero", t.line, t.col)
+                value = value / rhs
+        return value
+
+    def parse_factor(self):
+        sign = 1
+        while self.peek().kind in "+-":
+            if self.next().kind == "-":
+                sign = -sign
+        value = self.parse_atom()
+        if self.peek().kind == "^":
+            self.next()
+            t = self.next()
+            if t.kind != "number" or not t.text.isdigit():
+                raise expr.ParseError("exponent must be a non-negative integer", t.line, t.col)
+            k = int(t.text)
+            value = expr.RationalFunction(value.numerator**k, value.denominator**k)
+        if sign < 0:
+            value = -value
+        return value
+
+    def parse_atom(self):
+        t = self.next()
+        poly = expr.Polynomial
+        if t.kind == "number":
+            try:
+                value = Fraction(Decimal(t.text))
+            except (InvalidOperation, ValueError):
+                raise expr.ParseError(f"bad numeric literal {t.text!r}", t.line, t.col)
+            return expr.RationalFunction.from_polynomial(
+                poly.constant(self.nvars, (value, Fraction(0)))
+            )
+        if t.kind == "ident":
+            if t.text in self.index:
+                return expr.RationalFunction.from_polynomial(
+                    poly.variable(self.nvars, self.index[t.text])
+                )
+            if t.text == "i":
+                return expr.RationalFunction.from_polynomial(
+                    poly.constant(self.nvars, (Fraction(0), Fraction(1)))
+                )
+            raise expr.ParseError(f"undeclared variable {t.text!r}", t.line, t.col)
+        if t.kind == "(":
+            value = self.parse_expr()
+            self.expect(")")
+            return value
+        raise expr.ParseError(f"unexpected token {t.text!r}", t.line, t.col)
+
+
+def fold_parse(monkeypatch, parse, *args):
+    """``parse(*args)`` with ``FoldParser`` in place of the parser."""
+    with monkeypatch.context() as patch:
+        patch.setattr(expr, "_Parser", FoldParser)
+        return parse(*args)
 
 
 def ex57_seed():
@@ -433,4 +507,4 @@ def p3p_orbit():
     pair = parse_seed_pair(seed_path("p3p_quasihom").read_text())
     result = run_monodromy(system, pair, np.random.default_rng(0), expected_degree=8)
     perms = [g for g in centralizer_in_symmetric(result.group()) if g != identity(8)]
-    return system, result, deck_orbit(result, perms)[1]
+    return system, result, deck_orbit(result, perms)[2]

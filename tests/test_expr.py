@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import fold_parse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from decksym.expr import (
     format_complex,
     format_polynomial,
     format_rational,
+    is_exact,
     jacobian,
     mono_key,
     monomials_up_to_degree,
@@ -22,6 +24,7 @@ from decksym.expr import (
     parse_seed_pair,
     parse_system,
 )
+from decksym.fixtures import FIXTURES, fixture_path
 
 EX41 = "unknowns x; parameters p; equations x^2 + p*x + 1;"
 EX42 = "unknowns x, y; parameters p; equations x^2 + x + p; x + y + p;"
@@ -346,3 +349,59 @@ def test_deck_formula_name_error_reports_where_the_name_starts(text, message):
     line = text.count("\n")
     assert (err.value.line, err.value.col) == (line, 4)
     assert str(err.value) == f"line {line}, column 4: {message}"
+
+
+def _same_terms(a: Polynomial, b: Polynomial) -> bool:
+    """Equal term for term, with coefficients equal as exact tuples."""
+    return a.nvars == b.nvars and a.terms == b.terms and all(is_exact(c) for _, c in a.terms)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_parses_to_the_factor_by_factor_fold(name, monkeypatch):
+    """Every bundled system, and every bundled formula file of it, parses to
+    what folding each term factor by factor gives (``conftest.FoldParser``):
+    the same equations, term for term, with the same exact coefficients."""
+    text = fixture_path(name).read_text()
+    got = parse_system(text)
+    want = fold_parse(monkeypatch, parse_system, text)
+    assert (got.unknowns, got.parameters, got.patch_indices) == (
+        want.unknowns, want.parameters, want.patch_indices
+    )
+    assert len(got.equations) == len(want.equations)
+    assert all(_same_terms(a, b) for a, b in zip(got.equations, want.equations))
+    for deck in sorted(fixture_path(name).parent.glob(f"{name}*.deck")):
+        got_f = parse_deck_formulas(deck.read_text(), got)
+        want_f = fold_parse(monkeypatch, parse_deck_formulas, deck.read_text(), got)
+        assert got_f.keys() == want_f.keys()
+        for key, rf in got_f.items():
+            assert _same_terms(rf.numerator, want_f[key].numerator)
+            assert _same_terms(rf.denominator, want_f[key].denominator)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2*x/3*y^2/5",
+        "-x^3*y^0*2^3/(-4)",
+        "x/y*3/2",
+        "(x + 1)/y/2*3*x",
+        "x/2/y*y^2",
+        "i*x*i/(2*i)",
+        "0*x^2 + 0^0*y - 0^2",
+        "1.25*x*-y*--2/7",
+        "(2*x)^3/(x + y)^2*y",
+        "3/4*x^2*y - 1/2",
+    ],
+)
+def test_term_products_match_the_factor_by_factor_fold(text, monkeypatch):
+    """Runs of monomials multiplied and divided by constants, mixed with
+    sums, quotients and powers of parentheses, keep the fold's terms."""
+    got = parse_expression(text, ["x", "y"])
+    want = fold_parse(monkeypatch, parse_expression, text, ["x", "y"])
+    assert _same_terms(got.numerator, want.numerator)
+    assert _same_terms(got.denominator, want.denominator)
+
+
+def test_division_by_a_zero_literal_is_a_parse_error():
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_expression("x*2/0", ["x"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -267,7 +269,10 @@ def test_class_partition_refines(mono_sextic):
 def test_interpolation_draws_only_the_shortfall(mono41, monkeypatch):
     """With no candidate accepted, degrees 1-3 all run; their orbit samples
     are kept, so ``sample_orbit`` is asked for the last degree's budget in
-    total, one shortfall per degree."""
+    total, one shortfall per degree.  ex4_1 has |G| = 2 and P = D + 1
+    monomials without x at degree D, and S = t samples of both orbit points
+    give its 2t fit rows; S >= P at every degree, so each budget is S plus
+    ``_holdout_count(2t)`` held-out samples: 3 + 3, 6 + 3 and 10 + 3."""
     system, result, _ = mono41
     asked = []
 
@@ -278,14 +283,111 @@ def test_interpolation_draws_only_the_shortfall(mono41, monkeypatch):
     real = monodromy.sample_orbit
     monkeypatch.setattr(monodromy, "sample_orbit", counting)
     monkeypatch.setattr(interp, "_try_candidate", lambda *args: None)
-    interpolate_dense(system, result, deck_perms_of(result), 3, True, np.random.default_rng(0))
+    _, stats = interpolate_dense(
+        system, result, deck_perms_of(result), 3, True, np.random.default_rng(0)
+    )
 
     def budget(degree):
-        fit = 2 * len(monomials_up_to_degree(system.n, system.m, degree, True))
-        return fit + interp._holdout_count(fit)
+        t = len(monomials_up_to_degree(system.n, system.m, degree, True))
+        fit_samples = math.ceil(2 * t / len(result.base))  # |G| = d = 2
+        assert fit_samples >= degree + 1
+        return fit_samples + interp._holdout_count(2 * t)
 
-    assert asked == [budget(1), budget(2) - budget(1), budget(3) - budget(2)]
-    assert sum(asked) == budget(3)
+    assert asked == [budget(1), budget(2) - budget(1), budget(3) - budget(2)] == [6, 3, 4]
+    assert sum(asked) == budget(3) == stats.orbit_samples
+    assert stats.rows_per_sample == [2, 2, 2]
+
+
+def test_held_out_rows_come_from_samples_that_give_no_fit_row(mono41, monkeypatch):
+    """At every degree the fit rows are both orbit points of S samples,
+    point 0 of every sample first, and the held-out rows are point 0 of
+    ``_holdout_count(2t)`` other samples: no held-out parameter point is
+    the parameter point of a fit row."""
+    system, result, _ = mono41
+    calls = {}
+
+    def recording(system, points, images, vn, vd, mon_n, mon_d, j, k, size, holdout):
+        calls[id(points)] = (points, holdout)
+
+    monkeypatch.setattr(interp, "_try_candidate", recording)
+    interpolate_dense(system, result, deck_perms_of(result), 3, True, np.random.default_rng(0))
+    assert len(calls) == 3
+    n = system.n
+    for (points, holdout), t in zip(calls.values(), (3, 6, 10)):
+        fit, held = points[:holdout, n:], points[holdout:, n:]
+        assert len(held) == interp._holdout_count(2 * t)
+        assert len(fit) == 2 * t
+        assert np.array_equal(fit[:t], fit[t:])  # both orbit points of t samples
+        assert len({tuple(p) for p in fit[:t]}) == t
+        assert not {tuple(p) for p in held} & {tuple(p) for p in fit}
+
+
+@pytest.fixture(scope="module")
+def ex57_decks(mono_ex57):
+    """ex5_7's five deck maps from dense degree-1 interpolation with
+    parameter-dependent monomials, at a fresh rng."""
+    system, result, _ = mono_ex57
+    decks, stats = interpolate_dense(
+        system, result, deck_perms_of(result), 1, True, np.random.default_rng(0)
+    )
+    return system, result, decks, stats
+
+
+def test_ex57_falls_back_to_point_0_rows_and_keeps_every_coordinate(ex57_decks):
+    """ex5_7 at degree 1 with parameters: 2t = 16 rows and |G| = 6 give
+    S = 3 samples, fewer than the P = 4 monomials 1, p1, p2, p3 without an
+    unknown.  A degree-1 h(p) then vanishes at the three parameter points,
+    so the degree fits on point 0 of 16 samples, and all 20 coordinates of
+    the five deck maps are found."""
+    system, _, decks, stats = ex57_decks
+    t = len(monomials_up_to_degree(system.n, system.m, 1, True))
+    shared = len(monomials_up_to_degree(0, system.m, 1, True))
+    assert (math.ceil(2 * t / 6), shared) == (3, 4)
+    assert len(decks) == 5 and all(deck.complete for deck in decks)
+    assert stats.rows_per_sample == [1]
+    assert stats.orbit_samples == 2 * t + interp._holdout_count(2 * t) == 19
+
+
+def test_one_deck_map_fits_whole_orbits_only_when_they_close(ex57_decks):
+    """Interpolating one of ex5_7's deck maps on its own: an involution's
+    orbit {x, Psi(x)} is closed under Psi, and its S = 8 samples are at
+    least P = 4, so the degree fits on both points of each sample; the orbit
+    of a map of order 3 or 6 is not closed (Psi(Psi(x)) is not in it), so
+    the degree falls back to point 0.  Every coordinate is found either way."""
+    system, result, decks, _ = ex57_decks
+    for deck in decks:
+        sigma = deck.permutation
+        (alone,), stats = interpolate_dense(
+            system, result, [sigma], 1, True, np.random.default_rng(0)
+        )
+        involution = all(sigma[sigma[i]] == i for i in range(len(sigma)))
+        assert stats.rows_per_sample == ([2] if involution else [1])
+        assert alone.complete
+
+
+def test_deck_images_sit_at_the_orbit_position_of_sigma_of_the_label(ex57_decks):
+    """Over ex5_7's six-element deck group, deck k maps orbit point tau of
+    every tracked sample to the sample's point at the orbit position of
+    sigma_k(l_tau), l_tau the base labels of ``deck_orbit``: the formulas,
+    fitted on point-0 rows only, reproduce every image ``_orbit_rows``
+    pairs with each of the six orbit points."""
+    system, result, decks, _ = ex57_decks
+    perms = [deck.permutation for deck in decks]
+    _, labels, _ = monodromy.deck_orbit(result, perms)
+    positions = interp._image_positions(perms, labels)
+    assert positions[0] == [1, 2, 3, 4, 5]
+    assert all(
+        labels[positions[tau][k]] == sigma[labels[tau]]
+        for tau in range(6)
+        for k, sigma in enumerate(perms)
+    )
+    samples = sample_orbit(system, result, perms, 2, np.random.default_rng(1))
+    points, images = interp._orbit_rows(samples, positions)
+    assert points.shape == (12, system.n + system.m) and images.shape == (12, 5, system.n)
+    for k, deck in enumerate(decks):
+        for j, rf in enumerate(deck.coords):
+            values = rf.evaluate(points)
+            assert np.all(np.abs(values - images[:, k, j]) <= 1e-6 * (1 + np.abs(images[:, k, j])))
 
 
 def test_verify_deck_passes_for_true_formula(mono41):
@@ -346,6 +448,22 @@ def test_verify_deck_fails_for_nan_formula(mono41):
     nan_deck = DeckMap(deck_perms_of(result)[0], [nan_x], 1)
     report = verify_deck(system, nan_deck, held_out_fibers(system, result.base, 2, rng), 2, rng)
     assert report.trials == 2
+    assert not report.pairing_ok and not report.fiber_ok and not report.passed
+
+
+def test_verify_deck_fails_for_a_denominator_of_exactly_zero(mono41):
+    """x -> 1/x on a held-out fiber holding the solution 0: the pairing
+    check fails with a non-finite worst value instead of raising
+    ZeroDivisionError out of the verification stage."""
+    from decksym.expr import parse_expression
+    from decksym.interp import DeckMap
+
+    system, result, _ = mono41
+    reciprocal = DeckMap((1, 0), [parse_expression("1/x", system.names)], 1)
+    fiber = FiberSample(np.array([2.5 + 0j]), np.array([[0.0], [2.0]]))
+    report = verify_deck(system, reciprocal, [fiber], 1, np.random.default_rng(0))
+    assert report.trials == 1
+    assert not np.isfinite(report.worst_pairing)
     assert not report.pairing_ok and not report.fiber_ok and not report.passed
 
 

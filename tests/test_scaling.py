@@ -557,7 +557,7 @@ def s_x0(system, result, index):
     lattice = detect_scalings(system)
     (block,) = lattice.torsion
     u = scaling._enumerate_candidates(block)[0][index]
-    _, orbit = deck_orbit(result, _deck(result))
+    _, _, orbit = deck_orbit(result, _deck(result))
     return scaling._scaled_orbit(system, lattice, orbit, u, -1.0 + 0j).solutions[0]
 
 

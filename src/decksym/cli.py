@@ -349,6 +349,7 @@ class Pipeline:
             "largest_class": stats.largest_class,
             "orbit_samples": stats.orbit_samples,
             "rows_per_sample": stats.rows_per_sample,
+            "point_0_refits": stats.point_0_refits,
         }
         self.report["deck_maps"] = [self._deck_entry(d) for d in self.decks]
 

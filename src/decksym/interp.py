@@ -15,15 +15,19 @@ Each orbit sample is a ``tracker.FiberSample`` of the base solution and its
 points x gives the pairs (x, Psi_k(x)) for every deck map, since the deck
 permutations send x to another point of the same sample.  A degree that
 needs 2t rows fits on every point of ceil(2t/|G|) samples when that many
-parameter points rule out spurious nullspace vectors, and on point 0 of 2t
-samples otherwise (the rule and its derivation are in ``_interpolate``).
-The samples are kept across degrees, so a higher degree draws only the
-shortfall of its budget, in one ``monodromy.sample_orbit`` call: the whole
-shortfall goes out in one lockstep tracking call and comes back for its
-round trip in one more (``tracker.sample_fiber``), and only failed samples
-are redrawn.  At each degree the fit and held-out points [x | p] are
-stacked once as an (R, n+m) array and their deck images as an
-(R, |G|-1, n) array, and every subproblem indexes those two.
+parameter points rule out the nullspace vectors that shared parameters
+add, and on point 0 of 2t samples otherwise.  A fit that takes orbit mates
+is certified on the held-out rows, and refit on point 0 of 2t samples when
+the mates left it underdetermined (the rule, the check and their
+derivation are in ``_interpolate``).  The samples are kept across degrees,
+so a higher degree draws only the shortfall of its budget, in one
+``monodromy.sample_orbit`` call, and a degree with a refit one more: each
+call's samples go out in one lockstep tracking call and come back for
+their round trip in one more (``tracker.sample_fiber``), and only failed
+samples are redrawn.  At each degree the fit and held-out points [x | p]
+are stacked once as an (R, n+m) array and their deck images as an
+(R, |G|-1, n) array (``_Rows``), and every subproblem indexes those two;
+the point-0 rows of a refit are stacked once more.
 
 Candidates are accepted only when they reproduce held-out rows that never
 entered the Vandermonde: point 0 of samples that give no fit row.
@@ -100,6 +104,7 @@ class InterpolationStats:
     class_count: int = 0
     largest_class: int = 0
     orbit_samples: int = 0
+    point_0_refits: int = 0
     rows_per_sample: list[int] = field(default_factory=list)
 
 
@@ -172,6 +177,12 @@ def _holdout_count(fit: int) -> int:
     return max(3, math.ceil(0.1 * fit))
 
 
+class _Underdetermined(Exception):
+    """A fit on orbit rows whose nullspace has a direction that misses a
+    held-out row: the orbit mates gave fewer independent rows than their
+    count (see ``_interpolate``)."""
+
+
 def _try_candidate(
     system: System,
     points: np.ndarray,
@@ -184,6 +195,7 @@ def _try_candidate(
     k: int,
     size: int,
     holdout: int,
+    certify: bool,
 ) -> RationalFunction | None:
     """The validated formula for coordinate j of deck k from the first
     ``size`` rows, snapped when the snap still validates; None when the
@@ -191,15 +203,26 @@ def _try_candidate(
     from index ``holdout`` on.  Row r of ``points`` (R, n+m) is an orbit
     point [x | p] and row r of ``images`` (R, |G|-1, n) its images under
     the deck maps (``_orbit_rows``); ``vn`` and ``vd`` hold the numerator
-    and denominator columns at every row."""
-    imgs = images[:size, k, j]
-    a_mat = np.hstack([vn[:size], -imgs[:, None] * vd[:size]])
+    and denominator columns at every row.
+
+    With ``certify``, every nullspace direction must also vanish at the
+    held-out rows, within ``VALIDATE_RTOL`` of the row's norm, or the fit
+    raises ``_Underdetermined``.  Such a direction is not an identity on the
+    solution variety: a held-out row is point 0 of a sample that gives no
+    fit row, a generic point of the variety."""
+    imgs = images[:, k, j]
+    a_mat = np.hstack([vn[:size], -imgs[:size, None] * vd[:size]])
     try:
         null = numcore.nullspace(a_mat)
     except (np.linalg.LinAlgError, ValueError):
         return None
     if null.shape[1] == 0:
         return None
+    if certify:
+        held = np.hstack([vn[holdout:], -imgs[holdout:, None] * vd[holdout:]])
+        miss = np.abs(held @ null) / np.linalg.norm(held, axis=1, keepdims=True)
+        if np.any(miss > VALIDATE_RTOL):
+            raise _Underdetermined
     reduced = numcore.rref(null.T)
     rep = get_representative(reduced, len(numer_monos))
     if rep is None:
@@ -232,6 +255,31 @@ def _orbit_rows(
     points = [np.hstack([sols[:, tau], params]) for tau in range(len(image_positions))]
     images = [sols[:, row] for row in image_positions]
     return np.concatenate(points), np.concatenate(images)
+
+
+class _Rows:
+    """The fit rows of one degree, then its held-out rows, each a pair of
+    points and images from ``_orbit_rows``, and the values of each
+    multidegree class at every row, computed on first use."""
+
+    def __init__(self, fit: tuple[np.ndarray, np.ndarray], held: tuple[np.ndarray, np.ndarray]):
+        self.points = np.concatenate([fit[0], held[0]])
+        self.images = np.concatenate([fit[1], held[1]])
+        self.holdout = len(fit[0])
+        self._values: dict[scaling.Multidegree, np.ndarray] = {}
+
+    def values(self, key: scaling.Multidegree, monos: Sequence[Exponent]) -> np.ndarray:
+        got = self._values.get(key)
+        if got is None:
+            got = self._values[key] = monomial_values(monos, self.points)
+        return got
+
+    def fit(self, system, mon_n, mon_d, key, deg_d, j, k, size, certify=False):
+        """``_try_candidate`` for coordinate j of deck k on these rows."""
+        return _try_candidate(
+            system, self.points, self.images, self.values(key, mon_n),
+            self.values(deg_d, mon_d), mon_n, mon_d, j, k, size, self.holdout, certify,
+        )
 
 
 def monomial_classes(
@@ -272,31 +320,47 @@ def _interpolate(
     Every point x_tau of an orbit sample gives a row (x_tau, Psi_k(x_tau))
     for each deck k: Psi_k(x_tau) is the sample's point at the orbit
     position of sigma_k(l_tau), l_tau the base labels of
-    ``monodromy.deck_orbit``.  The |G| points of a sample share one
-    parameter point, though, and that can add spurious nullspace vectors.
-    Let P be the number of the degree's monomials with no unknown, the
-    constant included: 1 without ``parameter_dependent``, C(m+D, D) with
-    it.  A nonzero h(p) of degree <= D that vanishes at every fit parameter
-    point puts (h*A, h*B) into the nullspace for every pair of polynomials
-    A, B whose products with h are columns of the subproblem: (h, 0), and h
-    times the true numerator and denominator when the degrees allow, since
-    h*A - y*h*B is 0 on every row however generic the samples.  The h of
-    degree <= D span a space of dimension P, and S generic parameter points
-    impose S independent conditions on it, so no such h exists exactly when
-    S >= P.  (With one row per sample, every row has its own parameter
-    point.)  Hence the rule: a degree fits on all |G| points of
-    S = ceil(2t/|G|) samples when S >= P and the deck images of every orbit
-    point lie in the orbit (the permutations and the identity form a
+    ``monodromy.deck_orbit``.  The |G| points of a sample are not |G|
+    independent samples, though, and their rows can have lower rank than
+    their count; the nullspace then holds vectors that are no identity on
+    the solution variety.  Two causes are known.
+
+    Shared parameters.  Let P be the number of the degree's monomials with
+    no unknown, the constant included: 1 without ``parameter_dependent``,
+    C(m+D, D) with it.  A nonzero h(p) of degree <= D that vanishes at every
+    fit parameter point puts (h*A, h*B) into the nullspace for every pair of
+    polynomials A, B whose products with h are columns of the subproblem:
+    (h, 0), and h times the true numerator and denominator when the degrees
+    allow, since h*A - y*h*B is 0 on every row however generic the samples.
+    The h of degree <= D span a space of dimension P, and S generic
+    parameter points impose S independent conditions on it, so such an h
+    exists exactly when S < P.  (With one row per sample, every row has its
+    own parameter point.)  Hence the rule: a degree fits on all |G| points
+    of S = ceil(2t/|G|) samples when S >= P and the deck images of every
+    orbit point lie in the orbit (the permutations and the identity form a
     group), and on point 0 of 2t samples otherwise.
+
+    Deck maps that act linearly.  A deck element that scales a class by one
+    factor, such as a lattice scaling that fixes the parameters (a sign
+    flip on a Z/2 torsion), makes the mate's row a multiple of the point-0
+    row; a column that takes one value over the orbit acts like h(p).
+    S >= P rules out neither, and the list need not be complete.  So the
+    rank is checked, not assumed: a fit that takes orbit mates must have a
+    nullspace whose every direction vanishes at the held-out rows
+    (``_try_candidate`` with ``certify``), since a held-out row is a generic
+    point of the variety.  A fit that fails the check is refit on point 0
+    of 2t samples, the rows it would have with one row per sample; the
+    degree's first refit draws the 2t - S samples past its held-out ones.
 
     Fit rows are stacked position-major (``_orbit_rows``), and a subproblem
     with ``size`` columns takes the first ``size`` rows.  So a subproblem
-    with at most S columns sees only point-0 rows of distinct samples, and
-    one that needs orbit mates has first used every fit parameter point.
-    The held-out rows are point 0 of the next ``_holdout_count(2t)``
-    samples, which give no fit row: orbit mates of a fit row share its
-    parameters and so check nothing new.  Samples are kept across degrees,
-    and a degree draws only the shortfall of its fit and held-out samples.
+    with at most S columns sees only point-0 rows of distinct samples and
+    needs no check, and one that needs orbit mates has first used every fit
+    parameter point.  The held-out rows are point 0 of the next
+    ``_holdout_count(2t)`` samples, which give no fit row: orbit mates of a
+    fit row share its parameters and so check nothing new.  Samples are
+    kept across degrees, and a degree draws only the shortfall of its fit
+    and held-out samples.
     """
     perms = sorted(set(monodromy_mod.check_deck_perms(mono, deck_perms)))
     n, m = system.n, system.m
@@ -308,6 +372,12 @@ def _interpolate(
     image_positions = _image_positions(perms, labels)
     closed = all(None not in row for row in image_positions)
     samples: list[FiberSample] = []
+
+    def draw(budget: int) -> None:
+        if budget > len(samples):
+            samples.extend(
+                monodromy_mod.sample_orbit(system, mono, perms, budget - len(samples), rng)
+            )
 
     for degree in range(1, degree_bound + 1):
         monos = monomials_up_to_degree(n, m, degree, parameter_dependent)
@@ -323,25 +393,18 @@ def _interpolate(
             fit_samples, positions = fit_rows, 1
         stats.rows_per_sample.append(positions)
         budget = fit_samples + _holdout_count(fit_rows)
-        if budget > len(samples):
-            samples += monodromy_mod.sample_orbit(
-                system, mono, perms, budget - len(samples), rng
-            )
-        fit_points, fit_images = _orbit_rows(
-            samples[:fit_samples], image_positions[:positions]
-        )
-        held_points, held_images = _orbit_rows(
-            samples[fit_samples:budget], image_positions[:1]
-        )
-        points = np.concatenate([fit_points, held_points])
-        images = np.concatenate([fit_images, held_images])
-        values: dict[scaling.Multidegree, np.ndarray] = {}
+        draw(budget)
+        held = _orbit_rows(samples[fit_samples:budget], image_positions[:1])
+        orbit = _Rows(_orbit_rows(samples[:fit_samples], image_positions[:positions]), held)
+        point_0: _Rows | None = None
 
-        def class_values(key):
-            got = values.get(key)
-            if got is None:
-                got = values[key] = monomial_values(classes[key], points)
-            return got
+        def point_0_rows() -> _Rows:
+            """Point 0 of ``fit_rows`` samples: the orbit samples, then
+            samples drawn past this degree's held-out ones."""
+            extra = fit_rows - fit_samples
+            draw(budget + extra)
+            fit = samples[:fit_samples] + samples[budget : budget + extra]
+            return _Rows(_orbit_rows(fit, image_positions[:1]), held)
 
         for key in sorted(classes.keys(), key=_class_sort_key):
             mon_n = classes[key]
@@ -352,19 +415,21 @@ def _interpolate(
                 mon_d = classes.get(deg_d)
                 if mon_d is None:
                     continue
-                vn = class_values(key)
-                vd = class_values(deg_d)
+                size = len(mon_n) + len(mon_d)
                 for k, deck in enumerate(decks):
                     if deck.coords[j] is not None:
                         continue
                     stats.subproblems += 1
-                    stats.largest_vandermonde = max(
-                        stats.largest_vandermonde, len(mon_n) + len(mon_d)
-                    )
-                    got = _try_candidate(
-                        system, points, images, vn, vd, mon_n, mon_d, j, k,
-                        len(mon_n) + len(mon_d), len(fit_points),
-                    )
+                    stats.largest_vandermonde = max(stats.largest_vandermonde, size)
+                    try:
+                        got = orbit.fit(
+                            system, mon_n, mon_d, key, deg_d, j, k, size,
+                            certify=size > fit_samples,
+                        )
+                    except _Underdetermined:
+                        stats.point_0_refits += 1
+                        point_0 = point_0 or point_0_rows()
+                        got = point_0.fit(system, mon_n, mon_d, key, deg_d, j, k, size)
                     if got is not None:
                         deck.coords[j] = got
                         deck.degree_bound_used = degree

@@ -200,8 +200,12 @@ def test_p3p_samples_go_out_in_one_call_per_degree(tmp_path, monkeypatch):
     degree's orbit shortfall out in one ``track_paths`` call and back in one
     more, and verification tracks its 5 fibers of 8 solutions in one 40-row
     call.  Each degree fits on both points of ceil(2t/2) = t samples
-    (largest class t = 1, 10 and 25) and holds out 3, 3 and 5 more, so the
-    degrees draw 4, 9 and 17 samples of 2 points: 120 paths out and back."""
+    (largest class t = 1, 10 and 25) and holds out 3, 3 and 5 more.  At
+    degree 1 the 9 fits of size 2 > t take an orbit mate, and the mate's
+    row adds no rank, so they are refit on point 0 of 2t = 2 samples: one
+    more sample, out and back in one more call pair.  The later degrees
+    count it in their budgets, so the degrees draw 4 + 1, 8 and 17 samples
+    of 2 points: 120 paths out and back."""
     from decksym import cli, tracker
 
     rows = {"interpolation": [], "verification": []}
@@ -228,10 +232,11 @@ def test_p3p_samples_go_out_in_one_call_per_degree(tmp_path, monkeypatch):
         "analyze", "p3p_quasihom", tmp_path, expected_degree=8, graded=True, degree_bound=3
     )
     assert code == 0
-    assert rows == {"interpolation": [8, 8, 18, 18, 34, 34], "verification": [40]}
+    assert rows == {"interpolation": [8, 8, 2, 2, 16, 16, 34, 34], "verification": [40]}
     assert sum(rows["interpolation"]) == 120
     assert report["interpolation"]["rows_per_sample"] == [2, 2, 2]
     assert report["interpolation"]["orbit_samples"] == 30
+    assert report["interpolation"]["point_0_refits"] == 9
 
 
 def test_verification_without_tracked_fibers_fails_stage(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from conftest import (
     EX41_TEXT,
     EX42_TEXT,
     build_vandermonde,
+    run_fixture_monodromy,
     constant_denominator_representative,
     fixture_system,
     lattice_is_empty,
@@ -16,6 +17,7 @@ from decksym import interp, monodromy, scaling
 from decksym.expr import (
     Polynomial,
     RationalFunction,
+    format_rational,
     monomial_values,
     monomials_up_to_degree,
     parse_deck_formulas,
@@ -306,7 +308,7 @@ def test_held_out_rows_come_from_samples_that_give_no_fit_row(mono41, monkeypatc
     system, result, _ = mono41
     calls = {}
 
-    def recording(system, points, images, vn, vd, mon_n, mon_d, j, k, size, holdout):
+    def recording(system, points, images, vn, vd, mon_n, mon_d, j, k, size, holdout, certify):
         calls[id(points)] = (points, holdout)
 
     monkeypatch.setattr(interp, "_try_candidate", recording)
@@ -388,6 +390,72 @@ def test_deck_images_sit_at_the_orbit_position_of_sigma_of_the_label(ex57_decks)
         for j, rf in enumerate(deck.coords):
             values = rf.evaluate(points)
             assert np.all(np.abs(values - images[:, k, j]) <= 1e-6 * (1 + np.abs(images[:, k, j])))
+
+
+# The sign flip (x, y) -> (-x, -y) is a deck map of this system and also the
+# Z/2 scaling of its lattice, which fixes the parameters.
+FLIP_TEXT = (
+    "unknowns x, y; parameters a, b, c;"
+    "equations x^2 + x*y + a*y^2 - 1; b*x^2 + x*y + y^2 - c;"
+)
+
+
+@pytest.fixture(scope="module")
+def mono_flip():
+    system, result, _ = run_fixture_monodromy(FLIP_TEXT, 4, 0)
+    lattice = scaling.detect_scalings(system)
+    assert not lattice.free.rows
+    assert [block.rows.data for block in lattice.torsion] == [((1, 1, 0, 0, 0),)]
+    (flip,) = deck_perms_of(result)
+    return system, result, lattice, flip
+
+
+def test_an_orbit_mate_that_is_a_lattice_scaling_adds_no_rank(mono_flip):
+    """Degree 1 with parameters has the classes {1, a, b, c} and {x, y}, so
+    S = 2t/|G| = 4 samples, as many as the P = 4 monomials without an
+    unknown.  The flip scales every class by +-1, and the value of x under
+    the flip changes sign with it, so the mate's row of a fit is a multiple
+    of the point-0 row.  The fit of x over numerators {x, y} and denominators
+    {1, a, b, c} takes 6 rows but has rank 4: its nullspace holds a direction
+    that misses the held-out rows, and the certified fit raises.  On point 0
+    of 8 samples the same fit gives x' = -x."""
+    system, result, lattice, flip = mono_flip
+    monos = monomials_up_to_degree(system.n, system.m, 1, True)
+    classes = monomial_classes(monos, lattice)
+    odd, even = sorted(classes.values(), key=len)
+    assert (len(odd), len(even)) == (2, 4)
+    _, labels, _ = monodromy.deck_orbit(result, [flip])
+    positions = interp._image_positions([flip], labels)
+    samples = sample_orbit(system, result, [flip], 4 + 3 + 4, np.random.default_rng(0))
+    held = interp._orbit_rows(samples[4:7], positions[:1])
+    orbit = interp._Rows(interp._orbit_rows(samples[:4], positions), held)
+    point_0 = interp._Rows(interp._orbit_rows(samples[:4] + samples[7:], positions[:1]), held)
+    key_n, key_d = (multidegree(monos_[0], lattice) for monos_ in (odd, even))
+
+    a_mat = np.hstack(
+        [orbit.values(key_n, odd), -orbit.images[:, 0, :1] * orbit.values(key_d, even)]
+    )
+    assert np.allclose(a_mat[4:8], a_mat[0:4] * a_mat[4:8, :1] / a_mat[0:4, :1])
+    assert np.linalg.matrix_rank(a_mat[:6], tol=1e-8) == 4
+    with pytest.raises(interp._Underdetermined):
+        orbit.fit(system, odd, even, key_n, key_d, 0, 0, 6, certify=True)
+    found = point_0.fit(system, odd, even, key_n, key_d, 0, 0, 6)
+    assert format_rational(found, system.names) == "-x"
+
+
+def test_fits_that_orbit_mates_leave_underdetermined_are_refit_on_point_0_rows(mono_flip):
+    """Interpolating the flip: the 4 fits of size 6 > S = 4 (x and y, each
+    against both class orders) fail the held-out certificate and are refit
+    on point 0 of 2t = 8 samples, drawn once past the held-out ones; the
+    flip comes out as x' = -x, y' = -y."""
+    system, result, lattice, flip = mono_flip
+    (deck,), stats = interpolate_graded(
+        system, result, [flip], lattice, 1, True, np.random.default_rng(0)
+    )
+    assert stats.rows_per_sample == [2]
+    assert stats.point_0_refits == 4
+    assert stats.orbit_samples == 4 + 3 + 4
+    assert [format_rational(c, system.names) for c in deck.coords] == ["-x", "-y"]
 
 
 def test_verify_deck_passes_for_true_formula(mono41):

@@ -389,7 +389,9 @@ def _scale_denominators(num: np.ndarray, den: np.ndarray):
     and the reciprocal loses bits; above 2^1021 the numerator's sum can
     overflow.  Each warns, or returns inf, NaN or 0, where the quotient is
     finite.  Scaling by a power of two is exact and leaves the ratio as it
-    is, so every other quotient is left alone and keeps its bits."""
+    is, so every other quotient is left alone and keeps its bits.  A
+    numerator part that the scaling takes past the double range becomes
+    inf: its quotient is past the range too."""
     den_part = np.maximum(np.abs(den.real), np.abs(den.imag))
     num_part = np.maximum(np.abs(num.real), np.abs(num.imag))
     edge = (den_part < np.finfo(float).tiny) | (den_part > _HUGE_PART) | (num_part > _HUGE_PART)
@@ -439,12 +441,14 @@ class RationalFunction:
         """The quotient at one point (a Python complex) or at each row of an
         (S, nvars) stack, divided by numpy's loop either way, so that both
         forms agree bit for bit.  A denominator of exactly 0 raises
-        ZeroDivisionError."""
+        ZeroDivisionError.  A quotient past the double range has an inf or
+        NaN part, without a warning."""
         num = np.asarray(self.numerator.evaluate(point), dtype=complex)
         den = np.asarray(self.denominator.evaluate(point), dtype=complex)
         if not np.all(den):
             raise ZeroDivisionError("complex division by zero")
-        quotient = np.divide(*_scale_denominators(num, den))
+        with np.errstate(over="ignore", invalid="ignore"):
+            quotient = np.divide(*_scale_denominators(num, den))
         return quotient if quotient.ndim else complex(quotient)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":

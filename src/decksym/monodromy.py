@@ -19,9 +19,11 @@ ahead of that turn: when a turn finds a path not yet tracked, one
 ``tracker.track_paths`` call (lockstep, each row along its own arc and
 bit-identical to one ``track_path`` call; up to two paths go one at a time)
 tracks the turn's missing paths together with the direction-0 paths every
-other unbroken edge still has pending.  An edge's direction-0 pending set
-only grows until its turn, so the sweep tracks exactly the paths it
-tracked one edge direction at a time, in fewer and larger calls.
+other unbroken edge still has pending and those of the edges of the rounds
+already planned (below), up to ``_CALL_ROWS`` rows unless the turn's own
+paths are more.  An edge's direction-0 pending set only grows until its
+turn, so the sweep tracks exactly the paths it tracked one edge direction
+at a time, in fewer and larger calls.
 
 Each round adds one edge between two nodes not yet joined.  Once every pair
 is joined, a new random node enters with edges to nodes 0 and 1.  Generators
@@ -30,7 +32,13 @@ complete nodes: one cycle per non-tree edge, with no identity and no
 repeats.  The base fiber is stable at the expected degree when one is
 given, and otherwise after ``_STALL_LIMIT`` rounds without a new base
 solution.  The run stops once the fiber is stable and ``_PERM_STALL_LIMIT``
-rounds did not grow the group, or at ``_MAX_LOOPS`` rounds.
+rounds did not grow the group, or at ``_MAX_LOOPS`` rounds.  So once the
+fiber is stable, the rounds until the stall count can reach the limit are
+certain to run, and their growth is drawn at the end of each round, in the
+order the rounds would draw it: a planned edge whose source node holds every
+solution has its direction-0 paths known, and they go out with the calls of
+the rounds before it.  The rng is drawn in the same sequence and every path
+keeps its bits, so only the number of calls changes.
 
 Deck-orbit samples come from ``tracker.sample_fiber``: all the samples one
 call asks for are tracked out together and checked together by a round trip
@@ -71,6 +79,10 @@ _STALL_LIMIT = 10
 _PERM_STALL_LIMIT = 5
 _MAX_LOOPS = 400
 _SEED_RESIDUAL_TOL = 1e-10
+# A ``_Graph._track_ahead`` call adds paths of other edges up to this many
+# rows in all (the turn's own paths always go out): the largest call a node
+# round of triangular (two edges of 32 paths) makes without planned rounds.
+_CALL_ROWS = 64
 
 
 Segment = tuple[np.ndarray, np.ndarray, complex]  # (from, to, gamma) of one tracked arc
@@ -131,33 +143,67 @@ class _Edge:
         return params[src], params[dst], (1.0 / self.gamma if direction else self.gamma)
 
 
+@dataclass(frozen=True)
+class _Step:
+    """One round's growth: the new node's parameters (None when the round
+    joins two nodes) and the new edges, in the order they are added."""
+
+    params: np.ndarray | None
+    edges: tuple[_Edge, ...]
+
+
 class _Graph:
-    """The homotopy graph: node parameters, node fibers and edges, and the
-    paths tracked ahead of their turn, keyed by (edge index, direction,
-    solution index)."""
+    """The homotopy graph: node parameters, node fibers and edges, the growth
+    of the rounds planned ahead, and the paths tracked ahead of their turn,
+    keyed by (edge index, direction, solution index); a planned edge's index
+    is the one ``grow`` will give it."""
 
     def __init__(self, system: System, p0, x0):
         self.system = system
         self.params: list[np.ndarray] = [p0]
         self.fibers: list[np.ndarray] = [x0[None, :]]  # (k, n) per node
         self.edges: list[_Edge] = []
+        self.plan: deque[_Step] = deque()
         self.ahead: dict[tuple[int, int, int], tracker.PathResult] = {}
         self.tracked = 0
         self.failed = 0
 
     def grow(self, rng: np.random.Generator) -> None:
-        """Join the first pair of nodes (b, then a) with no edge, or add a
-        random node joined to nodes 0 and 1 once every pair has one."""
-        joined = {(e.a, e.b) for e in self.edges}
-        k = len(self.params)
+        """Add the first planned round's node and edges, or draw the round's
+        growth now when none is planned."""
+        step = self.plan.popleft() if self.plan else self._draw(rng)
+        if step.params is not None:
+            self.params.append(step.params)
+            self.fibers.append(np.empty((0, self.system.n), dtype=complex))
+        self.edges.extend(step.edges)
+
+    def plan_rounds(self, rng: np.random.Generator, rounds: int) -> None:
+        """Draw the growth of the next ``rounds`` rounds, past those already
+        planned; every planned round must run, so that the rng is drawn as
+        one round at a time draws it."""
+        while len(self.plan) < rounds:
+            self.plan.append(self._draw(rng))
+
+    def _planned(self) -> tuple[list[_Edge], list[np.ndarray]]:
+        """The edges and node parameters as they will be once every planned
+        round has grown the graph."""
+        edges = self.edges + [e for step in self.plan for e in step.edges]
+        params = self.params + [step.params for step in self.plan if step.params is not None]
+        return edges, params
+
+    def _draw(self, rng: np.random.Generator) -> _Step:
+        """The growth of the round after the planned ones: join the first
+        pair of nodes (b, then a) with no edge, or add a random node (its
+        parameters, then one gamma per edge) joined to nodes 0 and 1 once
+        every pair has one."""
+        edges, params = self._planned()
+        joined = {(e.a, e.b) for e in edges}
+        k = len(params)
         pair = next(((a, b) for b in range(k) for a in range(b) if (a, b) not in joined), None)
         if pair is not None:
-            self.edges.append(_Edge(*pair, tracker.draw_gamma(rng)))
-            return
-        self.params.append(tracker.random_params(self.system.m, rng))
-        self.fibers.append(np.empty((0, self.system.n), dtype=complex))
-        for a in range(min(k, 2)):
-            self.edges.append(_Edge(a, k, tracker.draw_gamma(rng)))
+            return _Step(None, (_Edge(*pair, tracker.draw_gamma(rng)),))
+        node = tracker.random_params(self.system.m, rng)
+        return _Step(node, tuple(_Edge(a, k, tracker.draw_gamma(rng)) for a in range(min(k, 2))))
 
     def propagate(self) -> tuple[int, int]:
         """Track every solution along every edge that maps it nowhere yet,
@@ -215,20 +261,31 @@ class _Graph:
 
     def _track_ahead(self, k: int, direction: int, pending: list[int]) -> None:
         """One ``tracker.track_paths`` call, each row along its own edge's
-        arc: the pending paths of edge k not yet tracked, and the pending
-        direction-0 paths of every other unbroken edge.  The sweep of
-        ``propagate`` takes those anyway: until an edge's direction-0 turn,
-        only its own turns change what it maps or has tried, and fibers only
-        grow, so its pending set only grows; and the sweep after this one
-        comes round to every edge."""
+        arc: the pending paths of edge k not yet tracked, then the pending
+        direction-0 paths of every other unbroken edge, and then every path
+        of each planned edge whose source node holds as many solutions as
+        node 0, up to ``_CALL_ROWS`` rows unless edge k's are more.  The
+        sweep of ``propagate`` takes those anyway: until an edge's
+        direction-0 turn, only its own turns change what it maps or has
+        tried, and fibers only grow, so its pending set only grows; the
+        sweep after this one comes round to every edge, and every planned
+        round runs."""
         rows = [(k, direction, i) for i in pending if (k, direction, i) not in self.ahead]
-        for k2, e2 in enumerate(self.edges):
-            if k2 != k and not e2.broken:
+        own = len(rows)
+        edges, params = self._planned()
+        sizes = [len(f) for f in self.fibers] + [0] * (len(params) - len(self.fibers))
+        for k2, e2 in enumerate(edges):
+            if len(rows) >= _CALL_ROWS:
+                break
+            if k2 == k or e2.broken:
+                continue
+            if k2 < len(self.edges) or sizes[e2.a] == sizes[0]:
                 rows += [(k2, 0, i) for i in self._pending(e2, 0) if (k2, 0, i) not in self.ahead]
+        rows = rows[: max(own, _CALL_ROWS)]
         starts, p_from, p_to, gammas = [], [], [], []
         for k2, d, i in rows:
-            e2 = self.edges[k2]
-            a, b, g = e2.segment(d, self.params)
+            e2 = edges[k2]
+            a, b, g = e2.segment(d, params)
             starts.append(self.fibers[e2.ends(d)[0]][i])
             p_from.append(a)
             p_to.append(b)
@@ -457,6 +514,11 @@ def run_monodromy(
             and permgrp.is_transitive(permgrp.PermutationGroup(degree, tuple(perms)))
         ):
             break
+        if fiber_stable:
+            # since_new_perm grows by at most one a round, and the run stops
+            # only at _PERM_STALL_LIMIT, so these rounds are certain to run.
+            certain = max(1, _PERM_STALL_LIMIT - since_new_perm)
+            graph.plan_rounds(rng, min(certain, _MAX_LOOPS - rounds))
 
     base = FiberSample(p0, graph.fibers[0])
     if len(base) < 2:

@@ -24,9 +24,10 @@ path, so for ``_SERIAL_PATHS`` = 2 paths or fewer ``track_paths`` calls
 ``track_path`` once per path, and once no more than ``_SERIAL_PATHS`` paths
 are still stepping, each finishes alone from its state (``_run_path``).  A
 call whose stacked evaluation would take more than ``_STACK_BYTES`` (rows x
-``CompiledSystem.row_bytes``: dF/dx, dF/dp and the unique monomials per
-row) runs in consecutive chunks under that bound, each row bit-identical;
-no bundled workload reaches it, radial's verification fibers would.
+``CompiledSystem.row_bytes``: per row, the power table, the gathered factors
+and the unique monomials, dF/dx and dF/dp) runs in consecutive chunks under
+that bound, each row bit-identical; no bundled workload reaches it, radial's
+verification fibers would.
 
 ``track_fiber`` tracks fibers, each from its own parameters to its own
 target with its own gamma, every path of every fiber in one ``track_paths``
@@ -60,11 +61,11 @@ exact bytes of (x, p), so the four evaluation methods at one point share one
 product: dF/dx and dF/dp in each RK4 stage, and the corrector's last F and
 dF/dx with the next step's first stage.  A rejected step leaves x and t
 unchanged, so its first stage is kept for the retry.  Every solve runs on
-one LAPACK build, numpy's: single dense solves call the gufunc behind
-``np.linalg.solve`` directly, with that function's error settings but
-without its Python wrapper, and stacked solves call ``np.linalg.solve``,
-which runs the same routine per matrix.  tests/test_tracker.py checks that
-both solve to the bits of ``np.linalg.solve``, one matrix or a stack.
+one LAPACK build, numpy's: single and stacked dense solves call the gufunc
+behind ``np.linalg.solve`` directly (``_solve``), with that function's error
+settings but without its Python wrapper; on a stack it runs the same routine
+per matrix.  tests/test_tracker.py checks that both solve to the bits of
+``np.linalg.solve``, one matrix or a stack.
 
 The stacked evaluation (``monomial_rows`` and the ``*_rows`` blocks) uses the
 same factor table and blocks on (S, n) and (S, m) rows.  Its rows are
@@ -225,9 +226,11 @@ class CompiledSystem:
         self._jx = expr.TermBlock([q for row in jac for q in row], monomials, stride, (n, n))
         self._jp = expr.TermBlock([q for row in pj for q in row], monomials, stride, (n, m))
         self._factors = expr.factor_table(monomials)
-        # The bytes of one row of a stacked evaluation: dF/dx, dF/dp and the
-        # unique monomials, complex.
-        self.row_bytes = 16 * (n * n + n * m + len(self._factors))
+        # The bytes of one row of a stacked evaluation, complex: the power
+        # table, the gathered factors and the unique monomials of
+        # ``monomial_rows``, and dF/dx and dF/dp.
+        unique, width = self._factors.shape
+        self.row_bytes = 16 * (self.nvars * stride + unique * width + unique + n * n + n * m)
         self._key: bytes | None = None
         self._mono: np.ndarray | None = None
 
@@ -328,12 +331,11 @@ def _newton(comp, x, p, tol, max_iters, max_norm):
 
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_solve(a[i], b[i])`` for each row of a stack: the solutions, and
-    which rows solved.  One stacked ``np.linalg.solve`` runs the same
-    routine per matrix on the same LAPACK; when a singular matrix makes it
-    raise, each row is solved alone, so only the singular rows fail (their
-    solutions are NaN)."""
+    which rows solved.  One stacked ``_solve`` runs the same routine per
+    matrix; when a singular matrix makes it raise, each row is solved alone,
+    so only the singular rows fail (their solutions are NaN)."""
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
+        return _solve(a, b), np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
         out = np.full(b.shape, np.nan, dtype=complex)
         solved = np.zeros(len(a), dtype=bool)
@@ -377,6 +379,8 @@ def _newton_rows(comp, x, p, tol, max_iters, max_norm):
         ok[live] = finite & (r <= tol)
         go = finite & (r > tol)
         live = live[go]
+        if not len(live):
+            break
         dx, solved = _solve_rows(comp.jx_rows(mono[go]), -f[go])
         singular[live[~solved]] = True
         live, dx = live[solved], dx[solved]

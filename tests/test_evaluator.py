@@ -195,6 +195,24 @@ def bits(value) -> bytes:
     return np.complex128(value).tobytes()
 
 
+def assert_quotient_forms_agree(rf, z):
+    """``rf.evaluate`` on the stack z gives each row's single-point value bit
+    for bit, or raises ZeroDivisionError exactly when a row does."""
+    singles = []
+    for row in z:
+        try:
+            singles.append(bits(rf.evaluate(list(row))))
+        except ZeroDivisionError:
+            singles.append(None)
+    if None in singles:
+        with pytest.raises(ZeroDivisionError):
+            rf.evaluate(z)
+        return
+    stacked = rf.evaluate(z)
+    assert stacked.shape == (len(z),)
+    assert [bits(v) for v in stacked] == singles
+
+
 @settings(max_examples=150, deadline=None)
 @given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1))
 def test_compiled_matches_symbolic_on_random_sparse_systems(system, seed):
@@ -223,7 +241,9 @@ def test_compiled_matches_symbolic_on_random_sparse_systems(system, seed):
 def test_stacked_evaluate_bit_equal_to_single_points(system, seed, count):
     """``evaluate`` on an (S, nvars) stack gives the S single-point values bit
     for bit: polynomials on points with reals, zeros and negative zeros, a
-    quotient of two equations on generic points (no denominator is 0)."""
+    quotient of two equations on generic points.  A subnormal coefficient
+    can make a denominator underflow to exactly 0, and then both forms
+    raise ZeroDivisionError."""
     rng = np.random.default_rng(seed)
     nvars = system.n + system.m
     z = mixed_points(rng, count, nvars)
@@ -232,10 +252,32 @@ def test_stacked_evaluate_bit_equal_to_single_points(system, seed, count):
         assert stacked.shape == (count,)
         assert [bits(v) for v in stacked] == [bits(eq.evaluate(row)) for row in z]
     rf = RationalFunction(system.equations[0], system.equations[-1])
-    z = random_point(rng, count * nvars).reshape(count, nvars)
-    stacked = rf.evaluate(z)
-    assert stacked.shape == (count,)
-    assert [bits(v) for v in stacked] == [bits(rf.evaluate(list(row))) for row in z]
+    assert_quotient_forms_agree(rf, random_point(rng, count * nvars).reshape(count, nvars))
+
+
+def test_overflowing_quotient_is_bit_equal_without_a_warning():
+    """A subnormal denominator under a large numerator: the scaling that
+    brings the denominator into range takes the numerator past it, and the
+    quotient (about 1e623) is past it too.  Both forms give the same
+    non-finite bits, without numpy's overflow warning."""
+    rf = RationalFunction(Polynomial(2, [((3, 0), 1e300)]), Polynomial(2, [((0, 1), 5e-324)]))
+    z = np.array([[1.5 + 0.5j, 0.7 - 0.2j], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_quotient_forms_agree(rf, z)
+        assert not np.isfinite(rf.evaluate(z)).any()
+
+
+def test_denominator_underflowing_to_zero_raises_in_both_forms():
+    """The same quotient over the cube of the variable: at |y| < 1 the
+    subnormal denominator underflows to exactly 0, and both forms raise
+    ZeroDivisionError."""
+    rf = RationalFunction(Polynomial(2, [((3, 0), 1e300)]), Polynomial(2, [((0, 3), 5e-324)]))
+    z = np.array([[1.5 + 0.5j, 0.3 - 0.2j]])
+    assert rf.denominator.evaluate(z).tolist() == [0]
+    with pytest.raises(ZeroDivisionError):
+        rf.evaluate(z[0])
+    assert_quotient_forms_agree(rf, z)
 
 
 def test_evaluate_list_point_gives_python_complex():

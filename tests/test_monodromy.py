@@ -13,7 +13,7 @@ from conftest import (
     record_paths,
     track_paths_one_by_one,
 )
-from decksym import tracker
+from decksym import monodromy, tracker
 from decksym.expr import parse_seed_pair, parse_system
 from decksym.fixtures import EXPECTED_DEGREE, seed_path
 from decksym.monodromy import (
@@ -393,9 +393,11 @@ def test_wrong_expected_degree_fails_after_the_round_limit():
 
 def run_recorded(monkeypatch, name, seed, reference):
     """run_monodromy on a bundled fixture with its seed pair at an rng seed,
-    with the paths of every ``tracker.track_paths`` call recorded, and with
-    the per-edge sweep of ``tests/conftest.py`` as ``_Graph._track`` when
-    ``reference`` is set; the result, the paths and the call sizes."""
+    with the paths of every ``tracker.track_paths`` call recorded, and, when
+    ``reference`` is set, with the per-edge sweep of ``tests/conftest.py`` as
+    ``_Graph._track`` and no rounds planned ahead, so that each round draws
+    its growth at its start; the result, the paths, the call sizes and the
+    rng's next draw."""
     calls = []
     real = tracker.track_paths
 
@@ -407,13 +409,12 @@ def run_recorded(monkeypatch, name, seed, reference):
     paths = record_paths(monkeypatch)
     if reference:
         monkeypatch.setattr(_Graph, "_track", per_edge_track)
+        monkeypatch.setattr(_Graph, "plan_rounds", lambda graph, rng, rounds: None)
     pair = parse_seed_pair(seed_path(name).read_text())
-    result = run_monodromy(
-        fixture_system(name), pair, np.random.default_rng(seed),
-        expected_degree=EXPECTED_DEGREE[name],
-    )
+    rng = np.random.default_rng(seed)
+    result = run_monodromy(fixture_system(name), pair, rng, expected_degree=EXPECTED_DEGREE[name])
     monkeypatch.undo()
-    return result, paths, calls
+    return result, paths, calls, rng.random()
 
 
 def run_fields(result):
@@ -436,25 +437,91 @@ def run_fields(result):
 @pytest.mark.parametrize(
     "name, seed",
     [(name, seed) for name in ("ex4_2", "sextic", "ex5_7") for seed in range(4)]
-    + [("triangular", 0), ("triangular", 1)],
+    + [("p3p_quasihom", 0), ("triangular", 0), ("triangular", 1)],
 )
 def test_tracking_ahead_is_bit_identical_to_the_per_edge_sweep(monkeypatch, name, seed):
-    """Edges track ahead the direction-0 paths of the other edges: the same
-    result, bit for bit, the same paths (start, arc and gamma) as tracking
-    each edge direction's own paths at its turn, and no more calls."""
-    got, paths, calls = run_recorded(monkeypatch, name, seed, reference=False)
-    want, want_paths, want_calls = run_recorded(monkeypatch, name, seed, reference=True)
+    """Edges track ahead the direction-0 paths of the other edges and of the
+    edges of the rounds planned ahead: the same result, bit for bit, the
+    same paths (start, arc and gamma) and the same next rng draw as tracking
+    each edge direction's own paths at its turn, in no more calls, none
+    larger than ``_CALL_ROWS`` rows or a turn's own paths (at most d)."""
+    got, paths, calls, got_next = run_recorded(monkeypatch, name, seed, reference=False)
+    want, want_paths, want_calls, want_next = run_recorded(monkeypatch, name, seed, reference=True)
     assert run_fields(got) == run_fields(want)
     assert Counter(paths) == Counter(want_paths)
+    assert got_next == want_next
     assert len(calls) <= len(want_calls)
+    assert max(calls) <= max(monodromy._CALL_ROWS, EXPECTED_DEGREE[name])
 
 
 def test_p3p_edges_go_out_in_fewer_calls(monkeypatch):
-    """P3P at rng seed 0: the same 120 paths (115 counted) in 27 calls
-    instead of one per edge direction, 40."""
-    got, paths, calls = run_recorded(monkeypatch, "p3p_quasihom", 0, reference=False)
-    want, want_paths, want_calls = run_recorded(monkeypatch, "p3p_quasihom", 0, reference=True)
+    """P3P at rng seed 0: the same 120 paths (115 counted) in 22 calls
+    instead of one per edge direction, 40; the rounds that confirm the
+    group go out with the calls of the rounds before them."""
+    got, paths, calls, got_next = run_recorded(monkeypatch, "p3p_quasihom", 0, reference=False)
+    want, want_paths, want_calls, want_next = run_recorded(
+        monkeypatch, "p3p_quasihom", 0, reference=True
+    )
     assert run_fields(got) == run_fields(want)
     assert Counter(paths) == Counter(want_paths)
+    assert got_next == want_next
     assert (len(paths), got.paths_tracked) == (120, 115)
-    assert (len(calls), len(want_calls)) == (27, 40)
+    assert (len(calls), len(want_calls)) == (22, 40)
+
+
+@pytest.mark.parametrize("before", [0, 2])
+def test_planned_rounds_are_bit_identical_to_the_rounds_grow_draws(before):
+    """After ``before`` rounds, eight rounds planned at once
+    (``_Graph.plan_rounds``) grow the graph as eight rounds that each draw
+    at their start: the same nodes, parameters, edges and gammas, bit for
+    bit, and the same next rng draw.  Each planned edge gets the index it
+    was planned at (the graph's edges, then the planned ones in order).
+    From an empty graph the plan adds nodes 1 to 5 and joins the planned
+    nodes 2 and 3; planning fewer rounds than are planned draws
+    nothing."""
+    planned, drawn = (_Graph(SEXTIC, np.zeros(4, complex), np.zeros(1, complex)) for _ in range(2))
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(before):
+        planned.grow(rng)
+        drawn.grow(twin)
+    planned.plan_rounds(rng, 8)
+    planned.plan_rounds(rng, 3)
+    assert len(planned.plan) == 8
+    future = list(enumerate((e for step in planned.plan for e in step.edges), len(planned.edges)))
+    for _ in range(8):
+        planned.grow(rng)
+        drawn.grow(twin)
+    assert not planned.plan
+    assert all(planned.edges[k] is e for k, e in future)
+    assert [(e.a, e.b, np.complex128(e.gamma).tobytes()) for e in planned.edges] == [
+        (e.a, e.b, np.complex128(e.gamma).tobytes()) for e in drawn.edges
+    ]
+    assert [p.tobytes() for p in planned.params] == [p.tobytes() for p in drawn.params]
+    assert len(planned.fibers) == len(drawn.fibers) == len(planned.params)
+    if before == 0:
+        assert len(planned.params) == 6 and (2, 3) in [(e.a, e.b) for _, e in future]
+    assert rng.random() == twin.random()
+
+
+def test_planned_edge_paths_are_bit_identical_at_the_index_grow_gives():
+    """x^2 + p x + 1 over p = -2.5, node 0 holding both roots, three rounds
+    planned: the first round's call tracks edge 0's own paths and every path
+    of the planned edges that leave node 0 (1 and 3), not those that leave
+    node 1 (2 and 4), whose fiber is empty.  Once grown, edges 1 and 3 are
+    the planned ones, and each path tracked ahead is bit-identical to
+    ``track_path`` along its edge from node 0."""
+    graph = _Graph(EX41, np.array([-2.5 + 0j]), np.array([2.0 + 0j]))
+    graph.fibers[0] = np.array([[2.0 + 0j], [0.5 + 0j]])
+    rng = np.random.default_rng(1)
+    graph.plan_rounds(rng, 3)
+    graph.grow(rng)
+    graph._track_ahead(0, 0, [0, 1])
+    assert sorted(graph.ahead) == [(k, 0, i) for k in (0, 1, 3) for i in (0, 1)]
+    graph.grow(rng)
+    graph.grow(rng)
+    assert [(e.a, e.b) for e in graph.edges] == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+    for (k, direction, i), got in graph.ahead.items():
+        p_from, p_to, gamma = graph.edges[k].segment(direction, graph.params)
+        want = tracker.track_path(EX41, graph.fibers[0][i], p_from, p_to, gamma=gamma)
+        assert (got.status, got.steps_taken) == (want.status, want.steps_taken)
+        assert got.endpoint.tobytes() == want.endpoint.tobytes()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,8 +388,8 @@ def test_tracking_without_memo_is_identical(name, coarse, monkeypatch):
 
 
 def test_solve_bit_equal_to_numpy():
-    # One LAPACK, numpy's: a single solve calls np.linalg.solve's gufunc
-    # without its wrapper, a stacked one np.linalg.solve itself.
+    # One LAPACK, numpy's: a single solve and a stacked one call
+    # np.linalg.solve's gufunc without its wrapper.
     rng = np.random.default_rng(23)
     for n in range(1, 31):
         a = rng.standard_normal((10, n, n)) + 1j * rng.standard_normal((10, n, n))
@@ -400,6 +401,7 @@ def test_solve_bit_equal_to_numpy():
         stacked, solved = tracker._solve_rows(a, b)
         assert solved.all()
         assert [row.tobytes() for row in stacked] == single
+        assert stacked.tobytes() == np.linalg.solve(a, b[..., None])[..., 0].tobytes()
 
 
 def test_stacked_solve_flags_only_the_singular_row():
@@ -726,6 +728,27 @@ def test_track_paths_bit_identical_in_chunks_under_a_tiny_memory_budget(base_fib
     assert [result_bits(r) for r in chunked] == [result_bits(r) for r in whole]
     size = tracker._SERIAL_PATHS + 1
     assert calls == [2 * d] + [min(size, 2 * d - k) for k in range(0, 2 * d, size)]
+
+
+@pytest.mark.parametrize("name", ["triangular", "p3p_quasihom", "ex5_7"])
+def test_row_bytes_bound_the_stacked_monomials(name):
+    """``CompiledSystem.row_bytes``, which sets the chunk size under
+    ``_STACK_BYTES``, counts what a row of a stacked evaluation holds: the
+    traced peak of ``monomial_rows`` on 160 rows (its power table, gathered
+    factors and monomials) is within 160 rows' worth.  Triangular's peak,
+    1.56 MB, is 3.7 times what dF/dx, dF/dp and the monomials alone count."""
+    system = fixture_system(name)
+    comp = tracker.CompiledSystem(system)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((160, system.n)) + 1j * rng.standard_normal((160, system.n))
+    p = rng.standard_normal((160, system.m)) + 1j * rng.standard_normal((160, system.m))
+    tracemalloc.start()
+    try:
+        comp.monomial_rows(x, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * comp.row_bytes
 
 
 def test_retraces_checks_each_sample_against_its_own_start():

@@ -10,13 +10,13 @@ commutes with the deck permutations.  The test tracks only the scaled deck
 orbit of one base solution, straight back to the base parameters, and
 matches it against the labelled base fiber: |G| paths per candidate rather
 than the fiber, and no fiber tracked anywhere else.  Each candidate's
-scaled orbit is prepared first, without the rng; the candidates are then
-decided in order, one gamma per attempt.  A candidate that fails at s(x_0)
-uses one path, one that stays there its orbit and, if it would pass, the
-orbit's round trip.  ``_decide`` tracks those paths in rounds of three
-lockstep calls, the first over every candidate and, after the first retry,
-each over one, and replays each round in order with the real rng, so the
-outcomes and the draws are those of one candidate at a time.
+scaled orbit is prepared first, without the rng.  An attempt that fails at
+s(x_0) uses one path, one that stays there its orbit and, if the orbit lands
+on distinct matched points, the orbit's round trip, which must come back
+before the candidate passes or fails to commute.  A fresh gamma is an
+independent try at the same target (the gamma trick), so ``_decide`` runs
+the attempts in plain retry rounds, like ``tracker.sample_fiber``: one gamma
+per open candidate and at most three lockstep calls a round.
 
 All integer arithmetic is exact.  The SNF runs on int64 with an overflow
 guard and falls back to arbitrary-precision Python integers when entries
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from copy import deepcopy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -424,16 +423,17 @@ def commuting_discrete_scalings(
     of its orbit is used only when s(x_0) stays on the tracked component,
     and coinciding scaled orbit points leave it undetermined.  Commutation:
     s(x_sigma(0)) must match sigma(c) for every deck permutation sigma,
-    where s(x_0) matched c.  A passing candidate must also retrace its arc
-    back to the scaled orbit (``tracker.retraces``), so a sheet jump cannot
-    pass it.  A failed path, an endpoint collision or any other unmatched
-    landing retries with a fresh gamma; after ``tracker.SAMPLE_ATTEMPTS``
-    tries the candidate is undetermined and excluded.
+    where s(x_0) matched c.  Before it passes or fails to commute, the
+    orbit must also retrace its arc back to the scaled orbit
+    (``tracker.retraces``), so a sheet jump can neither pass a candidate
+    nor fail it.  A failed path, an endpoint collision, an unmatched
+    landing or a failed round trip retries with a fresh gamma; after
+    ``tracker.SAMPLE_ATTEMPTS`` tries the candidate is undetermined and
+    excluded.
 
-    Candidates are decided one after the other, each drawing one gamma per
-    attempt from ``rng``.  Their paths go out in lockstep rounds
-    (``_decide``): the outcomes and the draws are those of one candidate at
-    a time, and every path one candidate at a time tracks is among them.
+    The candidates are decided in rounds (``_decide``): each round draws one
+    gamma from ``rng`` per open candidate, in candidate order, and tracks
+    their paths in at most three lockstep calls.
     """
     base = mono.base
     nontrivial, _, orbit = monodromy.deck_orbit(mono, deck_perms)
@@ -495,92 +495,69 @@ def _scaled_orbit(system, lattice, orbit, u, lam) -> tracker.FiberSample | str:
 
 def _decide(system, base, deck_perms, scaled, rng) -> list[str]:
     """Every candidate's outcome: its status from ``_scaled_orbit``, or the
-    outcome of deciding it in turn, one gamma from ``rng`` per attempt.
+    outcome of its attempts, decided in plain rounds like
+    ``tracker.sample_fiber``'s.
 
-    The candidates with an orbit are decided in rounds, like
-    ``tracker.sample_fiber``'s: the first round takes all of them, and
-    after the first failed attempt every round takes one.  Each round
-    draws, from a copy of the rng, the gamma each of its candidates would
-    draw if no candidate before it retried, and makes three lockstep calls:
-    every s(x_0); the rest of every orbit whose s(x_0) stayed; and the
-    round trips (``tracker.retraces``) of every orbit that would pass.  The
-    second and third calls stop at the first candidate known to retry with
-    attempts left.  The round is then replayed in order with the real rng,
-    and a retry with attempts left ends it.  So rows tracked for later
-    candidates go unused only when the first round ends early: at most 2|G|
-    for each of them.
+    Each round draws one gamma per open candidate, in candidate order, and
+    makes at most three lockstep calls: every s(x_0); the rest of every
+    orbit whose s(x_0) stayed; and the round trips (``tracker.retraces``) of
+    every orbit that landed on distinct matched points.  A candidate that
+    must retry stays open for the next round; one still open after
+    ``tracker.SAMPLE_ATTEMPTS`` rounds is undetermined.
     """
-    size, p0 = 1 + len(deck_perms), base.params
-    outcomes = [orbit if isinstance(orbit, str) else "" for orbit in scaled]
-    todo = [c for c, orbit in enumerate(scaled) if not isinstance(orbit, str)]
-    first, attempt = True, 1
-    while todo:
-        cands = todo if first else todo[:1]
-        # One flag serves the whole round: a round of several candidates is
-        # the first attempt of each.
-        left = attempt < tracker.SAMPLE_ATTEMPTS
-        copy = deepcopy(rng)
-        gammas = [tracker.draw_gamma(copy) for _ in cands]
-        paths: list[dict[int, tracker.PathResult]] = [{} for _ in cands]
+    p0 = base.params
+    outcomes = [orbit if isinstance(orbit, str) else "undetermined" for orbit in scaled]
+    pending = [c for c, orbit in enumerate(scaled) if not isinstance(orbit, str)]
+    for _ in range(tracker.SAMPLE_ATTEMPTS):
+        if not pending:
+            break
+        gammas = {c: tracker.draw_gamma(rng) for c in pending}
+        paths: dict[int, dict[int, tracker.PathResult]] = {c: {} for c in pending}
 
         def track(rows):
             if not rows:
                 return
             results = tracker.track_paths(
                 system,
-                np.array([scaled[cands[i]].solutions[j] for i, j in rows]),
-                np.array([scaled[cands[i]].params for i, _ in rows]),
+                np.array([scaled[c].solutions[j] for c, j in rows]),
+                np.array([scaled[c].params for c, _ in rows]),
                 p0,
-                [gammas[i] for i, _ in rows],
+                [gammas[c] for c, _ in rows],
             )
-            for (i, j), r in zip(rows, results):
-                paths[i][j] = r
+            for (c, j), r in zip(rows, results):
+                paths[c][j] = r
 
-        def landings():
-            """(i, landing) for the round's candidates in order, up to the
-            first one known to retry with attempts left."""
-            for i, known in enumerate(paths):
-                land = _landing(base, deck_perms, known.get)
-                if land == "retry" and left:
-                    return
-                yield i, land
-
-        track([(i, 0) for i in range(len(cands))])
-        track([(i, j) for i, land in landings() if land is None for j in range(1, size)])
-        passing = [(i, land) for i, land in landings() if isinstance(land, list)]
-        back = {}
-        if passing:
-            oks = tracker.retraces(
-                system,
-                [scaled[cands[i]] for i, _ in passing],
-                [tracker.FiberSample(p0, ends) for _, ends in passing],
-                [gammas[i] for i, _ in passing],
-            )
-            back = dict(zip((i for i, _ in passing), oks))
-
-        for i, c in enumerate(cands):
-            tracker.draw_gamma(rng)  # the gamma the round gave c
-            land = _landing(base, deck_perms, paths[i].get)
-            outcome = land if isinstance(land, str) else ("passed" if back[i] else "retry")
-            if outcome == "retry":
-                if left:
-                    todo, first, attempt = todo[i:], False, attempt + 1
-                    break
-                outcome = "undetermined"
-            outcomes[c] = outcome
-        else:
-            todo, attempt = todo[len(cands):], 1
+        track([(c, 0) for c in pending])
+        track([
+            (c, j) for c in pending if _landing(base, deck_perms, paths[c]) is None
+            for j in range(1, len(scaled[c]))
+        ])
+        lands = {c: _landing(base, deck_perms, paths[c]) for c in pending}
+        landed = [c for c in pending if isinstance(lands[c], tuple)]
+        oks = tracker.retraces(
+            system,
+            [scaled[c] for c in landed],
+            [tracker.FiberSample(p0, lands[c][0]) for c in landed],
+            [gammas[c] for c in landed],
+        )
+        for c, ok in zip(landed, oks):
+            lands[c] = lands[c][1] if ok else "retry"
+        for c in pending:
+            if lands[c] != "retry":
+                outcomes[c] = lands[c]
+        pending = [c for c in pending if lands[c] == "retry"]
     return outcomes
 
 
-def _landing(base, deck_perms, path):
-    """One attempt's paths out, as one candidate at a time takes them:
-    ``path(j)`` gives orbit point j's path, or None when unknown.  The
-    attempt's outcome, ``retry``, the orbit's endpoints when it would
-    pass, or None when a path is unknown."""
+def _landing(base, deck_perms, paths):
+    """One attempt's outcome from its paths out so far (``paths[j]`` is orbit
+    point j's, where tracked): None while a path is missing, ``retry``,
+    ``failed_stability``, or, for an orbit that landed on distinct matched
+    points, its endpoints and the outcome its round trip would confirm,
+    ``passed`` or ``failed_commutation``."""
     ends, landed = [], []
     for j in range(1 + len(deck_perms)):
-        r = path(j)
+        r = paths.get(j)
         if r is None:
             return None
         if not r.success:
@@ -595,9 +572,8 @@ def _landing(base, deck_perms, path):
     if tracker.NEW in landed or tracker.AMBIGUOUS in landed:
         return "retry"  # no reliable match
     first = landed[0]
-    if any(b != sigma[first] for b, sigma in zip(landed[1:], deck_perms)):
-        return "failed_commutation"
-    return ends
+    commutes = all(b == sigma[first] for b, sigma in zip(landed[1:], deck_perms))
+    return ends, "passed" if commutes else "failed_commutation"
 
 
 def _is_prime(n: int) -> bool:

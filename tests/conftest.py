@@ -425,46 +425,57 @@ def per_edge_track(graph, k, direction):
 
 
 class SerialFilter:
-    """The reference for ``scaling._decide`` (``serial_decide`` adapts it):
-    one candidate at a time, each path tracked alone at its turn (a one-path
-    ``tracker.track_paths`` call, which is ``tracker.track_path``), s(x_0)
-    first and the rest of the orbit up to its first failed path, and one
-    round trip per orbit that would pass."""
+    """The reference for one attempt of ``scaling._decide``
+    (``serial_decide`` runs them in rounds): one candidate with a given
+    gamma, each path tracked alone (a one-path ``tracker.track_paths`` call,
+    which is ``tracker.track_path``).  s(x_0) first, the rest of the orbit
+    when s(x_0) stays, and the round trip of an orbit that lands on distinct
+    matched points, whether or not it commutes."""
 
     def __init__(self, system, base, deck_perms, scaled):
         self.system, self.base, self.deck_perms, self.scaled = system, base, deck_perms, scaled
 
-    def decide(self, c, rng):
+    def attempt(self, c, gamma):
         scaled, p0 = self.scaled[c], self.base.params
-        for _ in range(tracker.SAMPLE_ATTEMPTS):
-            gamma = tracker.draw_gamma(rng)
-            ends, landed = [], []
-            for start in scaled.solutions:
-                r = tracker.track_paths(self.system, start[None], scaled.params, p0, gamma)[0]
-                if not r.success:
-                    break
-                j = tracker.match(r.endpoint, self.base.solutions)
-                if j == tracker.NEW and not ends:
-                    return "failed_stability"
-                ends.append(r.endpoint)
-                landed.append(j)
-            if len(ends) < len(scaled):
-                continue
-            back = tracker.FiberSample(p0, ends)
-            if not back.distinct() or tracker.NEW in landed or tracker.AMBIGUOUS in landed:
-                continue
-            if any(b != sigma[landed[0]] for b, sigma in zip(landed[1:], self.deck_perms)):
-                return "failed_commutation"
-            if tracker.retraces(self.system, [scaled], [back], [gamma])[0]:
-                return "passed"
-        return "undetermined"
+
+        def track(start):
+            return tracker.track_paths(self.system, start[None], scaled.params, p0, gamma)[0]
+
+        first = track(scaled.solutions[0])
+        if not first.success:
+            return "retry"
+        if tracker.match(first.endpoint, self.base.solutions) == tracker.NEW:
+            return "failed_stability"
+        paths = [first] + [track(start) for start in scaled.solutions[1:]]
+        if not all(r.success for r in paths):
+            return "retry"
+        back = tracker.FiberSample(p0, [r.endpoint for r in paths])
+        landed = [tracker.match(x, self.base.solutions) for x in back.solutions]
+        if not back.distinct() or tracker.NEW in landed or tracker.AMBIGUOUS in landed:
+            return "retry"
+        if not tracker.retraces(self.system, [scaled], [back], [gamma])[0]:
+            return "retry"
+        if any(b != sigma[landed[0]] for b, sigma in zip(landed[1:], self.deck_perms)):
+            return "failed_commutation"
+        return "passed"
 
 
 def serial_decide(system, base, deck_perms, scaled, rng):
-    """``scaling._decide`` with ``SerialFilter`` deciding each candidate
-    that has a scaled orbit, in order."""
+    """``scaling._decide`` with ``SerialFilter`` making each attempt: every
+    round draws one gamma per open candidate, in order, then makes each
+    candidate's attempt in turn; a retry stays open, and a candidate still
+    open after ``SAMPLE_ATTEMPTS`` rounds is undetermined."""
     one = SerialFilter(system, base, deck_perms, scaled)
-    return [o if isinstance(o, str) else one.decide(c, rng) for c, o in enumerate(scaled)]
+    outcomes = [o if isinstance(o, str) else "undetermined" for o in scaled]
+    pending = [c for c, o in enumerate(scaled) if not isinstance(o, str)]
+    for _ in range(tracker.SAMPLE_ATTEMPTS):
+        gammas = [tracker.draw_gamma(rng) for _ in pending]
+        tried = [(c, one.attempt(c, gamma)) for c, gamma in zip(pending, gammas)]
+        for c, outcome in tried:
+            if outcome != "retry":
+                outcomes[c] = outcome
+        pending = [c for c, outcome in tried if outcome == "retry"]
+    return outcomes
 
 
 def run_fixture_monodromy(text, degree, seed_rng, x_star="random", seed_pair=None):

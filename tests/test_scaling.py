@@ -17,7 +17,7 @@ from conftest import (
     snf_verifies,
     track_paths_one_by_one,
 )
-from decksym import scaling
+from decksym import scaling, tracker
 from decksym.expr import parse_system
 from decksym.scaling import (
     IntMatrix,
@@ -276,10 +276,9 @@ def test_sextic_flip_scaling_survives_filter(mono_sextic):
 def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
     """Fault injection: when no path tracks after monodromy, every candidate
     is undetermined after three gammas, one failed path each, and no torsion
-    block survives.  The first round tracks the s(x_0) of all 3 of ex5_7's
-    candidates; the first one's retry ends it and leaves the other 2 paths
-    unused, and every later round holds one candidate: 9 paths used and 2
-    unused (the paths, from ``tracker.track_paths``, recorded one by one)."""
+    block survives.  Each of the three rounds tracks the s(x_0) of all 3 of
+    ex5_7's candidates, and every one retries: 9 paths, none unused (the
+    paths, from ``tracker.track_paths``, recorded one by one)."""
     from decksym import tracker
 
     system, result, _ = mono_ex57
@@ -298,17 +297,16 @@ def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
     assert len(out.candidates) > 1
     assert {c.status for c in out.candidates} == {"undetermined"}
     assert out.lattice.torsion == ()
-    # Each attempt stops at its first failed path, so 3 paths per candidate,
-    # plus the first round's unused s(x_0) paths of candidates 1 and 2.
+    # Each attempt stops at its failed s(x_0) path: 3 paths per candidate.
     assert len(out.candidates) == 3
-    assert len(calls) == 3 * len(out.candidates) + 2 == 11
+    assert len(calls) == 3 * len(out.candidates) == 9
 
 
 def test_filter_path_budget(mono_sextic, monkeypatch):
     """The filter tracks the scaled deck orbit per candidate straight to the
-    base fiber, and the orbit again to retrace a passing one; it tracks no
-    other fiber.  The retrace enters through ``tracker.track_paths``, whose
-    paths are counted one by one."""
+    base fiber, and the orbit again to retrace a passing one or a commutation
+    failure; it tracks no other fiber.  The retrace enters through
+    ``tracker.track_paths``, whose paths are counted one by one."""
     from decksym import tracker
 
     system, result, _ = mono_sextic
@@ -327,9 +325,10 @@ def test_filter_path_budget(mono_sextic, monkeypatch):
     )
     orbit = 1 + len(deck)
     passed = sum(c.status == "passed" for c in out.candidates)
+    commutation = sum(c.status == "failed_commutation" for c in out.candidates)
     assert passed == len(out.candidates) == 1
     assert orbit < result.degree
-    assert len(calls) == orbit * len(out.candidates) + orbit * passed
+    assert len(calls) == orbit * len(out.candidates) + orbit * (passed + commutation)
 
 
 def test_coinciding_scaled_orbit_is_undetermined(mono_sextic, monkeypatch):
@@ -356,8 +355,10 @@ def test_coinciding_scaled_orbit_is_undetermined(mono_sextic, monkeypatch):
 
 def test_stability_failure_costs_one_path(mono_ex57, monkeypatch):
     """s(x_0) is tracked first: a candidate that leaves the tracked component
-    is decided after one path, not after the whole scaled orbit (the paths,
-    from ``tracker.track_paths``, recorded one by one)."""
+    is decided after one path, not after the whole scaled orbit.  A
+    commutation failure is final only after its round trip, so it costs
+    the orbit twice (the paths, from ``tracker.track_paths``, recorded one
+    by one)."""
     from decksym import tracker
 
     system, result, _ = mono_ex57
@@ -378,9 +379,9 @@ def test_stability_failure_costs_one_path(mono_ex57, monkeypatch):
     assert statuses == ["failed_stability", "failed_stability", "failed_commutation"]
     orbit = 1 + len(deck)
     assert orbit == result.degree == 6
-    # one path per stability failure, the whole orbit for the commutation
-    # failure
-    assert len(calls) == 1 + 1 + orbit
+    # one path per stability failure, the whole orbit out and back for the
+    # commutation failure
+    assert len(calls) == 1 + 1 + 2 * orbit
 
 
 def test_sheet_jump_on_retrace_never_passes(mono_sextic, monkeypatch):
@@ -472,9 +473,9 @@ def test_ex57_literal_flips(mono_ex57):
 def run_filter(monkeypatch, system, result, seed, reference, alter=None):
     """The filter on the result's fiber at an rng seed, with every path of
     ``tracker.track_paths`` recorded (``alter`` may replace its results),
-    and with ``tests/conftest.py``'s one-candidate-at-a-time filter when
-    ``reference`` is set; the outcomes, the next draw of the rng, the
-    paths and the call sizes."""
+    and with ``tests/conftest.py``'s reference (``serial_decide``, each
+    attempt's paths tracked alone) when ``reference`` is set; the outcomes,
+    the next draw of the rng, the paths and the call sizes."""
     from decksym import tracker
 
     calls = []
@@ -504,33 +505,33 @@ def p3p_mono(p3p_orbit):
 
 
 @pytest.mark.parametrize(
-    "case, seed, unused",
+    "case, seed",
     [
-        pytest.param("p3p_mono", 5, 0, id="p3p_mono"),
-        pytest.param("mono_sextic", 5, 0, id="mono_sextic"),
-        pytest.param("mono_ex57", 5, 0, id="mono_ex57"),
-        # P3P's first round ends in a retry that no fault injects: a round
-        # trip that does not come back (seeds 6, 14 and 25), a failed path
-        # from s(x_0) (seed 4) or from the rest of an orbit (seed 39).
+        pytest.param("p3p_mono", 5, id="p3p_mono"),
+        pytest.param("mono_sextic", 5, id="mono_sextic"),
+        pytest.param("mono_ex57", 5, id="mono_ex57"),
+        # P3P candidates retry where no fault is injected: a round trip that
+        # does not come back (seeds 6, 14 and 25), a failed path from s(x_0)
+        # (seed 4) or from the rest of an orbit (seed 39), and an orbit that
+        # lands on matched points that do not commute (seed 19).
         *(
-            pytest.param("p3p_mono", seed, unused, id=f"p3p_mono-seed{seed}")
-            for seed, unused in [(4, 4), (6, 71), (14, 35), (25, 71), (39, 27)]
+            pytest.param("p3p_mono", seed, id=f"p3p_mono-seed{seed}")
+            for seed in [4, 6, 14, 25, 39, 19]
         ),
     ],
 )
-def test_filter_bit_identical_to_one_candidate_at_a_time(request, monkeypatch, case, seed, unused):
-    """Tracking in rounds leaves every outcome, the lattice, the rng's draws
-    and the paths (start, arc and gamma) of deciding one candidate after
-    the other, each path alone at its turn.  On top of those paths, a first
-    round that ends early leaves the rows it tracked for later candidates
-    unused, within 2|G| (C - 1)."""
+def test_filter_bit_identical_to_one_candidate_at_a_time(request, monkeypatch, case, seed):
+    """Tracking in lockstep rounds leaves every outcome, the lattice, the
+    rng's draws and the paths (start, arc and gamma) of the reference, which
+    decides each round one candidate at a time, each path alone at its turn.
+    Every row tracked serves its own candidate's attempt, so none goes
+    unused, and the filter makes at most three calls a round."""
     system, result = request.getfixturevalue(case)[:2]
-    got, paths, _ = run_filter(monkeypatch, system, result, seed, reference=False)
+    got, paths, calls = run_filter(monkeypatch, system, result, seed, reference=False)
     want, want_paths, _ = run_filter(monkeypatch, system, result, seed, reference=True)
     assert got == want
-    assert not Counter(want_paths) - Counter(paths)
-    assert len(paths) - len(want_paths) == unused
-    assert unused <= 2 * (1 + len(_deck(result))) * (len(got[0]) - 1)
+    assert Counter(paths) == Counter(want_paths)
+    assert len(calls) <= 3 * tracker.SAMPLE_ATTEMPTS == 9
 
 
 def test_p3p_filter_paths_go_out_in_rounds(p3p_orbit, monkeypatch):
@@ -550,29 +551,26 @@ def test_p3p_filter_paths_go_out_in_rounds(p3p_orbit, monkeypatch):
     assert calls == [31, 15, 30]
 
 
-def s_x0(system, result, index):
-    """s(x_0) of the P3P filter's candidate ``index``."""
+def scaled_orbit(system, result, index):
+    """The scaled orbit (s(x_0), s(x_sigma(0)), ...) of candidate ``index``
+    of a system with one Z2 torsion block, such as P3P or the sextic."""
     from decksym.monodromy import deck_orbit
 
     lattice = detect_scalings(system)
     (block,) = lattice.torsion
     u = scaling._enumerate_candidates(block)[0][index]
     _, _, orbit = deck_orbit(result, _deck(result))
-    return scaling._scaled_orbit(system, lattice, orbit, u, -1.0 + 0j).solutions[0]
+    return scaling._scaled_orbit(system, lattice, orbit, u, -1.0 + 0j).solutions
 
 
 def test_filter_retry_bit_identical_and_its_unused_paths_bounded(p3p_orbit, monkeypatch):
     """Fault injection: the first path from s(x_0) of P3P's candidate 1
-    fails, so candidate 1 retries inside the first round, which holds all
-    31 candidates.  The outcomes and the rng's draws are those of one
-    candidate at a time, and so is every path it tracks; on top of those,
-    the retry leaves the s(x_0) paths of candidates 2-30 unused: 29.  The
-    round's later calls stop at candidate 1, so nothing else is tracked
-    ahead."""
-    from decksym import tracker
-
+    fails, so candidate 1 retries in a second round of its own.  The
+    outcomes, the rng's draws and every path are the reference's, and no
+    row goes unused: the first round's three calls, and a second round of
+    three calls over candidate 1 alone."""
     system, result, _ = p3p_orbit
-    start = s_x0(system, result, 1).tobytes()
+    start = scaled_orbit(system, result, 1)[0].tobytes()
 
     def run(reference):
         failed = []
@@ -586,26 +584,19 @@ def test_filter_retry_bit_identical_and_its_unused_paths_bounded(p3p_orbit, monk
         out = run_filter(monkeypatch, system, result, 0, reference, fail_once)
         return out, failed
 
-    (got, paths, _), failed = run(reference=False)
+    (got, paths, calls), failed = run(reference=False)
     (want, want_paths, _), want_failed = run(reference=True)
     assert got == want and failed == want_failed
-    extra = Counter(paths) - Counter(want_paths)
-    assert not Counter(want_paths) - Counter(paths)
-    assert sum(extra.values()) == 29
-    # Candidate 1 ended the first round and passed on its second gamma.
+    assert Counter(paths) == Counter(want_paths)
+    # Candidate 1 retried and passed on its second gamma.
     assert [status for _, _, status in got[0]][:2] == ["failed_stability", "passed"]
+    assert calls == [31, 14, 28, 1, 1, 2]
 
 
 def test_p3p_filter_without_tracked_paths_bounds_its_unused_paths(p3p_orbit, monkeypatch):
     """Fault injection: every path fails, so each of P3P's 31 candidates is
-    undetermined after 3 attempts of one path, 93 paths, and every attempt
-    but a candidate's last is a retry that ends its round.  The unused
-    paths follow from the round rule, restated here: the first round holds
-    every candidate, every later round one, and a retry with attempts left
-    leaves the rest of its round unused.  The first round's 31 paths leave
-    30 unused, 123 in all, within 2|G| (C - 1) for |G| = 2 and C = 31."""
-    from decksym import tracker
-
+    undetermined after 3 attempts of one path.  Every round holds all 31
+    and tracks only their s(x_0): 93 paths in three calls, none unused."""
     system, result, _ = p3p_orbit
     calls = []
 
@@ -618,16 +609,48 @@ def test_p3p_filter_without_tracked_paths_bounds_its_unused_paths(p3p_orbit, mon
         detect_scalings(system), system, result, _deck(result), np.random.default_rng(0)
     )
     assert [c.status for c in out.candidates] == ["undetermined"] * 31
+    assert calls == [31, 31, 31] and sum(calls) == 3 * 31 == 93
 
-    unused, paths, left, attempt, first = 0, 0, 31, 1, True
-    while left:
-        held = left if first else 1
-        paths += held  # one s(x_0) each; no orbit stays, so no other call
-        if attempt < 3:
-            unused, first, attempt = unused + held - 1, False, attempt + 1
-        else:
-            left, attempt = left - 1, 1
-    assert (unused, paths) == (30, 123)
-    assert sum(calls) == paths == 3 * 31 + unused
-    assert calls[:3] == [31, 1, 1] and set(calls[1:]) == {1}
-    assert unused <= 2 * (1 + len(_deck(result))) * (len(out.candidates) - 1)
+
+def test_p3p_filter_labels_hold_when_an_orbit_lands_off_the_deck_action(p3p_mono):
+    """At filter rng seed 19, candidate 12's first attempt lands its scaled
+    orbit on matched base points that do not commute with the deck map.
+    Its round trip does not come back, so it retries and passes, and every
+    label is criterion 5's; deciding that landing without a round trip
+    called candidate 12 a commutation failure."""
+    from test_acceptance import QUASIHOM_FILTER_LABELS, assert_filter_labels
+
+    system, result = p3p_mono
+    out = commuting_discrete_scalings(
+        detect_scalings(system), system, result, _deck(result), np.random.default_rng(19)
+    )
+    assert_filter_labels(out, QUASIHOM_FILTER_LABELS)
+    assert [(b.modulus, b.rank) for b in out.lattice.torsion] == [(2, 4)]
+
+
+def test_a_sheet_jump_to_points_that_do_not_commute_retries(mono_sextic, monkeypatch):
+    """Fault injection: on the first attempt, the path from orbit point 1 of
+    the sextic flip ends on a base solution outside the deck orbit of where
+    s(x_0) landed.  The orbit lands on distinct matched points that do not
+    commute, but the jumped path does not retrace, so the flip retries and
+    passes on its second gamma instead of failing commutation."""
+    system, result, _ = mono_sextic
+    deck, base = _deck(result), result.base.solutions
+    orbit = scaled_orbit(system, result, 0)
+    size = len(orbit)
+    landed, jumped = [], []
+
+    def jump(key, r):
+        if key[0] == orbit[0].tobytes() and not landed:
+            landed.append(tracker.match(r.endpoint, base))
+        elif key[0] == orbit[1].tobytes() and not jumped:
+            mates = {landed[0], *(sigma[landed[0]] for sigma in deck)}
+            jumped.append(min(set(range(len(base))) - mates))
+            end = base[jumped[0]].copy()
+            return tracker.PathResult("success", end, r.steps_taken, r.final_residual)
+        return r
+
+    got, _, calls = run_filter(monkeypatch, system, result, 1, reference=False, alter=jump)
+    assert [status for _, _, status in got[0]] == ["passed"]
+    assert len(jumped) == 1 and size < result.degree
+    assert calls == [1, size - 1, size] * 2

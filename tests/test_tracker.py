@@ -733,22 +733,29 @@ def test_track_paths_bit_identical_in_chunks_under_a_tiny_memory_budget(base_fib
 @pytest.mark.parametrize("name", ["triangular", "p3p_quasihom", "ex5_7"])
 def test_row_bytes_bound_the_stacked_monomials(name):
     """``CompiledSystem.row_bytes``, which sets the chunk size under
-    ``_STACK_BYTES``, counts what a row of a stacked evaluation holds: the
-    traced peak of ``monomial_rows`` on 160 rows (its power table, gathered
-    factors and monomials) is within 160 rows' worth.  Triangular's peak,
-    1.56 MB, is 3.7 times what dF/dx, dF/dp and the monomials alone count."""
+    ``_STACK_BYTES``, counts what a row of a lockstep Newton pass holds: the
+    traced peaks of ``monomial_rows`` (its power table, gathered factors and
+    monomials) and of ``_newton_rows`` (also the last monomials, f, dF/dx,
+    the solve's output and the term blocks' per-row repeats), each on 160
+    rows of a freshly compiled system, are within 160 rows' worth.
+    Triangular's Newton pass peaks at 2.29 MB, which the count of the
+    stacked evaluation alone (1.69 MB) missed."""
     system = fixture_system(name)
-    comp = tracker.CompiledSystem(system)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((160, system.n)) + 1j * rng.standard_normal((160, system.n))
     p = rng.standard_normal((160, system.m)) + 1j * rng.standard_normal((160, system.m))
-    tracemalloc.start()
-    try:
-        comp.monomial_rows(x, p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 160 * comp.row_bytes
+    for run in (
+        lambda comp: comp.monomial_rows(x, p),
+        lambda comp: tracker._newton_rows(comp, x, p, tracker.NEWTON_TOL, 4, 1e8),
+    ):
+        comp = tracker.CompiledSystem(system)
+        tracemalloc.start()
+        try:
+            run(comp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * comp.row_bytes
 
 
 def test_retraces_checks_each_sample_against_its_own_start():

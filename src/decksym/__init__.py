@@ -46,7 +46,6 @@ from .permgrp import (
     minimal_block_systems,
 )
 from .scaling import (
-    IntMatrix,
     ScalingLattice,
     commuting_discrete_scalings,
     detect_scalings,

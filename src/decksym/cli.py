@@ -136,6 +136,13 @@ def _jsonify(value):
     return value
 
 
+def _blocks(lattice: scaling.ScalingLattice) -> list[dict]:
+    """The report's torsion blocks: the rows of each modulus, ascending."""
+    return [
+        {"modulus": d, "rows": [list(r) for r in rows]} for d, rows in lattice.torsion.items()
+    ]
+
+
 def _verification_entry(perm, rep: interp.DeckVerification) -> dict:
     """One deck map's verification block; ``passed`` is the verdict."""
     return {
@@ -276,12 +283,9 @@ class Pipeline:
     def run_scaling(self):
         lattice = scaling.detect_scalings(self.system)
         entry = {
-            "free_rows": [list(r) for r in lattice.free.data],
-            "free_rank": lattice.free_rank,
-            "torsion_blocks": [
-                {"modulus": b.modulus, "rows": [list(r) for r in b.rows.data]}
-                for b in lattice.torsion
-            ],
+            "free_rows": [list(r) for r in lattice.free],
+            "free_rank": len(lattice.free),
+            "torsion_blocks": _blocks(lattice),
         }
         if lattice.torsion and self.mono is not None:
             filt = scaling.commuting_discrete_scalings(
@@ -292,12 +296,9 @@ class Pipeline:
                 self.rng,
             )
             self.lattice = filt.lattice
-            entry["commuting_blocks"] = [
-                {"modulus": b.modulus, "rows": [list(r) for r in b.rows.data]}
-                for b in filt.lattice.torsion
-            ]
+            entry["commuting_blocks"] = _blocks(filt.lattice)
             entry["commuting_ranks"] = [
-                {"modulus": b.modulus, "rank": b.rank} for b in filt.lattice.torsion
+                {"modulus": d, "rank": len(rows)} for d, rows in filt.lattice.torsion.items()
             ]
             entry["candidates"] = [
                 {"modulus": c.modulus, "vector": list(c.vector), "status": c.status}

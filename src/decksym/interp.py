@@ -4,11 +4,12 @@ Per coordinate, the linear constraint  sum a_k m_k(x,p) - x'_j sum b_k m_k(x,p) 
 over paired orbit samples builds a Vandermonde-type matrix; its nullspace is
 row-reduced and a sparse representative is picked (entries below 1e-5 are
 truncated first).  One loop serves both paths: it partitions the monomials
-up to the current degree into multidegree classes under a scaling lattice and
-solves one small system per class, with the denominator class forced by the
-coordinate's own weights.  The graded path passes the detected lattice; the
-dense path is the one-class case, the empty lattice, where every monomial up
-to the degree lands in the same class.
+up to the current degree into classes under a scaling lattice, keyed by
+their multidegrees (flat tuples, ``scaling.multidegrees_bulk``), and solves
+one small system per class in key order, with the denominator class forced
+by the coordinate's own weights.  The graded path passes the detected
+lattice; the dense path is the one-class case, the empty lattice, where
+every monomial up to the degree lands in the same class.
 
 Each orbit sample is a ``tracker.FiberSample`` of the base solution and its
 |G|-1 deck images, tracked to one random parameter point.  Each of its |G|
@@ -266,9 +267,9 @@ class _Rows:
         self.points = np.concatenate([fit[0], held[0]])
         self.images = np.concatenate([fit[1], held[1]])
         self.holdout = len(fit[0])
-        self._values: dict[scaling.Multidegree, np.ndarray] = {}
+        self._values: dict[tuple[int, ...], np.ndarray] = {}
 
-    def values(self, key: scaling.Multidegree, monos: Sequence[Exponent]) -> np.ndarray:
+    def values(self, key: tuple[int, ...], monos: Sequence[Exponent]) -> np.ndarray:
         got = self._values.get(key)
         if got is None:
             got = self._values[key] = monomial_values(monos, self.points)
@@ -284,18 +285,15 @@ class _Rows:
 
 def monomial_classes(
     monos: Sequence[Exponent], lattice: scaling.ScalingLattice
-) -> dict[scaling.Multidegree, list[Exponent]]:
-    """Partition monomials by multidegree; with an empty lattice everything
-    lands in one class and graded interpolation degenerates to dense."""
+) -> dict[tuple[int, ...], list[Exponent]]:
+    """Partition monomials by multidegree (``scaling.multidegrees_bulk``);
+    with an empty lattice everything lands in the one class () and graded
+    interpolation degenerates to dense."""
     degs = scaling.multidegrees_bulk(monos, lattice)
-    out: dict[scaling.Multidegree, list[Exponent]] = {}
+    out: dict[tuple[int, ...], list[Exponent]] = {}
     for exp, deg in zip(monos, degs):
         out.setdefault(deg, []).append(exp)
     return out
-
-
-def _class_sort_key(md: scaling.Multidegree):
-    return (md.free, md.torsion)
 
 
 def _interpolate(
@@ -311,11 +309,13 @@ def _interpolate(
     multidegree classes of the lattice.
 
     For each degree D up to the bound, the monomials up to degree D are
-    split into classes; the numerator class determines the denominator class
-    through the coordinate's own weights, and classes whose denominator
-    multidegree has no monomials are skipped.  A fit needs 2t rows, t the
-    largest class size.  Coordinates that admit a validated representative
-    are filled in, and the loop stops early once every coordinate is found.
+    split into classes (``monomial_classes``), taken in multidegree order;
+    the numerator class determines the denominator class through the
+    coordinate's own weights (``scaling.denominator_multidegree``), and
+    classes whose denominator multidegree has no monomials are skipped.  A
+    fit needs 2t rows, t the largest class size.  Coordinates that admit a
+    validated representative are filled in, and the loop stops early once
+    every coordinate is found.
 
     Every point x_tau of an orbit sample gives a row (x_tau, Psi_k(x_tau))
     for each deck k: Psi_k(x_tau) is the sample's point at the orbit
@@ -406,7 +406,7 @@ def _interpolate(
             fit = samples[:fit_samples] + samples[budget : budget + extra]
             return _Rows(_orbit_rows(fit, image_positions[:1]), held)
 
-        for key in sorted(classes.keys(), key=_class_sort_key):
+        for key in sorted(classes):
             mon_n = classes[key]
             for j in range(n):
                 if all(d.coords[j] is not None for d in decks):
@@ -467,7 +467,7 @@ def interpolate_dense(
     monomials up to each degree form one class of t monomials fitted on 2t
     samples.  The stats report no grading."""
     nvars = system.n + system.m
-    empty = scaling.ScalingLattice(nvars, scaling.IntMatrix(0, nvars, ()), ())
+    empty = scaling.ScalingLattice(nvars, (), ())
     decks, stats = _interpolate(
         system, mono, deck_perms, empty, degree_bound, parameter_dependent, rng
     )
@@ -570,10 +570,10 @@ def verify_deck(
 
     worst_quasi = 0.0
     quasi_ok: bool | None = None
-    if lattice is not None and lattice.free.rows and fibers:
+    if lattice is not None and lattice.free and fibers:
         points = fibers[0].points()[:3]
         base = [_values(deck.coords[j], points) for j in present]
-        for row in lattice.free.data:
+        for row in lattice.free:
             lam = complex(np.exp(1j * rng.uniform(0, 2 * np.pi))) * rng.uniform(0.5, 1.5)
             scaled = scaling.apply_scaling(row, lam, points)
             for j, base_vals in zip(present, base):

@@ -1,20 +1,23 @@
 """Scaling symmetries from exact integer linear algebra.
 
 The supports of the structural equations give a matrix of shifted exponent
-vectors; its Smith Normal Form splits the variables' weight lattice into a
-free part (continuous scalings, one C* per row) and torsion blocks
-(candidate root-of-unity scalings mod each elementary divisor > 1).
-Discrete candidates are then filtered by a probability-one homotopy test:
-a candidate survives only if it maps the solution variety to itself and
-commutes with the deck permutations.  The test tracks only the scaled deck
-orbit of one base solution, straight back to the base parameters, and
-matches it against the labelled base fiber: |G| paths per candidate rather
-than the fiber, and no fiber tracked anywhere else.  Each candidate's
-scaled orbit is prepared first, without the rng.  An attempt that fails at
-s(x_0) uses one path, one that stays there its orbit and, if the orbit lands
-on distinct matched points, the orbit's round trip, which must come back
-before the candidate passes or fails to commute.  A fresh gamma is an
-independent try at the same target (the gamma trick), so ``_decide`` runs
+vectors; its Smith Normal Form gives the variables' weight lattice
+(``ScalingLattice``): integer weight rows, each with one modulus, 0 for a
+free row (a continuous scaling, one C* per row) and the elementary divisor
+d > 1 for a torsion row (candidate root-of-unity scalings mod d).  A
+monomial's multidegree is the flat tuple of its weights under every row,
+reduced mod d on torsion rows; interpolation sorts and matches its classes
+by that tuple.  Discrete candidates are then filtered by a probability-one
+homotopy test: a candidate survives only if it maps the solution variety to
+itself and commutes with the deck permutations.  The test tracks only the
+scaled deck orbit of one base solution, straight back to the base
+parameters, and matches it against the labelled base fiber: |G| paths per
+candidate rather than the fiber, and no fiber tracked anywhere else.  Each
+candidate's scaled orbit is prepared first, without the rng.  An attempt that
+fails at s(x_0) uses one path, one that stays there its orbit and, if the
+orbit lands on distinct matched points, the orbit's round trip, which must
+come back before the candidate passes or fails to commute.  A fresh gamma is
+an independent try at the same target (the gamma trick), so ``_decide`` runs
 the attempts in plain retry rounds, like ``tracker.sample_fiber``: one gamma
 per open candidate and at most three lockstep calls a round.
 
@@ -44,59 +47,29 @@ _PATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class IntMatrix:
-    """Exact integer matrix; entries are Python ints (no overflow permitted)."""
-
-    rows: int
-    cols: int
-    data: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ValueError("ragged integer matrix")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in r) for r in rows)
-        ncols = len(data[0]) if data else (cols if cols is not None else 0)
-        return IntMatrix(len(data), ncols, data)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
-
-@dataclass(frozen=True)
 class SnfDecomposition:
-    """U @ A @ V = diag(d_1, ..., d_k, 0, ...) with U, V unimodular and d_i | d_{i+1}."""
+    """U @ A @ V = diag(d_1, ..., d_k, 0, ...) with U, V unimodular and d_i | d_{i+1}.
 
-    U: IntMatrix
+    An integer matrix here is the tuple of its row tuples, of Python ints."""
+
+    U: tuple[tuple[int, ...], ...]
     diag: tuple[int, ...]
-    V: IntMatrix
-
-    def diagonal_entry(self, i: int) -> int:
-        return self.diag[i] if i < len(self.diag) else 0
+    V: tuple[tuple[int, ...], ...]
 
 
 class _OverflowRisk(Exception):
     pass
 
 
-def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
-    """Exact Smith Normal Form with minimum-magnitude pivoting."""
+def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfDecomposition:
+    """Exact Smith Normal Form of the integer rows ``a`` with
+    minimum-magnitude pivoting."""
     try:
-        m = np.array([list(r) for r in a.data], dtype=np.int64).reshape(a.rows, a.cols)
-        u, d, v = _snf_inplace(m, guard=True)
+        u, d, v = _snf_inplace(np.array(a, dtype=np.int64), guard=True)
     except _OverflowRisk:
-        m = np.array([list(r) for r in a.data], dtype=object).reshape(a.rows, a.cols)
-        u, d, v = _snf_inplace(m, guard=False)
+        u, d, v = _snf_inplace(np.array(a, dtype=object), guard=False)
     return SnfDecomposition(
-        IntMatrix.from_rows([[int(x) for x in row] for row in u], a.rows),
-        tuple(int(x) for x in d),
-        IntMatrix.from_rows([[int(x) for x in row] for row in v], a.cols),
+        tuple(map(tuple, u.tolist())), tuple(int(x) for x in d), tuple(map(tuple, v.tolist()))
     )
 
 
@@ -168,36 +141,39 @@ def _snf_inplace(m: np.ndarray, guard: bool):
 
 
 @dataclass(frozen=True)
-class TorsionBlock:
-    """Rows that become left-null vectors of the exponent matrix mod ``modulus``."""
-
-    modulus: int
-    rows: IntMatrix  # entries reduced into [0, modulus)
-
-    @property
-    def rank(self) -> int:
-        return self.rows.rows
-
-
-@dataclass(frozen=True)
 class ScalingLattice:
-    """Weight vectors of the detected scaling symmetries.
+    """Weight vectors of the detected scaling symmetries: ``rows``, each with
+    its modulus in ``moduli``.
 
-    ``free`` rows generate the continuous group (one C* factor per row,
-    exact left-null vectors of the exponent-difference matrix); each torsion
-    block generates root-of-unity candidates mod its divisor.
+    A free row (modulus 0) is an exact left-null vector of the
+    exponent-difference matrix and generates one C* factor of the continuous
+    group.  A row of modulus d > 1 is a left-null vector mod d, with entries
+    in [0, d), and generates root-of-unity candidates.  The free rows come
+    first, then the torsion rows by ascending modulus, so a multidegree (the
+    weight under every row, in row order) sorts free part first.
     """
 
     nvars: int
-    free: IntMatrix
-    torsion: tuple[TorsionBlock, ...]
+    rows: tuple[tuple[int, ...], ...]
+    moduli: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.moduli) != len(self.rows) or list(self.moduli) != sorted(self.moduli):
+            raise ValueError("one modulus per row, free rows first, then ascending moduli")
 
     @property
-    def free_rank(self) -> int:
-        return self.free.rows
+    def free(self) -> tuple[tuple[int, ...], ...]:
+        """The free rows."""
+        return tuple(row for row, d in zip(self.rows, self.moduli) if d == 0)
+
+    @property
+    def torsion(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """The torsion rows of each modulus, by ascending modulus."""
+        pairs = itertools.groupby(zip(self.rows, self.moduli), key=lambda pair: pair[1])
+        return {d: tuple(row for row, _ in rows) for d, rows in pairs if d}
 
 
-def exponent_difference_matrix(system: System) -> IntMatrix:
+def exponent_difference_matrix(system: System) -> tuple[tuple[int, ...], ...]:
     """Columns alpha_ij - alpha_i1 (j >= 2) per structural equation, stacked.
 
     The matrix has one row per variable (unknowns then parameters); patch
@@ -212,38 +188,31 @@ def exponent_difference_matrix(system: System) -> IntMatrix:
         base = supp[0]
         for alpha in supp[1:]:
             cols.append(tuple(a - b for a, b in zip(alpha, base)))
-    data = tuple(tuple(col[i] for col in cols) for i in range(nvars))
-    return IntMatrix(nvars, len(cols), data)
+    return tuple(tuple(col[i] for col in cols) for i in range(nvars))
 
 
 def extract_scaling_lattice(snf: SnfDecomposition, n_plus_m: int) -> ScalingLattice:
-    """Split the rows of U by their diagonal divisor: 1 -> dropped, d>1 ->
-    torsion block (reduced mod d), 0 -> free."""
-    if snf.U.cols != n_plus_m:
+    """Split the rows of U by their diagonal divisor d (0 past the diagonal):
+    d = 1 is dropped, d = 0 gives a free row and d > 1 a torsion row reduced
+    mod d.  Free rows come first, then torsion rows by ascending d, each in
+    U's row order."""
+    if len(snf.U) != n_plus_m:
         raise ValueError("SNF does not match the variable count")
-    free_rows = []
-    torsion_rows: dict[int, list[tuple[int, ...]]] = {}
-    for i in range(snf.U.rows):
-        d = snf.diagonal_entry(i)
-        if d == 0:
-            free_rows.append(snf.U.row(i))
-        elif d > 1:
-            torsion_rows.setdefault(d, []).append(tuple(x % d for x in snf.U.row(i)))
-    blocks = tuple(
-        TorsionBlock(d, IntMatrix.from_rows(rows, n_plus_m))
-        for d, rows in sorted(torsion_rows.items())
+    split = sorted(
+        (
+            (d, tuple(x % d for x in row) if d else row)
+            for row, d in itertools.zip_longest(snf.U, snf.diag, fillvalue=0)
+            if d != 1
+        ),
+        key=lambda kept: kept[0],
     )
-    return ScalingLattice(
-        n_plus_m, IntMatrix.from_rows(free_rows, n_plus_m), blocks
-    )
+    return ScalingLattice(n_plus_m, tuple(row for _, row in split), tuple(d for d, _ in split))
 
 
 def detect_scalings(system: System) -> ScalingLattice:
     """Exponent matrix -> SNF -> lattice, in one step."""
     a = exponent_difference_matrix(system)
-    if a.cols == 0:
-        return ScalingLattice(a.rows, IntMatrix.identity(a.rows), ())
-    return extract_scaling_lattice(smith_normal_form(a), a.rows)
+    return extract_scaling_lattice(smith_normal_form(a), len(a))
 
 
 # ---------------------------------------------------------------------------
@@ -251,48 +220,32 @@ def detect_scalings(system: System) -> ScalingLattice:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Multidegree:
-    free: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...]
-
-
-def denominator_multidegree(numer: Multidegree, lattice: ScalingLattice, j: int) -> Multidegree:
+def denominator_multidegree(
+    numer: tuple[int, ...], lattice: ScalingLattice, j: int
+) -> tuple[int, ...]:
     """Multidegree forced on the denominator class for unknown j (0-based):
-    subtract column j of every weight matrix, mod d on torsion parts."""
+    the numerator's weights minus column j of the lattice rows, reduced mod d
+    on torsion rows."""
     if not 0 <= j < lattice.nvars:
         raise ValueError("coordinate index out of range")
-    free = tuple(nv - row[j] for nv, row in zip(numer.free, lattice.free.data))
-    torsion = tuple(
-        tuple((nv - row[j]) % blk.modulus for nv, row in zip(part, blk.rows.data))
-        for part, blk in zip(numer.torsion, lattice.torsion)
+    return tuple(
+        (w - row[j]) % d if d else w - row[j]
+        for w, row, d in zip(numer, lattice.rows, lattice.moduli)
     )
-    return Multidegree(free, torsion)
 
 
-def multidegrees_bulk(exponents: Sequence[Exponent], lattice: ScalingLattice) -> list[Multidegree]:
-    """Vectorized multidegree of many exponent vectors (int64-safe sizes only)."""
+def multidegrees_bulk(
+    exponents: Sequence[Exponent], lattice: ScalingLattice
+) -> list[tuple[int, ...]]:
+    """The multidegree of every exponent vector: one integer product with the
+    lattice rows and one reduction (int64-safe sizes only)."""
     if not exponents:
         return []
-    e = np.asarray(exponents, dtype=np.int64)
-    frees = (
-        np.asarray([list(r) for r in lattice.free.data], dtype=np.int64) @ e.T
-        if lattice.free.rows
-        else np.zeros((0, len(exponents)), dtype=np.int64)
-    )
-    tors = []
-    for blk in lattice.torsion:
-        w = np.asarray([list(r) for r in blk.rows.data], dtype=np.int64) @ e.T
-        tors.append(w % blk.modulus)
-    out = []
-    for k in range(len(exponents)):
-        out.append(
-            Multidegree(
-                tuple(int(x) for x in frees[:, k]),
-                tuple(tuple(int(x) for x in t[:, k]) for t in tors),
-            )
-        )
-    return out
+    rows = np.array(lattice.rows, dtype=np.int64).reshape(len(lattice.rows), lattice.nvars)
+    moduli = np.array(lattice.moduli, dtype=np.int64)
+    weights = np.asarray(exponents, dtype=np.int64) @ rows.T
+    reduced = np.where(moduli > 0, weights % np.maximum(moduli, 1), weights)
+    return list(map(tuple, reduced.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +261,6 @@ def apply_scaling(row: Sequence[int], lam: complex, point: np.ndarray) -> np.nda
     return np.asarray(point, dtype=complex) * scale_factors(row, lam)
 
 
-def pure_unknown_free_rows(system: System, lattice: ScalingLattice) -> list[tuple[int, ...]]:
-    """Free rows acting on the unknowns only (parameter weights all zero)."""
-    n = system.n
-    return [row for row in lattice.free.data if all(w == 0 for w in row[n:])]
-
-
 def repatch_point(system: System, lattice: ScalingLattice, point: np.ndarray) -> np.ndarray:
     """Rescale a point along pure-unknown continuous scalings until the patch
     equations hold again.
@@ -326,7 +273,8 @@ def repatch_point(system: System, lattice: ScalingLattice, point: np.ndarray) ->
     if not system.patch_indices:
         return point
     z = np.array(point, dtype=complex)
-    rows = pure_unknown_free_rows(system, lattice)
+    # Free rows acting on the unknowns only (parameter weights all zero).
+    rows = [row for row in lattice.free if not any(row[system.n :])]
     for idx in system.patch_indices:
         eq = system.equations[idx]
         if abs(eq.evaluate(z)) <= _PATCH_TOL * (1 + float(np.abs(z).max())):
@@ -366,17 +314,16 @@ class CandidateOutcome:
 
 @dataclass
 class DiscreteScalingFilter:
-    lattice: ScalingLattice  # same free part, torsion replaced by commuting subset
+    lattice: ScalingLattice  # same free rows, torsion rows replaced by the commuting ones
     candidates: list[CandidateOutcome]
     enumeration_truncated: bool = False
     composite_modulus_note: bool = False
 
 
-def _enumerate_candidates(block: TorsionBlock):
-    """All Z_d-combinations of the block rows (nonzero, deduplicated); above
-    ``_ENUMERATION_CAP``, only single rows and pairwise sums."""
-    d = block.modulus
-    rows = [list(r) for r in block.rows.data]
+def _enumerate_candidates(d: int, rows: Sequence[tuple[int, ...]]):
+    """All Z_d-combinations of the torsion rows of modulus d (nonzero,
+    deduplicated); above ``_ENUMERATION_CAP``, only single rows and pairwise
+    sums."""
     r = len(rows)
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
@@ -390,7 +337,7 @@ def _enumerate_candidates(block: TorsionBlock):
 
     if not truncated:
         for coeffs in itertools.product(range(d), repeat=r):
-            push([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(block.rows.cols)])
+            push([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))])
     else:
         for row in rows:
             push(row)
@@ -407,7 +354,7 @@ def commuting_discrete_scalings(
     deck_perms: Sequence[tuple[int, ...]],
     rng: np.random.Generator,
 ) -> DiscreteScalingFilter:
-    """Filter the torsion blocks down to scalings that preserve the tracked
+    """Filter the torsion rows down to scalings that preserve the tracked
     variety and commute with every deck permutation.
 
     For each candidate u and primitive d-th root of unity lam, only the
@@ -433,20 +380,21 @@ def commuting_discrete_scalings(
 
     The candidates are decided in rounds (``_decide``): each round draws one
     gamma from ``rng`` per open candidate, in candidate order, and tracks
-    their paths in at most three lockstep calls.
+    their paths in at most three lockstep calls.  The filtered lattice keeps
+    the free rows and, per modulus d, rows of the passing candidates: a
+    maximal independent subset mod a prime d, and for a composite d only
+    passing original rows (``composite_modulus_note``).
     """
     base = mono.base
     nontrivial, _, orbit = monodromy.deck_orbit(mono, deck_perms)
 
     tested: list[tuple[int, tuple[int, ...], tracker.FiberSample | str]] = []
     truncated_any = False
-    composite = any(
-        blk.modulus > 1 and not _is_prime(blk.modulus) for blk in lattice.torsion
-    )
-    for blk in lattice.torsion:
-        d = blk.modulus
+    torsion = lattice.torsion
+    composite = any(not _is_prime(d) for d in torsion)
+    for d, rows in torsion.items():
         lam = -1.0 + 0.0j if d == 2 else cmath.exp(2j * cmath.pi / d)
-        candidates, truncated = _enumerate_candidates(blk)
+        candidates, truncated = _enumerate_candidates(d, rows)
         truncated_any = truncated_any or truncated
         tested += [(d, u, _scaled_orbit(system, lattice, orbit, u, lam)) for u in candidates]
 
@@ -458,19 +406,14 @@ def commuting_discrete_scalings(
         if outcome == "passed":
             passing.setdefault(d, []).append(u)
 
-    blocks = []
-    for blk in lattice.torsion:
-        vecs = passing.get(blk.modulus, [])
-        if not vecs:
-            continue
-        if _is_prime(blk.modulus):
-            kept = _independent_mod_p(vecs, blk.modulus)
-        else:
-            orig = {tuple(r) for r in blk.rows.data}
-            kept = [v for v in vecs if v in orig]
-        if kept:
-            blocks.append(TorsionBlock(blk.modulus, IntMatrix.from_rows(kept, lattice.nvars)))
-    filtered = ScalingLattice(lattice.nvars, lattice.free, tuple(blocks))
+    free = lattice.free
+    rows, moduli = list(free), [0] * len(free)
+    for d, block in torsion.items():
+        vecs = passing.get(d, [])
+        kept = _independent_mod_p(vecs, d) if _is_prime(d) else [v for v in vecs if v in block]
+        rows += kept
+        moduli += [d] * len(kept)
+    filtered = ScalingLattice(lattice.nvars, tuple(rows), tuple(moduli))
     return DiscreteScalingFilter(filtered, outcomes, truncated_any, composite)
 
 

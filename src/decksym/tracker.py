@@ -23,11 +23,11 @@ row's arc.  A pass costs about two to three serial steps plus a little per
 path, so for ``_SERIAL_PATHS`` = 2 paths or fewer ``track_paths`` calls
 ``track_path`` once per path, and once no more than ``_SERIAL_PATHS`` paths
 are still stepping, each finishes alone from its state (``_run_path``).  A
-call whose Newton pass would take more than ``_STACK_BYTES`` (rows x
-``CompiledSystem.row_bytes``: per row, the stacked evaluation's power table,
-gathered factors and unique monomials, the corrector's last monomials, f,
-dF/dx and solve, dF/dp, and the term blocks' per-row repeats) runs in
-consecutive chunks under that bound, each row bit-identical; no bundled
+call that would hold more than ``_STACK_BYTES`` (rows x
+``CompiledSystem.row_bytes``: per row, a Newton pass's stacked evaluation,
+f, dF/dx and solve, the step loop's RK4 stages, arc points and monomials,
+the tangent's gathered products, and the term blocks' per-row repeats) runs
+in consecutive chunks under that bound, each row bit-identical; no bundled
 workload reaches it, radial's verification fibers would.
 
 ``track_fiber`` tracks fibers, each from its own parameters to its own
@@ -109,9 +109,8 @@ SAMPLE_ATTEMPTS = 3
 # a time, and hands its last this many stepping paths to ``_run_path``:
 # below three, stacking costs more than it saves.
 _SERIAL_PATHS = 2
-# ``track_paths`` runs a call whose Newton pass (rows x
-# ``CompiledSystem.row_bytes``) would take more bytes than this in
-# consecutive chunks that stay under it.
+# ``track_paths`` runs a call that would hold more bytes than this (rows x
+# ``CompiledSystem.row_bytes``) in consecutive chunks that stay under it.
 _STACK_BYTES = 64 << 20
 
 
@@ -227,20 +226,25 @@ class CompiledSystem:
         self._jx = expr.TermBlock([q for row in jac for q in row], monomials, stride, (n, n))
         self._jp = expr.TermBlock([q for row in pj for q in row], monomials, stride, (n, m))
         self._factors = expr.factor_table(monomials)
-        # The bytes one row of a lockstep Newton pass holds, complex unless
+        # The bytes one row of a ``track_paths`` call holds, complex unless
         # noted: in ``monomial_rows``, the point, its x and p and the power
         # table's row of products, the power table, the gathered factors and
         # the unique monomials; the last monomials, f, dF/dx and the solve's
-        # output of ``_newton_rows``; the tangent's dF/dp; and the
-        # coefficients (complex) and offsets (intp) each term block repeats
-        # per row.
+        # output of ``_newton_rows``; dF/dp; the coefficients (complex) and
+        # offsets (intp) each term block repeats per row; the step loop's x,
+        # k1, x0, four RK4 stages and x_pred, its arc's dp, mid, end and next
+        # points with four rates, ``at_x`` and the last stage's monomials;
+        # the gathered monomials and products of the larger block in
+        # ``_tangent_rows``; and 20 8-byte per-path scalars and flags.
         unique, width = self._factors.shape
         blocks = (self._f, self._jx, self._jp)
         terms = sum(len(b.terms) for b in blocks)
         offsets = sum(len(b.offsets) for b in blocks)
+        gathered = 2 * max(len(self._jx.terms), len(self._jp.terms))
         self.row_bytes = 16 * (
-            self.nvars * (stride + 3) + unique * (width + 2) + n * n + n * m + 2 * n + terms
-        ) + 8 * offsets
+            self.nvars * (stride + 3) + unique * (width + 4) + n * n + n * m + 10 * n
+            + 4 * m + 4 + gathered + terms
+        ) + 8 * (offsets + 20)
         self._key: bytes | None = None
         self._mono: np.ndarray | None = None
 

@@ -13,7 +13,6 @@ from decksym.fixtures import fixture_path, seed_path
 from decksym.interp import TRUNCATE_TOL
 from decksym.monodromy import run_monodromy, seed_from_linear_params
 from decksym.permgrp import inverse
-from decksym.scaling import IntMatrix, Multidegree
 from decksym.tracker import compiled
 
 # Selected in CI with --hypothesis-profile=ci: a fixed example stream, and a
@@ -236,26 +235,24 @@ def constant_denominator_representative(rref_n: np.ndarray, split: int):
     return a, b
 
 
-def int_transpose(a: IntMatrix) -> IntMatrix:
-    return IntMatrix(a.cols, a.rows, tuple(zip(*a.data)) if a.data else ())
+# An integer matrix is the tuple of its row tuples, as in ``decksym.scaling``.
 
 
-def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
+def int_matmul(a, b):
+    """The exact product of two integer matrices; ``a`` has a row."""
+    if len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
-    bt = int_transpose(b).data
-    out = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.data)
-    return IntMatrix(a.rows, b.cols, out)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
-def int_det(a: IntMatrix) -> int:
+def int_det(a) -> int:
     """Exact determinant by Bareiss elimination."""
-    if a.rows != a.cols:
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
     if n == 0:
         return 1
-    m = [list(r) for r in a.data]
+    m = [list(r) for r in a]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -273,19 +270,19 @@ def int_det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def snf_verifies(snf, a: IntMatrix) -> bool:
+def snf_verifies(snf, a) -> bool:
     """U @ A @ V is the SNF's diagonal, and U and V are unimodular."""
     prod = int_matmul(int_matmul(snf.U, a), snf.V)
-    for i in range(prod.rows):
-        for j in range(prod.cols):
+    for i, row in enumerate(prod):
+        for j, x in enumerate(row):
             expected = snf.diag[i] if (i == j and i < len(snf.diag)) else 0
-            if prod.data[i][j] != expected:
+            if x != expected:
                 return False
     return abs(int_det(snf.U)) == 1 and abs(int_det(snf.V)) == 1
 
 
 def lattice_is_empty(lattice) -> bool:
-    return lattice.free.rows == 0 and not lattice.torsion
+    return not lattice.rows
 
 
 def equation_weight(row, eq) -> int | None:
@@ -296,17 +293,14 @@ def equation_weight(row, eq) -> int | None:
     return weights.pop()
 
 
-def multidegree(exponent, lattice) -> Multidegree:
+def multidegree(exponent, lattice) -> tuple[int, ...]:
     """The multidegree of one exponent vector, term by term (the reference
-    for ``scaling.multidegrees_bulk``)."""
+    for ``scaling.multidegrees_bulk``): its weight under each lattice row,
+    reduced mod the row's modulus d when d > 0."""
     if len(exponent) != lattice.nvars:
         raise ValueError("exponent length does not match the lattice")
-    free = tuple(sum(u * e for u, e in zip(row, exponent)) for row in lattice.free.data)
-    torsion = tuple(
-        tuple(sum(u * e for u, e in zip(row, exponent)) % blk.modulus for row in blk.rows.data)
-        for blk in lattice.torsion
-    )
-    return Multidegree(free, torsion)
+    weights = (sum(u * e for u, e in zip(row, exponent)) for row in lattice.rows)
+    return tuple(w % d if d else w for w, d in zip(weights, lattice.moduli))
 
 
 def track_paths_one_by_one(monkeypatch, track=None):

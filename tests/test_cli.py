@@ -92,6 +92,38 @@ def test_scalings_command_ex57(tmp_path):
     assert statuses == {"failed_stability", "failed_commutation"}
 
 
+Z8_TEXT = "unknowns x; parameters p; equations x^8 + p*x^4 + 1;"
+
+
+@pytest.mark.parametrize("rng_seed", [1, 2])
+def test_scalings_composite_modulus_keeps_only_original_rows(tmp_path, rng_seed):
+    """x^8 + p x^4 + 1 has one Z8 torsion row, (7, 4): a composite modulus.
+    Of its 7 multiples only (4, 0), x -> -x, preserves the fiber and commutes
+    with the deck maps; it is no original row, so no commuting block is kept
+    and the report notes why."""
+    (tmp_path / "z8.sys").write_text(Z8_TEXT)
+    report, code, _ = run_cli(
+        "scalings", str(tmp_path / "z8.sys"), tmp_path, seed=None,
+        expected_degree=8, rng_seed=rng_seed,
+    )
+    assert code == 0
+    sc = report["scaling"]
+    assert (sc["free_rows"], sc["free_rank"]) == ([], 0)
+    assert sc["torsion_blocks"] == [{"modulus": 8, "rows": [[7, 4]]}]
+    assert [(c["modulus"], c["vector"], c["status"]) for c in sc["candidates"]] == [
+        (8, [7, 4], "failed_commutation"),
+        (8, [6, 0], "failed_commutation"),
+        (8, [5, 4], "failed_commutation"),
+        (8, [4, 0], "passed"),
+        (8, [3, 4], "failed_commutation"),
+        (8, [2, 0], "failed_commutation"),
+        (8, [1, 4], "failed_commutation"),
+    ]
+    assert sc["commuting_blocks"] == [] and sc["commuting_ranks"] == []
+    assert sc["enumeration_truncated"] is False
+    assert sc["composite_modulus_note"] == "composite modulus: only original passing rows kept"
+
+
 def test_trivial_centralizer_skips_interpolation(tmp_path):
     # the triangular fixture is decomposable but has no deck transformations
     report, code, _ = run_cli(

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -20,7 +20,7 @@ from conftest import (
 from decksym import scaling, tracker
 from decksym.expr import parse_system
 from decksym.scaling import (
-    IntMatrix,
+    ScalingLattice,
     apply_scaling,
     denominator_multidegree,
     detect_scalings,
@@ -39,30 +39,26 @@ x1*x3^3 + 3*x1*x3*x4^2 + p1*x3^2 + p1*x4^2 - 2*p2*x1*x3 - 2*p3;
 """
 
 
-def snf_of(rows):
-    return smith_normal_form(IntMatrix.from_rows(rows))
-
-
 def test_snf_single_row_gcd():
-    snf = snf_of([[4, 6]])
+    snf = smith_normal_form([[4, 6]])
     assert snf.diag == (2,)
-    assert snf_verifies(snf, IntMatrix.from_rows([[4, 6]]))
+    assert snf_verifies(snf, [[4, 6]])
 
 
 def test_snf_identity():
-    snf = snf_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    snf = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert snf.diag == (1, 1, 1)
 
 
 def test_snf_zero_matrix():
-    a = IntMatrix.from_rows([[0, 0], [0, 0]])
+    a = ((0, 0), (0, 0))
     snf = smith_normal_form(a)
     assert snf.diag == ()
     assert snf_verifies(snf, a)
 
 
 def test_snf_divisor_chain():
-    snf = snf_of([[2, 0], [0, 4]])
+    snf = smith_normal_form([[2, 0], [0, 4]])
     assert snf.diag == (2, 4)
 
 
@@ -71,7 +67,7 @@ def test_snf_random_property():
     for _ in range(30):
         r = int(rng.integers(1, 7))
         c = int(rng.integers(1, 7))
-        a = IntMatrix.from_rows(rng.integers(-9, 10, (r, c)).tolist())
+        a = rng.integers(-9, 10, (r, c)).tolist()
         snf = smith_normal_form(a)
         assert snf_verifies(snf, a)
         nonzero = [d for d in snf.diag if d != 0]
@@ -80,16 +76,16 @@ def test_snf_random_property():
 
 
 def test_snf_fallback_large_entries():
-    a = IntMatrix.from_rows([[2**40, 3**25], [5**17, 7**13]])
+    a = ((2**40, 3**25), (5**17, 7**13))
     snf = smith_normal_form(a)
     assert snf_verifies(snf, a)
 
 
 def assert_snf_invariants(a, snf):
     prod = int_matmul(int_matmul(snf.U, a), snf.V)
-    for i, row in enumerate(prod.data):
+    for i, row in enumerate(prod):
         for j, x in enumerate(row):
-            assert x == (snf.diagonal_entry(i) if i == j else 0)
+            assert x == (snf.diag[i] if i == j < len(snf.diag) else 0)
     assert all(d > 0 for d in snf.diag)
     for x, y in zip(snf.diag, snf.diag[1:]):
         assert y % x == 0
@@ -102,7 +98,7 @@ def int_matrices(entries, min_side=1, max_side=6):
         lambda rc: st.lists(
             st.lists(entries, min_size=rc[1], max_size=rc[1]), min_size=rc[0], max_size=rc[0]
         )
-    ).map(IntMatrix.from_rows)
+    ).map(lambda rows: tuple(map(tuple, rows)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -128,15 +124,14 @@ def test_snf_big_int_fallback_property(a):
 def test_exponent_matrix_ex41():
     s = parse_system("unknowns x; parameters p; equations x^2 + p*x + 1;")
     a = exponent_difference_matrix(s)
-    assert (a.rows, a.cols) == (2, 2)
     # canonical term order x^2, p*x, 1: columns px - x^2 and 1 - x^2
-    assert a.data == ((-1, -2), (1, 0))
+    assert a == ((-1, -2), (1, 0))
 
 
 def test_exponent_matrix_single_term_equations():
     s = parse_system("unknowns x, y; parameters p; equations x*y; y + p;")
     a = exponent_difference_matrix(s)
-    assert a.cols == 1  # single-term first equation contributes nothing
+    assert len(a[0]) == 1  # single-term first equation contributes nothing
 
 
 def test_exponent_matrix_skips_patches():
@@ -144,19 +139,16 @@ def test_exponent_matrix_skips_patches():
         "unknowns x, y; parameters p; equations x^2 + p; patch 2*y - 1;"
     )
     aa = exponent_difference_matrix(s)
-    assert aa.cols == 1
+    assert len(aa[0]) == 1
 
 
 def test_ex57_lattice():
     s = parse_system(EX57)
     lat = detect_scalings(s)
-    assert lat.free_rank == 1
-    row = lat.free.data[0]
+    assert lat.moduli == (0, 2, 2)
+    row = lat.rows[0]
     expected = (0, 1, 1, 1, 1, 2, 3)
     assert row == expected or tuple(-v for v in row) == expected
-    assert len(lat.torsion) == 1
-    assert lat.torsion[0].modulus == 2
-    assert lat.torsion[0].rank == 2
     for eq in s.equations:
         assert equation_weight(row, eq) is not None
 
@@ -165,8 +157,8 @@ def test_free_rows_are_exact_null_vectors():
     s = parse_system(EX57)
     a = exponent_difference_matrix(s)
     lat = detect_scalings(s)
-    for row in lat.free.data:
-        for col in zip(*a.data):
+    for row in lat.free:
+        for col in zip(*a):
             assert sum(u * c for u, c in zip(row, col)) == 0
 
 
@@ -174,17 +166,17 @@ def test_torsion_rows_null_mod_d():
     s = parse_system(EX57)
     a = exponent_difference_matrix(s)
     lat = detect_scalings(s)
-    for blk in lat.torsion:
-        for row in blk.rows.data:
-            for col in zip(*a.data):
-                assert sum(u * c for u, c in zip(row, col)) % blk.modulus == 0
+    for d, rows in lat.torsion.items():
+        for row in rows:
+            for col in zip(*a):
+                assert sum(u * c for u, c in zip(row, col)) % d == 0
 
 
 def test_free_scaling_quasi_homogeneity_numeric():
     s = parse_system(EX57)
     lat = detect_scalings(s)
     rng = np.random.default_rng(4)
-    row = lat.free.data[0]
+    row = lat.free[0]
     for _ in range(5):
         pt = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
@@ -205,25 +197,53 @@ def test_full_row_rank_no_scalings():
 def test_multidegree_zero_and_additivity():
     s = parse_system(EX57)
     lat = detect_scalings(s)
-    zero = multidegree((0,) * 7, lat)
-    assert all(v == 0 for v in zero.free)
+    assert multidegree((0,) * 7, lat) == (0,) * len(lat.rows)
     rng = np.random.default_rng(8)
     for _ in range(20):
         e1 = tuple(int(v) for v in rng.integers(0, 4, 7))
         e2 = tuple(int(v) for v in rng.integers(0, 4, 7))
         s12 = multidegree(tuple(a + b for a, b in zip(e1, e2)), lat)
         d1, d2 = multidegree(e1, lat), multidegree(e2, lat)
-        assert s12.free == tuple(a + b for a, b in zip(d1.free, d2.free))
-        for blk, ta, tb, ts in zip(lat.torsion, d1.torsion, d2.torsion, s12.torsion):
-            assert ts == tuple((a + b) % blk.modulus for a, b in zip(ta, tb))
+        assert s12 == tuple(
+            (a + b) % d if d else a + b for a, b, d in zip(d1, d2, lat.moduli)
+        )
 
 
-def test_multidegrees_bulk_matches_scalar():
-    s = parse_system(EX57)
-    lat = detect_scalings(s)
-    rng = np.random.default_rng(9)
-    exps = [tuple(int(v) for v in rng.integers(0, 3, 7)) for _ in range(40)]
-    assert multidegrees_bulk(exps, lat) == [multidegree(e, lat) for e in exps]
+@settings(max_examples=200, deadline=None)
+@given(
+    int_matrices(st.integers(-9, 9)),
+    st.lists(st.tuples(*[st.integers(0, 4)] * 6), min_size=1, max_size=20),
+)
+@example(((2, 0), (0, 4), (0, 0)), [(1, 2, 3, 0, 0, 0), (0, 1, 1, 0, 0, 0)])
+def test_lattice_rows_and_multidegrees_property(a, exponents):
+    """The lattice of the SNF of a random integer matrix A: the free rows
+    first, then the torsion rows by ascending modulus, one row per diagonal
+    divisor other than 1.  A free row is an exact left-null vector of A, and
+    a row of modulus d a left-null vector mod d with entries in [0, d).
+    Random matrices give several moduli at once (the example: Z2, Z4 and one
+    free row), the one case where row order decides interpolation's class
+    order.  On exponent vectors e (``exponents`` cut to A's row count),
+    ``multidegrees_bulk`` equals the term-by-term reference, and the
+    denominator class of coordinate j of the class of e is the class of
+    e - unit_j."""
+    snf = smith_normal_form(a)
+    lat = scaling.extract_scaling_lattice(snf, len(a))
+    assert list(lat.moduli) == sorted(lat.moduli)
+    assert len(lat.rows) == len(a) - snf.diag.count(1)
+    for row, d in zip(lat.rows, lat.moduli):
+        weights = [sum(u * c for u, c in zip(row, col)) for col in zip(*a)]
+        if d == 0:
+            assert not any(weights)
+        else:
+            assert d > 1 and all(0 <= u < d for u in row)
+            assert all(w % d == 0 for w in weights)
+    exps = [e[: len(a)] for e in exponents]
+    mds = multidegrees_bulk(exps, lat)
+    assert mds == [multidegree(e, lat) for e in exps]
+    for e, md in zip(exps, mds):
+        for j in (j for j in range(len(a)) if e[j]):
+            below = e[:j] + (e[j] - 1,) + e[j + 1 :]
+            assert denominator_multidegree(md, lat, j) == multidegree(below, lat)
 
 
 def test_denominator_multidegree():
@@ -231,20 +251,17 @@ def test_denominator_multidegree():
     lat = detect_scalings(s)
     e = (0, 2, 1, 0, 1, 0, 0)
     md = multidegree(e, lat)
-    dd = denominator_multidegree(md, lat, 1)
-    col = tuple(row[1] for row in lat.free.data)
-    assert dd.free == tuple(a - b for a, b in zip(md.free, col))
+    assert denominator_multidegree(md, lat, 1) == multidegree((0, 1, 1, 0, 1, 0, 0), lat)
     # numerator class equal to the coordinate's own column -> zero denominator class
     ej = (0, 1, 0, 0, 0, 0, 0)
     zero = denominator_multidegree(multidegree(ej, lat), lat, 1)
-    assert all(v == 0 for v in zero.free)
-    assert all(all(v == 0 for v in part) for part in zero.torsion)
+    assert zero == (0,) * len(lat.rows)
     with pytest.raises(ValueError):
         denominator_multidegree(md, lat, 99)
 
 
 def test_unimodularity_checked():
-    a = IntMatrix.from_rows([[6, 4, 2], [4, 8, 6]])
+    a = ((6, 4, 2), (4, 8, 6))
     snf = smith_normal_form(a)
     assert abs(int_det(snf.U)) == 1
     assert abs(int_det(snf.V)) == 1
@@ -255,7 +272,7 @@ def test_unimodularity_checked():
 # ---------------------------------------------------------------------------
 
 from decksym.permgrp import centralizer_in_symmetric, identity
-from decksym.scaling import ScalingLattice, TorsionBlock, commuting_discrete_scalings
+from decksym.scaling import commuting_discrete_scalings
 
 
 def _deck(result):
@@ -265,11 +282,9 @@ def _deck(result):
 def test_sextic_flip_scaling_survives_filter(mono_sextic):
     system, result, rng = mono_sextic
     lat = detect_scalings(system)
-    assert lat.free_rank == 1
-    assert len(lat.torsion) == 1 and lat.torsion[0].modulus == 2
+    assert lat.moduli == (0, 2)
     out = commuting_discrete_scalings(lat, system, result, _deck(result), rng)
-    assert len(out.lattice.torsion) == 1
-    assert out.lattice.torsion[0].rank == 1
+    assert out.lattice.moduli == (0, 2)
     assert all(c.status == "passed" for c in out.candidates)
 
 
@@ -296,7 +311,7 @@ def test_filter_without_tracked_fibers_keeps_nothing(mono_ex57, monkeypatch):
     )
     assert len(out.candidates) > 1
     assert {c.status for c in out.candidates} == {"undetermined"}
-    assert out.lattice.torsion == ()
+    assert out.lattice.torsion == {}
     # Each attempt stops at its failed s(x_0) path: 3 paths per candidate.
     assert len(out.candidates) == 3
     assert len(calls) == 3 * len(out.candidates) == 9
@@ -407,7 +422,7 @@ def test_sheet_jump_on_retrace_never_passes(mono_sextic, monkeypatch):
         np.random.default_rng(1),
     )
     assert [c.status for c in out.candidates] == ["undetermined"]
-    assert out.lattice.torsion == ()
+    assert out.lattice.torsion == {}
     assert len(retraced) == 3
 
 
@@ -434,7 +449,7 @@ def test_transient_path_failure_retries_with_a_fresh_gamma(mono_sextic, monkeypa
         detect_scalings(system), system, result, deck, np.random.default_rng(1)
     )
     assert [c.status for c in out.candidates] == ["passed"]
-    assert out.lattice.torsion[0].rank == 1
+    assert len(out.lattice.torsion[2]) == 1
     orbit = 1 + len(deck)
     first, second = gammas[0], gammas[1]
     assert second != first
@@ -447,7 +462,7 @@ def test_ex57_all_candidates_rejected(mono_ex57):
     deck = _deck(result)
     assert len(deck) == 5  # full S3 deck group
     out = commuting_discrete_scalings(lat, system, result, deck, rng)
-    assert out.lattice.torsion == ()
+    assert out.lattice.torsion == {}
     # candidates flipping x1 leave the tracked component; the rest fail to
     # commute with the deck action
     for cand in out.candidates:
@@ -460,13 +475,12 @@ def test_ex57_all_candidates_rejected(mono_ex57):
 def test_ex57_literal_flips(mono_ex57):
     system, result, rng = mono_ex57
     lat = detect_scalings(system)
-    x1_flip = TorsionBlock(2, IntMatrix.from_rows([[1, 0, 0, 0, 0, 0, 0]]))
-    x4_flip = TorsionBlock(2, IntMatrix.from_rows([[0, 0, 0, 1, 0, 0, 0]]))
-    hand = ScalingLattice(7, lat.free, (x1_flip,))
-    out = commuting_discrete_scalings(hand, system, result, _deck(result), rng)
+    moduli = (0,) * len(lat.free) + (2,)
+    x1_flip = ScalingLattice(7, lat.free + ((1, 0, 0, 0, 0, 0, 0),), moduli)
+    x4_flip = ScalingLattice(7, lat.free + ((0, 0, 0, 1, 0, 0, 0),), moduli)
+    out = commuting_discrete_scalings(x1_flip, system, result, _deck(result), rng)
     assert [c.status for c in out.candidates] == ["failed_stability"]
-    hand = ScalingLattice(7, lat.free, (x4_flip,))
-    out = commuting_discrete_scalings(hand, system, result, _deck(result), rng)
+    out = commuting_discrete_scalings(x4_flip, system, result, _deck(result), rng)
     assert [c.status for c in out.candidates] == ["failed_commutation"]
 
 
@@ -557,8 +571,8 @@ def scaled_orbit(system, result, index):
     from decksym.monodromy import deck_orbit
 
     lattice = detect_scalings(system)
-    (block,) = lattice.torsion
-    u = scaling._enumerate_candidates(block)[0][index]
+    ((d, rows),) = lattice.torsion.items()
+    u = scaling._enumerate_candidates(d, rows)[0][index]
     _, _, orbit = deck_orbit(result, _deck(result))
     return scaling._scaled_orbit(system, lattice, orbit, u, -1.0 + 0j).solutions
 
@@ -625,7 +639,7 @@ def test_p3p_filter_labels_hold_when_an_orbit_lands_off_the_deck_action(p3p_mono
         detect_scalings(system), system, result, _deck(result), np.random.default_rng(19)
     )
     assert_filter_labels(out, QUASIHOM_FILTER_LABELS)
-    assert [(b.modulus, b.rank) for b in out.lattice.torsion] == [(2, 4)]
+    assert [(d, len(rows)) for d, rows in out.lattice.torsion.items()] == [(2, 4)]
 
 
 def test_a_sheet_jump_to_points_that_do_not_commute_retries(mono_sextic, monkeypatch):

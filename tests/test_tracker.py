@@ -731,24 +731,32 @@ def test_track_paths_bit_identical_in_chunks_under_a_tiny_memory_budget(base_fib
 
 
 @pytest.mark.parametrize("name", ["triangular", "p3p_quasihom", "ex5_7"])
-def test_row_bytes_bound_the_stacked_monomials(name):
+def test_row_bytes_bound_the_stacked_monomials(name, monkeypatch):
     """``CompiledSystem.row_bytes``, which sets the chunk size under
-    ``_STACK_BYTES``, counts what a row of a lockstep Newton pass holds: the
+    ``_STACK_BYTES``, counts what a row of a ``track_paths`` call holds: the
     traced peaks of ``monomial_rows`` (its power table, gathered factors and
-    monomials) and of ``_newton_rows`` (also the last monomials, f, dF/dx,
-    the solve's output and the term blocks' per-row repeats), each on 160
-    rows of a freshly compiled system, are within 160 rows' worth.
-    Triangular's Newton pass peaks at 2.29 MB, which the count of the
-    stacked evaluation alone (1.69 MB) missed."""
+    monomials), of ``_newton_rows`` (also the last monomials, f, dF/dx, the
+    solve's output and the term blocks' per-row repeats) and of a whole
+    ``track_paths`` call from the seed to random targets (also the RK4
+    stages, the arc points and rates, ``at_x`` and the tangent's gathered
+    products), each on 160 rows of a freshly compiled system, are within 160
+    rows' worth.  Such a call peaks at 22 260, 44 525 and 7 113 B a row on
+    triangular, P3P and ex5_7, which the count of a Newton pass alone
+    (16 136, 40 960 and 4 672 B) missed."""
     system = fixture_system(name)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((160, system.n)) + 1j * rng.standard_normal((160, system.n))
     p = rng.standard_normal((160, system.m)) + 1j * rng.standard_normal((160, system.m))
+    x0, p0 = parse_seed_pair(seed_path(name).read_text())
+    starts = np.repeat([newton_polish(system, x0, p0, tracker.PATH_TOL / 100)], 160, axis=0)
+    gammas = [tracker.draw_gamma(rng) for _ in range(160)]
     for run in (
         lambda comp: comp.monomial_rows(x, p),
         lambda comp: tracker._newton_rows(comp, x, p, tracker.NEWTON_TOL, 4, 1e8),
+        lambda comp: tracker.track_paths(system, starts, p0, p, gammas),
     ):
         comp = tracker.CompiledSystem(system)
+        monkeypatch.setitem(tracker._COMPILED, system, comp)
         tracemalloc.start()
         try:
             run(comp)

@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -145,18 +145,7 @@ def _blocks(lattice: scaling.ScalingLattice) -> list[dict]:
 
 def _verification_entry(perm, rep: interp.DeckVerification) -> dict:
     """One deck map's verification block; ``passed`` is the verdict."""
-    return {
-        "permutation_cycles": permgrp.cycles_string(perm),
-        "passed": rep.passed,
-        "pairing_ok": rep.pairing_ok,
-        "fiber_preservation_ok": rep.fiber_ok,
-        "quasi_homogeneity_ok": rep.quasi_ok,
-        "worst_pairing": rep.worst_pairing,
-        "worst_fiber_residual": rep.worst_fiber_residual,
-        "worst_quasi_homogeneity": rep.worst_quasi,
-        "trials": rep.trials,
-        "trials_requested": rep.trials_requested,
-    }
+    return {"permutation_cycles": permgrp.cycles_string(perm), "passed": rep.passed, **asdict(rep)}
 
 
 class Pipeline:
@@ -239,10 +228,7 @@ class Pipeline:
             self.system, pair, self.rng, expected_degree=self.cfg.expected_degree
         )
         base = self.mono.base
-        self.report["fiber"] = {
-            "params": [format_complex(z) for z in base.params],
-            "solutions": [[format_complex(z) for z in sol] for sol in base.solutions],
-        }
+        self.report["fiber"] = {"params": base.params, "solutions": base.solutions}
         self.report["monodromy"] = {
             "degree": self.mono.degree,
             "loop_count": self.mono.loop_count,
@@ -300,10 +286,7 @@ class Pipeline:
             entry["commuting_ranks"] = [
                 {"modulus": d, "rank": len(rows)} for d, rows in filt.lattice.torsion.items()
             ]
-            entry["candidates"] = [
-                {"modulus": c.modulus, "vector": list(c.vector), "status": c.status}
-                for c in filt.candidates
-            ]
+            entry["candidates"] = [asdict(c) for c in filt.candidates]
             entry["enumeration_truncated"] = filt.enumeration_truncated
             if filt.composite_modulus_note:
                 entry["composite_modulus_note"] = (
@@ -341,17 +324,7 @@ class Pipeline:
                 self.cfg.parameter_dependent,
                 self.rng,
             )
-        self.report["interpolation"] = {
-            "graded": stats.graded,
-            "parameter_dependent": stats.parameter_dependent,
-            "largest_vandermonde": stats.largest_vandermonde,
-            "subproblems": stats.subproblems,
-            "class_count": stats.class_count,
-            "largest_class": stats.largest_class,
-            "orbit_samples": stats.orbit_samples,
-            "rows_per_sample": stats.rows_per_sample,
-            "point_0_refits": stats.point_0_refits,
-        }
+        self.report["interpolation"] = asdict(stats)
         self.report["deck_maps"] = [self._deck_entry(d) for d in self.decks]
 
     def _deck_entry(self, deck: interp.DeckMap) -> dict:

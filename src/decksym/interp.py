@@ -483,11 +483,11 @@ def interpolate_dense(
 @dataclass
 class DeckVerification:
     pairing_ok: bool
-    fiber_ok: bool | None  # None when the deck map is incomplete
-    quasi_ok: bool | None  # None when no lattice was supplied
+    fiber_preservation_ok: bool | None  # None when the deck map is incomplete
+    quasi_homogeneity_ok: bool | None  # None when no lattice was supplied
     worst_pairing: float
     worst_fiber_residual: float
-    worst_quasi: float
+    worst_quasi_homogeneity: float
     trials: int
     trials_requested: int
 
@@ -496,8 +496,8 @@ class DeckVerification:
         return (
             self.trials >= self.trials_requested
             and self.pairing_ok
-            and (self.fiber_ok is None or self.fiber_ok)
-            and (self.quasi_ok is None or self.quasi_ok)
+            and (self.fiber_preservation_ok is None or self.fiber_preservation_ok)
+            and (self.quasi_homogeneity_ok is None or self.quasi_homogeneity_ok)
         )
 
 
@@ -584,11 +584,11 @@ def verify_deck(
 
     return DeckVerification(
         pairing_ok=worst_pair <= VALIDATE_RTOL,
-        fiber_ok=(worst_res <= IMAGE_RESIDUAL_TOL) if deck.complete else None,
-        quasi_ok=quasi_ok,
+        fiber_preservation_ok=(worst_res <= IMAGE_RESIDUAL_TOL) if deck.complete else None,
+        quasi_homogeneity_ok=quasi_ok,
         worst_pairing=worst_pair,
         worst_fiber_residual=worst_res,
-        worst_quasi=worst_quasi,
+        worst_quasi_homogeneity=worst_quasi,
         trials=len(fibers),
         trials_requested=trial_count,
     )

@@ -34,11 +34,14 @@ given, and otherwise after ``_STALL_LIMIT`` rounds without a new base
 solution.  The run stops once the fiber is stable and ``_PERM_STALL_LIMIT``
 rounds did not grow the group, or at ``_MAX_LOOPS`` rounds.  So once the
 fiber is stable, the rounds until the stall count can reach the limit are
-certain to run, and their growth is drawn at the end of each round, in the
-order the rounds would draw it: a planned edge whose source node holds every
-solution has its direction-0 paths known, and they go out with the calls of
-the rounds before it.  The rng is drawn in the same sequence and every path
-keeps its bits, so only the number of calls changes.
+certain to run, and they are drawn at the end of each round, in the order
+the rounds would draw them: their nodes and edges enter the graph's lists
+at once, at their final indices, and only the sweep, the cycles and the
+edge count wait until their round grows them.  A planned edge whose source
+node holds every solution has its direction-0 paths known, and they go out
+with the calls of the rounds before it.  The rng is drawn in the same
+sequence and every path keeps its bits, so only the number of calls
+changes.
 
 Deck-orbit samples come from ``tracker.sample_fiber``: all the samples one
 call asks for are tracked out together and checked together by a round trip
@@ -143,77 +146,64 @@ class _Edge:
         return params[src], params[dst], (1.0 / self.gamma if direction else self.gamma)
 
 
-@dataclass(frozen=True)
-class _Step:
-    """One round's growth: the new node's parameters (None when the round
-    joins two nodes) and the new edges, in the order they are added."""
-
-    params: np.ndarray | None
-    edges: tuple[_Edge, ...]
-
-
 class _Graph:
-    """The homotopy graph: node parameters, node fibers and edges, the growth
-    of the rounds planned ahead, and the paths tracked ahead of their turn,
-    keyed by (edge index, direction, solution index); a planned edge's index
-    is the one ``grow`` will give it."""
+    """The homotopy graph: node parameters, node fibers and edges, the first
+    ``live`` edges grown and the rest planned, with the edge count after each
+    planned round (``plan``), and the paths tracked ahead of their turn,
+    keyed by (edge index, direction, solution index).  A planned round's
+    nodes and edges sit in the lists from the draw on, at their final
+    indices; its nodes' fibers stay empty until its edges grow."""
 
     def __init__(self, system: System, p0, x0):
         self.system = system
         self.params: list[np.ndarray] = [p0]
         self.fibers: list[np.ndarray] = [x0[None, :]]  # (k, n) per node
         self.edges: list[_Edge] = []
-        self.plan: deque[_Step] = deque()
+        self.live = 0
+        self.plan: deque[int] = deque()
         self.ahead: dict[tuple[int, int, int], tracker.PathResult] = {}
         self.tracked = 0
         self.failed = 0
 
     def grow(self, rng: np.random.Generator) -> None:
-        """Add the first planned round's node and edges, or draw the round's
-        growth now when none is planned."""
-        step = self.plan.popleft() if self.plan else self._draw(rng)
-        if step.params is not None:
-            self.params.append(step.params)
-            self.fibers.append(np.empty((0, self.system.n), dtype=complex))
-        self.edges.extend(step.edges)
+        """Grow the first planned round's edges, drawing the round now when
+        none is planned."""
+        if not self.plan:
+            self._draw(rng)
+        self.live = self.plan.popleft()
 
     def plan_rounds(self, rng: np.random.Generator, rounds: int) -> None:
-        """Draw the growth of the next ``rounds`` rounds, past those already
-        planned; every planned round must run, so that the rng is drawn as
-        one round at a time draws it."""
+        """Draw the next ``rounds`` rounds, past those already planned; every
+        planned round must run, so that the rng is drawn as one round at a
+        time draws it."""
         while len(self.plan) < rounds:
-            self.plan.append(self._draw(rng))
+            self._draw(rng)
 
-    def _planned(self) -> tuple[list[_Edge], list[np.ndarray]]:
-        """The edges and node parameters as they will be once every planned
-        round has grown the graph."""
-        edges = self.edges + [e for step in self.plan for e in step.edges]
-        params = self.params + [step.params for step in self.plan if step.params is not None]
-        return edges, params
-
-    def _draw(self, rng: np.random.Generator) -> _Step:
-        """The growth of the round after the planned ones: join the first
-        pair of nodes (b, then a) with no edge, or add a random node (its
-        parameters, then one gamma per edge) joined to nodes 0 and 1 once
-        every pair has one."""
-        edges, params = self._planned()
-        joined = {(e.a, e.b) for e in edges}
-        k = len(params)
+    def _draw(self, rng: np.random.Generator) -> None:
+        """Plan the round after the planned ones: join the first pair of
+        nodes (b, then a) with no edge, or add a random node (its parameters,
+        then one gamma per edge) joined to nodes 0 and 1 once every pair has
+        one."""
+        joined = {(e.a, e.b) for e in self.edges}
+        k = len(self.params)
         pair = next(((a, b) for b in range(k) for a in range(b) if (a, b) not in joined), None)
         if pair is not None:
-            return _Step(None, (_Edge(*pair, tracker.draw_gamma(rng)),))
-        node = tracker.random_params(self.system.m, rng)
-        return _Step(node, tuple(_Edge(a, k, tracker.draw_gamma(rng)) for a in range(min(k, 2))))
+            self.edges.append(_Edge(*pair, tracker.draw_gamma(rng)))
+        else:
+            self.params.append(tracker.random_params(self.system.m, rng))
+            self.fibers.append(np.empty((0, self.system.n), dtype=complex))
+            self.edges += [_Edge(a, k, tracker.draw_gamma(rng)) for a in range(min(k, 2))]
+        self.plan.append(len(self.edges))
 
     def propagate(self) -> tuple[int, int]:
-        """Track every solution along every edge that maps it nowhere yet,
-        until no edge has one left to try; returns the paths tracked and
+        """Track every solution along every grown edge that maps it nowhere
+        yet, until no edge has one left to try; returns the paths tracked and
         failed."""
         tracked, failed = self.tracked, self.failed
         progress = True
         while progress:
             progress = False
-            for k, e in enumerate(self.edges):
+            for k, e in enumerate(self.edges[: self.live]):
                 for direction in (0, 1):
                     if not e.broken and self._track(k, direction):
                         progress = True
@@ -261,31 +251,29 @@ class _Graph:
 
     def _track_ahead(self, k: int, direction: int, pending: list[int]) -> None:
         """One ``tracker.track_paths`` call, each row along its own edge's
-        arc: the pending paths of edge k not yet tracked, then the pending
-        direction-0 paths of every other unbroken edge, and then every path
-        of each planned edge whose source node holds as many solutions as
-        node 0, up to ``_CALL_ROWS`` rows unless edge k's are more.  The
-        sweep of ``propagate`` takes those anyway: until an edge's
-        direction-0 turn, only its own turns change what it maps or has
-        tried, and fibers only grow, so its pending set only grows; the
+        arc: the pending paths of edge k not yet tracked, then, in edge order,
+        the pending direction-0 paths of every other unbroken grown edge and
+        every path of each planned edge whose source node holds as many
+        solutions as node 0, up to ``_CALL_ROWS`` rows unless edge k's are
+        more.  The sweep of ``propagate`` takes those anyway: until an
+        edge's direction-0 turn, only its own turns change what it maps or
+        has tried, and fibers only grow, so its pending set only grows; the
         sweep after this one comes round to every edge, and every planned
         round runs."""
         rows = [(k, direction, i) for i in pending if (k, direction, i) not in self.ahead]
         own = len(rows)
-        edges, params = self._planned()
-        sizes = [len(f) for f in self.fibers] + [0] * (len(params) - len(self.fibers))
-        for k2, e2 in enumerate(edges):
+        for k2, e2 in enumerate(self.edges):
             if len(rows) >= _CALL_ROWS:
                 break
             if k2 == k or e2.broken:
                 continue
-            if k2 < len(self.edges) or sizes[e2.a] == sizes[0]:
+            if k2 < self.live or len(self.fibers[e2.a]) == len(self.fibers[0]):
                 rows += [(k2, 0, i) for i in self._pending(e2, 0) if (k2, 0, i) not in self.ahead]
         rows = rows[: max(own, _CALL_ROWS)]
         starts, p_from, p_to, gammas = [], [], [], []
         for k2, d, i in rows:
-            e2 = edges[k2]
-            a, b, g = e2.segment(d, params)
+            e2 = self.edges[k2]
+            a, b, g = e2.segment(d, self.params)
             starts.append(self.fibers[e2.ends(d)[0]][i])
             p_from.append(a)
             p_to.append(b)
@@ -316,11 +304,11 @@ class _Graph:
 
     def cycles(self) -> list[LoopRecord]:
         """One cycle per non-tree edge of a breadth-first spanning tree from
-        node 0 over the complete edges between complete nodes (as many
+        node 0 over the complete grown edges between complete nodes (as many
         solutions as node 0), without the identity or repeats."""
         d = len(self.fibers[0])
         complete = [
-            e for e in self.edges
+            e for e in self.edges[: self.live]
             if not e.broken and len(e.maps[0]) == d == len(self.fibers[e.a]) == len(self.fibers[e.b])
         ]
         adjacent: dict[int, list[tuple[int, int]]] = {}
@@ -532,7 +520,7 @@ def run_monodromy(
         [c.permutation for c in cycles],
         rounds,
         cycles,
-        edges=len(graph.edges),
+        edges=graph.live,
         paths_tracked=graph.tracked,
         paths_failed=graph.failed,
     )

@@ -17,7 +17,8 @@ shared arc), in the style of the batched tracking of HomotopyContinuation.jl
 (Breiding & Timme, arXiv:1711.10911).  States are stacked as (S, n); t, the
 step size, the accept streak, the cached first RK4 stage, the singular flag
 and the arc are per path; each pass of the loop stacks the evaluations and
-``np.linalg.solve`` calls of every active path, and applies each path's own
+dense solves of every active path (each stack of solves is one call of
+``_solve``'s gufunc, through ``_solve_rows``), and applies each path's own
 acceptance rules.  Every result is bit-identical to ``track_path``'s on its
 row's arc.  A pass costs about two to three serial steps plus a little per
 path, so for ``_SERIAL_PATHS`` = 2 paths or fewer ``track_paths`` calls
@@ -192,12 +193,13 @@ def _nearest(point, pool) -> tuple[int, float, float]:
 def match(point, pool) -> int | str:
     """The index of the row of ``pool`` (a (k, n) array) within
     ``MATCH_TOL`` of ``point`` (max norm) and ``_MATCH_RATIO`` times closer
-    than the runner-up; else ``NEW`` for an empty pool or d1 >=
-    ``_MATCH_RATIO`` x ``MATCH_TOL``, else ``AMBIGUOUS``."""
+    than the runner-up, which an exact tie (d1 = d2 = 0) is not; else
+    ``NEW`` for an empty pool or d1 >= ``_MATCH_RATIO`` x ``MATCH_TOL``,
+    else ``AMBIGUOUS``."""
     if len(pool) == 0:
         return NEW
     best, d1, d2 = _nearest(point, pool)
-    if d1 <= MATCH_TOL and d2 >= _MATCH_RATIO * d1:
+    if d1 <= MATCH_TOL and d2 > d1 and d2 >= _MATCH_RATIO * d1:
         return best
     if d1 >= _MATCH_RATIO * MATCH_TOL:
         return NEW

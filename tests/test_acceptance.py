@@ -453,8 +453,8 @@ def test_criterion_8c_interpolated_formulas_validate(p3p_state, fivepoint_state)
             )
             assert rep.pairing_ok and rep.worst_pairing <= 1e-6
             if deck.complete:
-                assert rep.fiber_ok
-            assert rep.quasi_ok
+                assert rep.fiber_preservation_ok
+            assert rep.quasi_homogeneity_ok
     announce(8, "interpolated formulas validate on held-out fibers (rel 1e-6)")
 
 

@@ -515,7 +515,7 @@ def test_verify_deck_fails_for_nan_formula(mono41):
     nan_deck = DeckMap(deck_perms_of(result)[0], [nan_x], 1)
     report = verify_deck(system, nan_deck, held_out_fibers(system, result.base, 2, rng), 2, rng)
     assert report.trials == 2
-    assert not report.pairing_ok and not report.fiber_ok and not report.passed
+    assert not report.pairing_ok and not report.fiber_preservation_ok and not report.passed
 
 
 def test_verify_deck_fails_for_a_denominator_of_exactly_zero(mono41):
@@ -531,7 +531,7 @@ def test_verify_deck_fails_for_a_denominator_of_exactly_zero(mono41):
     report = verify_deck(system, reciprocal, [fiber], 1, np.random.default_rng(0))
     assert report.trials == 1
     assert not np.isfinite(report.worst_pairing)
-    assert not report.pairing_ok and not report.fiber_ok and not report.passed
+    assert not report.pairing_ok and not report.fiber_preservation_ok and not report.passed
 
 
 def test_verify_deck_fails_when_no_fiber_tracks(mono41, monkeypatch):
@@ -612,13 +612,17 @@ def test_derive_deck_permutation_rejects_an_unmatched_image(formula, message):
 def test_derive_deck_permutation_ambiguous_on_partial_coordinates():
     """Only x is supplied, and two base points share their x to within 5e-7:
     an image 1e-7 from one is 4e-7 from the other, not 100 times farther.
-    (The base points need not solve the system: the formulas are only
-    evaluated on them and matched.)"""
+    Two base points with exactly the same x tie at distance 0, which is
+    ambiguous too.  (The base points need not solve the system: the
+    formulas are only evaluated on them and matched.)"""
     system = parse_system(EX42_TEXT)
     base = FiberSample(np.array([0.1]), (np.array([0.0, 1.0]), np.array([5e-7, 2.0])))
     formulas = parse_deck_formulas("x = x + 0.0000001", system)
     with pytest.raises(ValueError, match="ambiguous on the fiber; supply more coordinates"):
         derive_deck_permutation(system, formulas, base)
+    base = FiberSample(np.array([0.1]), (np.array([0.0, 1.0]), np.array([0.0, 2.0])))
+    with pytest.raises(ValueError, match="ambiguous on the fiber; supply more coordinates"):
+        derive_deck_permutation(system, parse_deck_formulas("x = x", system), base)
 
 
 def test_interpolation_commutation_guard(mono_sextic):

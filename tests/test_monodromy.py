@@ -410,9 +410,9 @@ def run_recorded(monkeypatch, name, seed, reference):
     """run_monodromy on a bundled fixture with its seed pair at an rng seed,
     with the paths of every ``tracker.track_paths`` call recorded, and, when
     ``reference`` is set, with the per-edge sweep of ``tests/conftest.py`` as
-    ``_Graph._track`` and no rounds planned ahead, so that each round draws
-    its growth at its start; the result, the paths, the call sizes and the
-    rng's next draw."""
+    ``_Graph._track`` and no rounds planned ahead, so that ``grow`` draws
+    each round at its start and no planned edge waits behind ``live``; the
+    result, the paths, the call sizes and the rng's next draw."""
     calls = []
     real = tracker.track_paths
 
@@ -432,6 +432,14 @@ def run_recorded(monkeypatch, name, seed, reference):
     return result, paths, calls, rng.random()
 
 
+def loop_bits(records):
+    """Each loop record's permutation and arcs, arrays as bytes."""
+    return [
+        (record.permutation, [(a.tobytes(), b.tobytes(), g) for a, b, g in record.segments])
+        for record in records
+    ]
+
+
 def run_fields(result):
     """Every field of a monodromy result, arrays as bytes."""
     return (
@@ -442,10 +450,7 @@ def run_fields(result):
         result.edges,
         result.paths_tracked,
         result.paths_failed,
-        [
-            (record.permutation, [(a.tobytes(), b.tobytes(), g) for a, b, g in record.segments])
-            for record in result.loop_log
-        ],
+        loop_bits(result.loop_log),
     )
 
 
@@ -484,59 +489,108 @@ def test_p3p_edges_go_out_in_fewer_calls(monkeypatch):
     assert (len(calls), len(want_calls)) == (22, 40)
 
 
-@pytest.mark.parametrize("before", [0, 2])
+@pytest.mark.parametrize("before", [0, 2, 5])
 def test_planned_rounds_are_bit_identical_to_the_rounds_grow_draws(before):
-    """After ``before`` rounds, eight rounds planned at once
-    (``_Graph.plan_rounds``) grow the graph as eight rounds that each draw
-    at their start: the same nodes, parameters, edges and gammas, bit for
-    bit, and the same next rng draw.  Each planned edge gets the index it
-    was planned at (the graph's edges, then the planned ones in order).
-    From an empty graph the plan adds nodes 1 to 5 and joins the planned
-    nodes 2 and 3; planning fewer rounds than are planned draws
-    nothing."""
-    planned, drawn = (_Graph(SEXTIC, np.zeros(4, complex), np.zeros(1, complex)) for _ in range(2))
-    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(before):
-        planned.grow(rng)
-        drawn.grow(twin)
-    planned.plan_rounds(rng, 8)
-    planned.plan_rounds(rng, 3)
-    assert len(planned.plan) == 8
-    future = list(enumerate((e for step in planned.plan for e in step.edges), len(planned.edges)))
-    for _ in range(8):
-        planned.grow(rng)
-        drawn.grow(twin)
-    assert not planned.plan
-    assert all(planned.edges[k] is e for k, e in future)
-    assert [(e.a, e.b, np.complex128(e.gamma).tobytes()) for e in planned.edges] == [
-        (e.a, e.b, np.complex128(e.gamma).tobytes()) for e in drawn.edges
-    ]
-    assert [p.tobytes() for p in planned.params] == [p.tobytes() for p in drawn.params]
-    assert len(planned.fibers) == len(drawn.fibers) == len(planned.params)
-    if before == 0:
-        assert len(planned.params) == 6 and (2, 3) in [(e.a, e.b) for _, e in future]
-    assert rng.random() == twin.random()
+    """After ``before`` rounds, rounds planned ahead (``_Graph.plan_rounds``:
+    1, 3 or 8 at once, or 1 and then 3 more while the first is pending) grow
+    the graph as rounds that each draw at their start: the same nodes,
+    parameters, edges and gammas, bit for bit, and the same next rng draw.
+    Each planned edge keeps the index it was drawn at.  From an empty graph
+    eight planned rounds add nodes 1 to 5 and join the planned nodes 2 and
+    3; after five rounds the next round joins nodes 2 and 4, so the second
+    plan of 1 and 3 is drawn while that joining round is pending; planning
+    fewer rounds than are planned draws nothing."""
+    for plans in [(1,), (3,), (8,), (1, 3)]:
+        planned, drawn = (_Graph(SEXTIC, np.zeros(4, complex), np.zeros(1, complex)) for _ in range(2))
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(before):
+            planned.grow(rng)
+            drawn.grow(twin)
+        for rounds in plans + (1,):
+            planned.plan_rounds(rng, rounds)
+        rounds = max(plans)
+        assert len(planned.plan) == rounds
+        future = list(enumerate(planned.edges[planned.live :], planned.live))
+        for _ in range(rounds):
+            planned.grow(rng)
+            drawn.grow(twin)
+        assert not planned.plan and planned.live == len(planned.edges)
+        assert all(planned.edges[k] is e for k, e in future)
+        assert [(e.a, e.b, np.complex128(e.gamma).tobytes()) for e in planned.edges] == [
+            (e.a, e.b, np.complex128(e.gamma).tobytes()) for e in drawn.edges
+        ]
+        assert [p.tobytes() for p in planned.params] == [p.tobytes() for p in drawn.params]
+        assert len(planned.fibers) == len(drawn.fibers) == len(planned.params)
+        if (before, rounds) == (0, 8):
+            assert len(planned.params) == 6 and (2, 3) in [(e.a, e.b) for _, e in future]
+        if before == 5:
+            assert (future[0][1].a, future[0][1].b) == (2, 4)
+        assert rng.random() == twin.random()
 
 
 def test_planned_edge_paths_are_bit_identical_at_the_index_grow_gives():
     """x^2 + p x + 1 over p = -2.5, node 0 holding both roots, three rounds
-    planned: the first round's call tracks edge 0's own paths and every path
-    of the planned edges that leave node 0 (1 and 3), not those that leave
-    node 1 (2 and 4), whose fiber is empty.  Once grown, edges 1 and 3 are
-    the planned ones, and each path tracked ahead is bit-identical to
-    ``track_path`` along its edge from node 0."""
+    planned: their nodes and edges sit in the graph at once, none grown.
+    The first round's call tracks edge 0's own paths and every path of the
+    planned edges that leave node 0 (1 and 3), not those that leave node 1
+    (2 and 4), whose fiber is empty; each path tracked ahead is
+    bit-identical to ``track_path`` along its edge from node 0."""
     graph = _Graph(EX41, np.array([-2.5 + 0j]), np.array([2.0 + 0j]))
     graph.fibers[0] = np.array([[2.0 + 0j], [0.5 + 0j]])
     rng = np.random.default_rng(1)
     graph.plan_rounds(rng, 3)
+    assert [(e.a, e.b) for e in graph.edges] == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+    assert (graph.live, len(graph.params), list(graph.plan)) == (0, 4, [1, 3, 5])
     graph.grow(rng)
     graph._track_ahead(0, 0, [0, 1])
     assert sorted(graph.ahead) == [(k, 0, i) for k in (0, 1, 3) for i in (0, 1)]
-    graph.grow(rng)
-    graph.grow(rng)
-    assert [(e.a, e.b) for e in graph.edges] == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
     for (k, direction, i), got in graph.ahead.items():
         p_from, p_to, gamma = graph.edges[k].segment(direction, graph.params)
         want = tracker.track_path(EX41, graph.fibers[0][i], p_from, p_to, gamma=gamma)
         assert (got.status, got.steps_taken) == (want.status, want.steps_taken)
         assert got.endpoint.tobytes() == want.endpoint.tobytes()
+
+
+def test_planned_rounds_stay_invisible_and_bit_identical_until_grown(monkeypatch):
+    """x^2 + p x + 1 over p = -2.5, node 0 holding both roots, after two
+    rounds and with three more planned: ``propagate`` takes no planned
+    edge's path (those tracked ahead wait in ``ahead``), ``cycles()`` reads
+    the grown edges only, and the planned nodes 3 and 4 keep empty fibers;
+    all as on a twin graph that planned nothing.  The next round fills node
+    3 and leaves node 4 empty.  ``run_monodromy`` with one round planned
+    past those its stop rule guarantees ends with that round planned and
+    gives the same result, bit for bit, its edge count the grown edges."""
+    graph, twin = (_Graph(EX41, np.array([-2.5 + 0j]), np.array([2.0 + 0j])) for _ in range(2))
+    rng, twin_rng = np.random.default_rng(0), np.random.default_rng(0)
+    for g, r in ((graph, rng), (twin, twin_rng)):
+        g.fibers[0] = np.array([[2.0 + 0j], [0.5 + 0j]])
+        g.grow(r)
+        g.grow(r)
+    graph.plan_rounds(rng, 3)
+    for grown, empty in ((3, (3, 4)), (5, (4,))):
+        assert graph.propagate() == twin.propagate()
+        assert (graph.live, len(graph.edges)) == (grown, 8)
+        assert all(not e.maps[0] and not e.maps[1] and not e.tried for e in graph.edges[grown:])
+        assert graph.ahead and all(k >= grown for k, _, _ in graph.ahead)
+        assert [e.maps for e in graph.edges[:grown]] == [e.maps for e in twin.edges]
+        assert [f.tobytes() for f in graph.fibers[: len(twin.fibers)]] == [
+            f.tobytes() for f in twin.fibers
+        ]
+        assert all(len(graph.fibers[v]) == 0 for v in empty)
+        assert loop_bits(graph.cycles()) == loop_bits(twin.cycles()) != []
+        graph.grow(rng)
+        twin.grow(twin_rng)
+
+    graphs = []
+    plan_rounds = _Graph.plan_rounds
+
+    def plan_one_more(graph, rng, rounds):
+        graphs.append(graph)
+        plan_rounds(graph, rng, rounds + 1)
+
+    pair = parse_seed_pair(seed_path("sextic").read_text())
+    want = run_monodromy(fixture_system("sextic"), pair, np.random.default_rng(0), expected_degree=6)
+    monkeypatch.setattr(_Graph, "plan_rounds", plan_one_more)
+    got = run_monodromy(fixture_system("sextic"), pair, np.random.default_rng(0), expected_degree=6)
+    assert run_fields(got) == run_fields(want)
+    assert graphs[-1].plan and got.edges == graphs[-1].live < len(graphs[-1].edges)

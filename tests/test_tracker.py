@@ -188,12 +188,13 @@ def nearest_by_loop(point, pool):
 
 
 def match_by_definition(point, pool):
-    """Reference rule: matched j when d1 <= MATCH_TOL and d2 >= 100 d1; new
-    for an empty pool or d1 >= 100 MATCH_TOL; ambiguous otherwise."""
+    """Reference rule: matched j when d1 <= MATCH_TOL, d2 > d1 and d2 >=
+    100 d1; new for an empty pool or d1 >= 100 MATCH_TOL; ambiguous
+    otherwise."""
     if not len(pool):
         return NEW
     best, d1, d2 = nearest_by_loop(point, pool)
-    if d1 <= MATCH_TOL and d2 >= 100 * d1:
+    if d1 <= MATCH_TOL and d2 > d1 and d2 >= 100 * d1:
         return best
     return NEW if d1 >= 100 * MATCH_TOL else AMBIGUOUS
 
@@ -284,6 +285,8 @@ def test_match_boundaries():
     d1 = MATCH_TOL / 2
     assert match(origin, [[-100 * d1], [d1]]) == 1
     assert match(origin, [[-np.nextafter(100 * d1, 0.0)], [d1]]) == AMBIGUOUS
+    # Two rows exactly at the point are a tie, not a match 100 times closer.
+    assert match(np.array([1, 2]), [[1, 2], [1, 2], [5, 5]]) == AMBIGUOUS
 
 
 def test_fiber_duplicate_solution_rejected():

@@ -17,16 +17,21 @@ One kernel evaluates every polynomial in the package: the tracker's F, dF/dx
 and dF/dp, ``Polynomial.evaluate`` and ``RationalFunction.evaluate`` (deck
 formulas, patch equations) and the Vandermonde columns of interpolation.  A
 set of unique monomials is a factor table: each monomial is a short row of
-flat indices ``var * (maxdeg + 1) + power`` into a power table of all the
+flat indices ``power * nvars + var`` into a power table of all the
 variables, listing only its non-unit factors in increasing variable order
 and padded with an index of a constant 1.  A ``TermBlock`` keeps, per term of
 each of its polynomials, a monomial index and a coefficient, summed per
 polynomial by ``np.add.reduceat``; a block whose every polynomial has one
-term (P3P's dF/dx, for one) skips the sum, which over one element is that
-element, bit for bit.  An evaluation fills the power table, multiplies the
-few factors of each monomial once (``monomials_at`` for one point,
-``monomial_rows`` for a stack of points), and gathers the monomials into the
-terms.
+term (P3P's dF/dx | dF/dp, for one) skips the sum, which over one element is
+that element, bit for bit.  An evaluation fills the power table with
+numpy's elementwise multiply (each power the one below it times the point),
+multiplies the few factors of each monomial once with one ``np.einsum``
+call (``_products``; ``monomials_at`` for one point, ``monomial_rows`` for a
+stack of points), and gathers the monomials into the terms.  einsum
+multiplies unfused, left to right, as numpy's product reduction did, so the
+monomials keep the reduction's bits except in the sign of an exact-zero
+part and where a factor is infinite; the elementwise multiply is fused and
+serves only the power table.
 
 A polynomial compiles, on its first evaluation, into a one-entry block over
 its own support.  The power of a variable, the product of a monomial's
@@ -41,6 +46,7 @@ nonzero parts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -118,15 +124,16 @@ def _czero(a: Coeff) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def factor_key(exponent: Exponent, stride: int) -> tuple[int, ...]:
-    """Flat power-table indices ``var * stride + power`` of the non-unit
+def factor_key(exponent: Exponent) -> tuple[int, ...]:
+    """Flat power-table indices ``power * nvars + var`` of the non-unit
     factors of one monomial, in increasing variable order."""
-    return tuple(v * stride + k for v, k in enumerate(exponent) if k)
+    nvars = len(exponent)
+    return tuple(k * nvars + v for v, k in enumerate(exponent) if k)
 
 
 def factor_table(keys) -> np.ndarray:
     """The (U, width) factor table of U monomial keys.  Padding points at
-    power-table entry [0, 0], which is always 1."""
+    power-table entry 0, the power 0 of the first variable, which is 1."""
     keys = list(keys)
     factors = np.zeros((len(keys), max(map(len, keys), default=0) or 1), dtype=np.intp)
     for u, key in enumerate(keys):
@@ -134,38 +141,68 @@ def factor_table(keys) -> np.ndarray:
     return factors
 
 
-def monomials_at(factors: np.ndarray, maxdeg: int, z: np.ndarray) -> np.ndarray:
-    """The (U,) monomials of a factor table at one point z."""
-    tab = np.empty((len(z), maxdeg + 1), dtype=complex)
+def _power_table(z: np.ndarray, maxdeg: int) -> np.ndarray:
+    """The powers 0..maxdeg of every coordinate of one point z (nvars,) as
+    (maxdeg + 1, nvars), or of each row of z (S, nvars) as (S, maxdeg + 1,
+    nvars): each power is the one below it times z, by numpy's elementwise
+    multiply."""
+    if z.ndim == 1:
+        tab = np.empty((maxdeg + 1, len(z)), dtype=complex)
+        tab[0] = 1.0
+        for k in range(1, maxdeg + 1):
+            np.multiply(tab[k - 1], z, out=tab[k])
+        return tab
+    tab = np.empty((len(z), maxdeg + 1, z.shape[1]), dtype=complex)
     tab[:, 0] = 1.0
     for k in range(1, maxdeg + 1):
-        tab[:, k] = tab[:, k - 1] * z
-    # numpy's elementwise complex multiply may round differently from its
-    # product reduction; a dense product over every variable reduced, and
-    # so does this.
-    return np.multiply.reduce(tab.ravel()[factors], axis=1)
+        np.multiply(tab[:, k - 1], z, out=tab[:, k])
+    return tab
+
+
+@functools.lru_cache(maxsize=None)
+def _subscripts(count: int) -> str:
+    """``np.einsum``'s subscripts for the elementwise product of count
+    vectors."""
+    return ",".join("i" * count) + "->i"
+
+
+def _products(gathered: np.ndarray) -> np.ndarray:
+    """The product of each row of an (N, width) array of complex factors.
+
+    ``np.einsum`` multiplies its operands unfused, left to right, as numpy's
+    product reduction does, and gives the reduction's bits wherever no
+    factor is infinite and no part of a product is an exact zero (there
+    einsum may give inf where the reduction gives NaN, and +0 where it gives
+    -0); on a few thousand rows it costs a fifth of the reduction.  numpy's
+    elementwise complex multiply is fused and rounds differently.  A width
+    of 1 is its own product; a wider row than one einsum call takes (32
+    operands) carries its product into the next call."""
+    cols = gathered.T
+    prod = np.einsum(_subscripts(min(len(cols), 32)), *cols[:32])
+    for k in range(32, len(cols), 31):
+        more = cols[k : k + 31]
+        prod = np.einsum(_subscripts(len(more) + 1), prod, *more)
+    return prod
+
+
+def monomials_at(factors: np.ndarray, maxdeg: int, z: np.ndarray) -> np.ndarray:
+    """The (U,) monomials of a factor table at one point z."""
+    return _products(_power_table(z, maxdeg).ravel()[factors])
 
 
 def monomial_rows(factors: np.ndarray, maxdeg: int, z: np.ndarray) -> np.ndarray:
     """The (S, U) monomials of a factor table at each row of z (S, nvars),
-    each row bit-equal to ``monomials_at``.  The products run as one 2-D
-    reduction over (S * U, width), the form ``monomials_at`` reduces: along
-    the last axis of (S, U, width), numpy rounds differently."""
-    count, nvars = z.shape
-    tab = np.empty((count, nvars, maxdeg + 1), dtype=complex)
-    tab[:, :, 0] = 1.0
-    for k in range(1, maxdeg + 1):
-        tab[:, :, k] = tab[:, :, k - 1] * z
-    gathered = tab.reshape(count, nvars * (maxdeg + 1)).take(factors, axis=1)
-    return np.multiply.reduce(gathered.reshape(-1, factors.shape[1]), axis=1).reshape(
-        gathered.shape[:2]
-    )
+    each row bit-equal to ``monomials_at``: the same power table per row and
+    the same product kernel over the (S * U, width) gathered factors."""
+    count = len(z)
+    gathered = _power_table(z, maxdeg).reshape(count, -1).take(factors, axis=1)
+    return _products(gathered.reshape(-1, factors.shape[1])).reshape(gathered.shape[:2])
 
 
 def monomial_values(exponents: Sequence[Exponent], points) -> np.ndarray:
     """(S, K): monomial k of ``exponents`` (distinct) at row s of ``points``."""
     maxdeg = max(map(max, exponents), default=0)
-    factors = factor_table(factor_key(e, maxdeg + 1) for e in exponents)
+    factors = factor_table(map(factor_key, exponents))
     return monomial_rows(factors, maxdeg, np.asarray(points, dtype=complex))
 
 
@@ -177,7 +214,7 @@ class TermBlock:
 
     __slots__ = ("terms", "coeffs", "offsets", "shape", "_stack")
 
-    def __init__(self, polys, monomials: dict, stride: int, shape):
+    def __init__(self, polys, monomials: dict, shape):
         terms: list[int] = []
         coeffs: list[complex] = []
         offsets: list[int] = []
@@ -185,7 +222,7 @@ class TermBlock:
             offsets.append(len(terms))
             # A zero polynomial keeps one zero term so that every offset is valid.
             for e, c in p.terms or (((0,) * p.nvars, 0.0),):
-                terms.append(monomials.setdefault(factor_key(e, stride), len(monomials)))
+                terms.append(monomials.setdefault(factor_key(e), len(monomials)))
                 coeffs.append(coeff_to_complex(c))
         self.terms = np.asarray(terms, dtype=np.intp)
         self.coeffs = np.asarray(coeffs, dtype=complex)
@@ -333,7 +370,7 @@ class Polynomial:
         if self._kernel is None:
             maxdeg = max((max(e) for e, _ in self.terms), default=0)
             monomials: dict[tuple[int, ...], int] = {}
-            block = TermBlock((self,), monomials, maxdeg + 1, ())
+            block = TermBlock((self,), monomials, ())
             self._kernel = (factor_table(monomials), maxdeg, block)
         factors, maxdeg, block = self._kernel
         if z.ndim == 1:

@@ -565,7 +565,7 @@ def verify_deck(
         if deck.complete:
             comp = tracker.compiled(system)
             structural = [i for i in range(n) if i not in system.patch_indices]
-            f = comp.f_rows(comp.monomial_rows(values, points[:, n:]))[:, structural]
+            f = comp.corrector_rows(comp.monomial_rows(values, points[:, n:]))[0][:, structural]
             worst_res = float(np.max(np.abs(f), initial=0.0))
 
     worst_quasi = 0.0

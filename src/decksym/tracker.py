@@ -26,8 +26,9 @@ path, so for ``_SERIAL_PATHS`` = 2 paths or fewer ``track_paths`` calls
 are still stepping, each finishes alone from its state (``_run_path``).  A
 call that would hold more than ``_STACK_BYTES`` (rows x
 ``CompiledSystem.row_bytes``: per row, a Newton pass's stacked evaluation,
-f, dF/dx and solve, the step loop's RK4 stages, arc points and monomials,
-the tangent's gathered products, and the term blocks' per-row repeats) runs
+F | dF/dx and solve, the step loop's RK4 stages, arc points and monomials,
+the larger block's gathered products, and both term blocks' per-row
+repeats) runs
 in consecutive chunks under that bound, each row bit-identical; no bundled
 workload reaches it, radial's verification fibers would.
 
@@ -50,42 +51,51 @@ orbit points and formula images: a solution index, ``NEW`` or
 ``MATCH_TOL``.
 
 Systems are compiled once on the evaluation kernel of ``expr`` (its module
-docstring describes the factor table and the term blocks): one factor table
-over the unique monomials of F, dF/dx and dF/dp, and one term block each
-(a block of one-term entries, such as P3P's dF/dx and dF/dp, is not summed).
-Every product is the one a dense evaluation over all n+m factors per term
-computes, minus multiplications by an exact 1, so the values are
+docstring describes the factor table, the einsum product and the term
+blocks): one factor table over the unique monomials of F, dF/dx and dF/dp,
+and one term block per use, F | dF/dx for the corrector and dF/dx | dF/dp
+for the tangent, each evaluated by one gather, one multiply and one
+``reduceat`` (a block of one-term entries, such as P3P's tangent block, is
+not summed).  Every segment is summed as a block of its own would sum it,
+and every product is the one a dense evaluation over all n+m factors per
+term computes, minus multiplications by an exact 1, so the values are
 bit-identical to it (tests/test_evaluator.py keeps that dense form as the
 reference) and, at generic points, to ``Polynomial.evaluate`` of each entry.
 
 The evaluator keeps the monomial vector of the last point, keyed by the
 exact bytes of (x, p), so the four evaluation methods at one point share one
-product: dF/dx and dF/dp in each RK4 stage, and the corrector's last F and
-dF/dx with the next step's first stage.  A rejected step leaves x and t
-unchanged, so its first stage is kept for the retry.  Every solve runs on
+product: dF/dx and dF/dp in each RK4 stage (which also share one evaluation
+of the tangent block, each part handed out once), and the corrector's last
+F and dF/dx with the next step's first stage.  A rejected step leaves x and
+t unchanged, so its first stage is kept for the retry.  Every solve runs on
 one LAPACK build, numpy's: single and stacked dense solves call the gufunc
 behind ``np.linalg.solve`` directly (``_solve``), with that function's error
 settings but without its Python wrapper; on a stack it runs the same routine
 per matrix.  tests/test_tracker.py checks that both solve to the bits of
-``np.linalg.solve``, one matrix or a stack.
+``np.linalg.solve``, one matrix or a stack.  The error settings are entered
+per solve: a wider scope would turn an invalid operation outside the solve
+(inf - inf in a prediction) into ``LinAlgError`` and relabel the path.
 
-The stacked evaluation (``monomial_rows`` and the ``*_rows`` blocks) uses the
-same factor table and blocks on (S, n) and (S, m) rows.  Its rows are
-bit-identical to the single-point methods because the monomial products run
-as one 2-D reduction over (S * U, width), the block terms are summed by one
-flat ``reduceat`` with the offsets repeated per row, and every complex
-product takes the numpy loop its single-point counterpart takes: numpy's
-elementwise complex multiply (fused) rounds differently from its product
-reduction and from Python's complex arithmetic (unfused), and a product
-broadcast to a single element falls back to the unfused loop.  The arc's
-scale factors gamma t / den are therefore Python scalars, one per path, and
-the products with them run on flat operands.  The tangent's dF/dp dp is one
-stacked (S, n, m) @ (S, m, 1) product, bit-equal to each row's ``jp @ dp``
-(``np.einsum`` is not).
+The stacked evaluation (``monomial_rows``, ``corrector_rows`` and
+``tangent_rows``) uses the same factor table and blocks on (S, n) and (S, m)
+rows.  Its rows are bit-identical to the single-point methods because the
+monomial products run through the same einsum kernel over (S * U, width),
+the block terms are summed by one flat ``reduceat`` with the offsets
+repeated per row, and every complex product takes the numpy loop its
+single-point counterpart takes: numpy's elementwise complex multiply
+(fused) rounds differently from einsum and from Python's complex arithmetic
+(unfused), and a product broadcast to a single element falls back to the
+unfused loop.  The arc's scale factors gamma t / den are therefore Python
+scalars, one per path, and the products with them run on flat operands.
+The tangent's dF/dp dp is one stacked (S, n, m) @ (S, m, 1) product,
+bit-equal to each row's ``jp @ dp`` (``np.einsum`` is not).  A lockstep
+pass gathers each row's dp once, computes its mid and end arc points in one
+call, and runs its corrector on whole arrays until a row drops out.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Sequence
@@ -213,47 +223,52 @@ def match(point, pool) -> int | str:
 
 class CompiledSystem:
     """Evaluator for F, dF/dx and dF/dp of one system over its unique
-    monomials, on the ``expr`` kernel."""
+    monomials, on the ``expr`` kernel: one term block per use, F | dF/dx
+    for the corrector and dF/dx | dF/dp for the tangent, each evaluated by
+    one gather, one multiply and one ``reduceat``."""
 
     def __init__(self, system: System):
         n, m = system.n, system.m
         self.n, self.m, self.nvars = n, m, n + m
         # Derivatives only lower exponents, so F holds the highest power.
         self.maxdeg = max((max(e) for eq in system.equations for e, _ in eq.terms), default=0)
-        stride = self.maxdeg + 1
-        jac = expr.jacobian(system)
-        pj = expr.parameter_jacobian(system)
+        jac = [q for row in expr.jacobian(system) for q in row]
+        pj = [q for row in expr.parameter_jacobian(system) for q in row]
         monomials: dict[tuple[int, ...], int] = {}
-        self._f = expr.TermBlock(system.equations, monomials, stride, (n,))
-        self._jx = expr.TermBlock([q for row in jac for q in row], monomials, stride, (n, n))
-        self._jp = expr.TermBlock([q for row in pj for q in row], monomials, stride, (n, m))
+        self._corrector = expr.TermBlock([*system.equations, *jac], monomials, (n + n * n,))
+        self._tangent = expr.TermBlock([*jac, *pj], monomials, (n * n + n * m,))
         self._factors = expr.factor_table(monomials)
         # The bytes one row of a ``track_paths`` call holds, complex unless
         # noted: in ``monomial_rows``, the point, its x and p and the power
         # table's row of products, the power table, the gathered factors and
-        # the unique monomials; the last monomials, f, dF/dx and the solve's
-        # output of ``_newton_rows``; dF/dp; the coefficients (complex) and
-        # offsets (intp) each term block repeats per row; the step loop's x,
-        # k1, x0, four RK4 stages and x_pred, its arc's dp, mid, end and next
-        # points with four rates, ``at_x`` and the last stage's monomials;
-        # the gathered monomials and products of the larger block in
-        # ``_tangent_rows``; and 20 8-byte per-path scalars and flags.
+        # the unique monomials; the last monomials, F | dF/dx and the solve's
+        # output of ``_newton_rows``; dF/dx | dF/dp; the coefficients
+        # (complex) and offsets (intp) each term block repeats per row (dF/dx
+        # sits in both blocks); the step loop's x, k1, x0, four RK4 stages and
+        # x_pred, its arc's dp, mid, end and next points with four rates,
+        # ``at_x`` and the last stage's monomials; the gathered monomials and
+        # products of the larger block; and 20 8-byte per-path scalars and
+        # flags.
         unique, width = self._factors.shape
-        blocks = (self._f, self._jx, self._jp)
+        blocks = (self._corrector, self._tangent)
         terms = sum(len(b.terms) for b in blocks)
         offsets = sum(len(b.offsets) for b in blocks)
-        gathered = 2 * max(len(self._jx.terms), len(self._jp.terms))
+        gathered = 2 * max(len(b.terms) for b in blocks)
         self.row_bytes = 16 * (
-            self.nvars * (stride + 3) + unique * (width + 4) + n * n + n * m + 10 * n
+            self.nvars * (self.maxdeg + 4) + unique * (width + 4) + n * n + n * m + 10 * n
             + 4 * m + 4 + gathered + terms
         ) + 8 * (offsets + 20)
+        self._z = np.empty(self.nvars, dtype=complex)
         self._key: bytes | None = None
         self._mono: np.ndarray | None = None
+        self._kept: tuple | None = None
 
     def _monomials(self, x, p) -> np.ndarray:
         """The read-only vector of every unique monomial at z = (x, p),
         recomputed only when z's bytes differ from the last call's."""
-        z = np.concatenate([np.asarray(x, complex), np.asarray(p, complex)])
+        z = self._z
+        z[: self.n] = x
+        z[self.n :] = p
         key = z.tobytes()
         if key != self._key:
             mono = expr.monomials_at(self._factors, self.maxdeg, z)
@@ -262,17 +277,36 @@ class CompiledSystem:
         return self._mono
 
     def f_at(self, x, p) -> np.ndarray:
-        return self._f(self._monomials(x, p))
-
-    def jx_at(self, x, p) -> np.ndarray:
-        return self._jx(self._monomials(x, p))
-
-    def jp_at(self, x, p) -> np.ndarray:
-        return self._jp(self._monomials(x, p))
+        return self._corrector(self._monomials(x, p))[: self.n]
 
     def f_and_jx(self, x, p):
+        n = self.n
+        vals = self._corrector(self._monomials(x, p))
+        return vals[:n], vals[n:].reshape(n, n)
+
+    def jx_at(self, x, p) -> np.ndarray:
+        return self._tangent_part(0, x, p)
+
+    def jp_at(self, x, p) -> np.ndarray:
+        return self._tangent_part(1, x, p)
+
+    def _tangent_part(self, part: int, x, p) -> np.ndarray:
+        """dF/dx (part 0) or dF/dp (part 1) at (x, p).  A tangent asks for
+        both at one point, so one evaluation of the tangent block serves
+        both: the other part is kept for the next call at the same
+        monomials, and each part is handed out once, so its caller owns it."""
         mono = self._monomials(x, p)
-        return self._f(mono), self._jx(mono)
+        kept, self._kept = self._kept, None
+        if kept is not None and kept[0] is mono and kept[1] == part:
+            return kept[2]
+        n = self.n
+        vals = self._tangent(mono)
+        jx, jp = vals[: n * n].reshape(n, n), vals[n * n :].reshape(n, self.m)
+        if part:
+            self._kept = (mono, 0, jx)
+            return jp
+        self._kept = (mono, 1, jp)
+        return jx
 
     # Stacked evaluation: row i of x (S, n) and p (S, m) is one point.  The
     # blocks at row i of ``monomial_rows(x, p)`` are bit-equal to the
@@ -282,14 +316,18 @@ class CompiledSystem:
         """The (S, U) unique monomials at each row z = (x_i, p_i)."""
         return expr.monomial_rows(self._factors, self.maxdeg, np.concatenate([x, p], axis=1))
 
-    def f_rows(self, mono) -> np.ndarray:
-        return self._f.rows(mono)
+    def corrector_rows(self, mono):
+        """F (S, n) and dF/dx (S, n, n) at each row of the monomials."""
+        n = self.n
+        vals = self._corrector.rows(mono)
+        return vals[:, :n], vals[:, n:].reshape(len(vals), n, n)
 
-    def jx_rows(self, mono) -> np.ndarray:
-        return self._jx.rows(mono)
-
-    def jp_rows(self, mono) -> np.ndarray:
-        return self._jp.rows(mono)
+    def tangent_rows(self, mono):
+        """dF/dx (S, n, n) and dF/dp (S, n, m) at each row of the monomials."""
+        n = self.n
+        vals = self._tangent.rows(mono)
+        count = len(vals)
+        return vals[:, : n * n].reshape(count, n, n), vals[:, n * n :].reshape(count, n, self.m)
 
 
 _COMPILED: "weakref.WeakKeyDictionary[System, CompiledSystem]" = weakref.WeakKeyDictionary()
@@ -327,7 +365,7 @@ def _newton(comp, x, p, tol, max_iters, max_norm):
     for it in range(max_iters):
         f, jx = comp.f_and_jx(x, p)
         res = float(np.abs(f).max())
-        if not np.isfinite(res):
+        if not math.isfinite(res):
             return x, np.inf, False, False, first_step
         if res <= tol:
             return x, res, True, False, first_step
@@ -345,13 +383,14 @@ def _newton(comp, x, p, tol, max_iters, max_norm):
     return x, res, res <= tol, False, first_step
 
 
-def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """``_solve(a[i], b[i])`` for each row of a stack: the solutions, and
-    which rows solved.  One stacked ``_solve`` runs the same routine per
-    matrix; when a singular matrix makes it raise, each row is solved alone,
-    so only the singular rows fail (their solutions are NaN)."""
+    which rows solved, None when every row did.  One stacked ``_solve`` runs
+    the same routine per matrix; when a singular matrix makes it raise, each
+    row is solved alone, so only the singular rows fail (their solutions
+    are NaN)."""
     try:
-        return _solve(a, b), np.ones(len(a), dtype=bool)
+        return _solve(a, b), None
     except np.linalg.LinAlgError:
         out = np.full(b.shape, np.nan, dtype=complex)
         solved = np.zeros(len(a), dtype=bool)
@@ -368,44 +407,67 @@ def _newton_rows(comp, x, p, tol, max_iters, max_norm):
     """``_newton`` on each row of x (S, n) over the same row of p (S, m), in
     lockstep.  Returns the stacked (x, residual, converged, singular_flag,
     first_step_size), row i as ``_newton`` returns it for row i alone, and
-    the monomials of each row's last evaluation, which are those at its
-    returned x when it converged."""
+    (S, U) monomials whose row i, for a row that converged, holds the
+    monomials at its returned x; the rows of the others are unspecified.
+
+    The live rows' arrays stay whole until a row drops out (it converged,
+    its residual is not finite, its dF/dx is singular or it left
+    ``max_norm``); only then are they cut down to the rows still going."""
     x = np.array(x, dtype=complex)
     count = len(x)
-    res = np.full(count, np.inf)
+    res = np.full(count, np.inf)  # a row's entry is written when it stops
     ok = np.zeros(count, dtype=bool)
     singular = np.zeros(count, dtype=bool)
     first_step = np.zeros(count)
-    last = mono = comp.monomial_rows(x, p)
     live = np.arange(count)
+    sel = slice(None)  # ``live`` as an index, a slice while it is every row
+    xs, ps = x, p
+    last = None
     for it in range(max_iters + 1):
-        if not len(live):
-            break
-        if it:
-            mono = comp.monomial_rows(x[live], p[live])
-            last[live] = mono
-        f = comp.f_rows(mono)
+        mono = comp.monomial_rows(xs, ps)
+        f, jx = comp.corrector_rows(mono)
         r = np.abs(f).max(axis=1)
+        if last is None:
+            last = mono
         if it == max_iters:  # the check after the last correction
-            res[live] = r
-            ok[live] = r <= tol
+            done = r <= tol
+            res[sel], ok[sel] = r, done
+            if it:
+                last[live[done]] = mono[done]
             break
-        finite = np.isfinite(r)
-        res[live] = np.where(finite, r, np.inf)
-        ok[live] = finite & (r <= tol)
-        go = finite & (r > tol)
-        live = live[go]
-        if not len(live):
-            break
-        dx, solved = _solve_rows(comp.jx_rows(mono[go]), -f[go])
-        singular[live[~solved]] = True
-        live, dx = live[solved], dx[solved]
+        go = (r > tol) & (r < np.inf)  # neither holds for NaN
+        if not go.all():
+            # Converged rows keep their residual; a non-finite one is inf.
+            stop = ~go
+            rows, r_stop = live[stop], r[stop]
+            done = r_stop <= tol
+            res[rows] = np.where(done, r_stop, np.inf)
+            ok[rows] = done
+            if it:
+                last[rows[done]] = mono[stop][done]
+            live = sel = live[go]
+            if not len(live):
+                break
+            xs, ps, f, jx, r = xs[go], ps[go], f[go], jx[go], r[go]
+        dx, solved = _solve_rows(jx, -f)
+        if solved is not None:
+            failed = live[~solved]
+            singular[failed] = True
+            res[failed] = r[~solved]
+            live = sel = live[solved]
+            if not len(live):
+                break
+            xs, ps, dx = xs[solved], ps[solved], dx[solved]
         if it == 0:
-            first_step[live] = np.abs(dx).max(axis=1)
-        x[live] = x[live] + dx
-        far = np.abs(x[live]).max(axis=1) > max_norm
-        res[live[far]] = np.inf
-        live = live[~far]
+            first_step[sel] = np.abs(dx).max(axis=1)
+        xs = xs + dx
+        x[sel] = xs
+        far = np.abs(xs).max(axis=1) > max_norm  # their residual stays inf
+        if far.any():
+            live = sel = live[~far]
+            if not len(live):
+                break
+            xs, ps = xs[~far], ps[~far]
     return x, res, ok, singular, first_step, last
 
 
@@ -471,20 +533,24 @@ class _Arc:
         den = 1.0 + (gamma - 1.0) * t
         return self.p_from[i] + (gamma * t / den) * self.dp[i], gamma / (den * den)
 
-    def points(self, rows: np.ndarray, t: np.ndarray):
-        """``point`` of each row at its t, stacked.  The scale factors and
-        rates are computed as Python scalars, as in ``point``: numpy's
-        complex arithmetic rounds differently."""
-        gammas = [self.gamma[i] for i in rows.tolist()]
-        ts = t.tolist()
-        dens = [1.0 + (g - 1.0) * ti for g, ti in zip(gammas, ts)]
-        scale = np.array([g * ti / den for g, ti, den in zip(gammas, ts, dens)])
-        rate = np.array([g / (den * den) for g, den in zip(gammas, dens)])
-        # Flat, equal-length operands in ``point``'s order: a broadcast
-        # product may take another numpy loop, one that rounds differently.
-        count, m = len(rows), self.dp.shape[1]
-        step = np.repeat(scale, m) * self.dp.take(rows, axis=0).ravel()
-        return self.p_from.take(rows, axis=0) + step.reshape(count, m), rate
+    def points(self, rows: np.ndarray, dp: np.ndarray, t: np.ndarray):
+        """``point`` of each row at its t, stacked, given the rows' dp
+        (R, m): t is (R,) for one time per row, or (k, R) for k, and the
+        points are t.shape + (m,).  The scale factors and rates are computed
+        as Python scalars, as in ``point``: numpy's complex arithmetic
+        rounds differently."""
+        gammas = [self.gamma[i] for i in rows.tolist()] * (len(t) if t.ndim == 2 else 1)
+        scale, rate = [], []
+        for g, ti in zip(gammas, t.ravel().tolist()):
+            den = 1.0 + (g - 1.0) * ti
+            scale.append(g * ti / den)
+            rate.append(g / (den * den))
+        # Equal-shape operands in ``point``'s order: a product broadcast
+        # within a row may take another numpy loop, one that rounds
+        # differently.
+        m = dp.shape[1]
+        step = np.repeat(np.array(scale, dtype=complex), m).reshape(*t.shape, m) * dp
+        return self.p_from.take(rows, axis=0) + step, np.array(rate, dtype=complex).reshape(t.shape)
 
 
 def _tangent(comp, arc: _Arc, i: int, x, t: float) -> np.ndarray:
@@ -495,12 +561,13 @@ def _tangent(comp, arc: _Arc, i: int, x, t: float) -> np.ndarray:
     return _solve(jx, -(jp @ arc.dp[i]) * rate)
 
 
-def _tangent_rows(comp, arc: _Arc, rows, mono, rate):
-    """``_tangent`` of each of the paths ``rows``, given the monomials and
-    rate at its point; and which rows solved.  The stacked product
-    (S, n, m) @ (S, m, 1) is bit-equal to each row's ``jp @ dp``."""
-    jp_dp = (comp.jp_rows(mono) @ arc.dp.take(rows, axis=0)[:, :, None])[..., 0]
-    return _solve_rows(comp.jx_rows(mono), -jp_dp * rate[:, None])
+def _tangent_rows(comp, dp, mono, rate):
+    """``_tangent`` of each of R paths, given its dp (R, m) and the
+    monomials and rate at its point; and which rows solved (None for all).
+    The stacked product (R, n, m) @ (R, m, 1) is bit-equal to each row's
+    ``jp @ dp``."""
+    jx, jp = comp.tangent_rows(mono)
+    return _solve_rows(jx, -(jp @ dp[:, :, None])[..., 0] * rate[:, None])
 
 
 def _endpoint(x, res: float, steps: int) -> PathResult:
@@ -530,7 +597,7 @@ def _run_path(comp, arc: _Arc, i: int, x, t=0.0, h=_INITIAL_STEP, steps=0, strea
             k3 = _tangent(comp, arc, i, x + 0.5 * h * k2, t + 0.5 * h)
             k4 = _tangent(comp, arc, i, x + h * k3, t + h)
             x_pred = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if np.all(np.isfinite(x_pred)):
+            if np.isfinite(x_pred).all():
                 p_next, _ = arc.point(i, t + h)
                 x_new, res, ok, sing, first_step = _newton(
                     comp, x_pred, p_next, NEWTON_TOL, _MAX_NEWTON_ITERS, _MAX_NORM
@@ -638,7 +705,7 @@ def track_paths(system: System, starts, p_from, p_to, gammas) -> list[PathResult
     # The monomials and the rate at (x[i], t[i]): the corrector's last
     # evaluation at an accepted point is kept, as the single-point memo
     # shares it with the next first stage.
-    p, rate_at = arc.points(np.arange(count), t)
+    p, rate_at = arc.points(np.arange(count), arc.dp, t)
     at_x = comp.monomial_rows(x, p)
     results: list[PathResult | None] = [None] * count
     running = np.ones(count, dtype=bool)  # False once a path has its result
@@ -654,34 +721,48 @@ def track_paths(system: System, starts, p_from, p_to, gammas) -> list[PathResult
         active = active[running[active] & (t[active] < 1.0 - 1e-14)]
         if len(active) <= _SERIAL_PATHS:
             break
-        end(active[steps[active] >= _MAX_TOTAL_STEPS], "step_underflow")
-        active = active[running[active]]
+        over = steps[active] >= _MAX_TOTAL_STEPS
+        if over.any():
+            end(active[over], "step_underflow")
+            active = active[~over]
         h[active] = np.minimum(h[active], 1.0 - t[active])
+        dp = arc.dp.take(active, axis=0)  # each row's dp, for the pass
 
-        need = active[~have_k1[active]]
-        if len(need):
-            k, solved = _tangent_rows(comp, arc, need, at_x[need], rate_at[need])
-            k1[need[solved]] = k[solved]
-            have_k1[need[solved]] = True
-            singular_seen[need[~solved]] = True
+        need = ~have_k1[active]
+        if need.any():
+            rows = active[need]
+            k, solved = _tangent_rows(comp, dp[need], at_x[rows], rate_at[rows])
+            if solved is not None:
+                singular_seen[rows[~solved]] = True
+                rows, k = rows[solved], k[solved]
+            k1[rows] = k
+            have_k1[rows] = True
         # A failed solve ends a path's attempt, as LinAlgError does in
         # ``_run_path``; its later stages are computed but never used.
-        rows = active[have_k1[active]]
-        x0, hh = x[rows], h[rows]
-        mid = arc.points(rows, t[rows] + 0.5 * hh)
-        end_point = arc.points(rows, t[rows] + hh)
+        rows = active
+        if not have_k1[active].all():
+            rows, dp = active[have_k1[active]], dp[have_k1[active]]
+        x0, hh, t0 = x[rows], h[rows], t[rows]
+        half = 0.5 * hh
+        (p_mid, p_next), (rate_mid, rate_next) = arc.points(
+            rows, dp, np.stack([t0 + half, t0 + hh])
+        )
         alive = np.ones(len(rows), dtype=bool)
         ks = [k1[rows]]
-        for frac, (p, rate) in ((0.5, mid), (0.5, mid), (1.0, end_point)):
-            mono = comp.monomial_rows(x0 + (frac * hh)[:, None] * ks[-1], p)
-            k, solved = _tangent_rows(comp, arc, rows, mono, rate)
-            singular_seen[rows[alive & ~solved]] = True
-            alive &= solved
+        half, whole = half[:, None], hh[:, None]
+        stages = ((half, p_mid, rate_mid), (half, p_mid, rate_mid), (whole, p_next, rate_next))
+        for frac, p, rate in stages:
+            mono = comp.monomial_rows(x0 + frac * ks[-1], p)
+            k, solved = _tangent_rows(comp, dp, mono, rate)
+            if solved is not None:
+                singular_seen[rows[alive & ~solved]] = True
+                alive &= solved
             ks.append(k)
         x_pred = x0 + (hh / 6.0)[:, None] * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
         alive &= np.isfinite(x_pred).all(axis=1)
-        rows, x0, x_pred = rows[alive], x0[alive], x_pred[alive]
-        p_next, rate_next = end_point[0][alive], end_point[1][alive]
+        if not alive.all():
+            rows, x0, x_pred = rows[alive], x0[alive], x_pred[alive]
+            p_next, rate_next = p_next[alive], rate_next[alive]
 
         accepted = np.zeros(count, dtype=bool)
         if len(rows):
@@ -707,6 +788,8 @@ def track_paths(system: System, starts, p_from, p_to, gammas) -> list[PathResult
             streak[expand] = 0
 
         rejected = active[~accepted[active]]
+        if not len(rejected):
+            continue
         diverged = np.abs(x[rejected]).max(axis=1) > _MAX_NORM
         end(rejected[diverged], "diverged")
         rejected = rejected[~diverged]

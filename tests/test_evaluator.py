@@ -21,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_system
-from decksym import tracker
+from decksym import expr, tracker
 from decksym.expr import (
     Polynomial,
     RationalFunction,
     System,
+    TermBlock,
     coeff_to_complex,
     jacobian,
     parameter_jacobian,
@@ -140,9 +141,9 @@ def assert_rows_bit_equal(comp, x, p):
     """The stacked evaluation of the lockstep tracker: row i of each block
     is bit-equal to the single-point methods at (x[i], p[i])."""
     mono = comp.monomial_rows(x, p)
-    stacked = (comp.f_rows(mono), comp.jx_rows(mono), comp.jp_rows(mono))
+    stacked = (*comp.corrector_rows(mono), *comp.tangent_rows(mono))
     for i in range(len(x)):
-        single = (*comp.f_and_jx(x[i], p[i]), comp.jp_at(x[i], p[i]))
+        single = (*comp.f_and_jx(x[i], p[i]), comp.jx_at(x[i], p[i]), comp.jp_at(x[i], p[i]))
         for got, want in zip(stacked, single):
             assert got[i].shape == want.shape
             assert got[i].tobytes() == want.tobytes()
@@ -351,7 +352,7 @@ def test_stacked_rows_keep_one_repeat_for_every_count():
         p = random_point(rng, count * system.m).reshape(count, system.m)
         assert_rows_bit_equal(comp, x, p)
         largest = max(largest, count)
-        for block in (comp._f, comp._jx, comp._jp):
+        for block in (comp._corrector, comp._tangent):
             assert len(block._stack[0]) == largest * len(block.terms)
 
 
@@ -360,14 +361,25 @@ SPECIAL_PARTS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1.5, -3e
 
 @pytest.mark.parametrize("name, block", [
     ("p3p_quasihom", "_jx"), ("p3p_quasihom", "_jp"), ("triangular", "_jp"),
+    ("p3p_quasihom", "_tangent"),
 ])
 def test_single_term_blocks_bit_equal_to_reduceat(name, block):
     """Every polynomial of these blocks has one term (a zero polynomial
     keeps one zero term), so evaluation skips ``np.add.reduceat``; the
     values keep the bits of the sum over one-term segments, at one point
     and stacked, with monomials and coefficients that take -0, NaN, inf and
-    subnormal parts."""
-    block = getattr(tracker.CompiledSystem(fixture_system(name)), block)
+    subnormal parts.  The blocks hold a fixture's dF/dx (``_jx``) or dF/dp
+    (``_jp``), or are the compiled system's tangent block, P3P's dF/dx |
+    dF/dp."""
+    system = fixture_system(name)
+    comp = tracker.CompiledSystem(system)
+    if block == "_tangent":
+        block = comp._tangent
+    else:
+        rows = {"_jx": jacobian, "_jp": parameter_jacobian}[block](system)
+        block = TermBlock(
+            [q for row in rows for q in row], {}, (len(rows), len(rows[0]))
+        )
     assert len(block.terms) == len(block.offsets)
     rng = np.random.default_rng(12)
     size = int(block.terms.max()) + 1
@@ -424,3 +436,44 @@ def test_compile_cache_drops_collected_systems():
     del system
     gc.collect()
     assert parse_system(text) not in tracker._COMPILED
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 8),
+    count=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_product_kernel_bit_equal_to_the_product_reduction(width, count, seed):
+    """The einsum product kernel of ``expr`` against numpy's product
+    reduction, on finite factors whose parts are all nonzero: the same bits
+    stacked and one row at a time.  The reduction stays here only as this
+    reference."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, width)) + 1j * rng.standard_normal((count, width))
+    g *= 10.0 ** rng.uniform(-3, 3, size=(count, width))
+    want = np.multiply.reduce(g, axis=1)
+    assert expr._products(g).tobytes() == want.tobytes()
+    for i in rng.integers(0, count, size=5):
+        assert expr._products(g[i : i + 1]).tobytes() == want[i : i + 1].tobytes()
+
+
+def test_product_kernel_differs_from_the_reduction_only_at_zeros_and_infinities():
+    """The two known differences, pinned: a product with an exact-zero part
+    (-0 from the reduction, +0 from einsum, which adds the product to a
+    zeroed output), and an infinite factor (inf where the reduction gives
+    NaN).  Everything else must keep the reduction's bits."""
+    neg = np.array([[complex(0.0, 0.0), complex(-1.0, 0.0)]])  # 0 * -1
+    assert np.signbit(np.multiply.reduce(neg, axis=1)[0].real)
+    assert not np.signbit(expr._products(neg)[0].real)
+    inf = np.array([[complex(np.inf, 0.0), complex(1.0, 1.0)]])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(np.multiply.reduce(inf, axis=1)[0].imag)
+        assert expr._products(inf)[0].real == np.inf
+        assert expr._products(inf)[0].imag == np.inf
+    plain = np.array([[1.5 - 2j, 0.25 + 3j, -7 + 1e-3j]])
+    assert expr._products(plain).tobytes() == np.multiply.reduce(plain, axis=1).tobytes()
+    assert expr._products(plain[:, :1]).tobytes() == plain[:, 0].tobytes()
+    # 40 factors take two einsum calls, the second carrying the first's product.
+    wide = np.exp(1j * np.arange(1.0, 81.0)).reshape(2, 40) * 1.01
+    assert expr._products(wide).tobytes() == np.multiply.reduce(wide, axis=1).tobytes()

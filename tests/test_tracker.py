@@ -343,10 +343,10 @@ def test_gamma_trick_avoids_discriminant():
 def monomials_without_memo(self, x, p):
     """The unique monomials at (x, p), recomputed on every call."""
     z = np.concatenate([np.asarray(x, complex), np.asarray(p, complex)])
-    tab = np.empty((self.nvars, self.maxdeg + 1), dtype=complex)
-    tab[:, 0] = 1.0
+    tab = np.empty((self.maxdeg + 1, self.nvars), dtype=complex)
+    tab[0] = 1.0
     for k in range(1, self.maxdeg + 1):
-        tab[:, k] = tab[:, k - 1] * z
+        tab[k] = tab[k - 1] * z
     return np.prod(tab.ravel()[self._factors], axis=1)
 
 
@@ -402,7 +402,7 @@ def test_solve_bit_equal_to_numpy():
         assert single == [np.linalg.solve(a[i], b[i]).tobytes() for i in range(10)]
         # The stacked solve of the lockstep tracker: every row as alone.
         stacked, solved = tracker._solve_rows(a, b)
-        assert solved.all()
+        assert solved is None  # every row solved
         assert [row.tobytes() for row in stacked] == single
         assert stacked.tobytes() == np.linalg.solve(a, b[..., None])[..., 0].tobytes()
 
@@ -534,9 +534,9 @@ def test_stacked_arc_points_and_tangents_bit_equal(system, gamma):
         t = rng.random(count)
         x = rng.standard_normal((count, system.n)) + 1j * rng.standard_normal((count, system.n))
         every = np.arange(count)
-        p, rate = arc.points(every, t)
-        k, solved = tracker._tangent_rows(comp, arc, every, comp.monomial_rows(x, p), rate)
-        assert solved.all()
+        p, rate = arc.points(every, arc.dp, t)
+        k, solved = tracker._tangent_rows(comp, arc.dp, comp.monomial_rows(x, p), rate)
+        assert solved is None  # every row solved
         for i in range(count):
             j = i % rows
             alone = tracker._Arc(p_from[j], p_to[j], gammas[j], 1)
@@ -743,9 +743,9 @@ def test_row_bytes_bound_the_stacked_monomials(name, monkeypatch):
     ``track_paths`` call from the seed to random targets (also the RK4
     stages, the arc points and rates, ``at_x`` and the tangent's gathered
     products), each on 160 rows of a freshly compiled system, are within 160
-    rows' worth.  Such a call peaks at 22 260, 44 525 and 7 113 B a row on
-    triangular, P3P and ex5_7, which the count of a Newton pass alone
-    (16 136, 40 960 and 4 672 B) missed."""
+    rows' worth.  Such a call peaks at 21 631, 58 660 and 7 379 B a row on
+    triangular, P3P and ex5_7 (P3P's dF/dx sits in both term blocks), which
+    the count of a Newton pass alone (16 136, 40 960 and 4 672 B) missed."""
     system = fixture_system(name)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((160, system.n)) + 1j * rng.standard_normal((160, system.n))
@@ -785,3 +785,39 @@ def test_retraces_checks_each_sample_against_its_own_start():
     assert tracker.retraces(EX41, fibers, samples, gammas) == [True, True]
     swapped = FiberSample(fibers[1].params, fibers[1].solutions[::-1])
     assert tracker.retraces(EX41, [fibers[0], swapped], samples, gammas) == [True, False]
+
+
+def test_newton_rows_bit_identical_to_newton_row_by_row():
+    """One lockstep Newton pass over rows of x^2 + p x + 1 at p = -2.5
+    (roots 2 and 1/2, dF/dx = 0 at x = 5/4) that converge at iterations 0,
+    1 and 2, hit a singular dF/dx, leave ``max_norm``, start from a point
+    whose residual is not finite, or do not converge within the iterations:
+    each row's x, residual, converged and singular flags and first step keep
+    the bits ``_newton`` gives the row alone, and the returned monomials of
+    every converged row are those at its x."""
+    comp = compiled(EX41)
+    starts = [2.0, 2.0 + 1e-6, 2.0 + 1e-3, 1.25, 1.25 + 1e-9, 1e200, 50.0, 0.5 + 1e-4j]
+    x = np.array([[complex(v)] for v in starts])
+    p = np.full((len(starts), 1), -2.5 + 0j)
+    with np.errstate(all="ignore"):
+        got = tracker._newton_rows(comp, x, p, tracker.NEWTON_TOL, 4, tracker._MAX_NORM)
+        alone = [
+            tracker._newton(comp, x[i], p[i], tracker.NEWTON_TOL, 4, tracker._MAX_NORM)
+            for i in range(len(starts))
+        ]
+    xs, res, ok, singular, first_step, mono = got
+    for i, (xi, ri, oki, si, fi) in enumerate(alone):
+        assert xs[i].tobytes() == np.asarray(xi).tobytes()
+        assert np.float64(res[i]).tobytes() == np.float64(ri).tobytes()
+        assert (bool(ok[i]), bool(singular[i])) == (bool(oki), bool(si))
+        assert np.float64(first_step[i]).tobytes() == np.float64(fi).tobytes()
+        if oki:
+            assert mono[i].tobytes() == comp.monomial_rows(xs[i : i + 1], p[i : i + 1])[0].tobytes()
+    # Every case happened: converged rows, a singular row, a row that left
+    # max_norm (its residual inf), one with a non-finite residual and one
+    # that ran out of iterations.
+    assert ok[:3].all() and ok[7]
+    assert singular.tolist() == [False, False, False, True, False, False, False, False]
+    assert res[4] == np.inf and abs(xs[4, 0]) > tracker._MAX_NORM
+    assert res[5] == np.inf and not ok[5]
+    assert not ok[6] and np.isfinite(res[6])

@@ -1075,7 +1075,7 @@ def format_rational(rf: RationalFunction, names: Sequence[str]) -> str:
 def format_complex(z: complex) -> str:
     re_ = repr(float(z.real))
     im = float(z.imag)
-    sign = "+" if im >= 0 or math.isnan(im) else "-"
+    sign = "-" if math.copysign(1.0, im) < 0 and not math.isnan(im) else "+"
     return f"{re_}{sign}{repr(abs(im))}i"
 
 

@@ -27,8 +27,9 @@ call's samples go out in one lockstep tracking call and come back for
 their round trip in one more (``tracker.sample_fiber``), and only failed
 samples are redrawn.  At each degree the fit and held-out points [x | p]
 are stacked once as an (R, n+m) array and their deck images as an
-(R, |G|-1, n) array (``_Rows``), and every subproblem indexes those two;
-the point-0 rows of a refit are stacked once more.
+(R, |G|-1, n) array (``_Rows``, with the degree's multidegree classes), and
+each subproblem, one ``_Rows.fit`` from its two class keys, indexes those
+two; the point-0 rows of a refit are stacked once more.
 
 Candidates are accepted only when they reproduce held-out rows that never
 entered the Vandermonde: point 0 of samples that give no fit row.
@@ -184,58 +185,6 @@ class _Underdetermined(Exception):
     count (see ``_interpolate``)."""
 
 
-def _try_candidate(
-    system: System,
-    points: np.ndarray,
-    images: np.ndarray,
-    vn: np.ndarray,
-    vd: np.ndarray,
-    numer_monos,
-    denom_monos,
-    j: int,
-    k: int,
-    size: int,
-    holdout: int,
-    certify: bool,
-) -> RationalFunction | None:
-    """The validated formula for coordinate j of deck k from the first
-    ``size`` rows, snapped when the snap still validates; None when the
-    nullspace has no representative or it fails the held-out rows, those
-    from index ``holdout`` on.  Row r of ``points`` (R, n+m) is an orbit
-    point [x | p] and row r of ``images`` (R, |G|-1, n) its images under
-    the deck maps (``_orbit_rows``); ``vn`` and ``vd`` hold the numerator
-    and denominator columns at every row.
-
-    With ``certify``, every nullspace direction must also vanish at the
-    held-out rows, within ``VALIDATE_RTOL`` of the row's norm, or the fit
-    raises ``_Underdetermined``.  Such a direction is not an identity on the
-    solution variety: a held-out row is point 0 of a sample that gives no
-    fit row, a generic point of the variety."""
-    imgs = images[:, k, j]
-    a_mat = np.hstack([vn[:size], -imgs[:size, None] * vd[:size]])
-    try:
-        null = numcore.nullspace(a_mat)
-    except (np.linalg.LinAlgError, ValueError):
-        return None
-    if null.shape[1] == 0:
-        return None
-    if certify:
-        held = np.hstack([vn[holdout:], -imgs[holdout:, None] * vd[holdout:]])
-        miss = np.abs(held @ null) / np.linalg.norm(held, axis=1, keepdims=True)
-        if np.any(miss > VALIDATE_RTOL):
-            raise _Underdetermined
-    reduced = numcore.rref(null.T)
-    rep = get_representative(reduced, len(numer_monos))
-    if rep is None:
-        return None
-    rf = representative_to_rational(rep[0], rep[1], numer_monos, denom_monos, system.n + system.m)
-    points, images = points[holdout:], images[holdout:, k, j]
-    if not _validate(rf, points, images):
-        return None
-    snapped = snap_rational(rf)
-    return snapped if _validate(snapped, points, images) else rf
-
-
 def _image_positions(perms: Sequence[Perm], labels: Sequence[int]) -> list[list[int | None]]:
     """Row tau: the orbit position of sigma_k(labels[tau]) for every deck
     permutation sigma_k, None where that image lies outside the orbit.  Row 0
@@ -260,27 +209,63 @@ def _orbit_rows(
 
 class _Rows:
     """The fit rows of one degree, then its held-out rows, each a pair of
-    points and images from ``_orbit_rows``, and the values of each
-    multidegree class at every row, computed on first use."""
+    points and images from ``_orbit_rows``, and the values of each of the
+    degree's multidegree classes at every row, computed on first use."""
 
-    def __init__(self, fit: tuple[np.ndarray, np.ndarray], held: tuple[np.ndarray, np.ndarray]):
+    def __init__(
+        self,
+        classes: dict[tuple[int, ...], list[Exponent]],
+        fit: tuple[np.ndarray, np.ndarray],
+        held: tuple[np.ndarray, np.ndarray],
+    ):
+        self.classes = classes
         self.points = np.concatenate([fit[0], held[0]])
         self.images = np.concatenate([fit[1], held[1]])
         self.holdout = len(fit[0])
         self._values: dict[tuple[int, ...], np.ndarray] = {}
 
-    def values(self, key: tuple[int, ...], monos: Sequence[Exponent]) -> np.ndarray:
+    def values(self, key: tuple[int, ...]) -> np.ndarray:
         got = self._values.get(key)
         if got is None:
-            got = self._values[key] = monomial_values(monos, self.points)
+            got = self._values[key] = monomial_values(self.classes[key], self.points)
         return got
 
-    def fit(self, system, mon_n, mon_d, key, deg_d, j, k, size, certify=False):
-        """``_try_candidate`` for coordinate j of deck k on these rows."""
-        return _try_candidate(
-            system, self.points, self.images, self.values(key, mon_n),
-            self.values(deg_d, mon_d), mon_n, mon_d, j, k, size, self.holdout, certify,
-        )
+    def fit(self, key, deg_d, j: int, k: int, certify: bool = False) -> RationalFunction | None:
+        """The validated formula for coordinate j of deck k over numerator
+        class ``key`` and denominator class ``deg_d``, fitted on as many of
+        the first rows as the two classes have monomials and snapped when
+        the snap still validates; None when the nullspace has no
+        representative or it fails the held-out rows.
+
+        With ``certify``, every nullspace direction must also vanish at the
+        held-out rows, within ``VALIDATE_RTOL`` of the row's norm, or the fit
+        raises ``_Underdetermined``.  Such a direction is not an identity on
+        the solution variety: a held-out row is point 0 of a sample that
+        gives no fit row, a generic point of the variety."""
+        mon_n, mon_d = self.classes[key], self.classes[deg_d]
+        vn, vd, h = self.values(key), self.values(deg_d), self.holdout
+        size = len(mon_n) + len(mon_d)
+        imgs = self.images[:, k, j]
+        try:
+            null = numcore.nullspace(np.hstack([vn[:size], -imgs[:size, None] * vd[:size]]))
+        except (np.linalg.LinAlgError, ValueError):
+            return None
+        if null.shape[1] == 0:
+            return None
+        if certify:
+            held = np.hstack([vn[h:], -imgs[h:, None] * vd[h:]])
+            miss = np.abs(held @ null) / np.linalg.norm(held, axis=1, keepdims=True)
+            if np.any(miss > VALIDATE_RTOL):
+                raise _Underdetermined
+        rep = get_representative(numcore.rref(null.T), len(mon_n))
+        if rep is None:
+            return None
+        points, images = self.points[h:], imgs[h:]
+        rf = representative_to_rational(rep[0], rep[1], mon_n, mon_d, points.shape[1])
+        if not _validate(rf, points, images):
+            return None
+        snapped = snap_rational(rf)
+        return snapped if _validate(snapped, points, images) else rf
 
 
 def monomial_classes(
@@ -347,7 +332,7 @@ def _interpolate(
     S >= P rules out neither, and the list need not be complete.  So the
     rank is checked, not assumed: a fit that takes orbit mates must have a
     nullspace whose every direction vanishes at the held-out rows
-    (``_try_candidate`` with ``certify``), since a held-out row is a generic
+    (``_Rows.fit`` with ``certify``), since a held-out row is a generic
     point of the variety.  A fit that fails the check is refit on point 0
     of 2t samples, the rows it would have with one row per sample; the
     degree's first refit draws the 2t - S samples past its held-out ones.
@@ -395,7 +380,7 @@ def _interpolate(
         budget = fit_samples + _holdout_count(fit_rows)
         draw(budget)
         held = _orbit_rows(samples[fit_samples:budget], image_positions[:1])
-        orbit = _Rows(_orbit_rows(samples[:fit_samples], image_positions[:positions]), held)
+        orbit = _Rows(classes, _orbit_rows(samples[:fit_samples], image_positions[:positions]), held)
         point_0: _Rows | None = None
 
         def point_0_rows() -> _Rows:
@@ -404,32 +389,27 @@ def _interpolate(
             extra = fit_rows - fit_samples
             draw(budget + extra)
             fit = samples[:fit_samples] + samples[budget : budget + extra]
-            return _Rows(_orbit_rows(fit, image_positions[:1]), held)
+            return _Rows(classes, _orbit_rows(fit, image_positions[:1]), held)
 
         for key in sorted(classes):
-            mon_n = classes[key]
             for j in range(n):
                 if all(d.coords[j] is not None for d in decks):
                     continue
                 deg_d = scaling.denominator_multidegree(key, lattice, j)
-                mon_d = classes.get(deg_d)
-                if mon_d is None:
+                if deg_d not in classes:
                     continue
-                size = len(mon_n) + len(mon_d)
+                size = len(classes[key]) + len(classes[deg_d])
                 for k, deck in enumerate(decks):
                     if deck.coords[j] is not None:
                         continue
                     stats.subproblems += 1
                     stats.largest_vandermonde = max(stats.largest_vandermonde, size)
                     try:
-                        got = orbit.fit(
-                            system, mon_n, mon_d, key, deg_d, j, k, size,
-                            certify=size > fit_samples,
-                        )
+                        got = orbit.fit(key, deg_d, j, k, certify=size > fit_samples)
                     except _Underdetermined:
                         stats.point_0_refits += 1
                         point_0 = point_0 or point_0_rows()
-                        got = point_0.fit(system, mon_n, mon_d, key, deg_d, j, k, size)
+                        got = point_0.fit(key, deg_d, j, k)
                     if got is not None:
                         deck.coords[j] = got
                         deck.degree_bound_used = degree

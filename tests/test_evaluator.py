@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_system
@@ -237,14 +237,28 @@ def test_compiled_matches_symbolic_on_random_sparse_systems(system, seed):
             assert bits(got) == bits(want)
 
 
+ONE_TERM_SYSTEM = System(
+    NAMES[:2],
+    PARAMS[:1],
+    (
+        Polynomial(3, [((2, 0, 1), complex(0.3, -1.7))]),
+        Polynomial(3, [((0, 1, 0), complex(-2.2, 0.9))]),
+    ),
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
+@example(system=ONE_TERM_SYSTEM, seed=1, count=1)
 def test_stacked_evaluate_bit_equal_to_single_points(system, seed, count):
     """``evaluate`` on an (S, nvars) stack gives the S single-point values bit
     for bit: polynomials on points with reals, zeros and negative zeros, a
     quotient of two equations on generic points.  A subnormal coefficient
     can make a denominator underflow to exactly 0, and then both forms
-    raise ZeroDivisionError."""
+    raise ZeroDivisionError.  The example is a system of one-term
+    polynomials on one point: a term product broadcast as (1, 1) * (1,)
+    rounds unlike the single point's (1,) * (1,), so ``TermBlock.rows``
+    multiplies flat arrays of equal length."""
     rng = np.random.default_rng(seed)
     nvars = system.n + system.m
     z = mixed_points(rng, count, nvars)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -294,6 +296,13 @@ def test_imaginary_shadowed_by_variable():
 
 
 def test_complex_literals_roundtrip():
+    """Every pair of parts, the sign of a zero and NaN included, reads back
+    with its bits."""
+    parts = [0.0, -0.0, 1.5, -2.5e-300, math.inf, -math.inf, math.nan]
+    for re_, im in itertools.product(parts, parts):
+        z = complex(re_, im)
+        got = parse_complex(format_complex(z))
+        assert struct.pack("<2d", got.real, got.imag) == struct.pack("<2d", re_, im), z
     for z in [1 + 2j, -0.5j, 3.0 + 0j, -2.25 - 1e-3j]:
         assert parse_complex(format_complex(z)) == z
     assert parse_complex("2i") == 2j

@@ -284,7 +284,7 @@ def test_interpolation_draws_only_the_shortfall(mono41, monkeypatch):
 
     real = monodromy.sample_orbit
     monkeypatch.setattr(monodromy, "sample_orbit", counting)
-    monkeypatch.setattr(interp, "_try_candidate", lambda *args: None)
+    monkeypatch.setattr(interp._Rows, "fit", lambda *args, **kwargs: None)
     _, stats = interpolate_dense(
         system, result, deck_perms_of(result), 3, True, np.random.default_rng(0)
     )
@@ -308,10 +308,10 @@ def test_held_out_rows_come_from_samples_that_give_no_fit_row(mono41, monkeypatc
     system, result, _ = mono41
     calls = {}
 
-    def recording(system, points, images, vn, vd, mon_n, mon_d, j, k, size, holdout, certify):
-        calls[id(points)] = (points, holdout)
+    def recording(rows, key, deg_d, j, k, certify=False):
+        calls[id(rows.points)] = (rows.points, rows.holdout)
 
-    monkeypatch.setattr(interp, "_try_candidate", recording)
+    monkeypatch.setattr(interp._Rows, "fit", recording)
     interpolate_dense(system, result, deck_perms_of(result), 3, True, np.random.default_rng(0))
     assert len(calls) == 3
     n = system.n
@@ -427,18 +427,18 @@ def test_an_orbit_mate_that_is_a_lattice_scaling_adds_no_rank(mono_flip):
     positions = interp._image_positions([flip], labels)
     samples = sample_orbit(system, result, [flip], 4 + 3 + 4, np.random.default_rng(0))
     held = interp._orbit_rows(samples[4:7], positions[:1])
-    orbit = interp._Rows(interp._orbit_rows(samples[:4], positions), held)
-    point_0 = interp._Rows(interp._orbit_rows(samples[:4] + samples[7:], positions[:1]), held)
+    orbit = interp._Rows(classes, interp._orbit_rows(samples[:4], positions), held)
+    fit_0 = interp._orbit_rows(samples[:4] + samples[7:], positions[:1])
+    point_0 = interp._Rows(classes, fit_0, held)
     key_n, key_d = (multidegree(monos_[0], lattice) for monos_ in (odd, even))
 
-    a_mat = np.hstack(
-        [orbit.values(key_n, odd), -orbit.images[:, 0, :1] * orbit.values(key_d, even)]
-    )
+    assert (classes[key_n], classes[key_d]) == (odd, even)
+    a_mat = np.hstack([orbit.values(key_n), -orbit.images[:, 0, :1] * orbit.values(key_d)])
     assert np.allclose(a_mat[4:8], a_mat[0:4] * a_mat[4:8, :1] / a_mat[0:4, :1])
     assert np.linalg.matrix_rank(a_mat[:6], tol=1e-8) == 4
     with pytest.raises(interp._Underdetermined):
-        orbit.fit(system, odd, even, key_n, key_d, 0, 0, 6, certify=True)
-    found = point_0.fit(system, odd, even, key_n, key_d, 0, 0, 6)
+        orbit.fit(key_n, key_d, 0, 0, certify=True)
+    found = point_0.fit(key_n, key_d, 0, 0)
     assert format_rational(found, system.names) == "-x"
 
 
